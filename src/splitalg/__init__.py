@@ -30,7 +30,6 @@ from .identities import (
     check_morphism,
 )
 from .operators import (
-    OperatorVerdict,
     SearchCapExceeded,
     check_assoc_averaging,
     check_dend_averaging,

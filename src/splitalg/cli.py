@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -29,15 +28,11 @@ from .constructions import (
     sum_collapse_six,
 )
 from .documents import Document, DocumentError, parse_document, serialize_document
-from .identities import CATALOG_NAMES, check
-from .model import Algebra, SpecError
+from .identities import CATALOG_NAMES, QUADRI_TO_DENDRIFORM_COLLAPSE, ViolationReport, check
+from .model import Action, Algebra, LinearMap, Representation, SpecError
 from .operators import (
-    SearchCapExceeded,
     DEFAULT_SEARCH_CAP,
-    check_homomorphic_relative,
     check_operator,
-    check_relative_averaging,
-    check_dend_averaging,
     operator_map_shape,
     search_operators,
 )
@@ -49,7 +44,6 @@ from .quotients import (
     six_to_homomorphic_setup,
     splitting_ideal,
 )
-from .identities import QUADRI_TO_DENDRIFORM_COLLAPSE
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -83,19 +77,6 @@ def _emit(args, payload: dict, human: str) -> None:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(human)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SPLITALG_WORKERS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise UsageError(f"SPLITALG_WORKERS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise UsageError("SPLITALG_WORKERS must be at least 1")
-    return count
 
 
 def cmd_check(args) -> int:
@@ -160,175 +141,116 @@ def cmd_check_operator(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_VIOLATIONS
 
 
-def _need(doc: Document, section: dict, flag: str, name: str | None):
-    if name is None:
-        raise UsageError(f"recipe requires --{flag}")
-    if name not in section:
-        raise UsageError(f"no {flag} named {name!r}")
-    return section[name]
+def _verified(fn):
+    """A product builder: it checks its input unless --no-verify is given."""
+    return lambda obj, verify: (fn(obj, verify=verify),)
 
 
-def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, object]]]:
-    """Returns (output document, [(label, report-or-verdict), ...])."""
-    recipe = args.recipe
-    alg = lambda: _need(doc, doc.algebras, "algebra", args.algebra)
-    rep = lambda: _need(doc, doc.representations, "rep", args.rep)
-    act = lambda: _need(doc, doc.actions, "action", args.action)
-    lmap = lambda: _need(doc, doc.maps, "map", args.map)
+def _single(fn):
+    """A builder with one output."""
+    return lambda *objects, verify: (fn(*objects),)
+
+
+def _dual_extension(d, verify):
+    action, projection = dual_extension(d)
+    return action.base, action.target, projection, action
+
+
+def _quotient_dend(a, verify):
+    return quotient_algebra(
+        a, splitting_ideal(a), QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform"
+    )
+
+
+def _quadri_to_relative(q, verify):
+    representation, projection = quadri_to_relative_setup(q)
+    return representation.base, representation, projection
+
+
+def _six_to_homomorphic(s, verify):
+    action, projection = six_to_homomorphic_setup(s)
+    return action.base, action.target, action, projection
+
+
+# recipe -> (object flags, builder, output names, verifications).  The
+# builder takes the flagged objects and the verify flag and returns the
+# outputs in order; a verification (label, catalog or operator kind,
+# output checked, output map or None) re-checks the outputs.
+RECIPES = {
+    "semidirect": (("rep",), _verified(semidirect), ("semidirect",), [
+        ("semidirect:dendriform", "dendriform", "semidirect", None)]),
+    "hemisemidirect": (("rep",), _verified(hemisemidirect), ("hemisemidirect",), [
+        ("hemisemidirect:quadri", "quadri", "hemisemidirect", None)]),
+    "action-semidirect": (("action",), _verified(action_semidirect), ("action_semidirect",), [
+        ("action_semidirect:dendriform", "dendriform", "action_semidirect", None)]),
+    "aguiar-dendriform": (("algebra", "map"), _single(aguiar_dendriform), ("dendriform",), [
+        ("dendriform", "dendriform", "dendriform", None)]),
+    "aguiar-diass": (("algebra", "map"), _single(aguiar_diassociative), ("diassociative",), [
+        ("diassociative", "diassociative", "diassociative", None)]),
+    "induced-quadri": (("rep", "map"), _single(induced_quadri), ("induced_quadri",), [
+        ("induced_quadri:quadri", "quadri", "induced_quadri", None)]),
+    "induced-six": (("action", "map"), _single(induced_six), ("induced_six",), [
+        ("induced_six:six", "six", "induced_six", None)]),
+    "differential-quadri": (("algebra", "map"), _single(differential_quadri), ("differential_quadri",), [
+        ("differential_quadri:quadri", "quadri", "differential_quadri", None)]),
+    "dual-extension": (("algebra",), _dual_extension, ("base", "extension", "projection", "dual_extension"), [
+        ("dual_extension:dend-action", "dend-action", "dual_extension", None),
+        ("projection:homomorphic_relative", "homomorphic_relative", "dual_extension", "projection")]),
+    "sum-diass": (("algebra",), _single(sum_collapse_quadri), ("sum_diass",), [
+        ("sum_diass:diassociative", "diassociative", "sum_diass", None)]),
+    "sum-triass": (("algebra",), _single(sum_collapse_six), ("sum_triass",), [
+        ("sum_triass:triassociative", "triassociative", "sum_triass", None)]),
+    "quotient-dend": (("algebra",), _quotient_dend, ("quotient", "quotient_map"), [
+        ("quotient:dendriform", "dendriform", "quotient", None)]),
+    "embed-averaging": (("algebra",), lambda q, verify: embed_averaging(q),
+                        ("ambient", "averaging", "inclusion"), [
+        ("ambient:dendriform", "dendriform", "ambient", None),
+        ("averaging:dend_averaging", "dend_averaging", "ambient", "averaging")]),
+    "quadri-to-relative": (("algebra",), _quadri_to_relative,
+                           ("quotient", "representation", "quotient_map"), [
+        ("representation:dend-representation", "dend-representation", "representation", None),
+        ("quotient_map:relative_averaging", "relative_averaging", "representation", "quotient_map")]),
+    "six-to-homomorphic": (("algebra",), _six_to_homomorphic,
+                           ("quotient", "perp", "action", "quotient_map"), [
+        ("action:dend-action", "dend-action", "action", None),
+        ("quotient_map:homomorphic_relative", "homomorphic_relative", "action", "quotient_map")]),
+}
+# where each object flag's name is looked up, and where each output goes
+_SECTIONS = {"algebra": "algebras", "rep": "representations", "action": "actions", "map": "maps"}
+_OUTPUT_SECTIONS = {
+    Algebra: "algebras", LinearMap: "maps", Representation: "representations", Action: "actions"
+}
+
+
+def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, ViolationReport]]]:
+    """Returns (output document, [(label, report), ...]); no reports when
+    verification is skipped."""
+    flags, build, names, verifications = RECIPES[args.recipe]
+    objects = []
+    for flag in flags:
+        name, section = getattr(args, flag), getattr(doc, _SECTIONS[flag])
+        if name is None:
+            raise UsageError(f"recipe requires --{flag}")
+        if name not in section:
+            raise UsageError(f"no {flag} named {name!r}")
+        objects.append(section[name])
     verify = not args.no_verify
-
-    if recipe == "semidirect":
-        out = semidirect(rep(), verify=verify)
-        return Document(algebras={"semidirect": out}), [
-            ("semidirect:dendriform", check(out, "dendriform")) if verify else None
-        ]
-    if recipe == "hemisemidirect":
-        out = hemisemidirect(rep(), verify=verify)
-        return Document(algebras={"hemisemidirect": out}), [
-            ("hemisemidirect:quadri", check(out, "quadri")) if verify else None
-        ]
-    if recipe == "action-semidirect":
-        out = action_semidirect(act(), verify=verify)
-        return Document(algebras={"action_semidirect": out}), [
-            ("action_semidirect:dendriform", check(out, "dendriform")) if verify else None
-        ]
-    if recipe == "aguiar-dendriform":
-        out = aguiar_dendriform(alg(), lmap())
-        return Document(algebras={"dendriform": out}), [
-            ("dendriform", check(out, "dendriform")) if verify else None
-        ]
-    if recipe == "aguiar-diass":
-        out = aguiar_diassociative(alg(), lmap())
-        return Document(algebras={"diassociative": out}), [
-            ("diassociative", check(out, "diassociative")) if verify else None
-        ]
-    if recipe == "induced-quadri":
-        out = induced_quadri(rep(), lmap())
-        return Document(algebras={"induced_quadri": out}), [
-            ("induced_quadri:quadri", check(out, "quadri")) if verify else None
-        ]
-    if recipe == "induced-six":
-        out = induced_six(act(), lmap())
-        checks = None
-        if verify:
-            checks = [("induced_six:six", check(out, "six"))]
-        return Document(algebras={"induced_six": out}), checks or [None]
-    if recipe == "differential-quadri":
-        out = differential_quadri(alg(), lmap())
-        return Document(algebras={"differential_quadri": out}), [
-            ("differential_quadri:quadri", check(out, "quadri")) if verify else None
-        ]
-    if recipe == "dual-extension":
-        base = alg()
-        action, projection = dual_extension(base)
-        out = Document(
-            algebras={"base": action.base, "extension": action.target},
-            maps={"projection": projection},
-            actions={"dual_extension": action},
-        )
-        checks = None
-        if verify:
-            checks = [
-                ("dual_extension:dend-action", check(action, "dend-action")),
-                (
-                    "projection:homomorphic_relative",
-                    check_homomorphic_relative(action, projection),
-                ),
-            ]
-        return out, checks or [None]
-    if recipe == "sum-diass":
-        out = sum_collapse_quadri(alg())
-        return Document(algebras={"sum_diass": out}), [
-            ("sum_diass:diassociative", check(out, "diassociative")) if verify else None
-        ]
-    if recipe == "sum-triass":
-        out = sum_collapse_six(alg())
-        return Document(algebras={"sum_triass": out}), [
-            ("sum_triass:triassociative", check(out, "triassociative")) if verify else None
-        ]
-    if recipe == "quotient-dend":
-        a = alg()
-        ideal = splitting_ideal(a)
-        quotient, projection = quotient_algebra(
-            a, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform"
-        )
-        out = Document(algebras={"quotient": quotient}, maps={"quotient_map": projection})
-        return out, [
-            ("quotient:dendriform", check(quotient, "dendriform")) if verify else None
-        ]
-    if recipe == "embed-averaging":
-        ambient, averaging, inclusion = embed_averaging(alg())
-        out = Document(
-            algebras={"ambient": ambient},
-            maps={"averaging": averaging, "inclusion": inclusion},
-        )
-        checks = None
-        if verify:
-            checks = [
-                ("ambient:dendriform", check(ambient, "dendriform")),
-                ("averaging:dend_averaging", check_dend_averaging(ambient, averaging)),
-            ]
-        return out, checks or [None]
-    if recipe == "quadri-to-relative":
-        representation, projection = quadri_to_relative_setup(alg())
-        out = Document(
-            algebras={"quotient": representation.base},
-            representations={"representation": representation},
-            maps={"quotient_map": projection},
-        )
-        checks = None
-        if verify:
-            checks = [
-                ("representation:dend-representation", check(representation, "dend-representation")),
-                (
-                    "quotient_map:relative_averaging",
-                    check_relative_averaging(representation, projection),
-                ),
-            ]
-        return out, checks or [None]
-    if recipe == "six-to-homomorphic":
-        action, projection = six_to_homomorphic_setup(alg())
-        out = Document(
-            algebras={"quotient": action.base, "perp": action.target},
-            actions={"action": action},
-            maps={"quotient_map": projection},
-        )
-        checks = None
-        if verify:
-            checks = [
-                ("action:dend-action", check(action, "dend-action")),
-                (
-                    "quotient_map:homomorphic_relative",
-                    check_homomorphic_relative(action, projection),
-                ),
-            ]
-        return out, checks or [None]
-    raise UsageError(f"unknown recipe {args.recipe!r}")
-
-
-RECIPES = (
-    "semidirect",
-    "hemisemidirect",
-    "action-semidirect",
-    "aguiar-dendriform",
-    "aguiar-diass",
-    "induced-quadri",
-    "induced-six",
-    "differential-quadri",
-    "dual-extension",
-    "sum-diass",
-    "sum-triass",
-    "quotient-dend",
-    "embed-averaging",
-    "quadri-to-relative",
-    "six-to-homomorphic",
-)
+    outputs = dict(zip(names, build(*objects, verify=verify)))
+    sections: dict[str, dict] = {}
+    for name, obj in outputs.items():
+        sections.setdefault(_OUTPUT_SECTIONS[type(obj)], {})[name] = obj
+    checks = []
+    for label, what, subject, map_name in verifications if verify else ():
+        if map_name is None:
+            checks.append((label, check(outputs[subject], what)))
+        else:
+            checks.append((label, check_operator(outputs[subject], what, outputs[map_name])))
+    return Document(**sections), checks
 
 
 def cmd_construct(args) -> int:
     doc = _load_document(args.file)
-    out_doc, raw_checks = _run_recipe(args, doc)
-    checks = [c for c in raw_checks if c is not None]
+    out_doc, checks = _run_recipe(args, doc)
     text = serialize_document(out_doc)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -413,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="run a construction and write the result")
     p.add_argument("file")
-    p.add_argument("--recipe", required=True, choices=RECIPES)
+    p.add_argument("--recipe", required=True, choices=tuple(RECIPES))
     p.add_argument("--out", required=True)
     p.add_argument("--algebra")
     p.add_argument("--rep")
@@ -444,27 +366,16 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already
         return int(e.code or 0)
     try:
-        _worker_count()
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (PreconditionFailure, QuotientError) as e:
         print(f"error: {e}", file=sys.stderr)
         verdict = getattr(e, "verdict", None)
         if verdict is not None:
             print(verdict.render(), file=sys.stderr)
         return EXIT_USAGE
-    except (SearchCapExceeded, SpecError) as e:
+    except (UsageError, DocumentError, SpecError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-
 
 if __name__ == "__main__":
     sys.exit(main())

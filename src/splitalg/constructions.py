@@ -9,8 +9,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .identities import Violation, check
-from .linalg import Vector, basis_vector, is_zero, vec_add, vec_sub, zero_vector
+from .identities import (
+    DEFAULT_VIOLATION_CAP,
+    ViolationReport,
+    _scan,
+    app,
+    apply_map,
+    check,
+    context_for,
+    equation,
+    expr,
+    var,
+)
+from .linalg import Vector, basis_vector, zero_vector
 from .model import (
     Action,
     Algebra,
@@ -22,7 +33,6 @@ from .model import (
     evaluate,
 )
 from .operators import (
-    OperatorVerdict,
     check_assoc_averaging,
     check_homomorphic_relative,
     check_relative_averaging,
@@ -312,37 +322,27 @@ def induced_six(act: Action, t: LinearMap) -> Algebra:
     return Algebra(act.target.dimension, "six", ops, act.target.basis_labels)
 
 
-def check_differential(d: Algebra, diff: LinearMap, max_violations: int = 100) -> OperatorVerdict:
-    """d^2 = 0 and the Leibniz rule for both operations on basis pairs."""
+# d(d(x)) = 0, and the Leibniz rule d(x * y) = dx * y + x * dy for both
+# operations.
+_x, _y = var(0), var(1)
+_DIFFERENTIAL = ((equation("d2=0", ("A",), apply_map("d", apply_map("d", _x)), ()),),) + tuple(
+    (equation(f"leibniz:{op}", ("A", "A"), apply_map("d", app(op, _x, _y)),
+              expr(app(op, apply_map("d", _x), _y), app(op, _x, apply_map("d", _y)))),)
+    for op in ("prec", "succ")
+)
+
+
+def check_differential(
+    d: Algebra, diff: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
+) -> ViolationReport:
+    """d^2 = 0 on basis vectors and the Leibniz rule for both operations on
+    basis pairs."""
     _require_signature(d, "dendriform")
-    n = d.dimension
-    if (diff.source_dim, diff.target_dim) != (n, n):
+    if (diff.source_dim, diff.target_dim) != (d.dimension, d.dimension):
         raise SpecError("differential must be an endomorphism of the algebra")
-    verdict = OperatorVerdict("differential", 0)
-    img = [diff.apply(basis_vector(n, i)) for i in range(n)]
-    for i in range(n):
-        verdict.checked += 1
-        sq = diff.apply(img[i])
-        if not is_zero(sq):
-            verdict.violations.append(Violation("d2=0", (i,), sq))
-    for opname in ("prec", "succ"):
-        op = d.op(opname)
-        for i in range(n):
-            ei = basis_vector(n, i)
-            for j in range(n):
-                ej = basis_vector(n, j)
-                verdict.checked += 1
-                lhs = diff.apply(op.coeffs[i][j])
-                rhs = vec_add(evaluate(op, img[i], ej), evaluate(op, ei, img[j]))
-                residual = vec_sub(lhs, rhs)
-                if not is_zero(residual):
-                    if len(verdict.violations) < max_violations:
-                        verdict.violations.append(
-                            Violation(f"leibniz:{opname}", (i, j), residual)
-                        )
-                    else:
-                        verdict.truncated = True
-    return verdict
+    ctx = context_for(d)
+    ctx.maps["d"] = (diff, "A", "A")
+    return _scan(ctx, _DIFFERENTIAL, max_violations, "differential")
 
 
 def differential_quadri(d: Algebra, diff: LinearMap) -> Algebra:
@@ -351,14 +351,7 @@ def differential_quadri(d: Algebra, diff: LinearMap) -> Algebra:
     verdict = check_differential(d, diff)
     if not verdict.ok:
         raise PreconditionFailure("map is not a differential", verdict)
-    return averaging_quadri_from_one_sided(d, diff)
-
-
-def averaging_quadri_from_one_sided(d: Algebra, t: LinearMap) -> Algebra:
-    """The four twisted tensors Tx*y / x*Ty without any operator check."""
-    return Algebra(
-        d.dimension, "quadri", induced_quadri_tensors(adjoint_representation(d), t)
-    )
+    return Algebra(d.dimension, "quadri", induced_quadri_tensors(adjoint_representation(d), diff))
 
 
 def dual_extension(d: Algebra) -> tuple[Action, LinearMap]:

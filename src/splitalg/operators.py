@@ -1,30 +1,37 @@
 """Checks for Rota-Baxter, averaging and relative averaging operators,
-the graph-subalgebra characterization, and brute-force operator search."""
+the graph-subalgebra characterization, and brute-force operator search.
+
+Each operator kind is a list of schema groups in the map T, run by the
+identity engine of `splitalg.identities`."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .identities import DEFAULT_VIOLATION_CAP, Violation
-from .linalg import basis_vector, is_zero, span, vec_add, vec_sub
+from .identities import (
+    DEFAULT_VIOLATION_CAP,
+    IdentitySchema,
+    OpContext,
+    ViolationReport,
+    _scan,
+    app,
+    apply_map,
+    context_for,
+    equation,
+    expr,
+    var,
+)
+from .linalg import basis_vector, span
 from .model import (
     Action,
     Algebra,
     LinearMap,
     Representation,
+    SIGNATURE_OPS,
     SpecError,
-    evaluate,
-)
-
-OPERATOR_KINDS = (
-    "rota_baxter",
-    "assoc_averaging",
-    "dend_averaging",
-    "relative_averaging",
-    "homomorphic_relative",
 )
 
 
@@ -32,172 +39,153 @@ class SearchCapExceeded(SpecError):
     """Candidate count above the cap; shrink the grid or the dimensions."""
 
 
-@dataclass
-class OperatorVerdict:
-    kind: str
-    checked: int
-    violations: list[Violation] = field(default_factory=list)
-    truncated: bool = False
+_x, _y = var(0), var(1)
+_Tx, _Ty = apply_map("T", _x), apply_map("T", _y)
+_AA, _VV = ("A", "A"), ("V", "V")
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+_ROTA_BAXTER = (
+    (equation("rota-baxter", _AA, app("mul", _Tx, _Ty),
+              apply_map("T", expr(app("mul", _x, _Ty), app("mul", _Tx, _y)))),),
+)
 
-    def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "checked": self.checked,
-            "violations": [v.to_dict() for v in self.violations],
-        }
-        if self.truncated:
-            d["truncated"] = True
-        return d
+_ASSOC_AVERAGING = (
+    (
+        equation("HaHb=H(aHb)", _AA, app("mul", _Tx, _Ty), apply_map("T", app("mul", _x, _Ty))),
+        equation("HaHb=H(Hab)", _AA, app("mul", _Tx, _Ty), apply_map("T", app("mul", _Tx, _y))),
+    ),
+)
 
-    def render(self) -> str:
-        head = f"{self.kind}: " + ("pass" if self.ok else "FAIL") + f" ({self.checked} instance(s) checked)"
-        lines = [head]
-        for v in self.violations:
-            lines.append(
-                f"  {v.identity} at {v.witness}: residual"
-                f" [{', '.join(str(e) for e in v.residual)}]"
-            )
-        if self.truncated:
-            lines.append("  ... report truncated")
-        return "\n".join(lines)
+_DEND_AVERAGING = tuple(
+    (
+        equation(f"T{op}:TxTy=T(Txy)", _AA, app(op, _Tx, _Ty), apply_map("T", app(op, _Tx, _y))),
+        equation(f"T{op}:TxTy=T(xTy)", _AA, app(op, _Tx, _Ty), apply_map("T", app(op, _x, _Ty))),
+    )
+    for op in ("prec", "succ")
+)
 
+_RELATIVE_AVERAGING = tuple(
+    (
+        equation(f"{op}:TuTv=T(Tu.v)", _VV, app(op, _Tx, _Ty), apply_map("T", app(f"{op}_l", _Tx, _y))),
+        equation(f"{op}:TuTv=T(u.Tv)", _VV, app(op, _Tx, _Ty), apply_map("T", app(f"{op}_r", _x, _Ty))),
+    )
+    for op in ("prec", "succ")
+)
 
-def _collect(kind: str, equations, max_violations: int) -> OperatorVerdict:
-    """equations yields (tag, witness, residual) triples."""
-    verdict = OperatorVerdict(kind, 0)
-    for tag, witness, residual in equations:
-        verdict.checked += 1
-        if not is_zero(residual):
-            if len(verdict.violations) < max_violations:
-                verdict.violations.append(Violation(tag, witness, residual))
-            else:
-                verdict.truncated = True
-    return verdict
+_HOMOMORPHIC_RELATIVE = _RELATIVE_AVERAGING + tuple(
+    (equation(f"hom:{op}", _VV, apply_map("T", app(f"{op}_t", _x, _y)), app(op, _Tx, _Ty)),)
+    for op in ("prec", "succ")
+)
 
 
-def _require_square(m: LinearMap, dim: int) -> None:
-    if (m.source_dim, m.target_dim) != (dim, dim):
+@dataclass(frozen=True)
+class _Kind:
+    subject: type | tuple[type, ...]
+    needs: str  # the error when the subject has another type
+    map_sorts: tuple[str, str]  # T maps the first sort to the second
+    groups: tuple[tuple[IdentitySchema, ...], ...]
+
+
+_KINDS = {
+    "rota_baxter": _Kind(Algebra, "kind 'rota_baxter' needs an algebra", _AA, _ROTA_BAXTER),
+    "assoc_averaging": _Kind(Algebra, "kind 'assoc_averaging' needs an algebra", _AA, _ASSOC_AVERAGING),
+    "dend_averaging": _Kind(Algebra, "kind 'dend_averaging' needs an algebra", _AA, _DEND_AVERAGING),
+    "relative_averaging": _Kind(
+        (Representation, Action), "relative averaging needs a representation", ("V", "A"), _RELATIVE_AVERAGING
+    ),
+    "homomorphic_relative": _Kind(
+        Action, "homomorphic relative averaging needs an action", ("V", "A"), _HOMOMORPHIC_RELATIVE
+    ),
+}
+
+OPERATOR_KINDS = tuple(_KINDS)
+
+
+def _context(subject, kind: str) -> OpContext:
+    """The subject's operations and dimensions, for a check of this kind."""
+    try:
+        spec = _KINDS[kind]
+    except KeyError:
         raise SpecError(
-            f"map {m.source_dim}->{m.target_dim} is not an endomorphism of "
-            f"dimension {dim}"
-        )
+            f"unknown operator kind {kind!r}; known: {', '.join(OPERATOR_KINDS)}"
+        ) from None
+    if not isinstance(subject, spec.subject):
+        raise SpecError(spec.needs)
+    return context_for(subject)
 
 
-def check_rota_baxter(
-    a: Algebra, r: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> OperatorVerdict:
-    """mu(Ra, Rb) = R(mu(a, Rb) + mu(Ra, b)) on all basis pairs."""
-    mul = a.op("mul")
-    _require_square(r, a.dimension)
-    n = a.dimension
-    img = [r.apply(basis_vector(n, i)) for i in range(n)]
-
-    def equations():
-        for i in range(n):
-            ei = basis_vector(n, i)
-            for j in range(n):
-                ej = basis_vector(n, j)
-                lhs = evaluate(mul, img[i], img[j])
-                rhs = r.apply(vec_add(evaluate(mul, ei, img[j]), evaluate(mul, img[i], ej)))
-                yield "rota-baxter", (i, j), vec_sub(lhs, rhs)
-
-    return _collect("rota_baxter", equations(), max_violations)
-
-
-def check_assoc_averaging(
-    a: Algebra, h: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> OperatorVerdict:
-    """mu(Ha, Hb) = H mu(a, Hb) = H mu(Ha, b); two equations per pair."""
-    mul = a.op("mul")
-    _require_square(h, a.dimension)
-    n = a.dimension
-    img = [h.apply(basis_vector(n, i)) for i in range(n)]
-
-    def equations():
-        for i in range(n):
-            ei = basis_vector(n, i)
-            for j in range(n):
-                ej = basis_vector(n, j)
-                lhs = evaluate(mul, img[i], img[j])
-                yield "HaHb=H(aHb)", (i, j), vec_sub(lhs, h.apply(evaluate(mul, ei, img[j])))
-                yield "HaHb=H(Hab)", (i, j), vec_sub(lhs, h.apply(evaluate(mul, img[i], ej)))
-
-    return _collect("assoc_averaging", equations(), max_violations)
-
-
-def check_dend_averaging(
-    d: Algebra, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> OperatorVerdict:
-    """Tx*Ty = T(Tx*y) = T(x*Ty) for * in {prec, succ}; four equations per pair."""
-    _require_square(t, d.dimension)
-    n = d.dimension
-    img = [t.apply(basis_vector(n, i)) for i in range(n)]
-
-    def equations():
-        for opname in ("prec", "succ"):
-            op = d.op(opname)
-            for i in range(n):
-                ei = basis_vector(n, i)
-                for j in range(n):
-                    ej = basis_vector(n, j)
-                    lhs = evaluate(op, img[i], img[j])
-                    yield (
-                        f"T{opname}:TxTy=T(Txy)",
-                        (i, j),
-                        vec_sub(lhs, t.apply(evaluate(op, img[i], ej))),
-                    )
-                    yield (
-                        f"T{opname}:TxTy=T(xTy)",
-                        (i, j),
-                        vec_sub(lhs, t.apply(evaluate(op, ei, img[j]))),
-                    )
-
-    return _collect("dend_averaging", equations(), max_violations)
-
-
-def _relative_equations(rep: Representation, t: LinearMap):
-    n, m = rep.base.dimension, rep.module_dim
+def _with_map(ctx: OpContext, kind: str, t: LinearMap) -> OpContext:
+    """The context with t as the map T of the kind, once its shape fits."""
+    source, target = _KINDS[kind].map_sorts
+    n, m = ctx.dims[target], ctx.dims[source]
     if (t.source_dim, t.target_dim) != (m, n):
+        if source == target:
+            raise SpecError(
+                f"map {t.source_dim}->{t.target_dim} is not an endomorphism of "
+                f"dimension {n}"
+            )
         raise SpecError(
             f"map {t.source_dim}->{t.target_dim} does not send the module "
             f"(dim {m}) to the base (dim {n})"
         )
-    img = [t.apply(basis_vector(m, a)) for a in range(m)]
-    for sym, base_op, left, right in (
-        ("prec", rep.base.op("prec"), rep.actions["prec_l"], rep.actions["prec_r"]),
-        ("succ", rep.base.op("succ"), rep.actions["succ_l"], rep.actions["succ_r"]),
-    ):
-        for a in range(m):
-            ea = basis_vector(m, a)
-            for b in range(m):
-                eb = basis_vector(m, b)
-                lhs = evaluate(base_op, img[a], img[b])
-                yield (
-                    f"{sym}:TuTv=T(Tu.v)",
-                    (a, b),
-                    vec_sub(lhs, t.apply(evaluate(left, img[a], eb))),
-                )
-                yield (
-                    f"{sym}:TuTv=T(u.Tv)",
-                    (a, b),
-                    vec_sub(lhs, t.apply(evaluate(right, ea, img[b]))),
-                )
+    ctx.maps["T"] = (t, source, target)
+    return ctx
+
+
+def check_operator(
+    subject, kind: str, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
+) -> ViolationReport:
+    """Check that t is an operator of the given kind on the subject."""
+    ctx = _with_map(_context(subject, kind), kind, t)
+    return _scan(ctx, _KINDS[kind].groups, max_violations, kind)
+
+
+def check_rota_baxter(
+    a: Algebra, r: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
+) -> ViolationReport:
+    """mu(Ra, Rb) = R(mu(a, Rb) + mu(Ra, b)) on all basis pairs."""
+    return check_operator(a, "rota_baxter", r, max_violations)
+
+
+def check_assoc_averaging(
+    a: Algebra, h: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
+) -> ViolationReport:
+    """mu(Ha, Hb) = H mu(a, Hb) = H mu(Ha, b); two equations per pair."""
+    return check_operator(a, "assoc_averaging", h, max_violations)
+
+
+def check_dend_averaging(
+    d: Algebra, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
+) -> ViolationReport:
+    """Tx*Ty = T(Tx*y) = T(x*Ty) for * in {prec, succ}; four equations per pair."""
+    return check_operator(d, "dend_averaging", t, max_violations)
 
 
 def check_relative_averaging(
     rep: Representation, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> OperatorVerdict:
+) -> ViolationReport:
     """Tu*Tv = T(Tu *_l v) = T(u *_r Tv) for * in {prec, succ}."""
-    return _collect("relative_averaging", _relative_equations(rep, t), max_violations)
+    return check_operator(rep, "relative_averaging", t, max_violations)
+
+
+def check_homomorphic_relative(
+    act: Action, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
+) -> ViolationReport:
+    """Relative averaging with respect to the underlying representation,
+    plus the homomorphism equations T(u *' v) = Tu * Tv."""
+    return check_operator(act, "homomorphic_relative", t, max_violations)
+
+
+# P(op(Gx, Gy)) = 0 for each hemisemidirect operation: G sends e_a to the
+# graph generator (T e_a, e_a) and P reduces modulo the graph span.
+_GRAPH_CLOSURE = tuple(
+    (equation(f"graph-closure:{op}", _VV, apply_map("P", app(op, apply_map("G", _x), apply_map("G", _y))), ()),)
+    for op in sorted(SIGNATURE_OPS["quadri"])
+)
 
 
 def graph_subalgebra_check(
     rep: Representation, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> OperatorVerdict:
+) -> ViolationReport:
     """Is the graph {(Tu, u)} closed under the hemisemidirect quadri ops?
 
     Closure is tested on the graph generators (T e_a, e_a) only; by
@@ -206,83 +194,26 @@ def graph_subalgebra_check(
     """
     from .constructions import hemisemidirect
 
-    n, m = rep.base.dimension, rep.module_dim
-    if (t.source_dim, t.target_dim) != (m, n):
-        raise SpecError(
-            f"map {t.source_dim}->{t.target_dim} does not send the module "
-            f"(dim {m}) to the base (dim {n})"
-        )
+    ctx = _with_map(_context(rep, "relative_averaging"), "relative_averaging", t)
+    n, m = ctx.dims["A"], ctx.dims["V"]
     hemi = hemisemidirect(rep, verify=False)
-    generators = [t.apply(basis_vector(m, a)) + basis_vector(m, a) for a in range(m)]
-    graph = span(generators, n + m)
-
-    def equations():
-        for opname in sorted(hemi.operations):
-            op = hemi.op(opname)
-            for a in range(m):
-                for b in range(m):
-                    product = evaluate(op, generators[a], generators[b])
-                    yield f"graph-closure:{opname}", (a, b), graph.reduce(product)
-
-    return _collect("relative_averaging", equations(), max_violations)
-
-
-def check_homomorphic_relative(
-    act: Action, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> OperatorVerdict:
-    """Relative averaging with respect to the underlying representation,
-    plus the homomorphism equations T(u *' v) = Tu * Tv."""
-    rep = act.representation
-    n, m = act.base.dimension, act.target.dimension
-
-    def equations():
-        yield from _relative_equations(rep, t)
-        img = [t.apply(basis_vector(m, a)) for a in range(m)]
-        for sym, tgt_op, base_op in (
-            ("prec", act.target.op("prec"), act.base.op("prec")),
-            ("succ", act.target.op("succ"), act.base.op("succ")),
-        ):
-            for a in range(m):
-                for b in range(m):
-                    lhs = t.apply(tgt_op.coeffs[a][b])
-                    rhs = evaluate(base_op, img[a], img[b])
-                    yield f"hom:{sym}", (a, b), vec_sub(lhs, rhs)
-
-    return _collect("homomorphic_relative", equations(), max_violations)
-
-
-def check_operator(subject, kind: str, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP) -> OperatorVerdict:
-    """Dispatch a kind name to the matching checker."""
-    if kind == "rota_baxter":
-        return check_rota_baxter(subject, t, max_violations)
-    if kind == "assoc_averaging":
-        return check_assoc_averaging(subject, t, max_violations)
-    if kind == "dend_averaging":
-        return check_dend_averaging(subject, t, max_violations)
-    if kind == "relative_averaging":
-        rep = subject.representation if isinstance(subject, Action) else subject
-        return check_relative_averaging(rep, t, max_violations)
-    if kind == "homomorphic_relative":
-        return check_homomorphic_relative(subject, t, max_violations)
-    raise SpecError(f"unknown operator kind {kind!r}; known: {', '.join(OPERATOR_KINDS)}")
+    g = LinearMap(m, n + m, [*t.matrix, *LinearMap.identity(m).matrix])
+    graph = span([g.column(a) for a in range(m)], n + m)
+    reductions = [graph.reduce(basis_vector(n + m, k)) for k in range(n + m)]
+    p = LinearMap(n + m, n + m, list(zip(*reductions)))
+    ctx = OpContext(
+        {name: (op, "H", "H", "H") for name, op in hemi.operations.items()},
+        {"V": m, "H": n + m},
+        {"G": (g, "V", "H"), "P": (p, "H", "H")},
+    )
+    return _scan(ctx, _GRAPH_CLOSURE, max_violations, "relative_averaging")
 
 
 def operator_map_shape(subject, kind: str) -> tuple[int, int]:
     """(source_dim, target_dim) of a candidate operator for the given kind."""
-    if kind in ("rota_baxter", "assoc_averaging", "dend_averaging"):
-        if not isinstance(subject, Algebra):
-            raise SpecError(f"kind {kind!r} needs an algebra")
-        return subject.dimension, subject.dimension
-    if kind == "relative_averaging":
-        rep = subject.representation if isinstance(subject, Action) else subject
-        if not isinstance(rep, Representation):
-            raise SpecError("relative averaging needs a representation")
-        return rep.module_dim, rep.base.dimension
-    if kind == "homomorphic_relative":
-        if not isinstance(subject, Action):
-            raise SpecError("homomorphic relative averaging needs an action")
-        return subject.target.dimension, subject.base.dimension
-    raise SpecError(f"unknown operator kind {kind!r}; known: {', '.join(OPERATOR_KINDS)}")
+    ctx = _context(subject, kind)
+    source, target = _KINDS[kind].map_sorts
+    return ctx.dims[source], ctx.dims[target]
 
 
 DEFAULT_SEARCH_CAP = 3**9

@@ -114,8 +114,6 @@ def quotient_algebra(
     closure and the agreement of merged operations modulo the ideal are
     checked, not assumed.
     """
-    if ideal.ambient is not a and not ideal.subspace.ambient_dim == a.dimension:
-        raise SpecError("ideal does not live in the given algebra")
     witness = Ideal(a, ideal.subspace).closure_witness()
     if witness is not None:
         raise QuotientError(

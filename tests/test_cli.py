@@ -16,6 +16,14 @@ def test_check_pass(capsys, sample_doc_path):
     assert "all passed" in out
 
 
+def test_check_ignores_workers_variable(capsys, sample_doc_path, monkeypatch):
+    """SPLITALG_WORKERS configures nothing; no value of it is an error."""
+    monkeypatch.setenv("SPLITALG_WORKERS", "0")
+    code, out, _ = run(capsys, "check", sample_doc_path, "--object", "dend", "--catalog", "dendriform")
+    assert code == 0
+    assert "all passed" in out
+
+
 def test_check_fail(capsys, broken_doc_path):
     code, out, _ = run(capsys, "check", broken_doc_path, "--object", "bad", "--catalog", "dendriform")
     assert code == 1
@@ -89,6 +97,16 @@ def test_check_operator_wrong_shape(capsys, sample_doc_path, tmp_path):
         capsys, "check-operator", str(p), "--map", "skew", "--kind", "rota-baxter", "--on", "poly"
     )
     assert code == 2
+
+
+def test_check_operator_wrong_subject(capsys, sample_doc_path):
+    # relative averaging lives on a representation, not on an algebra
+    code, _, err = run(
+        capsys, "check-operator", sample_doc_path, "--map", "integrate",
+        "--kind", "relative-averaging", "--on", "dend",
+    )
+    assert code == 2
+    assert "needs a representation" in err
 
 
 def test_check_operator_unknown_kind(capsys, sample_doc_path):

@@ -27,6 +27,7 @@ from splitalg.quotients import (
     six_to_homomorphic_setup,
     splitting_ideal,
 )
+from splitalg.samples import truncated_polynomial_algebra
 
 
 def test_ideal_generated_saturates(poly):
@@ -101,6 +102,13 @@ def test_quotient_rejects_non_ideal(poly):
     bad = Ideal(poly, span([basis_vector(n, 0)], n))
     with pytest.raises(QuotientError):
         quotient_algebra(poly, bad, {"mul": "mul"}, signature="associative")
+
+
+def test_quotient_rejects_ideal_of_another_dimension(poly):
+    """An ideal of an algebra of another dimension is refused as input."""
+    other = truncated_polynomial_algebra(3)
+    with pytest.raises(SpecError):
+        quotient_algebra(poly, Ideal(other, span([], 3)), {"mul": "mul"}, signature="associative")
 
 
 def test_quotient_rejects_ill_defined_collapse(poly):
