@@ -67,7 +67,7 @@ def _load_document(path: str) -> Document:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}") from None
     return parse_document(text)
 

@@ -1,8 +1,11 @@
 """Constructive theorems: products, induced structures and collapses.
 
-Each function builds explicit structure-constant tensors.  Outputs are
-not re-verified here; the test suite and the CLI re-run the identity
-catalogs on every constructed object instead of trusting the theorems.
+Each function builds explicit structure-constant tensors with one of two
+builders: `_blocks` places the input tensors as blocks of a product, and
+`identities.tabulate` evaluates a table of twisted terms such as
+mu(x, Ty) on basis pairs.  Outputs are not re-verified here; the test
+suite and the CLI re-run the identity catalogs on every constructed object
+instead of trusting the theorems.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from .identities import (
     context_for,
     equation,
     expr,
+    tabulate,
     var,
 )
-from .linalg import Vector, basis_vector, zero_vector
 from .model import (
     Action,
     Algebra,
@@ -30,7 +33,6 @@ from .model import (
     Representation,
     SpecError,
     adjoint_representation,
-    evaluate,
 )
 from .operators import (
     check_assoc_averaging,
@@ -39,6 +41,9 @@ from .operators import (
     check_rota_baxter,
 )
 
+_x, _y = var(0), var(1)
+_Tx, _Ty = apply_map("T", _x), apply_map("T", _y)
+
 
 class PreconditionFailure(SpecError):
     """A construction refused its input; carries the failing verdict."""
@@ -46,12 +51,6 @@ class PreconditionFailure(SpecError):
     def __init__(self, message: str, verdict):
         super().__init__(message)
         self.verdict = verdict
-
-
-def _embed(v: Vector, offset: int, total: int) -> Vector:
-    out = [Fraction(0)] * total
-    out[offset : offset + len(v)] = v
-    return tuple(out)
 
 
 def _require_signature(a: Algebra, *signatures: str) -> None:
@@ -77,35 +76,37 @@ def _verify_action(act: Action) -> None:
         raise PreconditionFailure("input is not an action", report)
 
 
-def semidirect(rep: Representation, verify: bool = False) -> Algebra:
+def _blocks(shape: tuple[int, int, int], *placements) -> BilinearOp:
+    """The operation of this shape made of blocks: each (op, i, j, k) puts
+    the structure constants of op at left offset i, right offset j and
+    output offset k.  Blocks do not overlap; the rest is zero."""
+    left, right, out = shape
+    cells = [[(Fraction(0),) * out] * right for _ in range(left)]
+    for op, i, j, k in placements:
+        for a, row in enumerate(op.coeffs):
+            cell_row = cells[i + a]
+            for b, v in enumerate(row):
+                cell = cell_row[j + b]
+                cell_row[j + b] = cell[:k] + v + cell[k + op.out_dim :]
+    return BilinearOp(left, right, out, cells)
+
+
+def _module_blocks(rep: Representation, op: str):
+    """The base product and the left and right actions for op, placed on
+    base + module."""
+    n, actions = rep.base.dimension, rep.actions
+    return (rep.base.op(op), 0, 0, 0), (actions[f"{op}_l"], 0, n, n), (actions[f"{op}_r"], n, 0, n)
+
+
+def semidirect(rep: Representation, verify: bool = True) -> Algebra:
     """Dendriform structure on base + module:
     (x,u) prec (y,v) = (x prec y, x prec_l v + u prec_r y), same shape for succ.
     """
     if verify:
         _verify_rep(rep)
-    n, m = rep.base.dimension, rep.module_dim
-    total = n + m
-
-    def block_op(base_op: BilinearOp, left: BilinearOp, right: BilinearOp) -> BilinearOp:
-        def fn(i, j):
-            if i < n and j < n:
-                return _embed(base_op.coeffs[i][j], 0, total)
-            if i < n:
-                return _embed(left.coeffs[i][j - n], n, total)
-            if j < n:
-                return _embed(right.coeffs[i - n][j], n, total)
-            return zero_vector(total)
-
-        return BilinearOp.build(total, total, total, fn)
-
-    return Algebra(
-        total,
-        "dendriform",
-        {
-            "prec": block_op(rep.base.op("prec"), rep.actions["prec_l"], rep.actions["prec_r"]),
-            "succ": block_op(rep.base.op("succ"), rep.actions["succ_l"], rep.actions["succ_r"]),
-        },
-    )
+    shape = (rep.base.dimension + rep.module_dim,) * 3
+    ops = {op: _blocks(shape, *_module_blocks(rep, op)) for op in ("prec", "succ")}
+    return Algebra(shape[0], "dendriform", ops)
 
 
 def hemisemidirect(rep: Representation, verify: bool = True) -> Algebra:
@@ -114,39 +115,11 @@ def hemisemidirect(rep: Representation, verify: bool = True) -> Algebra:
     (x,u) prec_vdash (y,v) = (x prec y, x prec_l v), and so on."""
     if verify:
         _verify_rep(rep)
-    n, m = rep.base.dimension, rep.module_dim
-    total = n + m
-
-    def vdash_op(base_op: BilinearOp, left: BilinearOp) -> BilinearOp:
-        def fn(i, j):
-            if i < n and j < n:
-                return _embed(base_op.coeffs[i][j], 0, total)
-            if i < n and j >= n:
-                return _embed(left.coeffs[i][j - n], n, total)
-            return zero_vector(total)
-
-        return BilinearOp.build(total, total, total, fn)
-
-    def dashv_op(base_op: BilinearOp, right: BilinearOp) -> BilinearOp:
-        def fn(i, j):
-            if i < n and j < n:
-                return _embed(base_op.coeffs[i][j], 0, total)
-            if i >= n and j < n:
-                return _embed(right.coeffs[i - n][j], n, total)
-            return zero_vector(total)
-
-        return BilinearOp.build(total, total, total, fn)
-
-    return Algebra(
-        total,
-        "quadri",
-        {
-            "prec_vdash": vdash_op(rep.base.op("prec"), rep.actions["prec_l"]),
-            "succ_vdash": vdash_op(rep.base.op("succ"), rep.actions["succ_l"]),
-            "prec_dashv": dashv_op(rep.base.op("prec"), rep.actions["prec_r"]),
-            "succ_dashv": dashv_op(rep.base.op("succ"), rep.actions["succ_r"]),
-        },
-    )
+    shape = (rep.base.dimension + rep.module_dim,) * 3
+    blocks = {op: _module_blocks(rep, op) for op in ("prec", "succ")}
+    ops = {f"{op}_vdash": _blocks(shape, base, left) for op, (base, left, _) in blocks.items()}
+    ops.update({f"{op}_dashv": _blocks(shape, base, right) for op, (base, _, right) in blocks.items()})
+    return Algebra(shape[0], "quadri", ops)
 
 
 def action_semidirect(act: Action, verify: bool = True) -> Algebra:
@@ -155,39 +128,13 @@ def action_semidirect(act: Action, verify: bool = True) -> Algebra:
     (x,u) prec (y,v) = (x prec y, x prec_l v + u prec_r y + u prec' v)."""
     if verify:
         _verify_action(act)
-    n, m = act.base.dimension, act.target.dimension
-    total = n + m
-
-    def block_op(base_op, left, right, tgt) -> BilinearOp:
-        def fn(i, j):
-            if i < n and j < n:
-                return _embed(base_op.coeffs[i][j], 0, total)
-            if i < n:
-                return _embed(left.coeffs[i][j - n], n, total)
-            if j < n:
-                return _embed(right.coeffs[i - n][j], n, total)
-            return _embed(tgt.coeffs[i - n][j - n], n, total)
-
-        return BilinearOp.build(total, total, total, fn)
-
-    return Algebra(
-        total,
-        "dendriform",
-        {
-            "prec": block_op(
-                act.base.op("prec"),
-                act.actions["prec_l"],
-                act.actions["prec_r"],
-                act.target.op("prec"),
-            ),
-            "succ": block_op(
-                act.base.op("succ"),
-                act.actions["succ_l"],
-                act.actions["succ_r"],
-                act.target.op("succ"),
-            ),
-        },
-    )
+    n = act.base.dimension
+    shape = (n + act.target.dimension,) * 3
+    ops = {
+        op: _blocks(shape, *_module_blocks(act.representation, op), (act.target.op(op), n, n, n))
+        for op in ("prec", "succ")
+    }
+    return Algebra(shape[0], "dendriform", ops)
 
 
 def sum_collapse_quadri(q: Algebra) -> Algebra:
@@ -222,6 +169,14 @@ def sum_collapse_six(s: Algebra) -> Algebra:
     )
 
 
+def _twisted(subject, t: LinearMap, source: str, table) -> dict[str, BilinearOp]:
+    """The subject's term table on the basis pairs of the sort `source`,
+    with t as the map T from that sort to the base algebra A."""
+    ctx = context_for(subject)
+    ctx.maps["T"] = (t, source, "A")
+    return tabulate(ctx, (source, source), table)
+
+
 def aguiar_dendriform(assoc: Algebra, r: LinearMap) -> Algebra:
     """Dendriform structure from a Rota-Baxter operator:
     a prec b = mu(a, Rb), a succ b = mu(Ra, b)."""
@@ -229,22 +184,8 @@ def aguiar_dendriform(assoc: Algebra, r: LinearMap) -> Algebra:
     verdict = check_rota_baxter(assoc, r)
     if not verdict.ok:
         raise PreconditionFailure("map is not a Rota-Baxter operator", verdict)
-    mul = assoc.op("mul")
-    n = assoc.dimension
-    img = [r.apply(basis_vector(n, i)) for i in range(n)]
-    return Algebra(
-        n,
-        "dendriform",
-        {
-            "prec": BilinearOp.build(
-                n, n, n, lambda i, j: evaluate(mul, basis_vector(n, i), img[j])
-            ),
-            "succ": BilinearOp.build(
-                n, n, n, lambda i, j: evaluate(mul, img[i], basis_vector(n, j))
-            ),
-        },
-        assoc.basis_labels,
-    )
+    ops = _twisted(assoc, r, "A", {"prec": app("mul", _x, _Ty), "succ": app("mul", _Tx, _y)})
+    return Algebra(assoc.dimension, "dendriform", ops, assoc.basis_labels)
 
 
 def aguiar_diassociative(assoc: Algebra, h: LinearMap) -> Algebra:
@@ -254,41 +195,16 @@ def aguiar_diassociative(assoc: Algebra, h: LinearMap) -> Algebra:
     verdict = check_assoc_averaging(assoc, h)
     if not verdict.ok:
         raise PreconditionFailure("map is not an averaging operator", verdict)
-    mul = assoc.op("mul")
-    n = assoc.dimension
-    img = [h.apply(basis_vector(n, i)) for i in range(n)]
-    return Algebra(
-        n,
-        "diassociative",
-        {
-            "dashv": BilinearOp.build(
-                n, n, n, lambda i, j: evaluate(mul, basis_vector(n, i), img[j])
-            ),
-            "vdash": BilinearOp.build(
-                n, n, n, lambda i, j: evaluate(mul, img[i], basis_vector(n, j))
-            ),
-        },
-        assoc.basis_labels,
-    )
+    ops = _twisted(assoc, h, "A", {"dashv": app("mul", _x, _Ty), "vdash": app("mul", _Tx, _y)})
+    return Algebra(assoc.dimension, "diassociative", ops, assoc.basis_labels)
 
 
-def induced_quadri_tensors(rep: Representation, t: LinearMap) -> dict[str, BilinearOp]:
-    m = rep.module_dim
-    img = [t.apply(basis_vector(m, a)) for a in range(m)]
-    return {
-        "prec_vdash": BilinearOp.build(
-            m, m, m, lambda a, b: evaluate(rep.actions["prec_l"], img[a], basis_vector(m, b))
-        ),
-        "succ_vdash": BilinearOp.build(
-            m, m, m, lambda a, b: evaluate(rep.actions["succ_l"], img[a], basis_vector(m, b))
-        ),
-        "prec_dashv": BilinearOp.build(
-            m, m, m, lambda a, b: evaluate(rep.actions["prec_r"], basis_vector(m, a), img[b])
-        ),
-        "succ_dashv": BilinearOp.build(
-            m, m, m, lambda a, b: evaluate(rep.actions["succ_r"], basis_vector(m, a), img[b])
-        ),
-    }
+# u prec_vdash v = Tu prec_l v, u prec_dashv v = u prec_r Tv, and the succ
+# analogues, for a map T from a module to its base.
+_QUADRI_TWIST = {
+    **{f"{op}_vdash": app(f"{op}_l", _Tx, _y) for op in ("prec", "succ")},
+    **{f"{op}_dashv": app(f"{op}_r", _x, _Ty) for op in ("prec", "succ")},
+}
 
 
 def induced_quadri(rep: Representation, t: LinearMap) -> Algebra:
@@ -298,7 +214,7 @@ def induced_quadri(rep: Representation, t: LinearMap) -> Algebra:
     verdict = check_relative_averaging(rep, t)
     if not verdict.ok:
         raise PreconditionFailure("map is not a relative averaging operator", verdict)
-    return Algebra(rep.module_dim, "quadri", induced_quadri_tensors(rep, t))
+    return Algebra(rep.module_dim, "quadri", _twisted(rep, t, "V", _QUADRI_TWIST))
 
 
 def averaging_quadri(d: Algebra, t: LinearMap) -> Algebra:
@@ -316,7 +232,7 @@ def induced_six(act: Action, t: LinearMap) -> Algebra:
         raise PreconditionFailure(
             "map is not a homomorphic relative averaging operator", verdict
         )
-    ops = induced_quadri_tensors(act.representation, t)
+    ops = _twisted(act.representation, t, "V", _QUADRI_TWIST)
     ops["prec_perp"] = act.target.op("prec")
     ops["succ_perp"] = act.target.op("succ")
     return Algebra(act.target.dimension, "six", ops, act.target.basis_labels)
@@ -324,7 +240,6 @@ def induced_six(act: Action, t: LinearMap) -> Algebra:
 
 # d(d(x)) = 0, and the Leibniz rule d(x * y) = dx * y + x * dy for both
 # operations.
-_x, _y = var(0), var(1)
 _DIFFERENTIAL = ((equation("d2=0", ("A",), apply_map("d", apply_map("d", _x)), ()),),) + tuple(
     (equation(f"leibniz:{op}", ("A", "A"), apply_map("d", app(op, _x, _y)),
               expr(app(op, apply_map("d", _x), _y), app(op, _x, apply_map("d", _y)))),)
@@ -351,7 +266,7 @@ def differential_quadri(d: Algebra, diff: LinearMap) -> Algebra:
     verdict = check_differential(d, diff)
     if not verdict.ok:
         raise PreconditionFailure("map is not a differential", verdict)
-    return Algebra(d.dimension, "quadri", induced_quadri_tensors(adjoint_representation(d), diff))
+    return Algebra(d.dimension, "quadri", _twisted(adjoint_representation(d), diff, "V", _QUADRI_TWIST))
 
 
 def dual_extension(d: Algebra) -> tuple[Action, LinearMap]:
@@ -362,52 +277,16 @@ def dual_extension(d: Algebra) -> tuple[Action, LinearMap]:
     _require_signature(d, "dendriform")
     n = d.dimension
     total = 2 * n
-
-    def extend_product(op: BilinearOp) -> BilinearOp:
-        def fn(i, j):
-            if i < n and j < n:
-                return _embed(op.coeffs[i][j], 0, total)
-            if i < n and j >= n:
-                return _embed(op.coeffs[i][j - n], n, total)
-            if i >= n and j < n:
-                return _embed(op.coeffs[i - n][j], n, total)
-            return zero_vector(total)  # t^2 = 0
-
-        return BilinearOp.build(total, total, total, fn)
-
-    target = Algebra(
-        total,
-        "dendriform",
-        {"prec": extend_product(d.op("prec")), "succ": extend_product(d.op("succ"))},
-    )
-
-    def left_action(op: BilinearOp) -> BilinearOp:
-        def fn(i, j):
-            if j < n:
-                return _embed(op.coeffs[i][j], 0, total)
-            return _embed(op.coeffs[i][j - n], n, total)
-
-        return BilinearOp.build(n, total, total, fn)
-
-    def right_action(op: BilinearOp) -> BilinearOp:
-        def fn(i, j):
-            if i < n:
-                return _embed(op.coeffs[i][j], 0, total)
-            return _embed(op.coeffs[i - n][j], n, total)
-
-        return BilinearOp.build(total, n, total, fn)
-
-    act = Action(
-        d,
-        target,
-        {
-            "prec_l": left_action(d.op("prec")),
-            "succ_l": left_action(d.op("succ")),
-            "prec_r": right_action(d.op("prec")),
-            "succ_r": right_action(d.op("succ")),
-        },
-    )
+    # (x + x't)(y + y't) = xy + (xy' + x'y)t, as t^2 = 0
+    target = Algebra(total, "dendriform", {
+        op: _blocks((total,) * 3, (d.op(op), 0, 0, 0), (d.op(op), 0, n, n), (d.op(op), n, 0, n))
+        for op in ("prec", "succ")
+    })
+    actions = {f"{op}_l": _blocks((n, total, total), (d.op(op), 0, 0, 0), (d.op(op), 0, n, n))
+               for op in ("prec", "succ")}
+    actions.update({f"{op}_r": _blocks((total, n, total), (d.op(op), 0, 0, 0), (d.op(op), n, 0, n))
+                    for op in ("prec", "succ")})
     projection = LinearMap(
         total, n, [[1 if j == i else 0 for j in range(total)] for i in range(n)]
     )
-    return act, projection
+    return Action(d, target, actions), projection

@@ -69,7 +69,7 @@ def parse_scalar(value, path: str) -> Fraction:
             raise DocumentError(path, f"invalid rational {value!r}")
         try:
             return Fraction(value)
-        except ZeroDivisionError:
+        except (ValueError, ZeroDivisionError):  # zero denominator, too many digits
             raise DocumentError(path, f"invalid rational {value!r}") from None
     raise DocumentError(path, f"invalid rational {value!r}")
 
@@ -192,14 +192,16 @@ def parse_document(text: str) -> Document:
     path into the JSON on any malformed content."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too many digits, too deep
         raise DocumentError("$", f"invalid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise DocumentError("$", "top level must be an object")
     known = {"algebras", "maps", "representations", "actions"}
-    for key in raw:
+    for key, section in raw.items():
         if key not in known:
             raise DocumentError(f"$.{key}", "unknown top-level section")
+        if not isinstance(section, dict):
+            raise DocumentError(f"$.{key}", "section must be an object")
     algebras = {
         name: _parse_algebra(name, a, f"$.algebras.{name}")
         for name, a in raw.get("algebras", {}).items()

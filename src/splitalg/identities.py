@@ -681,6 +681,21 @@ def _tabulate(fn, slots: tuple[int, ...], dims: list[int]):
     return lambda idx: table[tuple(idx[s] for s in slots)]
 
 
+def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term]) -> dict[str, BilinearOp]:
+    """Each term of the table, in two slots of these sorts, as the bilinear
+    operation of its values on the basis pairs; compiled as the scan
+    compiles it, with one memo for the whole table."""
+    memo: dict = {}
+    sorts = tuple(sorts)
+    left, right = (ctx.dims[s] for s in sorts)
+    ops = {}
+    for name, term in table.items():
+        fn, out_sort = _compile(term, sorts, ctx, memo)[:2]
+        rows = [[fn((i, j)) for j in range(right)] for i in range(left)]
+        ops[name] = BilinearOp(left, right, ctx.dims[out_sort], rows)
+    return ops
+
+
 def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) -> ViolationReport:
     """Evaluate every equation of every group on every basis tuple of its
     slot sorts; collect the non-zero residuals up to the cap.  The schemas

@@ -196,7 +196,7 @@ def graph_subalgebra_check(
 
     ctx = _with_map(_context(rep, "relative_averaging"), "relative_averaging", t)
     n, m = ctx.dims["A"], ctx.dims["V"]
-    hemi = hemisemidirect(rep, verify=False)
+    hemi = hemisemidirect(rep.representation if isinstance(rep, Action) else rep, verify=False)
     g = LinearMap(m, n + m, [*t.matrix, *LinearMap.identity(m).matrix])
     graph = span([g.column(a) for a in range(m)], n + m)
     reductions = [graph.reduce(basis_vector(n + m, k)) for k in range(n + m)]

@@ -27,6 +27,20 @@ class QuotientError(SpecError):
         self.witness = witness
 
 
+def _products(a: Algebra, vectors: Sequence[Vector]):
+    """((op, vector index, basis index, side), product) for every operation
+    in sorted order, vector and basis element: the vector times the basis
+    element ("left") before the basis element times the vector ("right")."""
+    n = a.dimension
+    for opname in sorted(a.operations):
+        op = a.op(opname)
+        for bi, b in enumerate(vectors):
+            for i in range(n):
+                e = basis_vector(n, i)
+                yield (opname, bi, i, "left"), evaluate(op, b, e)
+                yield (opname, bi, i, "right"), evaluate(op, e, b)
+
+
 class Ideal:
     def __init__(self, ambient: Algebra, subspace: Subspace):
         if subspace.ambient_dim != ambient.dimension:
@@ -40,16 +54,9 @@ class Ideal:
     def closure_witness(self):
         """First (op, ideal basis index, ambient basis index, side) whose
         product escapes the subspace, or None if closed."""
-        n = self.ambient.dimension
-        for opname in sorted(self.ambient.operations):
-            op = self.ambient.op(opname)
-            for bi, b in enumerate(self.subspace.basis):
-                for i in range(n):
-                    e = basis_vector(n, i)
-                    if not self.subspace.contains(evaluate(op, b, e)):
-                        return (opname, bi, i, "left")
-                    if not self.subspace.contains(evaluate(op, e, b)):
-                        return (opname, bi, i, "right")
+        for witness, product in _products(self.ambient, self.subspace.basis):
+            if not self.subspace.contains(product):
+                return witness
         return None
 
     def is_closed(self) -> bool:
@@ -68,14 +75,7 @@ def ideal_generated(a: Algebra, generators: Sequence[Vector]) -> Ideal:
     n = a.dimension
     current = span(list(generators), n)
     while True:
-        products: list[Vector] = list(current.basis)
-        for opname in sorted(a.operations):
-            op = a.op(opname)
-            for b in current.basis:
-                for i in range(n):
-                    e = basis_vector(n, i)
-                    products.append(evaluate(op, b, e))
-                    products.append(evaluate(op, e, b))
+        products = [*current.basis, *(p for _, p in _products(a, current.basis))]
         bigger = span(products, n)
         if bigger.dim == current.dim:
             return Ideal(a, current)
@@ -213,7 +213,7 @@ def embed_averaging(q: Algebra) -> tuple[Algebra, LinearMap, LinearMap]:
     algebra: ambient = semidirect(quotient, original space), the averaging
     operator (xbar, y) -> (ybar, 0), and the inclusion x -> (0, x)."""
     rep, projection = quadri_to_relative_setup(q)
-    ambient = semidirect(rep)
+    ambient = semidirect(rep, verify=False)
     r, n = rep.base.dimension, q.dimension
     total = r + n
     matrix = [[0] * total for _ in range(total)]

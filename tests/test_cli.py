@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from splitalg.cli import main
 from splitalg.documents import parse_document
 
@@ -226,3 +228,25 @@ def test_byte_identical_reruns(capsys, sample_doc_path, tmp_path):
         assert code == 0
         files.append(open(out_path, "rb").read())
     assert files[0] == files[1]
+
+
+MALFORMED = {
+    "algebras-not-an-object": b'{"algebras": []}',
+    "maps-not-an-object": b'{"maps": []}',
+    "not-utf-8": '{"algebras": {"\xe9": {}}}'.encode("latin-1"),
+    "integer-too-long": b'{"maps": {"f": {"source": 1, "target": 1, "matrix": [[' + b"7" * 5000 + b"]]}}}",
+    "string-too-long": b'{"maps": {"f": {"source": 1, "target": 1, "matrix": [["' + b"7" * 5000 + b'"]]}}}',
+    "nested-too-deep": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED.values(), ids=MALFORMED.keys())
+def test_check_malformed_document(capsys, tmp_path, content):
+    """A malformed document is an input error (exit 2), never a traceback
+    or the violations code."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, "check", str(path), "--object", "x", "--catalog", "dendriform")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

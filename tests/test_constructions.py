@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitalg.constructions import (
     PreconditionFailure,
@@ -17,12 +19,13 @@ from splitalg.constructions import (
     sum_collapse_quadri,
     sum_collapse_six,
 )
-from splitalg.identities import check
-from splitalg.linalg import basis_vector
-from splitalg.model import LinearMap, SpecError, evaluate, self_action
+from splitalg.identities import IdentitySchema, _eval_expr, app, apply_map, check, context_for, expr, tabulate, var
+from splitalg.linalg import basis_vector, vec_add
+from splitalg.model import LinearMap, SpecError, adjoint_representation, evaluate, self_action
 from splitalg.operators import check_homomorphic_relative
-from splitalg.samples import zero_algebra
+from splitalg.samples import one_dim_dendriform, zero_algebra
 from conftest import shift_map
+from test_engine import actions, algebras, linear_maps, representations
 
 
 def test_semidirect_blocks(adjoint, dend):
@@ -158,3 +161,103 @@ def test_sum_collapse_requires_signature(dend):
         sum_collapse_quadri(dend)
     with pytest.raises(SpecError):
         sum_collapse_six(dend)
+
+
+def test_semidirect_verifies_by_default():
+    bad = adjoint_representation(one_dim_dendriform(1, 1))
+    with pytest.raises(PreconditionFailure) as exc:
+        semidirect(bad)
+    assert not exc.value.verdict.ok
+    assert semidirect(bad, verify=False).dimension == 2
+
+
+def assert_formula(op, formula):
+    """op equals formula(a, b) on every pair of basis vectors."""
+    for p in range(op.left_dim):
+        for q in range(op.right_dim):
+            assert op.coeffs[p][q] == formula(basis_vector(op.left_dim, p), basis_vector(op.right_dim, q))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rep=representations())
+def test_module_products_match_block_formulas(rep):
+    """(x,u) * (y,v) = (x * y, x *_l v + u *_r y) for semidirect; the
+    hemisemidirect products keep one action each."""
+    n = rep.base.dimension
+    sd, hemi = semidirect(rep, verify=False), hemisemidirect(rep, verify=False)
+    for op in ("prec", "succ"):
+        base, left, right = rep.base.op(op), rep.actions[f"{op}_l"], rep.actions[f"{op}_r"]
+        assert_formula(sd.op(op), lambda a, b: evaluate(base, a[:n], b[:n])
+                       + vec_add(evaluate(left, a[:n], b[n:]), evaluate(right, a[n:], b[:n])))
+        assert_formula(hemi.op(f"{op}_vdash"),
+                       lambda a, b: evaluate(base, a[:n], b[:n]) + evaluate(left, a[:n], b[n:]))
+        assert_formula(hemi.op(f"{op}_dashv"),
+                       lambda a, b: evaluate(base, a[:n], b[:n]) + evaluate(right, a[n:], b[:n]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(act=actions())
+def test_action_semidirect_matches_block_formula(act):
+    n = act.base.dimension
+    asd = action_semidirect(act, verify=False)
+    for op in ("prec", "succ"):
+        base, left, right = act.base.op(op), act.actions[f"{op}_l"], act.actions[f"{op}_r"]
+        own = act.target.op(op)
+        assert_formula(asd.op(op), lambda a, b: evaluate(base, a[:n], b[:n]) + vec_add(
+            vec_add(evaluate(left, a[:n], b[n:]), evaluate(right, a[n:], b[:n])), evaluate(own, a[n:], b[n:])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=algebras("dendriform"))
+def test_dual_extension_matches_block_formulas(d):
+    """(x + x't)(y + y't) = xy + (xy' + x'y)t; D acts on either side of each
+    degree; the projection keeps degree 0."""
+    n = d.dimension
+    act, proj = dual_extension(d)
+    for op in ("prec", "succ"):
+        mu = d.op(op)
+        assert_formula(act.target.op(op), lambda a, b: evaluate(mu, a[:n], b[:n])
+                       + vec_add(evaluate(mu, a[:n], b[n:]), evaluate(mu, a[n:], b[:n])))
+        assert_formula(act.actions[f"{op}_l"], lambda a, b: evaluate(mu, a, b[:n]) + evaluate(mu, a, b[n:]))
+        assert_formula(act.actions[f"{op}_r"], lambda a, b: evaluate(mu, a[:n], b) + evaluate(mu, a[n:], b))
+    for p in range(2 * n):
+        assert proj.column(p) == basis_vector(2 * n, p)[:n]
+
+
+_x, _y = var(0), var(1)
+_Tx, _Ty = apply_map("T", _x), apply_map("T", _y)
+# Term tables by slot sorts, for a map T from the module V to the base A.
+TWIST_TABLES = {
+    ("V", "V"): {
+        "vdash": app("prec_l", _Tx, _y),
+        "dashv": app("succ_r", _x, _Ty),
+        "both": app("prec", _Tx, _Ty),
+        "nested": apply_map("T", app("succ_l", _Tx, _y)),
+        "sum": app("prec_r", _x, apply_map("T", expr(_x, _y, _y))),
+        "leaf": _y,
+    },
+    ("A", "V"): {
+        "action": app("prec_l", _x, _y),
+        "twice": app("succ_l", app("prec", _x, _Ty), _y),
+    },
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_tabulate_matches_reference(data):
+    """tabulate equals the reference evaluator on every basis pair."""
+    subject = data.draw(st.one_of(representations(), actions()))
+    ctx = context_for(subject)
+    ctx.maps["T"] = (data.draw(linear_maps(ctx.dims["V"], ctx.dims["A"])), "V", "A")
+    for sorts, table in TWIST_TABLES.items():
+        ops = tabulate(ctx, sorts, table)
+        schema = IdentitySchema("reference", sorts, (), ())
+        for name, term in table.items():
+            op = ops[name]
+            for i in range(ctx.dims[sorts[0]]):
+                for j in range(ctx.dims[sorts[1]]):
+                    values = (basis_vector(ctx.dims[sorts[0]], i), basis_vector(ctx.dims[sorts[1]], j))
+                    value, sort = _eval_expr(expr(term), schema, ctx, values)
+                    assert op.coeffs[i][j] == value
+                    assert op.out_dim == ctx.dims[sort]

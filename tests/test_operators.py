@@ -16,7 +16,7 @@ from splitalg.operators import (
     operator_map_shape,
     search_operators,
 )
-from splitalg.samples import one_dim_dendriform
+from splitalg.samples import one_dim_dendriform, truncated_polynomial_dendriform
 
 from conftest import shift_map
 
@@ -137,3 +137,16 @@ def test_search_cap(poly):
     z = Algebra(3, "associative", {"mul": BilinearOp.zero(3, 3, 3)})
     with pytest.raises(SearchCapExceeded):
         search_operators(z, "rota_baxter", [Fraction(k) for k in range(5)])
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]]], ids=["identity", "e12"]
+)
+def test_graph_check_on_an_action(matrix):
+    """An action is checked through its representation, with the same
+    verdict as the direct equations."""
+    act = self_action(truncated_polynomial_dendriform(3))
+    t = LinearMap(3, 3, matrix)
+    graph, direct = graph_subalgebra_check(act, t), check_relative_averaging(act, t)
+    assert graph.ok == direct.ok
+    assert graph.checked == direct.checked == 36
