@@ -60,18 +60,17 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 def parse_scalar(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise DocumentError(path, f"invalid rational {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL_RE.fullmatch(value):
-            raise DocumentError(path, f"invalid rational {value!r}")
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):  # zero denominator, too many digits
-            raise DocumentError(path, f"invalid rational {value!r}") from None
-    raise DocumentError(path, f"invalid rational {value!r}")
+            pass
+    text = repr(value)
+    if len(text) > 40:  # a prefix and the length keep the message one short line
+        text = f"{text[:32]}... ({len(str(value))} characters)"
+    raise DocumentError(path, f"invalid rational {text}")
 
 
 def scalar_to_json(f: Fraction):
@@ -113,7 +112,7 @@ def _parse_algebra(name: str, raw, path: str) -> Algebra:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise DocumentError(f"{path}.dimension", "dimension must be a non-negative integer")
     signature = raw.get("signature", "raw")
-    if signature not in SIGNATURE_OPS:
+    if not isinstance(signature, str) or signature not in SIGNATURE_OPS:
         raise DocumentError(f"{path}.signature", f"unknown signature {signature!r}")
     basis = raw.get("basis")
     if basis is not None and (

@@ -17,7 +17,6 @@ only code that visits basis tuples.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from fractions import Fraction
 from operator import add, neg, sub
 from typing import Mapping, Sequence, Union
 
-from .linalg import Vector, basis_vector, vec_sub
+from .linalg import Vector, vec_sub
 from .model import (
     Action,
     Algebra,
@@ -568,21 +567,30 @@ def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vec
 # and columns.  Terms reading every slot are evaluated per tuple and
 # dropped.  The scan goes group by group and, inside a group, tuple-major:
 # at each basis tuple (lexicographic order), every equation of the group.
-
-_ZERO = Fraction(0)
-
-
-def _unit(c):
-    """Plain ints for +-1, which _lincomb tests for cheaply."""
-    return int(c) if c in (1, -1) else c
-
-
-@functools.lru_cache(maxsize=64)
-def _basis(dim: int) -> tuple[Vector, ...]:
-    return tuple(basis_vector(dim, i) for i in range(dim))
+#
+# All of it runs on Python ints.  Each tensor and map is scaled once per
+# check by D, the lcm of the denominators of its non-zero entries; basis
+# leaves are 0/1 ints.  A compiled term carries its scale s, the product of
+# the scales of its nodes, and its value is the true value times s.  An
+# equation (or a map argument) brings its terms to one scale S, the lcm of
+# their scales times the lcm of the denominators of their coefficients, so
+# a residual r is exactly zero iff r is, and its true value is r / S.
 
 
-def _lincomb(pairs) -> Vector | None:
+def _clear(vectors) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, each vector times D as ints): D is the lcm of the denominators
+    of the non-zero entries."""
+    d = math.lcm(*(c.denominator for v in vectors for c in v if c))
+    return d, [tuple(c.numerator * (d // c.denominator) for c in v) for v in vectors]
+
+
+def _common_scale(pairs) -> tuple[int, list[int]]:
+    """(S, the ints c * S / s) for terms of scale s with coefficients c."""
+    scale = math.lcm(*(s for _, s in pairs)) * math.lcm(*(c.denominator for c, _ in pairs))
+    return scale, [c.numerator * (scale // s) // c.denominator for c, s in pairs]
+
+
+def _lincomb(pairs) -> tuple[int, ...] | None:
     """sum c * v over (c, v) pairs; None when there are none."""
     acc = None
     for c, v in pairs:
@@ -597,9 +605,9 @@ def _lincomb(pairs) -> Vector | None:
     return acc
 
 
-def _product(cells, out_dim: int, x: Vector, y: Vector) -> Vector:
+def _product(cells, out_dim: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     """x * y, from the non-zero (k, c) of each structure-constant vector."""
-    out = [_ZERO] * out_dim
+    out = [0] * out_dim
     ys = [(j, b) for j, b in enumerate(y) if b]
     for i, a in enumerate(x):
         if a:
@@ -612,9 +620,9 @@ def _product(cells, out_dim: int, x: Vector, y: Vector) -> Vector:
     return tuple(out)
 
 
-def _image(columns, out_dim: int, v: Vector) -> Vector:
+def _image(columns, out_dim: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """M v, from the non-zero (k, c) of each column of M."""
-    out = [_ZERO] * out_dim
+    out = [0] * out_dim
     for j, a in enumerate(v):
         if a:
             for k, c in columns[j]:
@@ -622,50 +630,59 @@ def _image(columns, out_dim: int, v: Vector) -> Vector:
     return tuple(out)
 
 
+def _sparse(vectors):
+    return [[(k, c) for k, c in enumerate(v) if c] for v in vectors]
+
+
 def _compile(term: Term, sorts: tuple[str, ...], ctx: OpContext, memo: dict):
     """(function of the basis tuple, output sort, slots read, slot if the
-    term is a variable leaf) for a term in a group with these slot sorts."""
+    term is a variable leaf, scale) for a term in a group with these slot
+    sorts.  The function returns the term's value times its scale, in ints."""
     key = (term, sorts)
     if key in memo:
         return memo[key]
     if term[0] == "var":
-        s, basis = term[1], _basis(ctx.dims[sorts[term[1]]])
-        memo[key] = (lambda idx: basis[idx[s]]), sorts[s], (s,), s
+        s, dim = term[1], ctx.dims[sorts[term[1]]]
+        basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        memo[key] = (lambda idx: basis[idx[s]]), sorts[s], (s,), s, 1
         return memo[key]
     if term[0] == "map":
         m, source, out_sort = ctx.resolve_map(term[1])
-        args = [(_unit(c), _compile(t, sorts, ctx, memo)) for c, t in term[2]]
+        args = [(c, _compile(t, sorts, ctx, memo)) for c, t in term[2]]
         if any(arg[1] != source for _, arg in args):
             raise SpecError(f"map {term[1]!r} applied to an argument of the wrong sort")
-        columns = [m.column(j) for j in range(m.source_dim)]
+        if ("map", term[1]) not in memo:  # the columns, scaled once per check
+            memo["map", term[1]] = _clear([m.column(j) for j in range(m.source_dim)])
+        d, columns = memo["map", term[1]]
         if len(args) == 1 and args[0][0] == 1 and args[0][1][3] is not None:
-            fn, lookup = (lambda idx, s=args[0][1][3]: columns[idx[s]]), True
+            fn, scale, lookup = (lambda idx, s=args[0][1][3]: columns[idx[s]]), d, True
         else:
-            sparse = [[(k, c) for k, c in enumerate(col) if c] for col in columns]
-            terms = [(c, arg[0]) for c, arg in args]
+            sparse = _sparse(columns)
+            arg_scale, coefs = _common_scale([(c, arg[4]) for c, arg in args])
+            terms = [(c, arg[0]) for c, (_, arg) in zip(coefs, args)]
             fn = lambda idx: _image(sparse, m.target_dim, _lincomb((c, f(idx)) for c, f in terms))
-            lookup = False
+            scale, lookup = d * arg_scale, False
         children = [arg for _, arg in args]
     else:
         op, ls, rs, out_sort = ctx.resolve(term[0])
         children = [_compile(term[1], sorts, ctx, memo), _compile(term[2], sorts, ctx, memo)]
-        (lf, lsort, _, a), (rf, rsort, _, b) = children
+        (lf, lsort, _, a, lscale), (rf, rsort, _, b, rscale) = children
         if (lsort, rsort) != (ls, rs):
             raise SpecError(f"operation {term[0]!r} applied to arguments of the wrong sort")
-        lookup = a is not None and b is not None
+        if ("op", term[0]) not in memo:  # the structure constants, scaled once per check
+            d, flat = _clear([v for row in op.coeffs for v in row])
+            rows = [flat[i * op.right_dim:(i + 1) * op.right_dim] for i in range(op.left_dim)]
+            memo["op", term[0]] = d, rows, [_sparse(row) for row in rows]
+        d, coeffs, cells = memo["op", term[0]]
+        scale, lookup = d * lscale * rscale, a is not None and b is not None
         if lookup:
-            fn = lambda idx: op.coeffs[idx[a]][idx[b]]
-        else:  # the non-zero structure constants, sparsified once per check
-            if ("cells", term[0]) not in memo:
-                memo["cells", term[0]] = [
-                    [[(k, c) for k, c in enumerate(v) if c] for v in row] for row in op.coeffs
-                ]
-            cells = memo["cells", term[0]]
+            fn = lambda idx: coeffs[idx[a]][idx[b]]
+        else:
             fn = lambda idx: _product(cells, op.out_dim, lf(idx), rf(idx))
     slots = tuple(sorted({s for child in children for s in child[2]}))
     if not lookup and len(slots) < len(sorts):
         fn = _tabulate(fn, slots, [ctx.dims[sorts[s]] for s in slots])
-    memo[key] = fn, out_sort, slots, None
+    memo[key] = fn, out_sort, slots, None, scale
     return memo[key]
 
 
@@ -690,8 +707,8 @@ def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term]) ->
     left, right = (ctx.dims[s] for s in sorts)
     ops = {}
     for name, term in table.items():
-        fn, out_sort = _compile(term, sorts, ctx, memo)[:2]
-        rows = [[fn((i, j)) for j in range(right)] for i in range(left)]
+        fn, out_sort, _, _, scale = _compile(term, sorts, ctx, memo)
+        rows = [[tuple(Fraction(a, scale) for a in fn((i, j))) for j in range(right)] for i in range(left)]
         ops[name] = BilinearOp(left, right, ctx.dims[out_sort], rows)
     return ops
 
@@ -704,7 +721,7 @@ def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) 
     compiled = []
     for group in groups:
         sorts = group[0].slot_sorts
-        tops: dict = {}  # function -> position in the values of a tuple
+        tops: dict = {}  # function -> (position in the values of a tuple, scale)
         equations = []
         for schema in group:
             if schema.slot_sorts != sorts:
@@ -713,13 +730,15 @@ def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) 
             out_sorts = set()
             for sign, side in ((1, schema.lhs), (-1, schema.rhs)):
                 for c, term in side:
-                    fn, out_sort = _compile(term, sorts, ctx, memo)[:2]
+                    fn, out_sort, _, _, scale = _compile(term, sorts, ctx, memo)
                     out_sorts.add(out_sort)
-                    position = tops.setdefault(fn, len(tops))
-                    coefs[position] = coefs.get(position, 0) + sign * c
+                    top = tops.setdefault(fn, (len(tops), scale))
+                    coefs[top] = coefs.get(top, 0) + sign * c
             if len(out_sorts) > 1:
                 raise SpecError(f"schema {schema.id!r} equates terms of different sorts")
-            equations.append((schema.id, [(_unit(c), p) for p, c in coefs.items() if c]))
+            terms = [(top, c) for top, c in coefs.items() if c]
+            scale, ints = _common_scale([(c, s) for (_, s), c in terms])
+            equations.append((schema.id, scale, [(c, p) for c, ((p, _), _) in zip(ints, terms)]))
         compiled.append((sorts, list(tops), equations))
     checked = 0
     violations: list[Violation] = []
@@ -729,11 +748,11 @@ def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) 
         checked += len(equations) * math.prod(map(len, ranges))
         for idx in itertools.product(*ranges):
             values = [f(idx) for f in tops]
-            for eqid, signed in equations:
+            for eqid, scale, signed in equations:
                 residual = _lincomb((c, values[p]) for c, p in signed)
                 if residual is not None and any(residual):
                     if len(violations) < max_violations:
-                        violations.append(Violation(eqid, idx, residual))
+                        violations.append(Violation(eqid, idx, tuple(Fraction(r, scale) for r in residual)))
                     else:
                         truncated = True
     return ViolationReport(checked, violations, truncated, kind)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .constructions import semidirect
+from .constructions import PreconditionFailure, semidirect
 from .identities import QUADRI_TO_DENDRIFORM_COLLAPSE, check
 from .linalg import Subspace, Vector, basis_vector, span, vec_sub
 from .model import (
@@ -16,6 +16,7 @@ from .model import (
     SpecError,
     evaluate,
     perp_dendriform_part,
+    quadri_part,
 )
 
 
@@ -192,12 +193,20 @@ def _quotient_actions(
     }
 
 
+def _require(a: Algebra, catalog_name: str, message: str) -> None:
+    """Refuse an input that fails the axioms a converse theorem assumes."""
+    report = check(a, catalog_name)
+    if not report.ok:
+        raise PreconditionFailure(message, report)
+
+
 def quadri_to_relative_setup(q: Algebra) -> tuple[Representation, LinearMap]:
     """The converse theorem: from a quadri-dendriform algebra, build the
     quotient dendriform algebra, its representation on the original space,
     and the quotient map as a relative averaging operator."""
     if q.signature != "quadri":
         raise SpecError("expected a quadri-dendriform algebra")
+    _require(q, "quadri", "input is not a quadri-dendriform algebra")
     ideal = splitting_ideal(q)
     base, projection = quotient_algebra(
         q, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform"
@@ -237,6 +246,8 @@ def six_to_homomorphic_setup(s: Algebra) -> tuple[Action, LinearMap]:
     report = check(target, "dendriform")
     if not report.ok:
         raise QuotientError("target not dendriform: the perp pair fails the dendriform axioms")
+    _require(s, "six", "input is not a six-dendriform algebra")
+    _require(quadri_part(s), "quadri", "the quadri part is not a quadri-dendriform algebra")
     ideal = splitting_ideal(s)
     base, projection = quotient_algebra(
         s, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform"

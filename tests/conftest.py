@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from splitalg.model import LinearMap
+from splitalg.model import SIGNATURE_OPS, Algebra, BilinearOp, LinearMap
 
 from splitalg.constructions import averaging_quadri, dual_extension, induced_six
 from splitalg.documents import Document, serialize_document
@@ -21,6 +22,17 @@ def shift_map(n):
     for i in range(n - 1):
         matrix[i + 1][i] = Fraction(1)
     return LinearMap(n, n, matrix)
+
+
+def random_quadri(seed: int, n: int = 3) -> Algebra:
+    """A seeded algebra of quadri signature with entries in {-1, 0, 1}."""
+    rng = random.Random(seed)
+    ops = {
+        name: BilinearOp(n, n, n, [[[Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(n)]
+                                    for _ in range(n)] for _ in range(n)])
+        for name in SIGNATURE_OPS["quadri"]
+    }
+    return Algebra(n, "quadri", ops)
 
 
 @pytest.fixture(scope="session")

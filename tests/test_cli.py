@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitalg.cli import main
-from splitalg.documents import parse_document
+from splitalg.documents import Document, parse_document, serialize_document
+
+from conftest import random_quadri
 
 
 def run(capsys, *argv):
@@ -163,6 +169,21 @@ def test_construct_precondition_failure(capsys, sample_doc_path, tmp_path):
     assert "FAIL" in err or "error" in err
 
 
+def test_construct_quadri_to_relative_refuses_non_quadri(capsys, tmp_path):
+    """The converse recipe checks the quadri axioms before building."""
+    p = tmp_path / "random.json"
+    p.write_text(serialize_document(Document(algebras={"q": random_quadri(0)})))
+    code, out, err = run(
+        capsys, "construct", str(p), "--recipe", "quadri-to-relative",
+        "--algebra", "q", "--out", str(tmp_path / "x.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input is not a quadri-dendriform algebra\nchecked ")
+    assert "violation(s)" in err and "quadri." in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_construct_missing_flag(capsys, sample_doc_path, tmp_path):
     code, _, err = run(
         capsys, "construct", sample_doc_path, "--recipe", "semidirect",
@@ -250,3 +271,59 @@ def test_check_malformed_document(capsys, tmp_path, content):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_invalid_rational_error_is_short(capsys, tmp_path):
+    """A long invalid value is echoed as a prefix and its length, not whole."""
+    path = tmp_path / "doc.json"
+    path.write_text('{"maps": {"f": {"source": 1, "target": 1, "matrix": [["' + "7" * 5000 + '/3"]]}}}')
+    code, _, err = run(capsys, "check", str(path), "--object", "x", "--catalog", "dendriform")
+    assert code == 2
+    assert err.startswith("error: invalid rational '777")
+    assert "(5002 characters) at $.maps.f.matrix[0][0]" in err
+    assert len(err) < 200
+
+
+# Small JSON values to plant in a document: no value asks for a large tensor.
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.text(max_size=5)
+    | st.sampled_from(["1/2", "-3/4", "1/0", "x", "prec", "dendriform", "quadri", "dend", "poly"]),
+    lambda sub: st.lists(sub, max_size=4) | st.dictionaries(st.text(max_size=8), sub, max_size=3),
+    max_leaves=8,
+)
+# (object, catalog) pairs of the sample document
+CHECKS = [("poly", "associative"), ("dend", "dendriform"), ("adjoint", "dend-representation"),
+          ("self", "dend-action")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), value=SMALL_JSON, target=st.sampled_from(CHECKS))
+def test_check_fuzzed_document(sample_doc_path, tmp_path_factory, data, value, target):
+    """Any one value of the sample document replaced by a small JSON value:
+    `check` exits 0, 1 or 2 and never ends in a traceback."""
+    doc = json.loads(open(sample_doc_path).read())
+    node, key = doc, None
+    while isinstance(node, (dict, list)) and node and (key is None or data.draw(st.booleans())):
+        parent = node
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    if key is None:
+        doc = value
+    else:
+        parent[key] = value
+    path = tmp_path_factory.mktemp("fuzz", numbered=True) / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path), "--object", target[0], "--catalog", target[1]])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_check_signature_not_a_string(capsys, tmp_path):
+    """Found by the fuzz test: a list as signature was a TypeError traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text('{"algebras": {"a": {"dimension": 1, "signature": []}}}')
+    code, _, err = run(capsys, "check", str(path), "--object", "a", "--catalog", "dendriform")
+    assert code == 2
+    assert err == "error: unknown signature [] at $.algebras.a.signature\n"

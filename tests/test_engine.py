@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 
 from splitalg.identities import (
     CATALOG_NAMES,
+    OpContext,
+    Violation,
+    ViolationReport,
+    _eval_expr,
     _scan,
     app,
     apply_map,
@@ -20,6 +24,7 @@ from splitalg.identities import (
     equation,
     evaluate_schema,
     expr,
+    tabulate,
     var,
 )
 from splitalg.linalg import basis_vector, is_zero
@@ -155,3 +160,175 @@ def test_tabulated_subterms_match_reference(data, cap):
     ctx = context_for(a)
     ctx.maps["T"] = (t, "A", "A")
     assert_same(_scan(ctx, TABULATED, cap), reference_scan(ctx, TABULATED), cap)
+
+
+# ----------------------------------------------------------------------
+# Wide denominators.  The scan clears the denominators of each tensor and
+# each map on its own and brings every equation to one scale, so tensors
+# whose denominators differ between operations, non-unit coefficients and
+# terms of different depths must still give the reference residuals
+# exactly, as Fractions.
+
+WIDE_SCALARS = st.sampled_from(
+    [Fraction(0)] * 4
+    + [Fraction(1, 3), Fraction(-5, 6), Fraction(7, 10), Fraction(1, 97), Fraction(2), Fraction(-1)]
+)
+# one factor per tensor or map, so that their denominators differ
+FACTORS = st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)])
+COEFS = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(1, 97), Fraction(4)]
+)
+
+
+@st.composite
+def wide_tensors(draw, left, right, out):
+    k = draw(FACTORS)
+    return BilinearOp(left, right, out, [[[k * draw(WIDE_SCALARS) for _ in range(out)]
+                                          for _ in range(right)] for _ in range(left)])
+
+
+@st.composite
+def wide_maps(draw, source, target):
+    k = draw(FACTORS)
+    return LinearMap(source, target, [[k * draw(WIDE_SCALARS) for _ in range(source)] for _ in range(target)])
+
+
+@st.composite
+def wide_algebras(draw, signature):
+    n = draw(DIMS)
+    return Algebra(n, signature, {name: draw(wide_tensors(n, n, n)) for name in SIGNATURE_OPS[signature]})
+
+
+@st.composite
+def wide_action_tensors(draw, n, m):
+    return {"prec_l": draw(wide_tensors(n, m, m)), "succ_l": draw(wide_tensors(n, m, m)),
+            "prec_r": draw(wide_tensors(m, n, m)), "succ_r": draw(wide_tensors(m, n, m))}
+
+
+@st.composite
+def wide_representations(draw):
+    base, m = draw(wide_algebras("dendriform")), draw(DIMS)
+    return Representation(base, m, draw(wide_action_tensors(base.dimension, m)))
+
+
+@st.composite
+def wide_actions(draw):
+    base, target = draw(wide_algebras("dendriform")), draw(wide_algebras("dendriform"))
+    return Action(base, target, draw(wide_action_tensors(base.dimension, target.dimension)))
+
+
+def wide_subjects(name):
+    if name in ("dend-representation", "relative_averaging"):
+        return wide_representations() if name == "dend-representation" else st.one_of(
+            wide_representations(), wide_actions())
+    if name in ("dend-action", "homomorphic_relative"):
+        return wide_actions()
+    return wide_algebras({"rota_baxter": "associative", "assoc_averaging": "associative",
+                          "dend_averaging": "dendriform"}.get(name, name))
+
+
+@st.composite
+def wide_contexts(draw):
+    """Operations p, q on A and maps S, T: A -> A, each with its own
+    denominators."""
+    n = draw(DIMS)
+    ops = {name: (draw(wide_tensors(n, n, n)), "A", "A", "A") for name in ("p", "q")}
+    maps = {name: (draw(wide_maps(n, n)), "A", "A") for name in ("S", "T")}
+    return OpContext(ops, {"A": n}, maps)
+
+
+def wide_terms(slots):
+    return st.recursive(
+        st.integers(0, slots - 1).map(var),
+        lambda sub: st.one_of(
+            st.builds(app, st.sampled_from(["p", "q"]), sub, sub),
+            st.builds(apply_map, st.sampled_from(["S", "T"]),
+                      st.lists(st.tuples(COEFS, sub), min_size=1, max_size=3).map(tuple)),
+        ),
+        max_leaves=5,
+    )
+
+
+def wide_sides(slots, min_size=0):
+    """A side of an equation: up to three terms with coefficients; () is zero."""
+    return st.lists(st.tuples(COEFS, wide_terms(slots)), min_size=min_size, max_size=3).map(tuple)
+
+
+@st.composite
+def wide_groups(draw):
+    groups = []
+    for g in range(draw(st.integers(1, 3))):
+        sorts = ("A",) * draw(st.integers(1, 3))
+        groups.append(tuple(
+            equation(f"g{g}.{e}", sorts, draw(wide_sides(len(sorts), 1)), draw(wide_sides(len(sorts))))
+            for e in range(draw(st.integers(1, 3)))
+        ))
+    return groups
+
+
+_A3 = ("A", "A", "A")
+_half, _third = Fraction(3, 2), Fraction(-2, 3)
+# An empty side; terms of different depths and operations on the two sides
+# (scales 1, D_p^2, D_q D_S); terms of three scales inside one map argument.
+WIDE_FIXED = [
+    (equation("w.empty", _A3, (), ((_half, app("p", _x, app("q", _y, _z))),)),),
+    (
+        equation("w.mixed", _A3, ((_third, app("p", app("p", _x, _y), _z)), (Fraction(1, 97), _x)),
+                 ((Fraction(4), app("q", _x, apply_map("S", _y))),)),
+        equation("w.map", _A3, apply_map("T", ((_half, app("p", _x, _y)), (_third, _z),
+                                               (Fraction(5, 7), app("q", _x, apply_map("S", _z))))),
+                 app("q", apply_map("T", _x), _z)),
+    ),
+]
+
+
+def assert_exact(report, reference, cap):
+    """assert_same, plus: every residual entry is a Fraction, and the report
+    renders and serializes as one built from the reference residuals."""
+    assert_same(report, reference, cap)
+    assert all(type(e) is Fraction for v in report.violations for e in v.residual)
+    checked, found = reference
+    expected = ViolationReport(checked, [Violation(*f) for f in found[:cap]], len(found) > cap, report.kind)
+    assert report.render() == expected.render()
+    assert report.to_dict() == expected.to_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ctx=wide_contexts(), groups=wide_groups(), cap=st.integers(0, 6))
+def test_wide_schemas_match_reference(ctx, groups, cap):
+    groups = WIDE_FIXED + groups
+    assert_exact(_scan(ctx, groups, cap), reference_scan(ctx, groups), cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(CATALOG_NAMES), cap=st.integers(0, 6))
+def test_wide_catalog_scan_matches_reference(data, name, cap):
+    obj = data.draw(wide_subjects(name))
+    groups = [(schema,) for schema in catalog(name)]
+    assert_exact(check(obj, name, max_violations=cap), reference_scan(context_for(obj), groups), cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(OPERATOR_KINDS), cap=st.integers(0, 6))
+def test_wide_operator_scan_matches_reference(data, kind, cap):
+    subject = data.draw(wide_subjects(kind))
+    t = data.draw(wide_maps(*operator_map_shape(subject, kind)))
+    ctx = context_for(subject)
+    ctx.maps["T"] = (t, *_KINDS[kind].map_sorts)
+    assert_exact(check_operator(subject, kind, t, max_violations=cap), reference_scan(ctx, _KINDS[kind].groups), cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ctx=wide_contexts(), table=st.lists(wide_terms(2), min_size=1, max_size=4))
+def test_wide_tabulate_matches_reference(ctx, table):
+    """tabulate divides each entry by its term's scale: exact Fractions."""
+    n = ctx.dims["A"]
+    table = {f"t{i}": term for i, term in enumerate(table)}
+    table["fixed"] = apply_map("T", ((_half, app("p", _x, _y)), (_third, _y), (Fraction(1, 97), apply_map("S", _x))))
+    ops = tabulate(ctx, ("A", "A"), table)
+    schema = equation("reference", ("A", "A"), (), ())
+    for name, term in table.items():
+        for i, j in itertools.product(range(n), repeat=2):
+            value = _eval_expr(expr(term), schema, ctx, (basis_vector(n, i), basis_vector(n, j)))[0]
+            assert ops[name].coeffs[i][j] == value
+            assert all(type(e) is Fraction for e in ops[name].coeffs[i][j])

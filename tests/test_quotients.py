@@ -2,15 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from splitalg.constructions import induced_quadri, induced_six
+from splitalg.constructions import PreconditionFailure, induced_quadri, induced_six
 from splitalg.identities import QUADRI_TO_DENDRIFORM_COLLAPSE, check
 from splitalg.linalg import basis_vector, span
 from splitalg.model import (
+    SIGNATURE_OPS,
     Algebra,
     BilinearOp,
     SpecError,
     dendriform_to_quadri,
     evaluate,
+    perp_dendriform_part,
 )
 from splitalg.operators import (
     check_dend_averaging,
@@ -28,6 +30,8 @@ from splitalg.quotients import (
     splitting_ideal,
 )
 from splitalg.samples import truncated_polynomial_algebra
+
+from conftest import random_quadri
 
 
 def test_ideal_generated_saturates(poly):
@@ -173,3 +177,48 @@ def test_six_setup_rejects_bad_perp():
     fake = Algebra(1, "six", ops)
     with pytest.raises(QuotientError):
         six_to_homomorphic_setup(fake)
+
+
+def test_quadri_setup_rejects_non_quadri():
+    """The converse theorem assumes the quadri axioms; an algebra of quadri
+    signature that fails them is refused with the failing verdict."""
+    q = random_quadri(0)
+    assert not check(q, "quadri").ok
+    with pytest.raises(PreconditionFailure) as exc:
+        quadri_to_relative_setup(q)
+    assert exc.value.verdict.render() == check(q, "quadri").render()
+    with pytest.raises(PreconditionFailure):
+        embed_averaging(q)
+
+
+def _six(n: int, **entries) -> Algebra:
+    """A six-signature algebra whose operations are zero except the given
+    {operation: {(i, j): k}} products e_i * e_j = e_k."""
+    ops = {}
+    for name in SIGNATURE_OPS["six"]:
+        table = entries.get(name, {})
+        ops[name] = BilinearOp.build(
+            n, n, n, lambda i, j, t=table: basis_vector(n, t[i, j]) if (i, j) in t else (Fraction(0),) * n
+        )
+    return Algebra(n, "six", ops)
+
+
+def test_six_setup_rejects_non_six():
+    """The perp pair is zero (so dendriform), but e prec_vdash e = e breaks
+    the six chain prec_vdash(prec_perp) = prec_vdash(prec_vdash)."""
+    s = _six(1, prec_vdash={(0, 0): 0})
+    assert check(perp_dendriform_part(s), "dendriform").ok
+    with pytest.raises(PreconditionFailure, match="not a six-dendriform") as exc:
+        six_to_homomorphic_setup(s)
+    assert not exc.value.verdict.ok
+
+
+def test_six_setup_rejects_non_quadri_part():
+    """Six axioms hold (every product of a prec_vdash value is zero), but the
+    quadri part fails quadri.1b at (e0, e0, e1)."""
+    s = _six(2, prec_vdash={(0, 1): 1})
+    assert check(s, "six").ok
+    with pytest.raises(PreconditionFailure, match="quadri part") as exc:
+        six_to_homomorphic_setup(s)
+    assert [v.identity for v in exc.value.verdict.violations] == ["quadri.1b"]
+    assert exc.value.verdict.violations[0].witness == (0, 0, 1)
