@@ -27,7 +27,7 @@ from .constructions import (
     sum_collapse_quadri,
     sum_collapse_six,
 )
-from .documents import Document, DocumentError, parse_document, serialize_document
+from .documents import Document, DocumentError, parse_document, serialize_document, short_repr
 from .identities import CATALOG_NAMES, QUADRI_TO_DENDRIFORM_COLLAPSE, ViolationReport, check
 from .model import Action, Algebra, LinearMap, Representation, SpecError
 from .operators import (
@@ -278,7 +278,7 @@ def _parse_grid(raw: str) -> list[Fraction]:
         try:
             grid.append(Fraction(part))
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"invalid rational {part!r} in grid") from None
+            raise UsageError(f"invalid rational {short_repr(part)} in grid") from None
     if not grid:
         raise UsageError("empty grid")
     return grid

@@ -67,10 +67,14 @@ def parse_scalar(value, path: str) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):  # zero denominator, too many digits
             pass
+    raise DocumentError(path, f"invalid rational {short_repr(value)}")
+
+
+def short_repr(value) -> str:
+    """repr(value), cut to a prefix and the length when it is over 40
+    characters, so that an error message stays one short line."""
     text = repr(value)
-    if len(text) > 40:  # a prefix and the length keep the message one short line
-        text = f"{text[:32]}... ({len(str(value))} characters)"
-    raise DocumentError(path, f"invalid rational {text}")
+    return text if len(text) <= 40 else f"{text[:32]}... ({len(str(value))} characters)"
 
 
 def scalar_to_json(f: Fraction):

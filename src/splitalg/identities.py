@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import add, neg, sub
 from typing import Mapping, Sequence, Union
 
-from .linalg import Vector, vec_sub
+from .linalg import Vector, vec_add
 from .model import (
     Action,
     Algebra,
@@ -541,19 +541,15 @@ def _eval_expr(e: Expr, schema: IdentitySchema, ctx: OpContext, values):
     for coef, term in e:
         v, sort = _eval_term(term, schema, ctx, values)
         scaled = tuple(coef * a for a in v)
-        total = scaled if total is None else tuple(a + b for a, b in zip(total, scaled))
+        total = scaled if total is None else vec_add(total, scaled)
     return total, sort
 
 
 def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vector]) -> Vector:
-    """lhs - rhs of a schema at arbitrary slot values (not just basis)."""
-    lhs = _eval_expr(schema.lhs, schema, ctx, values)[0]
-    rhs = _eval_expr(schema.rhs, schema, ctx, values)[0]
-    if rhs is None:
-        return lhs
-    if lhs is None:
-        return tuple(-a for a in rhs)
-    return vec_sub(lhs, rhs)
+    """lhs - rhs of a schema at arbitrary slot values (not just basis); the
+    empty tuple for 0 = 0, where no term fixes a sort."""
+    difference = schema.lhs + tuple((-c, term) for c, term in schema.rhs)
+    return _eval_expr(difference, schema, ctx, values)[0] or ()
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 
 from .linalg import (
     DimensionMismatch,
+    Subspace,
     Vector,
     frac,
     vec_add,
@@ -189,6 +190,12 @@ class LinearMap:
         if self.source_dim == 0:
             return 0
         return span([self.column(j) for j in range(self.source_dim)], self.target_dim).dim
+
+
+def reduction(sub: Subspace) -> LinearMap:
+    """Reduction modulo the subspace (Subspace.reduce) as a linear map."""
+    n = sub.ambient_dim
+    return LinearMap(n, n, list(zip(*map(sub.reduce, LinearMap.identity(n).matrix))))
 
 
 class Algebra:

@@ -24,7 +24,7 @@ from .identities import (
     expr,
     var,
 )
-from .linalg import basis_vector, span
+from .linalg import span
 from .model import (
     Action,
     Algebra,
@@ -32,6 +32,7 @@ from .model import (
     Representation,
     SIGNATURE_OPS,
     SpecError,
+    reduction,
 )
 
 
@@ -198,9 +199,7 @@ def graph_subalgebra_check(
     n, m = ctx.dims["A"], ctx.dims["V"]
     hemi = hemisemidirect(rep.representation if isinstance(rep, Action) else rep, verify=False)
     g = LinearMap(m, n + m, [*t.matrix, *LinearMap.identity(m).matrix])
-    graph = span([g.column(a) for a in range(m)], n + m)
-    reductions = [graph.reduce(basis_vector(n + m, k)) for k in range(n + m)]
-    p = LinearMap(n + m, n + m, list(zip(*reductions)))
+    p = reduction(span([g.column(a) for a in range(m)], n + m))
     ctx = OpContext(
         {name: (op, "H", "H", "H") for name, op in hemi.operations.items()},
         {"V": m, "H": n + m},

@@ -1,22 +1,38 @@
-"""Splitting ideals, quotient algebras and the quotient-map theorems."""
+"""Splitting ideals, quotient algebras and the quotient-map theorems.
+
+A subspace I of an algebra A and the quotient Q = A / I are maps in one
+identity-engine context: B: I -> A the subspace basis, P: A -> A reduction
+modulo I, L: Q -> A the complement basis and Pi: A -> Q the quotient
+coordinates.  Closure and the agreement of merged operations are schema
+scans in them, and the quotient tensors are term tables."""
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping, Sequence
 
 from .constructions import PreconditionFailure, semidirect
-from .identities import QUADRI_TO_DENDRIFORM_COLLAPSE, check
-from .linalg import Subspace, Vector, basis_vector, span, vec_sub
+from .identities import (
+    QUADRI_TO_DENDRIFORM_COLLAPSE,
+    OpContext,
+    _scan,
+    app,
+    apply_map,
+    check,
+    equation,
+    tabulate,
+    var,
+)
+from .linalg import Subspace, Vector, span, vec_sub
 from .model import (
     Action,
     Algebra,
-    BilinearOp,
     LinearMap,
     Representation,
     SpecError,
-    evaluate,
     perp_dendriform_part,
     quadri_part,
+    reduction,
 )
 
 
@@ -28,18 +44,46 @@ class QuotientError(SpecError):
         self.witness = witness
 
 
-def _products(a: Algebra, vectors: Sequence[Vector]):
-    """((op, vector index, basis index, side), product) for every operation
-    in sorted order, vector and basis element: the vector times the basis
-    element ("left") before the basis element times the vector ("right")."""
-    n = a.dimension
-    for opname in sorted(a.operations):
-        op = a.op(opname)
-        for bi, b in enumerate(vectors):
-            for i in range(n):
-                e = basis_vector(n, i)
-                yield (opname, bi, i, "left"), evaluate(op, b, e)
-                yield (opname, bi, i, "right"), evaluate(op, e, b)
+def _context(a: Algebra, sub: Subspace) -> OpContext:
+    """a's operations as "op:<name>" (no raw name clashes with the term
+    syntax) and the maps B, P, L and Pi of I (sort I) and Q (sort Q)."""
+    n, complement = a.dimension, sub.complement_indices()
+    p = reduction(sub)
+    return OpContext(
+        {"op:" + name: (op, "A", "A", "A") for name, op in a.operations.items()},
+        {"A": n, "I": sub.dim, "Q": len(complement)},
+        {
+            "B": (LinearMap(sub.dim, n, [[b[r] for b in sub.basis] for r in range(n)]), "I", "A"),
+            "P": (p, "A", "A"),
+            "L": (LinearMap(len(complement), n, [[int(r == c) for c in complement] for r in range(n)]), "Q", "A"),
+            "Pi": (LinearMap(n, len(complement), [p.matrix[c] for c in complement]), "A", "Q"),
+        },
+    )
+
+
+_x, _y = var(0), var(1)
+_Bx, _Lx, _Ly = apply_map("B", _x), apply_map("L", _x), apply_map("L", _y)
+
+
+def _op(name: str, left, right):
+    return app("op:" + name, left, right)
+
+
+def _sides(name: str):
+    """(side, term) in slots (I, A): the subspace basis element times the
+    basis element ("left") before the basis element times it ("right")."""
+    return ("left", _op(name, _Bx, _y)), ("right", _op(name, _y, _Bx))
+
+
+def _first(ctx: OpContext, sorts, groups):
+    """(label, basis tuple) of the first equation lhs = rhs that fails,
+    scanning the groups of (label, lhs, rhs) in order; None if all hold."""
+    labels = [label for group in groups for label, _, _ in group]
+    ids = map(str, itertools.count())
+    schemas = [tuple(equation(next(ids), sorts, lhs, rhs) for _, lhs, rhs in group) for group in groups]
+    for v in _scan(ctx, schemas, 1).violations:
+        return labels[int(v.identity)], v.witness
+    return None
 
 
 class Ideal:
@@ -54,11 +98,12 @@ class Ideal:
 
     def closure_witness(self):
         """First (op, ideal basis index, ambient basis index, side) whose
-        product escapes the subspace, or None if closed."""
-        for witness, product in _products(self.ambient, self.subspace.basis):
-            if not self.subspace.contains(product):
-                return witness
-        return None
+        product escapes the subspace, or None if closed: P(op(Bx, y)) = 0
+        and P(op(y, Bx)) = 0, operation by operation in sorted order."""
+        groups = [[((name, side), apply_map("P", term), ()) for side, term in _sides(name)]
+                  for name in sorted(self.ambient.operations)]
+        found = _first(_context(self.ambient, self.subspace), ("I", "A"), groups)
+        return found and (found[0][0], *found[1], found[0][1])
 
     def is_closed(self) -> bool:
         return self.closure_witness() is None
@@ -75,9 +120,10 @@ def ideal_generated(a: Algebra, generators: Sequence[Vector]) -> Ideal:
     """
     n = a.dimension
     current = span(list(generators), n)
+    table = {(name, side): term for name in sorted(a.operations) for side, term in _sides(name)}
     while True:
-        products = [*current.basis, *(p for _, p in _products(a, current.basis))]
-        bigger = span(products, n)
+        products = tabulate(_context(a, current), ("I", "A"), table).values()
+        bigger = span([*current.basis, *(v for op in products for row in op.coeffs for v in row)], n)
         if bigger.dim == current.dim:
             return Ideal(a, current)
         current = bigger
@@ -91,11 +137,10 @@ def splitting_ideal(q: Algebra) -> Ideal:
     pv, pd = q.op("prec_vdash"), q.op("prec_dashv")
     sv, sd = q.op("succ_vdash"), q.op("succ_dashv")
     n = q.dimension
-    generators = []
-    for i in range(n):
-        for j in range(n):
-            generators.append(vec_sub(pv.coeffs[i][j], pd.coeffs[i][j]))
-            generators.append(vec_sub(sv.coeffs[i][j], sd.coeffs[i][j]))
+    generators = [
+        vec_sub(split.coeffs[i][j], other.coeffs[i][j])
+        for i in range(n) for j in range(n) for split, other in ((pv, pd), (sv, sd))
+    ]
     return ideal_generated(q, generators)
 
 
@@ -122,75 +167,26 @@ def quotient_algebra(
             f"at ideal basis {witness[1]}, ambient basis {witness[2]} ({witness[3]})",
             witness,
         )
-    n = a.dimension
-    sub = ideal.subspace
-    complement = sub.complement_indices()
-    qdim = len(complement)
-
-    # Merged operations must agree modulo the ideal.
     preimages: dict[str, list[str]] = {}
     for src, dst in collapse.items():
+        a.op(src)  # an unknown operation is refused here
         preimages.setdefault(dst, []).append(src)
-    for dst, srcs in sorted(preimages.items()):
-        srcs = sorted(srcs)
-        first = a.op(srcs[0])
-        for other_name in srcs[1:]:
-            other = a.op(other_name)
-            for i in range(n):
-                for j in range(n):
-                    diff = vec_sub(first.coeffs[i][j], other.coeffs[i][j])
-                    if not sub.contains(diff):
-                        raise QuotientError(
-                            f"ill-defined collapse: {srcs[0]!r} and {other_name!r} "
-                            f"disagree modulo the ideal at basis pair ({i}, {j})",
-                            (srcs[0], other_name, i, j),
-                        )
+    firsts = {dst: min(srcs) for dst, srcs in preimages.items()}
+    ctx = _context(a, ideal.subspace)
 
-    def quotient_op(src_name: str) -> BilinearOp:
-        op = a.op(src_name)
-        return BilinearOp.build(
-            qdim,
-            qdim,
-            qdim,
-            lambda alpha, beta: sub.project(op.coeffs[complement[alpha]][complement[beta]]),
+    # Merged operations must agree modulo the ideal: P(first(x, y)) = P(other(x, y)).
+    groups = [[((first, other), apply_map("P", _op(first, _x, _y)), apply_map("P", _op(other, _x, _y)))]
+              for dst, first in sorted(firsts.items()) for other in sorted(preimages[dst])[1:]]
+    found = _first(ctx, ("A", "A"), groups)
+    if found is not None:
+        (first, other), (i, j) = found
+        raise QuotientError(
+            f"ill-defined collapse: {first!r} and {other!r} "
+            f"disagree modulo the ideal at basis pair ({i}, {j})",
+            (first, other, i, j),
         )
-
-    ops = {dst: quotient_op(sorted(srcs)[0]) for dst, srcs in preimages.items()}
-    quotient = Algebra(qdim, signature, ops)
-    projection = LinearMap(
-        n,
-        qdim,
-        [
-            [sub.project(basis_vector(n, j))[alpha] for j in range(n)]
-            for alpha in range(qdim)
-        ],
-    )
-    return quotient, projection
-
-
-def _quotient_actions(
-    q: Algebra, base_dim: int, complement: Sequence[int]
-) -> dict[str, BilinearOp]:
-    """The four actions of the quotient dendriform algebra on the original
-    space, via coset lifts: xbar prec_l y = x prec_vdash y and
-    y prec_r xbar = y prec_dashv x (succ analogues)."""
-    n = q.dimension
-    pv, pd = q.op("prec_vdash"), q.op("prec_dashv")
-    sv, sd = q.op("succ_vdash"), q.op("succ_dashv")
-    return {
-        "prec_l": BilinearOp.build(
-            base_dim, n, n, lambda alpha, j: pv.coeffs[complement[alpha]][j]
-        ),
-        "succ_l": BilinearOp.build(
-            base_dim, n, n, lambda alpha, j: sv.coeffs[complement[alpha]][j]
-        ),
-        "prec_r": BilinearOp.build(
-            n, base_dim, n, lambda j, alpha: pd.coeffs[j][complement[alpha]]
-        ),
-        "succ_r": BilinearOp.build(
-            n, base_dim, n, lambda j, alpha: sd.coeffs[j][complement[alpha]]
-        ),
-    }
+    ops = tabulate(ctx, ("Q", "Q"), {dst: apply_map("Pi", _op(src, _Lx, _Ly)) for dst, src in firsts.items()})
+    return Algebra(ctx.dims["Q"], signature, ops), ctx.maps["Pi"][0]
 
 
 def _require(a: Algebra, catalog_name: str, message: str) -> None:
@@ -200,6 +196,20 @@ def _require(a: Algebra, catalog_name: str, message: str) -> None:
         raise PreconditionFailure(message, report)
 
 
+def _converse(a: Algebra):
+    """(quotient dendriform algebra by the splitting ideal, its actions on the
+    original space by coset lifts: xbar prec_l y = x prec_vdash y and
+    y prec_r xbar = y prec_dashv x (succ analogues), quotient map)."""
+    ideal = splitting_ideal(a)
+    base, projection = quotient_algebra(a, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform")
+    ctx = _context(a, ideal.subspace)
+    actions = {
+        **tabulate(ctx, ("Q", "A"), {"prec_l": _op("prec_vdash", _Lx, _y), "succ_l": _op("succ_vdash", _Lx, _y)}),
+        **tabulate(ctx, ("A", "Q"), {"prec_r": _op("prec_dashv", _x, _Ly), "succ_r": _op("succ_dashv", _x, _Ly)}),
+    }
+    return base, actions, projection
+
+
 def quadri_to_relative_setup(q: Algebra) -> tuple[Representation, LinearMap]:
     """The converse theorem: from a quadri-dendriform algebra, build the
     quotient dendriform algebra, its representation on the original space,
@@ -207,14 +217,8 @@ def quadri_to_relative_setup(q: Algebra) -> tuple[Representation, LinearMap]:
     if q.signature != "quadri":
         raise SpecError("expected a quadri-dendriform algebra")
     _require(q, "quadri", "input is not a quadri-dendriform algebra")
-    ideal = splitting_ideal(q)
-    base, projection = quotient_algebra(
-        q, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform"
-    )
-    complement = ideal.subspace.complement_indices()
-    actions = _quotient_actions(q, base.dimension, complement)
-    rep = Representation(base, q.dimension, actions)
-    return rep, projection
+    base, actions, projection = _converse(q)
+    return Representation(base, q.dimension, actions), projection
 
 
 def embed_averaging(q: Algebra) -> tuple[Algebra, LinearMap, LinearMap]:
@@ -225,14 +229,8 @@ def embed_averaging(q: Algebra) -> tuple[Algebra, LinearMap, LinearMap]:
     ambient = semidirect(rep, verify=False)
     r, n = rep.base.dimension, q.dimension
     total = r + n
-    matrix = [[0] * total for _ in range(total)]
-    for alpha in range(r):
-        for j in range(n):
-            matrix[alpha][r + j] = projection.matrix[alpha][j]
-    averaging = LinearMap(total, total, matrix)
-    inclusion = LinearMap(
-        n, total, [[1 if i >= r and i - r == j else 0 for j in range(n)] for i in range(total)]
-    )
+    averaging = LinearMap(total, total, [*([0] * r + list(row) for row in projection.matrix), *[[0] * total] * n])
+    inclusion = LinearMap(n, total, [*[[0] * n] * r, *LinearMap.identity(n).matrix])
     return ambient, averaging, inclusion
 
 
@@ -248,11 +246,5 @@ def six_to_homomorphic_setup(s: Algebra) -> tuple[Action, LinearMap]:
         raise QuotientError("target not dendriform: the perp pair fails the dendriform axioms")
     _require(s, "six", "input is not a six-dendriform algebra")
     _require(quadri_part(s), "quadri", "the quadri part is not a quadri-dendriform algebra")
-    ideal = splitting_ideal(s)
-    base, projection = quotient_algebra(
-        s, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform"
-    )
-    complement = ideal.subspace.complement_indices()
-    actions = _quotient_actions(s, base.dimension, complement)
-    act = Action(base, target, actions)
-    return act, projection
+    base, actions, projection = _converse(s)
+    return Action(base, target, actions), projection

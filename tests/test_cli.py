@@ -228,6 +228,19 @@ def test_search_bad_grid(capsys, sample_doc_path):
     assert code == 2
 
 
+def test_search_bad_grid_error_is_short(capsys, sample_doc_path):
+    """A long invalid grid value is echoed as a prefix and its length, not whole."""
+    code, out, err = run(
+        capsys, "search", sample_doc_path, "--object", "poly",
+        "--kind", "rota-baxter", "--grid", "0," + "7" * 5000 + "/0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid rational '777")
+    assert "(5002 characters) in grid" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_byte_identical_reruns(capsys, sample_doc_path, tmp_path):
     outputs = []
     for _ in range(2):

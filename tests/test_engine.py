@@ -138,6 +138,19 @@ def test_operator_scan_matches_reference(data, kind, cap):
     assert_same(report, reference_scan(ctx, _KINDS[kind].groups), cap)
 
 
+def test_empty_schema_matches_reference():
+    """0 = 0 never fails: its reference residual is the empty tuple, and a
+    group that also holds a failing equation reports only that one."""
+    a = Algebra(2, "associative", {"mul": BilinearOp(2, 2, 2, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])})
+    ctx = context_for(a)
+    assert evaluate_schema(equation("e", ("A",), (), ()), ctx, [basis_vector(2, 0)]) == ()
+    groups = [
+        (equation("e", ("A",), (), ()),),
+        (equation("f", ("A", "A"), (), ()), equation("g", ("A", "A"), app("mul", var(0), var(1)), ())),
+    ]
+    assert_same(_scan(ctx, groups, 6), reference_scan(ctx, groups), 6)
+
+
 _x, _y, _z = var(0), var(1), var(2)
 # Proper subterms that are not plain lookups, so the scan tabulates them:
 # T(x * y) and T(x + 2y) read two of three slots, T(T(x)) and T(-y) one of two.

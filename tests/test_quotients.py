@@ -1,14 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitalg.constructions import PreconditionFailure, induced_quadri, induced_six
 from splitalg.identities import QUADRI_TO_DENDRIFORM_COLLAPSE, check
-from splitalg.linalg import basis_vector, span
+from splitalg.linalg import basis_vector, span, vec_sub
 from splitalg.model import (
     SIGNATURE_OPS,
     Algebra,
     BilinearOp,
+    LinearMap,
     SpecError,
     dendriform_to_quadri,
     evaluate,
@@ -32,6 +35,7 @@ from splitalg.quotients import (
 from splitalg.samples import truncated_polynomial_algebra
 
 from conftest import random_quadri
+from test_engine import DIMS, SCALARS, tensors
 
 
 def test_ideal_generated_saturates(poly):
@@ -222,3 +226,143 @@ def test_six_setup_rejects_non_quadri_part():
         six_to_homomorphic_setup(s)
     assert [v.identity for v in exc.value.verdict.violations] == ["quadri.1b"]
     assert exc.value.verdict.violations[0].witness == (0, 0, 1)
+
+
+# ----------------------------------------------------------------------
+# The quotient code against the plain Fraction loops it replaced, on
+# generated raw algebras: products by model.evaluate, membership by
+# Subspace.contains and coset coordinates by Subspace.project.
+
+def reference_products(a, vectors):
+    """((op, vector index, basis index, side), product), in the order of
+    the closure witness."""
+    n = a.dimension
+    for opname in sorted(a.operations):
+        op = a.op(opname)
+        for bi, b in enumerate(vectors):
+            for i in range(n):
+                e = basis_vector(n, i)
+                yield (opname, bi, i, "left"), evaluate(op, b, e)
+                yield (opname, bi, i, "right"), evaluate(op, e, b)
+
+
+def reference_closure_witness(a, sub):
+    for witness, product in reference_products(a, sub.basis):
+        if not sub.contains(product):
+            return witness
+    return None
+
+
+def reference_ideal_generated(a, generators):
+    n = a.dimension
+    current = span(list(generators), n)
+    while True:
+        bigger = span([*current.basis, *(p for _, p in reference_products(a, current.basis))], n)
+        if bigger.dim == current.dim:
+            return current
+        current = bigger
+
+
+def reference_quotient(a, sub, collapse, signature):
+    witness = reference_closure_witness(a, sub)
+    if witness is not None:
+        raise QuotientError(
+            f"not an ideal: operation {witness[0]!r} escapes the subspace "
+            f"at ideal basis {witness[1]}, ambient basis {witness[2]} ({witness[3]})",
+            witness,
+        )
+    n = a.dimension
+    complement = sub.complement_indices()
+    qdim = len(complement)
+    preimages = {}
+    for src, dst in collapse.items():
+        preimages.setdefault(dst, []).append(src)
+    for dst, srcs in sorted(preimages.items()):
+        srcs = sorted(srcs)
+        first = a.op(srcs[0])
+        for other_name in srcs[1:]:
+            other = a.op(other_name)
+            for i in range(n):
+                for j in range(n):
+                    if not sub.contains(vec_sub(first.coeffs[i][j], other.coeffs[i][j])):
+                        raise QuotientError(
+                            f"ill-defined collapse: {srcs[0]!r} and {other_name!r} "
+                            f"disagree modulo the ideal at basis pair ({i}, {j})",
+                            (srcs[0], other_name, i, j),
+                        )
+
+    def quotient_op(op):
+        return BilinearOp.build(
+            qdim, qdim, qdim, lambda al, be: sub.project(op.coeffs[complement[al]][complement[be]])
+        )
+
+    ops = {dst: quotient_op(a.op(sorted(srcs)[0])) for dst, srcs in preimages.items()}
+    projection = LinearMap(
+        n, qdim, [[sub.project(basis_vector(n, j))[al] for j in range(n)] for al in range(qdim)]
+    )
+    return Algebra(qdim, signature, ops), projection
+
+
+# "var" and "map" are term-syntax words; a raw algebra may still use them.
+OP_NAMES = st.lists(st.sampled_from(["mul", "var", "map", "b"]), min_size=1, max_size=2, unique=True)
+
+
+@st.composite
+def raw_algebras(draw):
+    """Half of them graded: e_i * e_j lies in the span of the e_k with
+    k > max(i, j), so that proper non-zero ideals are common."""
+    n, graded = draw(DIMS), draw(st.booleans())
+    ops = {}
+    for name in draw(OP_NAMES):
+        coeffs = draw(tensors(n, n, n)).coeffs
+        ops[name] = BilinearOp(n, n, n, [[[c if k > max(i, j) or not graded else 0 for k, c in enumerate(v)]
+                                          for j, v in enumerate(row)] for i, row in enumerate(coeffs)])
+    return Algebra(n, "raw", ops)
+
+
+@st.composite
+def subspaces(draw, n):
+    """Vectors spanning the zero space, the whole space, the last k basis
+    vectors (0 < k < n when n > 1) or one to three random vectors."""
+    return draw(st.one_of(
+        st.just([]),
+        st.just([basis_vector(n, i) for i in range(n)]),
+        st.integers(1, max(1, n - 1)).map(lambda k: [basis_vector(n, i) for i in range(k, n)]),
+        st.lists(st.lists(SCALARS, min_size=n, max_size=n).map(tuple), min_size=1, max_size=3),
+    ))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), a=raw_algebras())
+def test_closure_and_ideal_match_reference(data, a):
+    vectors = data.draw(subspaces(a.dimension))
+    sub = span(vectors, a.dimension)
+    assert Ideal(a, sub).closure_witness() == reference_closure_witness(a, sub)
+    ideal = ideal_generated(a, vectors)
+    assert ideal.subspace == reference_ideal_generated(a, vectors)
+    assert ideal.is_closed()
+
+
+def outcome(build):
+    """(quotient tensors in order, projection), or the error and witness."""
+    try:
+        q, projection = build()
+    except QuotientError as e:
+        return str(e), e.witness
+    return q.dimension, q.signature, list(q.operations.items()), projection
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), a=raw_algebras(), saturate=st.booleans())
+def test_quotient_matches_reference(data, a, saturate):
+    """Tensors and projection are equal, or both refuse with the same
+    message and witness (not an ideal, or an ill-defined collapse)."""
+    vectors = data.draw(subspaces(a.dimension))
+    sub = ideal_generated(a, vectors).subspace if saturate else span(vectors, a.dimension)
+    names = sorted(a.operations)
+    collapse = dict(zip(names, data.draw(st.lists(st.sampled_from(["m", "p"]), min_size=len(names),
+                                                  max_size=len(names)))))
+    if data.draw(st.booleans()):  # drop an operation from the pairing
+        collapse.pop(names[-1])
+    got = outcome(lambda: quotient_algebra(a, Ideal(a, sub), collapse))
+    assert got == outcome(lambda: reference_quotient(a, sub, collapse, "raw"))
