@@ -105,7 +105,7 @@ class ViolationReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.truncated
 
     def to_dict(self) -> dict:
         d = {} if self.kind is None else {"kind": self.kind}
@@ -555,29 +555,26 @@ def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vec
 # ----------------------------------------------------------------------
 # The scan
 #
-# A check compiles each distinct subterm (keyed by the term and the slot
-# sorts of its group) once, into a function of the basis tuple bound to the
-# context's tensors.  A subterm reading fewer slots than its group has is
-# tabulated over the slots it reads; an operation on two basis leaves and a
-# map on a basis leaf need no table, as they look up structure constants
-# and columns.  Terms reading every slot are evaluated per tuple and
-# dropped.  The scan goes group by group and, inside a group, tuple-major:
-# at each basis tuple (lexicographic order), every equation of the group.
+# A program compiles schema groups once against a context's signature (its
+# operation and map names with their sorts, and the dimension of each
+# sort): each distinct subterm, keyed by the term and the slot sorts of its
+# group, becomes a node whose binder reads the context's current tensors
+# and returns a function of the basis tuple.  So an operator search compiles
+# its kind once and binds each candidate map.  A subterm reading fewer slots
+# than its group has is tabulated at bind over the slots it reads; an
+# operation on two basis leaves and a map on a basis leaf look up structure
+# constants and columns.  Terms reading every slot are evaluated per tuple.
+# The scan goes group by group and, inside a group, tuple-major: at each
+# basis tuple (lexicographic order), every equation of the group.
 #
-# All of it runs on Python ints.  Each tensor and map is scaled once per
-# check by D, the lcm of the denominators of its non-zero entries; basis
-# leaves are 0/1 ints.  A compiled term carries its scale s, the product of
-# the scales of its nodes, and its value is the true value times s.  An
-# equation (or a map argument) brings its terms to one scale S, the lcm of
-# their scales times the lcm of the denominators of their coefficients, so
-# a residual r is exactly zero iff r is, and its true value is r / S.
-
-
-def _clear(vectors) -> tuple[int, list[tuple[int, ...]]]:
-    """(D, each vector times D as ints): D is the lcm of the denominators
-    of the non-zero entries."""
-    d = math.lcm(*(c.denominator for v in vectors for c in v if c))
-    return d, [tuple(c.numerator * (d // c.denominator) for c in v) for v in vectors]
+# All of it runs on Python ints.  Each tensor and map is scaled by D, the
+# lcm of the denominators of its non-zero entries, once in its lifetime (its
+# integer_form); basis leaves are 0/1 ints.  A bound node carries its scale
+# s, the product of the scales of its nodes, and its value is the true value
+# times s.  An equation (or a map argument) brings its terms to one scale S,
+# the lcm of their scales times the lcm of the denominators of their
+# coefficients, so a residual r is exactly zero iff r is, and its true value
+# is r / S.  Scales are worked out at every bind, as D changes with T.
 
 
 def _common_scale(pairs) -> tuple[int, list[int]]:
@@ -626,62 +623,6 @@ def _image(columns, out_dim: int, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sparse(vectors):
-    return [[(k, c) for k, c in enumerate(v) if c] for v in vectors]
-
-
-def _compile(term: Term, sorts: tuple[str, ...], ctx: OpContext, memo: dict):
-    """(function of the basis tuple, output sort, slots read, slot if the
-    term is a variable leaf, scale) for a term in a group with these slot
-    sorts.  The function returns the term's value times its scale, in ints."""
-    key = (term, sorts)
-    if key in memo:
-        return memo[key]
-    if term[0] == "var":
-        s, dim = term[1], ctx.dims[sorts[term[1]]]
-        basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-        memo[key] = (lambda idx: basis[idx[s]]), sorts[s], (s,), s, 1
-        return memo[key]
-    if term[0] == "map":
-        m, source, out_sort = ctx.resolve_map(term[1])
-        args = [(c, _compile(t, sorts, ctx, memo)) for c, t in term[2]]
-        if any(arg[1] != source for _, arg in args):
-            raise SpecError(f"map {term[1]!r} applied to an argument of the wrong sort")
-        if ("map", term[1]) not in memo:  # the columns, scaled once per check
-            memo["map", term[1]] = _clear([m.column(j) for j in range(m.source_dim)])
-        d, columns = memo["map", term[1]]
-        if len(args) == 1 and args[0][0] == 1 and args[0][1][3] is not None:
-            fn, scale, lookup = (lambda idx, s=args[0][1][3]: columns[idx[s]]), d, True
-        else:
-            sparse = _sparse(columns)
-            arg_scale, coefs = _common_scale([(c, arg[4]) for c, arg in args])
-            terms = [(c, arg[0]) for c, (_, arg) in zip(coefs, args)]
-            fn = lambda idx: _image(sparse, m.target_dim, _lincomb((c, f(idx)) for c, f in terms))
-            scale, lookup = d * arg_scale, False
-        children = [arg for _, arg in args]
-    else:
-        op, ls, rs, out_sort = ctx.resolve(term[0])
-        children = [_compile(term[1], sorts, ctx, memo), _compile(term[2], sorts, ctx, memo)]
-        (lf, lsort, _, a, lscale), (rf, rsort, _, b, rscale) = children
-        if (lsort, rsort) != (ls, rs):
-            raise SpecError(f"operation {term[0]!r} applied to arguments of the wrong sort")
-        if ("op", term[0]) not in memo:  # the structure constants, scaled once per check
-            d, flat = _clear([v for row in op.coeffs for v in row])
-            rows = [flat[i * op.right_dim:(i + 1) * op.right_dim] for i in range(op.left_dim)]
-            memo["op", term[0]] = d, rows, [_sparse(row) for row in rows]
-        d, coeffs, cells = memo["op", term[0]]
-        scale, lookup = d * lscale * rscale, a is not None and b is not None
-        if lookup:
-            fn = lambda idx: coeffs[idx[a]][idx[b]]
-        else:
-            fn = lambda idx: _product(cells, op.out_dim, lf(idx), rf(idx))
-    slots = tuple(sorted({s for child in children for s in child[2]}))
-    if not lookup and len(slots) < len(sorts):
-        fn = _tabulate(fn, slots, [ctx.dims[sorts[s]] for s in slots])
-    memo[key] = fn, out_sort, slots, None, scale
-    return memo[key]
-
-
 def _tabulate(fn, slots: tuple[int, ...], dims: list[int]):
     """Evaluate fn once per assignment of the slots it reads; the result
     looks the value up."""
@@ -694,16 +635,138 @@ def _tabulate(fn, slots: tuple[int, ...], dims: list[int]):
     return lambda idx: table[tuple(idx[s] for s in slots)]
 
 
+class _Program:
+    """Schema groups (and terms) compiled against the signature of a
+    context; `violations` binds the context's current tensors and scans."""
+
+    def __init__(self, ctx: OpContext, groups=()):
+        self.ctx = ctx
+        # per node, children first: (binder (fns, scales) -> (fn, scale),
+        # (slots, dims) to tabulate the bound function over, or None)
+        self.binders: list = []
+        self._memo: dict = {}
+        # (slot sorts, nodes bound before the group runs, top nodes,
+        # [(equation id, [(coefficient, top position)])])
+        self.groups = [self._group(group) for group in groups]
+
+    def _group(self, group):
+        sorts = group[0].slot_sorts
+        tops: dict[int, int] = {}  # node -> position in the values of a tuple
+        equations = []
+        for schema in group:
+            if schema.slot_sorts != sorts:
+                raise SpecError("the schemas of a group must share their slot sorts")
+            coefs: dict[int, Fraction] = {}
+            out_sorts = set()
+            for sign, side in ((1, schema.lhs), (-1, schema.rhs)):
+                for c, term in side:
+                    node, out_sort, _, _ = self.compile(term, sorts)
+                    out_sorts.add(out_sort)
+                    top = tops.setdefault(node, len(tops))
+                    coefs[top] = coefs.get(top, 0) + sign * c
+            if len(out_sorts) > 1:
+                raise SpecError(f"schema {schema.id!r} equates terms of different sorts")
+            equations.append((schema.id, [(c, top) for top, c in coefs.items() if c]))
+        return sorts, len(self.binders), list(tops), equations
+
+    def compile(self, term: Term, sorts: tuple[str, ...]):
+        """(node, output sort, slots read, slot if the term is a variable
+        leaf) for a term in a group with these slot sorts."""
+        key = (term, sorts)
+        if key not in self._memo:
+            binder, table, *compiled = self._compile(term, sorts)
+            self.binders.append((binder, table))
+            self._memo[key] = (len(self.binders) - 1, *compiled)
+        return self._memo[key]
+
+    def _compile(self, term: Term, sorts: tuple[str, ...]):
+        """(binder, table, output sort, slots read, leaf slot) of a new node."""
+        ctx = self.ctx
+        if term[0] == "var":
+            s, dim = term[1], ctx.dims[sorts[term[1]]]
+            basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+            fn = lambda idx: basis[idx[s]]
+            return (lambda fns, scales: (fn, 1)), None, sorts[s], (s,), s
+        if term[0] == "map":
+            name = term[1]
+            _, source, out_sort = ctx.resolve_map(name)
+            children = [self.compile(t, sorts) for _, t in term[2]]
+            if any(child[1] != source for child in children):
+                raise SpecError(f"map {name!r} applied to an argument of the wrong sort")
+            coefs, nodes = [c for c, _ in term[2]], [child[0] for child in children]
+            leaf = children[0][3] if len(children) == 1 and coefs[0] == 1 else None
+            lookup = leaf is not None
+
+            def bind(fns, scales):
+                m = ctx.maps[name][0]
+                d, columns, sparse = m.integer_form
+                if lookup:
+                    return (lambda idx: columns[idx[leaf]]), d
+                arg_scale, ints = _common_scale([(c, scales[n]) for c, n in zip(coefs, nodes)])
+                terms = [(c, fns[n]) for c, n in zip(ints, nodes)]
+                return (lambda idx: _image(sparse, m.target_dim, _lincomb((c, f(idx)) for c, f in terms))), d * arg_scale
+        else:
+            name = term[0]
+            _, ls, rs, out_sort = ctx.resolve(name)
+            children = [self.compile(term[1], sorts), self.compile(term[2], sorts)]
+            (left, lsort, _, a), (right, rsort, _, b) = children
+            if (lsort, rsort) != (ls, rs):
+                raise SpecError(f"operation {name!r} applied to arguments of the wrong sort")
+            lookup = a is not None and b is not None
+
+            def bind(fns, scales):
+                op = ctx.ops[name][0]
+                d, rows, cells = op.integer_form
+                scale = d * scales[left] * scales[right]
+                if lookup:
+                    return (lambda idx: rows[idx[a]][idx[b]]), scale
+                lf, rf = fns[left], fns[right]
+                return (lambda idx: _product(cells, op.out_dim, lf(idx), rf(idx))), scale
+        slots = tuple(sorted({s for child in children for s in child[2]}))
+        table = None if lookup or len(slots) == len(sorts) else (slots, [ctx.dims[sorts[s]] for s in slots])
+        return bind, table, out_sort, slots, None
+
+    def bind(self, fns: list, scales: list, end: int | None = None) -> None:
+        """Extend fns and scales, each node's function of the basis tuple
+        (its value times its scale, in ints) and its scale, to the first
+        `end` nodes, on the context's current tensors."""
+        for binder, table in self.binders[len(fns):end]:
+            fn, scale = binder(fns, scales)
+            fns.append(fn if table is None else _tabulate(fn, *table))
+            scales.append(scale)
+
+    def violations(self):
+        """(equation id, basis tuple, residual ints, scale) of each non-zero
+        residual in scan order, lazily: a caller that needs only the first
+        binds and evaluates no further."""
+        fns, scales = [], []
+        for sorts, end, tops, equations in self.groups:
+            self.bind(fns, scales, end)
+            values_of = [fns[n] for n in tops]
+            bound = []
+            for eqid, terms in equations:
+                scale, ints = _common_scale([(c, scales[tops[p]]) for c, p in terms])
+                bound.append((eqid, scale, [(c, p) for c, (_, p) in zip(ints, terms)]))
+            for idx in itertools.product(*(range(self.ctx.dims[s]) for s in sorts)):
+                values = [f(idx) for f in values_of]
+                for eqid, scale, signed in bound:
+                    residual = _lincomb((c, values[p]) for c, p in signed)
+                    if residual is not None and any(residual):
+                        yield eqid, idx, residual, scale
+
+
 def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term]) -> dict[str, BilinearOp]:
     """Each term of the table, in two slots of these sorts, as the bilinear
     operation of its values on the basis pairs; compiled as the scan
-    compiles it, with one memo for the whole table."""
-    memo: dict = {}
-    sorts = tuple(sorts)
+    compiles it, in one program for the whole table."""
+    program, sorts = _Program(ctx), tuple(sorts)
     left, right = (ctx.dims[s] for s in sorts)
+    compiled = {name: program.compile(term, sorts) for name, term in table.items()}
+    fns, scales = [], []
+    program.bind(fns, scales)
     ops = {}
-    for name, term in table.items():
-        fn, out_sort, _, _, scale = _compile(term, sorts, ctx, memo)
+    for name, (node, out_sort, _, _) in compiled.items():
+        fn, scale = fns[node], scales[node]
         rows = [[tuple(Fraction(a, scale) for a in fn((i, j))) for j in range(right)] for i in range(left)]
         ops[name] = BilinearOp(left, right, ctx.dims[out_sort], rows)
     return ops
@@ -713,44 +776,15 @@ def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) 
     """Evaluate every equation of every group on every basis tuple of its
     slot sorts; collect the non-zero residuals up to the cap.  The schemas
     of a group share their slot sorts."""
-    memo: dict = {}
-    compiled = []
-    for group in groups:
-        sorts = group[0].slot_sorts
-        tops: dict = {}  # function -> (position in the values of a tuple, scale)
-        equations = []
-        for schema in group:
-            if schema.slot_sorts != sorts:
-                raise SpecError("the schemas of a group must share their slot sorts")
-            coefs: dict[int, Fraction] = {}
-            out_sorts = set()
-            for sign, side in ((1, schema.lhs), (-1, schema.rhs)):
-                for c, term in side:
-                    fn, out_sort, _, _, scale = _compile(term, sorts, ctx, memo)
-                    out_sorts.add(out_sort)
-                    top = tops.setdefault(fn, (len(tops), scale))
-                    coefs[top] = coefs.get(top, 0) + sign * c
-            if len(out_sorts) > 1:
-                raise SpecError(f"schema {schema.id!r} equates terms of different sorts")
-            terms = [(top, c) for top, c in coefs.items() if c]
-            scale, ints = _common_scale([(c, s) for (_, s), c in terms])
-            equations.append((schema.id, scale, [(c, p) for c, ((p, _), _) in zip(ints, terms)]))
-        compiled.append((sorts, list(tops), equations))
-    checked = 0
+    program = _Program(ctx, groups)
+    checked = sum(len(eqs) * math.prod(ctx.dims[s] for s in sorts) for sorts, _, _, eqs in program.groups)
     violations: list[Violation] = []
     truncated = False
-    for sorts, tops, equations in compiled:
-        ranges = [range(ctx.dims[s]) for s in sorts]
-        checked += len(equations) * math.prod(map(len, ranges))
-        for idx in itertools.product(*ranges):
-            values = [f(idx) for f in tops]
-            for eqid, scale, signed in equations:
-                residual = _lincomb((c, values[p]) for c, p in signed)
-                if residual is not None and any(residual):
-                    if len(violations) < max_violations:
-                        violations.append(Violation(eqid, idx, tuple(Fraction(r, scale) for r in residual)))
-                    else:
-                        truncated = True
+    for eqid, idx, residual, scale in program.violations():
+        if len(violations) < max_violations:
+            violations.append(Violation(eqid, idx, tuple(Fraction(r, scale) for r in residual)))
+        else:
+            truncated = True
     return ViolationReport(checked, violations, truncated, kind)
 
 

@@ -7,7 +7,9 @@ All values are immutable; every constructor validates its invariants.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -45,6 +47,14 @@ ACTION_OPS = ("prec_l", "succ_l", "prec_r", "succ_r")
 
 class SpecError(ValueError):
     """Invalid object construction (bad dimensions, missing operations)."""
+
+
+def _clear(vectors) -> tuple[int, list[tuple[int, ...]], list[list[tuple[int, int]]]]:
+    """(D, each vector times D as ints, the non-zero (k, c) of each): D is
+    the lcm of the denominators of the non-zero entries."""
+    d = math.lcm(*(c.denominator for v in vectors for c in v if c))
+    ints = [tuple(c.numerator * (d // c.denominator) for c in v) for v in vectors]
+    return d, ints, [[(k, c) for k, c in enumerate(v) if c] for v in ints]
 
 
 class BilinearOp:
@@ -110,6 +120,14 @@ class BilinearOp:
 
     def is_zero(self) -> bool:
         return all(all(e == 0 for e in v) for row in self.coeffs for v in row)
+
+    @cached_property
+    def integer_form(self) -> tuple[int, list, list]:
+        """(D, rows, cells), computed once: rows[i][j] is D * (e_i * e_j) as
+        ints and cells[i][j] its non-zero (k, c), for D as in _clear."""
+        d, flat, sparse = _clear([v for row in self.coeffs for v in row])
+        rows = lambda vs: [vs[i * self.right_dim:(i + 1) * self.right_dim] for i in range(self.left_dim)]
+        return d, rows(flat), rows(sparse)
 
 
 def evaluate(op: BilinearOp, x: Vector, y: Vector) -> Vector:
@@ -183,6 +201,12 @@ class LinearMap:
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.matrix)
+
+    @cached_property
+    def integer_form(self) -> tuple[int, list, list]:
+        """(D, columns, sparse columns), computed once: D times each column
+        as ints and its non-zero (k, c), for D as in _clear."""
+        return _clear([self.column(j) for j in range(self.source_dim)])
 
     def rank(self) -> int:
         from .linalg import span

@@ -16,6 +16,7 @@ from .identities import (
     IdentitySchema,
     OpContext,
     ViolationReport,
+    _Program,
     _scan,
     app,
     apply_map,
@@ -24,6 +25,7 @@ from .identities import (
     expr,
     var,
 )
+from .documents import short_repr
 from .linalg import span
 from .model import (
     Action,
@@ -225,8 +227,15 @@ def search_operators(
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> list[LinearMap]:
     """All matrices with entries from the grid passing the requested check,
-    enumerated in lexicographic (row-major) matrix order."""
+    enumerated in lexicographic (row-major) matrix order.  The kind is
+    compiled once; each candidate binds the map T again and stops at its
+    first violation."""
     source_dim, target_dim = operator_map_shape(subject, kind)
+    seen = set()
+    for value in grid:
+        if value in seen:
+            raise SpecError(f"grid repeats the value {short_repr(str(value))}")
+        seen.add(value)
     cells = source_dim * target_dim
     total = len(grid) ** cells
     if total > cap:
@@ -234,12 +243,15 @@ def search_operators(
             f"{len(grid)}^{cells} = {total} candidates exceed the cap {cap}; "
             "shrink the grid or the dimensions"
         )
+    ctx = _with_map(_context(subject, kind), kind, LinearMap.zero(source_dim, target_dim))
+    program = _Program(ctx, _KINDS[kind].groups)
     passing = []
     for combo in itertools.product(grid, repeat=cells):
         matrix = [
             combo[i * source_dim : (i + 1) * source_dim] for i in range(target_dim)
         ]
         candidate = LinearMap(source_dim, target_dim, matrix)
-        if check_operator(subject, kind, candidate, max_violations=1).ok:
+        _with_map(ctx, kind, candidate)
+        if next(program.violations(), None) is None:
             passing.append(candidate)
     return passing

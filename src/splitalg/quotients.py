@@ -15,7 +15,7 @@ from .constructions import PreconditionFailure, semidirect
 from .identities import (
     QUADRI_TO_DENDRIFORM_COLLAPSE,
     OpContext,
-    _scan,
+    _Program,
     app,
     apply_map,
     check,
@@ -81,8 +81,8 @@ def _first(ctx: OpContext, sorts, groups):
     labels = [label for group in groups for label, _, _ in group]
     ids = map(str, itertools.count())
     schemas = [tuple(equation(next(ids), sorts, lhs, rhs) for _, lhs, rhs in group) for group in groups]
-    for v in _scan(ctx, schemas, 1).violations:
-        return labels[int(v.identity)], v.witness
+    for eqid, witness, _, _ in _Program(ctx, schemas).violations():
+        return labels[int(eqid)], witness
     return None
 
 

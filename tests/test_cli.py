@@ -340,3 +340,14 @@ def test_check_signature_not_a_string(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path), "--object", "a", "--catalog", "dendriform")
     assert code == 2
     assert err == "error: unknown signature [] at $.algebras.a.signature\n"
+
+
+def test_search_repeated_grid_value(capsys, sample_doc_path):
+    """1/2 and 2/4 are one value: the grid is refused, not searched twice."""
+    code, out, err = run(
+        capsys, "search", sample_doc_path, "--object", "poly",
+        "--kind", "rota-baxter", "--grid", "0,1/2,2/4",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: grid repeats the value '1/2'\n"

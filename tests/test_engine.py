@@ -4,6 +4,7 @@ maps: same count, same witnesses in the same order, same residuals and the
 same truncation."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -27,9 +28,15 @@ from splitalg.identities import (
     tabulate,
     var,
 )
+from splitalg import model
+from splitalg.constructions import hemisemidirect
 from splitalg.linalg import basis_vector, is_zero
-from splitalg.model import Action, Algebra, BilinearOp, LinearMap, Representation, SIGNATURE_OPS
-from splitalg.operators import OPERATOR_KINDS, _KINDS, check_operator, operator_map_shape
+from splitalg.model import Action, Algebra, BilinearOp, LinearMap, Representation, SIGNATURE_OPS, adjoint_representation
+from splitalg.operators import OPERATOR_KINDS, _KINDS, check_operator, operator_map_shape, search_operators
+from splitalg.quotients import quadri_to_relative_setup
+from splitalg.samples import truncated_polynomial_dendriform
+
+from conftest import random_quadri
 
 SCALARS = st.sampled_from([Fraction(k) for k in (-2, -1, 0, 0, 0, 0, 1, 1, 2)] + [Fraction(1, 2)])
 DIMS = st.integers(1, 3)
@@ -345,3 +352,83 @@ def test_wide_tabulate_matches_reference(ctx, table):
             value = _eval_expr(expr(term), schema, ctx, (basis_vector(n, i), basis_vector(n, j)))[0]
             assert ops[name].coeffs[i][j] == value
             assert all(type(e) is Fraction for e in ops[name].coeffs[i][j])
+
+
+# ----------------------------------------------------------------------
+# Operator search compiles its kind once and binds each candidate map in
+# turn, stopping at the first violation; grids mixing integers and
+# non-integers change the map's denominators, so its scale, from one
+# candidate to the next.
+
+SEARCH_GRID = st.lists(st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(0)]),
+                       min_size=1, max_size=3, unique=True)
+SMALL = st.integers(1, 2)
+
+
+@st.composite
+def small_subjects(draw, kind):
+    n, m = draw(SMALL), draw(SMALL)
+    if kind in ("rota_baxter", "assoc_averaging"):
+        return draw(algebras("associative", n))
+    base = draw(algebras("dendriform", n))
+    if kind == "dend_averaging":
+        return base
+    tensors = draw(action_tensors(n, m))
+    if kind == "relative_averaging" and draw(st.booleans()):
+        return Representation(base, m, tensors)
+    return Action(base, draw(algebras("dendriform", m)), tensors)
+
+
+def reference_search(subject, kind, grid):
+    """The candidates, in row-major grid order, that check_operator passes."""
+    source, target = operator_map_shape(subject, kind)
+    hits = []
+    for combo in itertools.product(grid, repeat=source * target):
+        t = LinearMap(source, target, [combo[i * source:(i + 1) * source] for i in range(target)])
+        if check_operator(subject, kind, t).ok:
+            hits.append(t)
+    return hits
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(OPERATOR_KINDS), grid=SEARCH_GRID)
+def test_search_matches_reference(data, kind, grid):
+    subject = data.draw(small_subjects(kind))
+    assert search_operators(subject, kind, grid) == reference_search(subject, kind, grid)
+
+
+def test_search_rescales_each_candidate():
+    """T(u prec_t v) = Tu prec Tv has one factor T on the left and two on
+    the right, so a scale kept from the candidate -1 would fail 1/2, the
+    one hit: here base prec = 2, target prec_t = 1, prec_l = prec_r = 2."""
+    one = lambda k: BilinearOp(1, 1, 1, [[[k]]])
+    base = Algebra(1, "dendriform", {"prec": one(2), "succ": one(0)})
+    target = Algebra(1, "dendriform", {"prec": one(1), "succ": one(0)})
+    act = Action(base, target, {"prec_l": one(2), "prec_r": one(2), "succ_l": one(0), "succ_r": one(0)})
+    grid = [Fraction(-1), Fraction(1, 2), Fraction(3)]
+    hits = search_operators(act, "homomorphic_relative", grid)
+    assert hits == reference_search(act, "homomorphic_relative", grid) == [LinearMap(1, 1, [[Fraction(1, 2)]])]
+
+
+# ----------------------------------------------------------------------
+# Integer forms are cached on the tensors: each is cleared once.
+
+def test_each_tensor_is_cleared_once(monkeypatch):
+    cleared = []  # the owners, kept alive so that their ids stay distinct
+    clear = model._clear
+
+    def recording(vectors):
+        cleared.append(sys._getframe(1).f_locals["self"])
+        return clear(vectors)
+
+    monkeypatch.setattr(model, "_clear", recording)
+    quadri_to_relative_setup(hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(3))))
+    assert cleared
+    assert len({id(t) for t in cleared}) == len(cleared)
+
+    a = random_quadri(1)
+    del cleared[:]
+    check(a, "quadri")
+    assert len(cleared) == len(a.operations)
+    check(a, "quadri")
+    assert len(cleared) == len(a.operations)

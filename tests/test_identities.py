@@ -22,6 +22,8 @@ from splitalg.model import (
 )
 from splitalg.samples import one_dim_dendriform, zero_algebra
 
+from conftest import random_quadri
+
 
 EXPECTED_SIZES = {
     "associative": 1,
@@ -138,3 +140,10 @@ def test_morphism_check(dend):
     assert check_morphism(LinearMap.identity(n), dend, dend, pairing).ok
     assert check_morphism(LinearMap.zero(n, n), dend, dend, pairing).ok
     assert not check_morphism(LinearMap.scalar(n, 2), dend, dend, pairing).ok
+
+
+def test_truncated_report_is_not_ok():
+    """A cap of 0 keeps no witness, but the check still fails."""
+    report = check(random_quadri(1), "quadri", max_violations=0)
+    assert report.truncated and not report.violations
+    assert not report.ok

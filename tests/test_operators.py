@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from splitalg.operators import (
     operator_map_shape,
     search_operators,
 )
-from splitalg.samples import one_dim_dendriform, truncated_polynomial_dendriform
+from splitalg.samples import one_dim_dendriform, truncated_polynomial_algebra, truncated_polynomial_dendriform
 
 from conftest import shift_map
 
@@ -150,3 +152,28 @@ def test_graph_check_on_an_action(matrix):
     graph, direct = graph_subalgebra_check(act, t), check_relative_averaging(act, t)
     assert graph.ok == direct.ok
     assert graph.checked == direct.checked == 36
+
+
+def test_truncated_operator_report_is_not_ok():
+    """A report whose cap dropped every violation still fails."""
+    verdict = check_operator(truncated_polynomial_algebra(2), "rota_baxter", LinearMap.identity(2), max_violations=0)
+    assert verdict.truncated and not verdict.violations
+    assert not verdict.ok
+    assert verdict.render().splitlines()[0] == "rota_baxter: FAIL (4 instance(s) checked)"
+
+
+@pytest.mark.parametrize("grid", [[0, 0, 1], [Fraction(1, 2), Fraction(0), Fraction(2, 4)]])
+def test_search_refuses_repeated_grid_values(grid):
+    with pytest.raises(SpecError, match="grid repeats the value '(0|1/2)'"):
+        search_operators(truncated_polynomial_algebra(2), "rota_baxter", grid)
+
+
+def test_search_degree_three_dend_averaging():
+    """The full 3^9 grid on the degree-3 truncated polynomials: the hit list
+    recorded before the search compiled its kind once."""
+    maps = search_operators(truncated_polynomial_dendriform(3), "dend_averaging", [Fraction(k) for k in (-1, 0, 1)])
+    rendered = json.dumps([[[str(e) for e in row] for row in m.matrix] for m in maps])
+    assert len(maps) == 891
+    assert hashlib.sha256(rendered.encode()).hexdigest() == (
+        "ae49a1f7066f1c004721e3f28bafae2886accb024a58e0beb0565b6e60ab4804"
+    )
