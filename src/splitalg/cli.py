@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -358,10 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_grid(argv: list[str]) -> list[str]:
+    """`--grid -1,0,1` as `--grid=-1,0,1`: argparse takes a separate value
+    that starts with '-' and is not a plain number for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_grid(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as e:
         # argparse exits with 2 on usage errors already
         return int(e.code or 0)

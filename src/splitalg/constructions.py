@@ -60,20 +60,16 @@ def _require_signature(a: Algebra, *signatures: str) -> None:
         )
 
 
-def _verify_rep(rep: Representation) -> None:
-    report = check(rep, "dend-representation")
+def _require(report: ViolationReport, message: str) -> None:
+    """Refuse an input whose hypothesis check failed, with that verdict."""
     if not report.ok:
-        raise PreconditionFailure("input is not a representation", report)
+        raise PreconditionFailure(message, report)
 
 
 def _verify_action(act: Action) -> None:
     for alg, which in ((act.base, "base"), (act.target, "target")):
-        report = check(alg, "dendriform")
-        if not report.ok:
-            raise PreconditionFailure(f"{which} algebra is not dendriform", report)
-    report = check(act, "dend-action")
-    if not report.ok:
-        raise PreconditionFailure("input is not an action", report)
+        _require(check(alg, "dendriform"), f"{which} algebra is not dendriform")
+    _require(check(act, "dend-action"), "input is not an action")
 
 
 def _blocks(shape: tuple[int, int, int], *placements) -> BilinearOp:
@@ -103,7 +99,7 @@ def semidirect(rep: Representation, verify: bool = True) -> Algebra:
     (x,u) prec (y,v) = (x prec y, x prec_l v + u prec_r y), same shape for succ.
     """
     if verify:
-        _verify_rep(rep)
+        _require(check(rep, "dend-representation"), "input is not a representation")
     shape = (rep.base.dimension + rep.module_dim,) * 3
     ops = {op: _blocks(shape, *_module_blocks(rep, op)) for op in ("prec", "succ")}
     return Algebra(shape[0], "dendriform", ops)
@@ -114,7 +110,7 @@ def hemisemidirect(rep: Representation, verify: bool = True) -> Algebra:
     keeps the base product and only a one-sided action:
     (x,u) prec_vdash (y,v) = (x prec y, x prec_l v), and so on."""
     if verify:
-        _verify_rep(rep)
+        _require(check(rep, "dend-representation"), "input is not a representation")
     shape = (rep.base.dimension + rep.module_dim,) * 3
     blocks = {op: _module_blocks(rep, op) for op in ("prec", "succ")}
     ops = {f"{op}_vdash": _blocks(shape, base, left) for op, (base, left, _) in blocks.items()}
@@ -131,7 +127,7 @@ def action_semidirect(act: Action, verify: bool = True) -> Algebra:
     n = act.base.dimension
     shape = (n + act.target.dimension,) * 3
     ops = {
-        op: _blocks(shape, *_module_blocks(act.representation, op), (act.target.op(op), n, n, n))
+        op: _blocks(shape, *_module_blocks(act, op), (act.target.op(op), n, n, n))
         for op in ("prec", "succ")
     }
     return Algebra(shape[0], "dendriform", ops)
@@ -181,9 +177,7 @@ def aguiar_dendriform(assoc: Algebra, r: LinearMap) -> Algebra:
     """Dendriform structure from a Rota-Baxter operator:
     a prec b = mu(a, Rb), a succ b = mu(Ra, b)."""
     _require_signature(assoc, "associative")
-    verdict = check_rota_baxter(assoc, r)
-    if not verdict.ok:
-        raise PreconditionFailure("map is not a Rota-Baxter operator", verdict)
+    _require(check_rota_baxter(assoc, r), "map is not a Rota-Baxter operator")
     ops = _twisted(assoc, r, "A", {"prec": app("mul", _x, _Ty), "succ": app("mul", _Tx, _y)})
     return Algebra(assoc.dimension, "dendriform", ops, assoc.basis_labels)
 
@@ -192,9 +186,7 @@ def aguiar_diassociative(assoc: Algebra, h: LinearMap) -> Algebra:
     """Di-associative structure from an averaging operator:
     a dashv b = mu(a, Hb), a vdash b = mu(Ha, b)."""
     _require_signature(assoc, "associative")
-    verdict = check_assoc_averaging(assoc, h)
-    if not verdict.ok:
-        raise PreconditionFailure("map is not an averaging operator", verdict)
+    _require(check_assoc_averaging(assoc, h), "map is not an averaging operator")
     ops = _twisted(assoc, h, "A", {"dashv": app("mul", _x, _Ty), "vdash": app("mul", _Tx, _y)})
     return Algebra(assoc.dimension, "diassociative", ops, assoc.basis_labels)
 
@@ -211,9 +203,7 @@ def induced_quadri(rep: Representation, t: LinearMap) -> Algebra:
     """Quadri-dendriform structure on the module of a relative averaging
     operator: u prec_vdash v = Tu prec_l v, u prec_dashv v = u prec_r Tv,
     and the succ analogues."""
-    verdict = check_relative_averaging(rep, t)
-    if not verdict.ok:
-        raise PreconditionFailure("map is not a relative averaging operator", verdict)
+    _require(check_relative_averaging(rep, t), "map is not a relative averaging operator")
     return Algebra(rep.module_dim, "quadri", _twisted(rep, t, "V", _QUADRI_TWIST))
 
 
@@ -227,12 +217,8 @@ def induced_six(act: Action, t: LinearMap) -> Algebra:
     """Six-dendriform structure on the target of a homomorphic relative
     averaging operator: the perp pair copies the target's own products and
     the quadri quadruple is T-twisted as in induced_quadri."""
-    verdict = check_homomorphic_relative(act, t)
-    if not verdict.ok:
-        raise PreconditionFailure(
-            "map is not a homomorphic relative averaging operator", verdict
-        )
-    ops = _twisted(act.representation, t, "V", _QUADRI_TWIST)
+    _require(check_homomorphic_relative(act, t), "map is not a homomorphic relative averaging operator")
+    ops = _twisted(act, t, "V", _QUADRI_TWIST)
     ops["prec_perp"] = act.target.op("prec")
     ops["succ_perp"] = act.target.op("succ")
     return Algebra(act.target.dimension, "six", ops, act.target.basis_labels)
@@ -263,9 +249,7 @@ def check_differential(
 def differential_quadri(d: Algebra, diff: LinearMap) -> Algebra:
     """Quadri structure of a differential dendriform algebra:
     x prec_vdash y = d(x) prec y, x prec_dashv y = x prec d(y), etc."""
-    verdict = check_differential(d, diff)
-    if not verdict.ok:
-        raise PreconditionFailure("map is not a differential", verdict)
+    _require(check_differential(d, diff), "map is not a differential")
     return Algebra(d.dimension, "quadri", _twisted(adjoint_representation(d), diff, "V", _QUADRI_TWIST))
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .model import (
-    ACTION_OPS,
+    ACTION_SORTS,
     Action,
     Algebra,
     BilinearOp,
@@ -165,19 +165,14 @@ def _parse_map(raw, algebras, path: str) -> LinearMap:
 
 
 def _parse_action_tensors(raw, n: int, m: int, path: str) -> dict[str, BilinearOp]:
-    if not isinstance(raw, dict) or set(raw) != set(ACTION_OPS):
+    if not isinstance(raw, dict) or set(raw) != set(ACTION_SORTS):
         raise DocumentError(
-            path, f"expected exactly the action tensors {', '.join(ACTION_OPS)}"
+            path, f"expected exactly the action tensors {', '.join(ACTION_SORTS)}"
         )
-    shapes = {
-        "prec_l": (n, m, m),
-        "succ_l": (n, m, m),
-        "prec_r": (m, n, m),
-        "succ_r": (m, n, m),
-    }
+    dims = {"A": n, "V": m}
     return {
-        name: _parse_tensor(raw[name], *shapes[name], f"{path}.{name}")
-        for name in ACTION_OPS
+        name: _parse_tensor(raw[name], *(dims[s] for s in sorts), f"{path}.{name}")
+        for name, sorts in ACTION_SORTS.items()
     }
 
 

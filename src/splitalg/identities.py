@@ -26,6 +26,7 @@ from typing import Mapping, Sequence, Union
 
 from .linalg import Vector, vec_add
 from .model import (
+    ACTION_SORTS,
     Action,
     Algebra,
     BilinearOp,
@@ -279,25 +280,7 @@ def _catalog_quadri(paranoid: bool):
         ],
         paranoid,
     )
-    eqs.append(
-        equation(
-            "quadri.4",
-            A3,
-            app(pd, app(pv, _x, _y), _z),
-            expr(app(pv, _x, app(pd, _y, _z)), app(pv, _x, app(sd, _y, _z))),
-        )
-    )
-    eqs.append(
-        equation("quadri.5", A3, app(pd, app(sv, _x, _y), _z), app(sv, _x, app(pd, _y, _z)))
-    )
-    eqs.append(
-        equation(
-            "quadri.6",
-            A3,
-            app(sv, _x, app(sd, _y, _z)),
-            expr(app(sd, app(pv, _x, _y), _z), app(sd, app(sv, _x, _y), _z)),
-        )
-    )
+    eqs += _dend_shape(("quadri.4", "quadri.5", "quadri.6"), A3, (pv, sv), (pd, sd), (pd, sd), (pv, sv))
     eqs += _chain(
         "quadri.7",
         A3,
@@ -340,58 +323,9 @@ def _catalog_six(paranoid: bool):
     A3 = ("A", "A", "A")
     pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
     pp, sp = "prec_perp", "succ_perp"
-    eqs: list[IdentitySchema] = []
-    eqs.append(
-        equation(
-            "six.1.1",
-            A3,
-            app(pp, app(pv, _x, _y), _z),
-            expr(app(pv, _x, app(pp, _y, _z)), app(pv, _x, app(sp, _y, _z))),
-        )
-    )
-    eqs.append(equation("six.1.2", A3, app(pp, app(sv, _x, _y), _z), app(sv, _x, app(pp, _y, _z))))
-    eqs.append(
-        equation(
-            "six.1.3",
-            A3,
-            app(sv, _x, app(sp, _y, _z)),
-            expr(app(sp, app(pv, _x, _y), _z), app(sp, app(sv, _x, _y), _z)),
-        )
-    )
-    eqs.append(
-        equation(
-            "six.1.4",
-            A3,
-            app(pp, app(pd, _x, _y), _z),
-            expr(app(pp, _x, app(pv, _y, _z)), app(pp, _x, app(sv, _y, _z))),
-        )
-    )
-    eqs.append(equation("six.1.5", A3, app(pp, app(sd, _x, _y), _z), app(sp, _x, app(pv, _y, _z))))
-    eqs.append(
-        equation(
-            "six.1.6",
-            A3,
-            app(sp, _x, app(sv, _y, _z)),
-            expr(app(sp, app(pd, _x, _y), _z), app(sp, app(sd, _x, _y), _z)),
-        )
-    )
-    eqs.append(
-        equation(
-            "six.1.7",
-            A3,
-            app(pd, app(pp, _x, _y), _z),
-            expr(app(pp, _x, app(pd, _y, _z)), app(pp, _x, app(sd, _y, _z))),
-        )
-    )
-    eqs.append(equation("six.1.8", A3, app(pd, app(sp, _x, _y), _z), app(sp, _x, app(pd, _y, _z))))
-    eqs.append(
-        equation(
-            "six.1.9",
-            A3,
-            app(sp, _x, app(sd, _y, _z)),
-            expr(app(sd, app(pp, _x, _y), _z), app(sd, app(sp, _x, _y), _z)),
-        )
-    )
+    eqs = _dend_shape(("six.1.1", "six.1.2", "six.1.3"), A3, (pv, sv), (pp, sp), (pp, sp), (pv, sv))
+    eqs += _dend_shape(("six.1.4", "six.1.5", "six.1.6"), A3, (pd, sd), (pv, sv), (pp, sp), (pp, sp))
+    eqs += _dend_shape(("six.1.7", "six.1.8", "six.1.9"), A3, (pp, sp), (pd, sd), (pd, sd), (pp, sp))
     # four chains of three, outer op applied to three inner variants
     for n, (outer, position) in enumerate(
         [(pv, "p"), (pv, "s"), (sv, "p"), (sv, "s")], start=1
@@ -495,19 +429,14 @@ def context_for(obj) -> OpContext:
             name: (op, "A", "A", "A") for name, op in obj.operations.items()
         }
         return OpContext(ops, {"A": obj.dimension, "V": 0})
-    if isinstance(obj, Action):
-        ctx = context_for(obj.representation)
-        ctx.ops["prec_t"] = (obj.target.op("prec"), "V", "V", "V")
-        ctx.ops["succ_t"] = (obj.target.op("succ"), "V", "V", "V")
-        return ctx
     if isinstance(obj, Representation):
         ops = {
             name: (op, "A", "A", "A") for name, op in obj.base.operations.items()
         }
-        ops["prec_l"] = (obj.actions["prec_l"], "A", "V", "V")
-        ops["succ_l"] = (obj.actions["succ_l"], "A", "V", "V")
-        ops["prec_r"] = (obj.actions["prec_r"], "V", "A", "V")
-        ops["succ_r"] = (obj.actions["succ_r"], "V", "A", "V")
+        ops.update((name, (obj.actions[name], *sorts)) for name, sorts in ACTION_SORTS.items())
+        if isinstance(obj, Action):
+            ops["prec_t"] = (obj.target.op("prec"), "V", "V", "V")
+            ops["succ_t"] = (obj.target.op("succ"), "V", "V", "V")
         return OpContext(ops, {"A": obj.base.dimension, "V": obj.module_dim})
     raise SpecError(f"cannot check identities on {type(obj).__name__}")
 

@@ -42,7 +42,14 @@ SIGNATURE_OPS: dict[str, tuple[str, ...]] = {
     "raw": (),
 }
 
-ACTION_OPS = ("prec_l", "succ_l", "prec_r", "succ_r")
+# The four action tensors of a representation or action and the sorts of
+# (left argument, right argument, output): A the base algebra, V the module.
+ACTION_SORTS: dict[str, tuple[str, str, str]] = {
+    "prec_l": ("A", "V", "V"),
+    "succ_l": ("A", "V", "V"),
+    "prec_r": ("V", "A", "V"),
+    "succ_r": ("V", "A", "V"),
+}
 
 
 class SpecError(ValueError):
@@ -291,39 +298,32 @@ class Representation:
         self.base = base
         self.module_dim = module_dim
         self.actions = dict(actions)
-        n, m = base.dimension, module_dim
-        shapes = {
-            "prec_l": (n, m, m),
-            "succ_l": (n, m, m),
-            "prec_r": (m, n, m),
-            "succ_r": (m, n, m),
-        }
-        for name, shape in shapes.items():
+        dims = {"A": base.dimension, "V": module_dim}
+        for name, sorts in ACTION_SORTS.items():
             if name not in self.actions:
                 raise SpecError(f"representation requires action {name!r}")
-            op = self.actions[name]
+            op, shape = self.actions[name], tuple(dims[s] for s in sorts)
             if (op.left_dim, op.right_dim, op.out_dim) != shape:
                 raise SpecError(
                     f"action {name!r} has shape {op.left_dim}x{op.right_dim}->"
                     f"{op.out_dim}, expected {shape}"
                 )
-        if set(self.actions) != set(shapes):
+        if set(self.actions) != set(ACTION_SORTS):
             raise SpecError("representation carries exactly the four action tensors")
 
     def __repr__(self) -> str:
         return f"Representation(base dim {self.base.dimension}, module dim {self.module_dim})"
 
 
-class Action:
-    """A dendriform algebra acting on another dendriform algebra."""
+class Action(Representation):
+    """A dendriform algebra acting on another dendriform algebra: a
+    representation whose module is the target algebra."""
 
     def __init__(self, base: Algebra, target: Algebra, actions: Mapping[str, BilinearOp]):
         if target.signature != "dendriform":
             raise SpecError("action target must be a dendriform algebra")
-        self.representation = Representation(base, target.dimension, actions)
-        self.base = base
+        super().__init__(base, target.dimension, actions)
         self.target = target
-        self.actions = self.representation.actions
 
     def __repr__(self) -> str:
         return f"Action(base dim {self.base.dimension}, target dim {self.target.dimension})"

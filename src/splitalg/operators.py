@@ -82,7 +82,7 @@ _HOMOMORPHIC_RELATIVE = _RELATIVE_AVERAGING + tuple(
 
 @dataclass(frozen=True)
 class _Kind:
-    subject: type | tuple[type, ...]
+    subject: type
     needs: str  # the error when the subject has another type
     map_sorts: tuple[str, str]  # T maps the first sort to the second
     groups: tuple[tuple[IdentitySchema, ...], ...]
@@ -93,7 +93,7 @@ _KINDS = {
     "assoc_averaging": _Kind(Algebra, "kind 'assoc_averaging' needs an algebra", _AA, _ASSOC_AVERAGING),
     "dend_averaging": _Kind(Algebra, "kind 'dend_averaging' needs an algebra", _AA, _DEND_AVERAGING),
     "relative_averaging": _Kind(
-        (Representation, Action), "relative averaging needs a representation", ("V", "A"), _RELATIVE_AVERAGING
+        Representation, "relative averaging needs a representation", ("V", "A"), _RELATIVE_AVERAGING
     ),
     "homomorphic_relative": _Kind(
         Action, "homomorphic relative averaging needs an action", ("V", "A"), _HOMOMORPHIC_RELATIVE
@@ -199,7 +199,7 @@ def graph_subalgebra_check(
 
     ctx = _with_map(_context(rep, "relative_averaging"), "relative_averaging", t)
     n, m = ctx.dims["A"], ctx.dims["V"]
-    hemi = hemisemidirect(rep.representation if isinstance(rep, Action) else rep, verify=False)
+    hemi = hemisemidirect(rep, verify=False)
     g = LinearMap(m, n + m, [*t.matrix, *LinearMap.identity(m).matrix])
     p = reduction(span([g.column(a) for a in range(m)], n + m))
     ctx = OpContext(

@@ -9,9 +9,10 @@ scans in them, and the quotient tensors are term tables."""
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .constructions import PreconditionFailure, semidirect
+from .constructions import _require, semidirect
 from .identities import (
     QUADRI_TO_DENDRIFORM_COLLAPSE,
     OpContext,
@@ -96,13 +97,18 @@ class Ideal:
     def __repr__(self) -> str:
         return f"Ideal(dim {self.subspace.dim} of {self.ambient!r})"
 
+    @cached_property
+    def context(self) -> OpContext:
+        """The ambient's operations and the maps of the subspace, built once."""
+        return _context(self.ambient, self.subspace)
+
     def closure_witness(self):
         """First (op, ideal basis index, ambient basis index, side) whose
         product escapes the subspace, or None if closed: P(op(Bx, y)) = 0
         and P(op(y, Bx)) = 0, operation by operation in sorted order."""
         groups = [[((name, side), apply_map("P", term), ()) for side, term in _sides(name)]
                   for name in sorted(self.ambient.operations)]
-        found = _first(_context(self.ambient, self.subspace), ("I", "A"), groups)
+        found = _first(self.context, ("I", "A"), groups)
         return found and (found[0][0], *found[1], found[0][1])
 
     def is_closed(self) -> bool:
@@ -119,14 +125,14 @@ def ideal_generated(a: Algebra, generators: Sequence[Vector]) -> Ideal:
     is enough by bilinearity.
     """
     n = a.dimension
-    current = span(list(generators), n)
+    ideal = Ideal(a, span(list(generators), n))
     table = {(name, side): term for name in sorted(a.operations) for side, term in _sides(name)}
     while True:
-        products = tabulate(_context(a, current), ("I", "A"), table).values()
-        bigger = span([*current.basis, *(v for op in products for row in op.coeffs for v in row)], n)
-        if bigger.dim == current.dim:
-            return Ideal(a, current)
-        current = bigger
+        products = tabulate(ideal.context, ("I", "A"), table).values()
+        bigger = span([*ideal.subspace.basis, *(v for op in products for row in op.coeffs for v in row)], n)
+        if bigger.dim == ideal.subspace.dim:
+            return ideal
+        ideal = Ideal(a, bigger)
 
 
 def splitting_ideal(q: Algebra) -> Ideal:
@@ -160,7 +166,9 @@ def quotient_algebra(
     closure and the agreement of merged operations modulo the ideal are
     checked, not assumed.
     """
-    witness = Ideal(a, ideal.subspace).closure_witness()
+    if ideal.ambient is not a:
+        ideal = Ideal(a, ideal.subspace)
+    witness = ideal.closure_witness()
     if witness is not None:
         raise QuotientError(
             f"not an ideal: operation {witness[0]!r} escapes the subspace "
@@ -172,7 +180,7 @@ def quotient_algebra(
         a.op(src)  # an unknown operation is refused here
         preimages.setdefault(dst, []).append(src)
     firsts = {dst: min(srcs) for dst, srcs in preimages.items()}
-    ctx = _context(a, ideal.subspace)
+    ctx = ideal.context
 
     # Merged operations must agree modulo the ideal: P(first(x, y)) = P(other(x, y)).
     groups = [[((first, other), apply_map("P", _op(first, _x, _y)), apply_map("P", _op(other, _x, _y)))]
@@ -189,20 +197,13 @@ def quotient_algebra(
     return Algebra(ctx.dims["Q"], signature, ops), ctx.maps["Pi"][0]
 
 
-def _require(a: Algebra, catalog_name: str, message: str) -> None:
-    """Refuse an input that fails the axioms a converse theorem assumes."""
-    report = check(a, catalog_name)
-    if not report.ok:
-        raise PreconditionFailure(message, report)
-
-
 def _converse(a: Algebra):
     """(quotient dendriform algebra by the splitting ideal, its actions on the
     original space by coset lifts: xbar prec_l y = x prec_vdash y and
     y prec_r xbar = y prec_dashv x (succ analogues), quotient map)."""
     ideal = splitting_ideal(a)
     base, projection = quotient_algebra(a, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform")
-    ctx = _context(a, ideal.subspace)
+    ctx = ideal.context
     actions = {
         **tabulate(ctx, ("Q", "A"), {"prec_l": _op("prec_vdash", _Lx, _y), "succ_l": _op("succ_vdash", _Lx, _y)}),
         **tabulate(ctx, ("A", "Q"), {"prec_r": _op("prec_dashv", _x, _Ly), "succ_r": _op("succ_dashv", _x, _Ly)}),
@@ -216,7 +217,7 @@ def quadri_to_relative_setup(q: Algebra) -> tuple[Representation, LinearMap]:
     and the quotient map as a relative averaging operator."""
     if q.signature != "quadri":
         raise SpecError("expected a quadri-dendriform algebra")
-    _require(q, "quadri", "input is not a quadri-dendriform algebra")
+    _require(check(q, "quadri"), "input is not a quadri-dendriform algebra")
     base, actions, projection = _converse(q)
     return Representation(base, q.dimension, actions), projection
 
@@ -241,10 +242,8 @@ def six_to_homomorphic_setup(s: Algebra) -> tuple[Action, LinearMap]:
     if s.signature != "six":
         raise SpecError("expected a six-dendriform algebra")
     target = perp_dendriform_part(s)
-    report = check(target, "dendriform")
-    if not report.ok:
-        raise QuotientError("target not dendriform: the perp pair fails the dendriform axioms")
-    _require(s, "six", "input is not a six-dendriform algebra")
-    _require(quadri_part(s), "quadri", "the quadri part is not a quadri-dendriform algebra")
+    _require(check(target, "dendriform"), "target not dendriform: the perp pair fails the dendriform axioms")
+    _require(check(s, "six"), "input is not a six-dendriform algebra")
+    _require(check(quadri_part(s), "quadri"), "the quadri part is not a quadri-dendriform algebra")
     base, actions, projection = _converse(s)
     return Action(base, target, actions), projection

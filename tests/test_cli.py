@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from splitalg.cli import main
 from splitalg.documents import Document, parse_document, serialize_document
+from splitalg.identities import check
+from splitalg.model import Algebra, BilinearOp, perp_dendriform_part
+from splitalg.samples import one_dim_dendriform
 
 from conftest import random_quadri
 
@@ -184,6 +187,29 @@ def test_construct_quadri_to_relative_refuses_non_quadri(capsys, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_construct_six_to_homomorphic_refuses_bad_perp(capsys, tmp_path):
+    """The six converse refuses a perp pair that is not dendriform with the
+    failing dendriform verdict, like every other refused hypothesis."""
+    one, zero = BilinearOp(1, 1, 1, [[[1]]]), BilinearOp.zero(1, 1, 1)
+    ops = {name: zero for name in ("prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv")}
+    six = Algebra(1, "six", {**ops, "prec_perp": one, "succ_perp": one})
+    p = tmp_path / "six.json"
+    p.write_text(serialize_document(Document(algebras={"s": six})))
+    code, out, err = run(
+        capsys, "construct", str(p), "--recipe", "six-to-homomorphic",
+        "--algebra", "s", "--out", str(tmp_path / "x.json"),
+    )
+    assert code == 2
+    assert out == ""
+    verdict = check(perp_dendriform_part(six), "dendriform")
+    assert not verdict.ok
+    assert err == (
+        "error: target not dendriform: the perp pair fails the dendriform axioms\n"
+        f"{verdict.render()}\n"
+    )
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_construct_missing_flag(capsys, sample_doc_path, tmp_path):
     code, _, err = run(
         capsys, "construct", sample_doc_path, "--recipe", "semidirect",
@@ -210,6 +236,20 @@ def test_search(capsys, sample_doc_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 1
+
+
+def test_search_grid_negative_first_value(capsys, tmp_path):
+    """`--grid -1,0,1` is the grid, not an option: the output is that of
+    `--grid=-1,0,1`, byte for byte."""
+    p = tmp_path / "one.json"
+    p.write_text(serialize_document(Document(algebras={"a": one_dim_dendriform(1, 0)})))
+    outputs = []
+    for grid in (["--grid", "-1,0,1"], ["--grid=-1,0,1"]):
+        code, out, err = run(capsys, "search", str(p), "--kind", "dend-averaging", *grid)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == "3 passing map(s) of shape 1x1\n[[-1]]\n[[0]]\n[[1]]\n"
 
 
 def test_search_cap_exceeded(capsys, sample_doc_path):

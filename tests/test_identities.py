@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -41,6 +42,20 @@ def test_catalog_sizes():
     for name, size in EXPECTED_SIZES.items():
         assert len(catalog(name)) == size, name
     assert set(CATALOG_NAMES) == set(EXPECTED_SIZES)
+
+
+# SHA-256 of repr((name, paranoid, catalog(name, paranoid))) over the
+# catalogs in CATALOG_NAMES order, paranoid off then on: every schema's id,
+# slot sorts and both sides, in order.
+CATALOG_DIGEST = "d99dd70fb8bb3880e7a4a7f611bd2f1f421fb5137340187e7258969c3674c8a6"
+
+
+def test_catalog_content_pinned():
+    h = hashlib.sha256()
+    for name in CATALOG_NAMES:
+        for paranoid in (False, True):
+            h.update(repr((name, paranoid, catalog(name, paranoid))).encode())
+    assert h.hexdigest() == CATALOG_DIGEST
 
 
 def test_unknown_catalog():

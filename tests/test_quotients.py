@@ -94,7 +94,7 @@ def test_quotient_round_trip_nontrivial(dend):
     from splitalg.constructions import dual_extension
 
     act, proj = dual_extension(dend)
-    q = induced_quadri(act.representation, proj)
+    q = induced_quadri(act, proj)
     ideal = splitting_ideal(q)
     assert ideal.subspace.dim > 0
     rep, proj2 = quadri_to_relative_setup(q)
@@ -103,6 +103,24 @@ def test_quotient_round_trip_nontrivial(dend):
     back = induced_quadri(rep, proj2)
     for opname in q.operations:
         assert back.op(opname) == q.op(opname)
+
+
+def test_quotient_context_built_once_per_subspace(monkeypatch):
+    """The converse theorem builds the quotient context of the final
+    subspace once: the ideal keeps it from its last saturation round for
+    the closure check, the quotient tensors and the actions."""
+    from splitalg import quotients
+    from splitalg.constructions import hemisemidirect
+    from splitalg.model import adjoint_representation
+    from splitalg.samples import truncated_polynomial_dendriform
+
+    q = hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(3)))
+    final = splitting_ideal(q).subspace.basis
+    built = []
+    context = quotients._context
+    monkeypatch.setattr(quotients, "_context", lambda a, sub: built.append(sub.basis) or context(a, sub))
+    quadri_to_relative_setup(q)
+    assert built.count(final) == 1
 
 
 def test_quotient_rejects_non_ideal(poly):
@@ -179,8 +197,10 @@ def test_six_setup_rejects_bad_perp():
     ops["prec_perp"] = one
     ops["succ_perp"] = one
     fake = Algebra(1, "six", ops)
-    with pytest.raises(QuotientError):
+    with pytest.raises(PreconditionFailure, match="perp pair fails the dendriform axioms") as exc:
         six_to_homomorphic_setup(fake)
+    identities = [v.identity for v in exc.value.verdict.violations]
+    assert identities and all(i.startswith("dend.") for i in identities)
 
 
 def test_quadri_setup_rejects_non_quadri():
