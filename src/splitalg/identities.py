@@ -11,8 +11,10 @@ expressions) are encoded as the k-1 consecutive pairwise equations; the
 remaining mathematically redundant pairs are available via paranoid=True.
 
 Every check in the package (catalogs, operator kinds, graph closure,
-morphisms, differentials) is a list of schema groups run by `_scan`, the
-only code that visits basis tuples.
+morphisms, differentials) is a list of schema groups run by `_scan`.  A
+three-slot group made only of depth-2 products of its three slots (every
+catalog's) is contracted as sparse tensors; every other group visits its
+basis tuples one by one.
 """
 
 from __future__ import annotations
@@ -496,6 +498,15 @@ def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vec
 # The scan goes group by group and, inside a group, tuple-major: at each
 # basis tuple (lexicographic order), every equation of the group.
 #
+# A group of three slots whose every term is op2(op1(x_a, x_b), x_c) or
+# op2(x_c, op1(x_a, x_b)), for a, b, c its three slots, is contracted
+# instead: each such term binds to a sparse tensor, {rank of the basis tuple
+# in lexicographic order: its value}, built by joining op1's non-zero cells
+# with op2's rows (inner product on the left) or columns (on the right).  An
+# equation's residuals are the sum of its terms' tensors, so only tuples in
+# their supports are visited; the non-zero ones are reported in (tuple,
+# equation position) order, the order of the scan, with the same residuals.
+#
 # All of it runs on Python ints.  Each tensor and map is scaled by D, the
 # lcm of the denominators of its non-zero entries, once in its lifetime (its
 # integer_form); basis leaves are 0/1 ints.  A bound node carries its scale
@@ -564,6 +575,73 @@ def _tabulate(fn, slots: tuple[int, ...], dims: list[int]):
     return lambda idx: table[tuple(idx[s] for s in slots)]
 
 
+def _contraction_shape(term: Term):
+    """(outer op, inner op, (a, b, c), inner on the left) when the term is
+    op2(op1(x_a, x_b), x_c) or op2(x_c, op1(x_a, x_b)) for slots a, b, c
+    a permutation of 0, 1, 2; None otherwise."""
+    if term[0] in ("var", "map"):
+        return None
+    outer, left, right = term
+    on_left = left[0] != "var"
+    inner, leaf = (left, right) if on_left else (right, left)
+    if leaf[0] != "var" or inner[0] in ("var", "map") or inner[1][0] != "var" or inner[2][0] != "var":
+        return None
+    slots = (inner[1][1], inner[2][1], leaf[1])
+    return (outer, inner[0], slots, on_left) if sorted(slots) == [0, 1, 2] else None
+
+
+def _term_tensor(inner_cells, outer_cells, strides, on_left: bool, out_dim: int) -> dict:
+    """{rank: value ints} over the basis tuples where the term is not
+    (structurally) zero: inner_cells[p][q] are op1's non-zero (m, c) at
+    x_a = e_p, x_b = e_q, outer_cells op2's, and the tuple of (p, q, r),
+    r the index of x_c, has rank p*sa + q*sb + r*sc for strides (sa, sb, sc)."""
+    sa, sb, sc = strides
+    if on_left:  # row m of op2: x_c = e_r on the right of e_m
+        line = lambda m: [(r, cells) for r, cells in enumerate(outer_cells[m]) if cells]
+    else:  # column m of op2: x_c = e_r on the left of e_m
+        line = lambda m: [(r, row[m]) for r, row in enumerate(outer_cells) if row[m]]
+    lines: dict[int, list] = {}
+    tensor: dict[int, list[int]] = {}
+    for p, row in enumerate(inner_cells):
+        for q, cells in enumerate(row):
+            base = p * sa + q * sb
+            for m, c1 in cells:
+                if m not in lines:
+                    lines[m] = line(m)
+                for r, cells2 in lines[m]:
+                    rank = base + r * sc
+                    v = tensor.get(rank)
+                    if v is None:
+                        v = tensor[rank] = [0] * out_dim
+                    for k, c2 in cells2:
+                        v[k] += c1 * c2
+    return tensor
+
+
+def _unrank(rank: int, dims) -> tuple[int, int, int]:
+    """The basis tuple of a rank in the lexicographic order on three slots."""
+    i, rest = divmod(rank, dims[1] * dims[2])
+    return (i, *divmod(rest, dims[2]))
+
+
+def _contracted_violations(bound, tensors, dims):
+    """violations() of a contracted group: each equation's residual as the
+    sum of its terms' tensors, {rank: residual ints}; the non-zero ones in
+    (tuple, equation position) order."""
+    found = []
+    for position, (eqid, scale, signed) in enumerate(bound):
+        residuals: dict = {}
+        get = residuals.get
+        for c, p in signed:
+            for rank, v in tensors[p].items():
+                old = get(rank)
+                residuals[rank] = _lincomb(((c, v),) if old is None else ((1, old), (c, v)))
+        found += [(rank, position, eqid, r, scale) for rank, r in residuals.items() if any(r)]
+    found.sort(key=lambda f: f[:2])
+    for rank, _, eqid, residual, scale in found:
+        yield eqid, _unrank(rank, dims), residual, scale
+
+
 class _Program:
     """Schema groups (and terms) compiled against the signature of a
     context; `violations` binds the context's current tensors and scans."""
@@ -575,11 +653,18 @@ class _Program:
         self.binders: list = []
         self._memo: dict = {}
         # (slot sorts, nodes bound before the group runs, top nodes,
-        # [(equation id, [(coefficient, top position)])])
+        # [(equation id, [(coefficient, top position)])], contracted)
         self.groups = [self._group(group) for group in groups]
+        # per group, the tensors no later group reads: dropped after it, so
+        # a check holds only the tensors it has still to read
+        last = {n: g for g, group in enumerate(self.groups) if group[4] for n in group[2]}
+        self.released = [[n for n, g in last.items() if g == group] for group in range(len(self.groups))]
 
     def _group(self, group):
         sorts = group[0].slot_sorts
+        contracted = len(sorts) == 3 and all(
+            _contraction_shape(term) for schema in group for _, term in schema.lhs + schema.rhs
+        )
         tops: dict[int, int] = {}  # node -> position in the values of a tuple
         equations = []
         for schema in group:
@@ -589,21 +674,22 @@ class _Program:
             out_sorts = set()
             for sign, side in ((1, schema.lhs), (-1, schema.rhs)):
                 for c, term in side:
-                    node, out_sort, _, _ = self.compile(term, sorts)
+                    node, out_sort, _, _ = self.compile(term, sorts, contracted)
                     out_sorts.add(out_sort)
                     top = tops.setdefault(node, len(tops))
                     coefs[top] = coefs.get(top, 0) + sign * c
             if len(out_sorts) > 1:
                 raise SpecError(f"schema {schema.id!r} equates terms of different sorts")
             equations.append((schema.id, [(c, top) for top, c in coefs.items() if c]))
-        return sorts, len(self.binders), list(tops), equations
+        return sorts, len(self.binders), list(tops), equations, contracted
 
-    def compile(self, term: Term, sorts: tuple[str, ...]):
+    def compile(self, term: Term, sorts: tuple[str, ...], contracted: bool = False):
         """(node, output sort, slots read, slot if the term is a variable
-        leaf) for a term in a group with these slot sorts."""
-        key = (term, sorts)
+        leaf) for a term in a group with these slot sorts; the node of a
+        contracted term binds to its sparse tensor, not to a function."""
+        key = (term, sorts, contracted)
         if key not in self._memo:
-            binder, table, *compiled = self._compile(term, sorts)
+            binder, table, *compiled = (self._compile_contracted if contracted else self._compile)(term, sorts)
             self.binders.append((binder, table))
             self._memo[key] = (len(self.binders) - 1, *compiled)
         return self._memo[key]
@@ -655,6 +741,30 @@ class _Program:
         table = None if lookup or len(slots) == len(sorts) else (slots, [ctx.dims[sorts[s]] for s in slots])
         return bind, table, out_sort, slots, None
 
+    def _compile_contracted(self, term: Term, sorts: tuple[str, ...]):
+        """_compile for a term of contraction shape, with the same refusals
+        in the same order."""
+        ctx = self.ctx
+        outer, inner, (a, b, c), on_left = _contraction_shape(term)
+        _, ols, ors, out_sort = ctx.resolve(outer)
+        _, ils, irs, mid = ctx.resolve(inner)
+        if (ils, irs) != (sorts[a], sorts[b]):
+            raise SpecError(f"operation {inner!r} applied to arguments of the wrong sort")
+        if (ols, ors) != ((mid, sorts[c]) if on_left else (sorts[c], mid)):
+            raise SpecError(f"operation {outer!r} applied to arguments of the wrong sort")
+        _, d1, d2 = (ctx.dims[s] for s in sorts)
+        strides = (d1 * d2, d2, 1)
+        strides = (strides[a], strides[b], strides[c])
+
+        def bind(fns, scales):
+            d_in, _, inner_cells = ctx.ops[inner][0].integer_form
+            op = ctx.ops[outer][0]
+            d_out, _, outer_cells = op.integer_form
+            tensor = _term_tensor(inner_cells, outer_cells, strides, on_left, op.out_dim)
+            return tensor, d_in * d_out
+
+        return bind, None, out_sort, (0, 1, 2), None
+
     def bind(self, fns: list, scales: list, end: int | None = None) -> None:
         """Extend fns and scales, each node's function of the basis tuple
         (its value times its scale, in ints) and its scale, to the first
@@ -669,14 +779,20 @@ class _Program:
         residual in scan order, lazily: a caller that needs only the first
         binds and evaluates no further."""
         fns, scales = [], []
-        for sorts, end, tops, equations in self.groups:
+        for released, (sorts, end, tops, equations, contracted) in zip(self.released, self.groups):
             self.bind(fns, scales, end)
-            values_of = [fns[n] for n in tops]
             bound = []
             for eqid, terms in equations:
                 scale, ints = _common_scale([(c, scales[tops[p]]) for c, p in terms])
                 bound.append((eqid, scale, [(c, p) for c, (_, p) in zip(ints, terms)]))
-            for idx in itertools.product(*(range(self.ctx.dims[s]) for s in sorts)):
+            dims = [self.ctx.dims[s] for s in sorts]
+            if contracted:
+                yield from _contracted_violations(bound, [fns[n] for n in tops], dims)
+                for n in released:
+                    fns[n] = None
+                continue
+            values_of = [fns[n] for n in tops]
+            for idx in itertools.product(*map(range, dims)):
                 values = [f(idx) for f in values_of]
                 for eqid, scale, signed in bound:
                     residual = _lincomb((c, values[p]) for c, p in signed)
@@ -706,7 +822,7 @@ def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) 
     slot sorts; collect the non-zero residuals up to the cap.  The schemas
     of a group share their slot sorts."""
     program = _Program(ctx, groups)
-    checked = sum(len(eqs) * math.prod(ctx.dims[s] for s in sorts) for sorts, _, _, eqs in program.groups)
+    checked = sum(len(eqs) * math.prod(ctx.dims[s] for s in sorts) for sorts, _, _, eqs, _ in program.groups)
     violations: list[Violation] = []
     truncated = False
     for eqid, idx, residual, scale in program.violations():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from splitalg.linalg import rref
 from splitalg.model import SIGNATURE_OPS, Algebra, BilinearOp, LinearMap
 
 from splitalg.constructions import averaging_quadri, dual_extension, induced_six
@@ -33,6 +34,30 @@ def random_quadri(seed: int, n: int = 3) -> Algebra:
         for name in SIGNATURE_OPS["quadri"]
     }
     return Algebra(n, "quadri", ops)
+
+
+def transport(algebra: Algebra, p) -> Algebra:
+    """The algebra in the basis e'_i = sum_a p[a][i] e_a, for an invertible
+    matrix p: e'_i * e'_j = sum_ab p[a][i] p[b][j] (e_a * e_b), written in
+    the new coordinates."""
+    n = algebra.dimension
+    reduced, _ = rref([[*row, *(Fraction(int(i == j)) for j in range(n))] for i, row in enumerate(p)])
+    p_inv = [row[n:] for row in reduced]
+
+    def moved(op):
+        def product(i, j):
+            old = [Fraction(0)] * n
+            for a in range(n):
+                for b in range(n):
+                    c = p[a][i] * p[b][j]
+                    if c:
+                        for k, e in enumerate(op.coeffs[a][b]):
+                            old[k] += c * e
+            return [sum((p_inv[q][k] * old[k] for k in range(n)), Fraction(0)) for q in range(n)]
+
+        return BilinearOp.build(n, n, n, product)
+
+    return Algebra(n, algebra.signature, {name: moved(op) for name, op in algebra.operations.items()})
 
 
 @pytest.fixture(scope="session")

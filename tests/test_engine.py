@@ -4,17 +4,21 @@ maps: same count, same witnesses in the same order, same residuals and the
 same truncation."""
 
 import itertools
+import random
 import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitalg import identities
 from splitalg.identities import (
     CATALOG_NAMES,
+    DEFAULT_VIOLATION_CAP,
     OpContext,
     Violation,
     ViolationReport,
+    _Program,
     _eval_expr,
     _scan,
     app,
@@ -29,14 +33,23 @@ from splitalg.identities import (
     var,
 )
 from splitalg import model
-from splitalg.constructions import hemisemidirect
+from splitalg.constructions import dual_extension, hemisemidirect, induced_six, sum_collapse_quadri, sum_collapse_six
 from splitalg.linalg import basis_vector, is_zero
-from splitalg.model import Action, Algebra, BilinearOp, LinearMap, Representation, SIGNATURE_OPS, adjoint_representation
+from splitalg.model import (
+    ACTION_SORTS,
+    SIGNATURE_OPS,
+    Action,
+    Algebra,
+    BilinearOp,
+    LinearMap,
+    Representation,
+    adjoint_representation,
+)
 from splitalg.operators import OPERATOR_KINDS, _KINDS, check_operator, operator_map_shape, search_operators
 from splitalg.quotients import quadri_to_relative_setup
 from splitalg.samples import truncated_polynomial_dendriform
 
-from conftest import random_quadri
+from conftest import random_quadri, transport
 
 SCALARS = st.sampled_from([Fraction(k) for k in (-2, -1, 0, 0, 0, 0, 1, 1, 2)] + [Fraction(1, 2)])
 DIMS = st.integers(1, 3)
@@ -432,3 +445,175 @@ def test_each_tensor_is_cleared_once(monkeypatch):
     assert len(cleared) == len(a.operations)
     check(a, "quadri")
     assert len(cleared) == len(a.operations)
+
+
+# ----------------------------------------------------------------------
+# The contraction path.  A three-slot group whose terms are all products
+# op2(op1(x_a, x_b), x_c) or op2(x_c, op1(x_a, x_b)) of its three slots,
+# every catalog's, is contracted as sparse tensors instead of scanned tuple
+# by tuple.  It must give the scan's reports on sparse and wide inputs, in
+# mixed sorts, and on multi-schema groups in (tuple, equation position)
+# order.
+
+# about 85 % zero
+SPARSE_SCALARS = st.sampled_from([Fraction(0)] * 23 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+SPARSE_DIMS = st.integers(1, 5)
+
+
+@st.composite
+def sparse_tensors(draw, left, right, out):
+    """Mostly zero entries; one tensor in five is zero altogether."""
+    if draw(st.integers(0, 4)) == 0:
+        return BilinearOp.zero(left, right, out)
+    return BilinearOp(left, right, out, [[[draw(SPARSE_SCALARS) for _ in range(out)]
+                                          for _ in range(right)] for _ in range(left)])
+
+
+def catalog_subject(name, n, m, tensor):
+    """An object of the catalog's kind with base dimension n (and module
+    dimension m), each tensor made by tensor(left, right, out)."""
+    signature = "dendriform" if name.startswith("dend-") else name
+    base = Algebra(n, signature, {op: tensor(n, n, n) for op in SIGNATURE_OPS[signature]})
+    if signature == name:
+        return base
+    acts = {op: tensor(*(n if s == "A" else m for s in sorts)) for op, sorts in ACTION_SORTS.items()}
+    if name == "dend-representation":
+        return Representation(base, m, acts)
+    return Action(base, Algebra(m, "dendriform", {op: tensor(m, m, m) for op in ("prec", "succ")}), acts)
+
+
+@st.composite
+def sparse_subjects(draw, name):
+    return catalog_subject(name, draw(SPARSE_DIMS), draw(SPARSE_DIMS), lambda *shape: draw(sparse_tensors(*shape)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), name=st.sampled_from(CATALOG_NAMES), paranoid=st.booleans(), cap=st.integers(0, 6))
+def test_sparse_catalog_scan_matches_reference(data, name, paranoid, cap):
+    obj = data.draw(sparse_subjects(name))
+    groups = [(schema,) for schema in catalog(name, paranoid=paranoid)]
+    assert_exact(check(obj, name, paranoid=paranoid, max_violations=cap), reference_scan(context_for(obj), groups), cap)
+
+
+def contraction_terms():
+    """op2(op1(x_a, x_b), x_c) or op2(x_c, op1(x_a, x_b)) for ops p, q and
+    any order a, b, c of the three slots."""
+    def term(outer, inner, slots, on_left):
+        a, b, c = map(var, slots)
+        return app(outer, app(inner, a, b), c) if on_left else app(outer, c, app(inner, a, b))
+
+    ops = st.sampled_from(["p", "q"])
+    return st.builds(term, ops, ops, st.permutations([0, 1, 2]), st.booleans())
+
+
+@st.composite
+def contracted_groups(draw):
+    sides = lambda min_size: st.lists(st.tuples(COEFS, contraction_terms()), min_size=min_size, max_size=3).map(tuple)
+    return [
+        tuple(equation(f"c{g}.{e}", _A3, draw(sides(1)), draw(sides(0))) for e in range(draw(st.integers(1, 4))))
+        for g in range(draw(st.integers(1, 3)))
+    ]
+
+
+# Two equations failing at the same tuples, so their witnesses interleave.
+CONTRACTED_FIXED = [
+    (
+        equation("c.left", _A3, app("p", app("q", _x, _y), _z), ()),
+        equation("c.right", _A3, (), ((_half, app("q", _z, app("p", _y, _x))),)),
+        equation("c.assoc", _A3, app("p", app("p", _x, _y), _z), app("p", _x, app("p", _y, _z))),
+    ),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ctx=wide_contexts(), groups=contracted_groups(), cap=st.integers(0, 30))
+def test_contracted_groups_match_reference(ctx, groups, cap):
+    groups = CONTRACTED_FIXED + groups
+    assert [group[-1] for group in _Program(ctx, groups).groups] == [True] * len(groups)  # contracted
+    assert_exact(_scan(ctx, groups, cap), reference_scan(ctx, groups), cap)
+
+
+def seeded_subject(name: str):
+    """A small object of the catalog's kind with entries in {-1, 0, 1}."""
+    rng = random.Random(name)
+    return catalog_subject(name, 3, 2, lambda left, right, out: BilinearOp(
+        left, right, out, [[[rng.choice((-1, 0, 0, 1)) for _ in range(out)] for _ in range(right)] for _ in range(left)]))
+
+
+def test_catalogs_take_the_contraction(monkeypatch):
+    """With the scan's per-tuple product disabled, every catalog, paranoid
+    or not, still checks and gives the reference's report: no catalog group
+    falls back to the tuple scan."""
+    def refuse(*args):
+        raise AssertionError("a catalog group was scanned tuple by tuple")
+
+    monkeypatch.setattr(identities, "_product", refuse)
+    for name in CATALOG_NAMES:
+        obj = seeded_subject(name)
+        for paranoid in (False, True):
+            groups = [(schema,) for schema in catalog(name, paranoid=paranoid)]
+            report = check(obj, name, paranoid=paranoid, max_violations=10)
+            assert report.violations
+            assert_exact(report, reference_scan(context_for(obj), groups), 10)
+
+
+def test_contraction_at_dimension_32():
+    """The tuple scan took seconds here; the contraction visits only the
+    supports of the terms."""
+    a = hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(16)))
+    assert a.dimension == 32
+    assert check(a, "quadri").ok
+
+
+# ----------------------------------------------------------------------
+# Basis change.  An identity holds in one basis exactly when it holds in
+# any other, so a catalog verdict is invariant under transport; the
+# transported structure constants are dense, and their reports equal the
+# reference's.
+
+@st.composite
+def unimodular_matrices(draw, n):
+    """L * U with its columns permuted, L and U unit triangular over {-1, 0, 1}."""
+    entry = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)])
+    lower = [[Fraction(1) if i == j else draw(entry) if i > j else Fraction(0) for j in range(n)] for i in range(n)]
+    upper = [[Fraction(1) if i == j else draw(entry) if i < j else Fraction(0) for j in range(n)] for i in range(n)]
+    product = [[sum((lower[i][k] * upper[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return [[row[perm[j]] for j in range(n)] for row in product]
+
+
+@st.composite
+def signed_permutations(draw, n):
+    perm = draw(st.permutations(range(n)))
+    signs = [draw(st.sampled_from([Fraction(1), Fraction(-1)])) for _ in range(n)]
+    return [[signs[j] if i == perm[j] else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def _dual_six(degree):
+    return induced_six(*dual_extension(truncated_polynomial_dendriform(degree)))
+
+
+# catalog (after the last space) -> its object at size k: the theorem
+# outputs pass, the random quadri fails
+INVARIANCE_SUBJECTS = {
+    "dendriform": lambda k: truncated_polynomial_dendriform(k + 1),
+    "quadri": lambda k: hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(k))),
+    "six": _dual_six,
+    "diassociative": lambda k: sum_collapse_quadri(hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(k)))),
+    "triassociative": lambda k: sum_collapse_six(_dual_six(k)),
+    "random quadri": lambda k: random_quadri(k, k + 1),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), subject=st.sampled_from(sorted(INVARIANCE_SUBJECTS)), k=st.integers(1, 2),
+       signed=st.booleans())
+def test_catalog_verdict_invariant_under_basis_change(data, subject, k, signed):
+    a = INVARIANCE_SUBJECTS[subject](k)
+    name = subject.split()[-1]
+    p = data.draw(signed_permutations(a.dimension) if signed else unimodular_matrices(a.dimension))
+    moved = transport(a, p)
+    report = check(moved, name)
+    assert report.ok == check(a, name).ok == (subject != "random quadri")
+    groups = [(schema,) for schema in catalog(name)]
+    assert_exact(report, reference_scan(context_for(moved), groups), DEFAULT_VIOLATION_CAP)

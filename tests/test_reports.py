@@ -4,12 +4,13 @@ counts and the truncation line cannot drift.  The expected values were
 recorded from the hand-written checkers that the schema engine replaced.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from splitalg.constructions import check_differential
-from splitalg.identities import check_morphism
+from splitalg.identities import DEFAULT_VIOLATION_CAP, check, check_morphism
 from splitalg.model import LinearMap, adjoint_representation, self_action
 from splitalg.operators import (
     check_assoc_averaging,
@@ -20,6 +21,8 @@ from splitalg.operators import (
     graph_subalgebra_check,
 )
 from splitalg.samples import integration_map, truncated_polynomial_algebra, truncated_polynomial_dendriform
+
+from conftest import random_quadri
 
 POLY3 = truncated_polynomial_algebra(3)
 DEND = truncated_polynomial_dendriform()
@@ -123,3 +126,20 @@ def test_differential_respects_the_cap():
     report = check_differential(d, LinearMap.identity(3), max_violations=1)
     assert len(report.violations) == 1
     assert report.truncated
+
+
+# Failing quadri checks on seeded random algebras, each capped at the
+# default 100 witnesses and truncated, pinned as one digest of their JSON
+# and rendered text: the catalog path's witness order and residuals.
+TRUNCATED_QUADRI_SHA256 = "655782b98a931f7a6d8e3a47ed2a47bf64e6ca60fc9cc141aeb2be3198af6def"
+
+
+def test_truncated_catalog_reports_pinned():
+    h = hashlib.sha256()
+    for seed, n in ((1, 3), (2, 5), (3, 7)):
+        for paranoid in (False, True):
+            report = check(random_quadri(seed, n), "quadri", paranoid=paranoid)
+            assert len(report.violations) == DEFAULT_VIOLATION_CAP and report.truncated
+            h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+            h.update(report.render().encode())
+    assert h.hexdigest() == TRUNCATED_QUADRI_SHA256
