@@ -92,7 +92,9 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
-def _resolve_subject(doc: Document, kind: str, name: str | None):
+def _resolve_subject(doc: Document, kind: str, name: str | None, flag: str):
+    """The object named by the command's flag, or else the document's one
+    object of the kind's type."""
     wanted = {
         "rota_baxter": ("associative", doc.algebras),
         "assoc_averaging": ("associative", doc.algebras),
@@ -111,9 +113,11 @@ def _resolve_subject(doc: Document, kind: str, name: str | None):
         for n, o in section.items()
         if signature is None or (isinstance(o, Algebra) and o.signature == signature)
     }
-    if len(candidates) != 1:
+    if not candidates:
+        raise UsageError(f"the document has no object for kind {kind!r}")
+    if len(candidates) > 1:
         raise UsageError(
-            f"--on is required: {len(candidates)} candidate object(s) for kind {kind!r}"
+            f"{flag} is required: {len(candidates)} candidate object(s) for kind {kind!r}"
         )
     return next(iter(candidates.values()))
 
@@ -132,7 +136,7 @@ def cmd_check_operator(args) -> int:
     kind = _kind(args.kind)
     if args.map not in doc.maps:
         raise UsageError(f"no map named {args.map!r}")
-    subject = _resolve_subject(doc, kind, args.on)
+    subject = _resolve_subject(doc, kind, args.on, "--on")
     verdict = check_operator(subject, kind, doc.maps[args.map])
     _emit(
         args,
@@ -288,7 +292,7 @@ def _parse_grid(raw: str) -> list[Fraction]:
 def cmd_search(args) -> int:
     doc = _load_document(args.file)
     kind = _kind(args.kind)
-    subject = _resolve_subject(doc, kind, args.object)
+    subject = _resolve_subject(doc, kind, args.object, "--object")
     grid = _parse_grid(args.grid)
     maps = search_operators(subject, kind, grid, cap=args.cap)
     source_dim, target_dim = operator_map_shape(subject, kind)

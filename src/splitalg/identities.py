@@ -14,7 +14,8 @@ Every check in the package (catalogs, operator kinds, graph closure,
 morphisms, differentials) is a list of schema groups run by `_scan`.  A
 three-slot group made only of depth-2 products of its three slots (every
 catalog's) is contracted as sparse tensors; every other group visits its
-basis tuples one by one.
+basis tuples one by one.  An operator search instead compiles its kind into
+polynomials in the entries of its map (`residual_polynomials`).
 """
 
 from __future__ import annotations
@@ -490,8 +491,9 @@ def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vec
 # operation and map names with their sorts, and the dimension of each
 # sort): each distinct subterm, keyed by the term and the slot sorts of its
 # group, becomes a node whose binder reads the context's current tensors
-# and returns a function of the basis tuple.  So an operator search compiles
-# its kind once and binds each candidate map.  A subterm reading fewer slots
+# and returns a function of the basis tuple.  (An operator search does not
+# bind candidate maps: it compiles its kind into polynomials in the map's
+# entries, residual_polynomials below.)  A subterm reading fewer slots
 # than its group has is tabulated at bind over the slots it reads; an
 # operation on two basis leaves and a map on a basis leaf look up structure
 # constants and columns.  Terms reading every slot are evaluated per tuple.
@@ -798,6 +800,87 @@ class _Program:
                     residual = _lincomb((c, values[p]) for c, p in signed)
                     if residual is not None and any(residual):
                         yield eqid, idx, residual, scale
+
+
+# ----------------------------------------------------------------------
+# Residuals as polynomials in the entries of a map
+#
+# An operator search fixes the operations and varies the map T over a grid,
+# so T's entries are kept as variables: the entry in row r and column c of a
+# map from a sort of dimension m is variable r*m + c, the row-major position
+# of the entry.  A value is a sparse vector {component: polynomial}, and a
+# polynomial is {monomial: int} with a monomial the sorted tuple of its
+# variables.  Operations multiply through the non-zero cells of their
+# integer forms and carry scales as the scan does; a map node multiplies by
+# the variables of its column.
+
+_ONE = {(): 1}
+
+
+def _poly_mul_add(target: dict, c: int, p: dict, q: dict) -> None:
+    """target += c * p * q, for polynomials."""
+    for m1, a in p.items():
+        for m2, b in q.items():
+            mono = tuple(sorted(m1 + m2))
+            target[mono] = target.get(mono, 0) + c * a * b
+
+
+def _poly_value(term: Term, ctx: OpContext, idx, shape, memo: dict):
+    """(vector, scale) of a term at the basis tuple idx, with the map
+    nodes applying a symbolic map of shape (source_dim, target_dim)."""
+    if term not in memo:
+        if term[0] == "var":
+            memo[term] = {idx[term[1]]: _ONE}, 1
+        elif term[0] == "map":
+            source_dim, target_dim = shape
+            scale, vec = _poly_combine(term[2], ctx, idx, shape, memo)
+            out: dict = {}
+            for c, p in vec.items():
+                for r in range(target_dim):
+                    _poly_mul_add(out.setdefault(r, {}), 1, p, {(r * source_dim + c,): 1})
+            memo[term] = out, scale
+        else:
+            d, _, cells = ctx.resolve(term[0])[0].integer_form
+            (x, sx), (y, sy) = (_poly_value(t, ctx, idx, shape, memo) for t in term[1:])
+            out = {}
+            for i, p in x.items():
+                for j, q in y.items():
+                    for k, c in cells[i][j]:
+                        _poly_mul_add(out.setdefault(k, {}), c, p, q)
+            memo[term] = out, d * sx * sy
+    return memo[term]
+
+
+def _poly_combine(e: Expr, ctx: OpContext, idx, shape, memo: dict):
+    """(S, S times the vector) of an expression, S as in the scan."""
+    values = [_poly_value(term, ctx, idx, shape, memo) for _, term in e]
+    scale, ints = _common_scale([(c, s) for (c, _), (_, s) in zip(e, values)])
+    out: dict = {}
+    for c, (vec, _) in zip(ints, values):
+        for k, p in vec.items():
+            _poly_mul_add(out.setdefault(k, {}), c, p, _ONE)
+    return scale, out
+
+
+def residual_polynomials(ctx: OpContext, groups, source_dim: int, target_dim: int) -> list[dict]:
+    """Every equation of the groups at every basis tuple of its slot sorts,
+    with each map node applying one source_dim -> target_dim map whose
+    entries are the variables: one polynomial {monomial: int} per non-zero
+    (equation, basis tuple, output component), a non-zero multiple of the
+    residual's."""
+    found = []
+    for group in groups:
+        dims = [ctx.dims[s] for s in group[0].slot_sorts]
+        for idx in itertools.product(*map(range, dims)):
+            memo: dict = {}
+            for schema in group:
+                difference = schema.lhs + tuple((-c, term) for c, term in schema.rhs)
+                _, residual = _poly_combine(difference, ctx, idx, (source_dim, target_dim), memo)
+                for p in residual.values():
+                    p = {mono: a for mono, a in p.items() if a}
+                    if p:
+                        found.append(p)
+    return found
 
 
 def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term]) -> dict[str, BilinearOp]:

@@ -6,7 +6,7 @@ identity engine of `splitalg.identities`."""
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -16,13 +16,13 @@ from .identities import (
     IdentitySchema,
     OpContext,
     ViolationReport,
-    _Program,
     _scan,
     app,
     apply_map,
     context_for,
     equation,
     expr,
+    residual_polynomials,
     var,
 )
 from .documents import short_repr
@@ -227,9 +227,12 @@ def search_operators(
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> list[LinearMap]:
     """All matrices with entries from the grid passing the requested check,
-    enumerated in lexicographic (row-major) matrix order.  The kind is
-    compiled once; each candidate binds the map T again and stops at its
-    first violation."""
+    enumerated in lexicographic (row-major) matrix order.
+
+    The kind is compiled once into its residual polynomials in the entries
+    of T.  The grid is walked depth first, one entry at a time in row-major
+    order, and each polynomial is evaluated as soon as its last entry is
+    set: a non-zero value prunes every candidate below."""
     source_dim, target_dim = operator_map_shape(subject, kind)
     seen = set()
     for value in grid:
@@ -243,15 +246,36 @@ def search_operators(
             f"{len(grid)}^{cells} = {total} candidates exceed the cap {cap}; "
             "shrink the grid or the dimensions"
         )
-    ctx = _with_map(_context(subject, kind), kind, LinearMap.zero(source_dim, target_dim))
-    program = _Program(ctx, _KINDS[kind].groups)
-    passing = []
-    for combo in itertools.product(grid, repeat=cells):
-        matrix = [
-            combo[i * source_dim : (i + 1) * source_dim] for i in range(target_dim)
-        ]
-        candidate = LinearMap(source_dim, target_dim, matrix)
-        _with_map(ctx, kind, candidate)
-        if next(program.violations(), None) is None:
-            passing.append(candidate)
-    return passing
+    polys = residual_polynomials(_context(subject, kind), _KINDS[kind].groups, source_dim, target_dim)
+    # Integers throughout: with L the lcm of the grid's denominators, entry
+    # g is set to g*L, and a monomial of degree k < 2 takes 2 - k factors L
+    # from the slot after the entries (T occurs at most twice in a term of
+    # every kind), so each polynomial is L^2 times its true value.
+    grid = [Fraction(g) for g in grid]
+    scale = math.lcm(*(g.denominator for g in grid))
+    values = [g.numerator * (scale // g.denominator) for g in grid]
+    # checks[e + 1]: the polynomials whose last entry is e; checks[0]: constants
+    checks: list[list] = [[] for _ in range(cells + 1)]
+    for poly in polys:
+        terms = [(a, *(mono + (cells,) * (2 - len(mono)))) for mono, a in poly.items()]
+        checks[max((v + 1 for mono in poly for v in mono), default=0)].append(terms)
+    entries = [0] * cells + [scale]
+    vanish = lambda level: not any(sum(a * entries[i] * entries[j] for a, i, j in terms) for terms in checks[level])
+    passing, picks, level = [], [-1] * cells, 0 if vanish(0) else -1
+    while level >= 0:  # level: the entries set; picks: their grid positions
+        if level == cells:
+            passing.append(picks[:])
+            level -= 1
+            continue
+        picks[level] += 1
+        if picks[level] == len(values):
+            picks[level] = -1
+            level -= 1
+            continue
+        entries[level] = values[picks[level]]
+        if vanish(level + 1):
+            level += 1
+    return [
+        LinearMap(source_dim, target_dim, [[grid[p] for p in picks[r * source_dim:(r + 1) * source_dim]] for r in range(target_dim)])
+        for picks in passing
+    ]

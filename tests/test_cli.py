@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from splitalg.cli import main
 from splitalg.documents import Document, parse_document, serialize_document
 from splitalg.identities import check
-from splitalg.model import Algebra, BilinearOp, perp_dendriform_part
+from splitalg.model import Algebra, BilinearOp, LinearMap, perp_dendriform_part
 from splitalg.samples import one_dim_dendriform
 
 from conftest import random_quadri
@@ -100,7 +101,7 @@ def test_check_operator_fail(capsys, sample_doc_path):
 
 
 def test_check_operator_wrong_shape(capsys, sample_doc_path, tmp_path):
-    doc = json.loads(open(sample_doc_path).read())
+    doc = json.loads(Path(sample_doc_path).read_text())
     doc["maps"]["skew"] = {"source": 2, "target": 2, "matrix": [[0, 1], [0, 0]]}
     p = tmp_path / "withskew.json"
     p.write_text(json.dumps(doc))
@@ -135,7 +136,7 @@ def test_construct_writes_verified_document(capsys, sample_doc_path, tmp_path):
     )
     assert code == 0
     assert "all passed" in out
-    doc = parse_document(open(out_path).read())
+    doc = parse_document(Path(out_path).read_text())
     assert doc.algebras["semidirect"].dimension == 8
 
 
@@ -149,14 +150,14 @@ def test_construct_dual_extension(capsys, sample_doc_path, tmp_path):
     payload = json.loads(out)
     labels = {v["label"] for v in payload["verifications"]}
     assert len(labels) == 2
-    doc = parse_document(open(out_path).read())
+    doc = parse_document(Path(out_path).read_text())
     assert doc.actions["dual_extension"].target.dimension == 8
     assert doc.maps["projection"].target_dim == 4
 
 
 def test_construct_precondition_failure(capsys, sample_doc_path, tmp_path):
     # the identity map is not a Rota-Baxter operator on the polynomials
-    doc = json.loads(open(sample_doc_path).read())
+    doc = json.loads(Path(sample_doc_path).read_text())
     doc["maps"]["ident"] = {
         "source": "poly",
         "target": "poly",
@@ -300,7 +301,7 @@ def test_byte_identical_reruns(capsys, sample_doc_path, tmp_path):
             "--rep", "adjoint", "--out", out_path,
         )
         assert code == 0
-        files.append(open(out_path, "rb").read())
+        files.append(Path(out_path).read_bytes())
     assert files[0] == files[1]
 
 
@@ -354,7 +355,7 @@ CHECKS = [("poly", "associative"), ("dend", "dendriform"), ("adjoint", "dend-rep
 def test_check_fuzzed_document(sample_doc_path, tmp_path_factory, data, value, target):
     """Any one value of the sample document replaced by a small JSON value:
     `check` exits 0, 1 or 2 and never ends in a traceback."""
-    doc = json.loads(open(sample_doc_path).read())
+    doc = json.loads(Path(sample_doc_path).read_text())
     node, key = doc, None
     while isinstance(node, (dict, list)) and node and (key is None or data.draw(st.booleans())):
         parent = node
@@ -391,3 +392,25 @@ def test_search_repeated_grid_value(capsys, sample_doc_path):
     assert code == 2
     assert out == ""
     assert err == "error: grid repeats the value '1/2'\n"
+
+
+@pytest.mark.parametrize("command, flag", [("search", "--object"), ("check-operator", "--on")])
+def test_subject_errors_name_the_command_flag(capsys, sample_doc_path, tmp_path, command, flag):
+    """An ambiguous subject asks for the command's own flag; a document
+    with no object of the kind's type says so."""
+    extra = ["--grid", "0,1"] if command == "search" else ["--map", "m"]
+    doc = json.loads(Path(sample_doc_path).read_text())
+    doc["maps"]["m"] = {"source": 4, "target": 4, "matrix": [[0] * 4 for _ in range(4)]}
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(two), "--kind", "relative-averaging", *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} is required: 2 candidate object(s) for kind 'relative_averaging'\n"
+
+    zero = BilinearOp.zero(2, 2, 2)
+    none = tmp_path / "dual.json"
+    none.write_text(serialize_document(Document(
+        algebras={"dual": Algebra(2, "associative", {"mul": zero})}, maps={"m": LinearMap.zero(2, 2)})))
+    code, out, err = run(capsys, command, str(none), "--kind", "averaging", *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: the document has no object for kind 'dend_averaging'\n"

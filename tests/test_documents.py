@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,7 +141,7 @@ def test_representation_references_validated():
 
 
 def test_lookup_object(sample_doc_path):
-    doc = parse_document(open(sample_doc_path).read())
+    doc = parse_document(Path(sample_doc_path).read_text())
     assert doc.lookup_object("poly").signature == "associative"
     assert doc.lookup_object("adjoint").module_dim == 4
     with pytest.raises(DocumentError):

@@ -8,6 +8,7 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from splitalg.identities import (
     tabulate,
     var,
 )
-from splitalg import model
+from splitalg import model, operators
 from splitalg.constructions import dual_extension, hemisemidirect, induced_six, sum_collapse_quadri, sum_collapse_six
 from splitalg.linalg import basis_vector, is_zero
 from splitalg.model import (
@@ -47,7 +48,7 @@ from splitalg.model import (
 )
 from splitalg.operators import OPERATOR_KINDS, _KINDS, check_operator, operator_map_shape, search_operators
 from splitalg.quotients import quadri_to_relative_setup
-from splitalg.samples import truncated_polynomial_dendriform
+from splitalg.samples import one_dim_dendriform, truncated_polynomial_algebra, truncated_polynomial_dendriform
 
 from conftest import random_quadri, transport
 
@@ -368,10 +369,11 @@ def test_wide_tabulate_matches_reference(ctx, table):
 
 
 # ----------------------------------------------------------------------
-# Operator search compiles its kind once and binds each candidate map in
-# turn, stopping at the first violation; grids mixing integers and
-# non-integers change the map's denominators, so its scale, from one
-# candidate to the next.
+# Operator search compiles its kind into polynomials in the entries of T
+# and walks the grid depth first, pruning at the first non-zero polynomial;
+# it must pass exactly the candidates check_operator passes, in row-major
+# grid order.  Grids mixing integers and non-integers give the entries
+# different denominators.
 
 SEARCH_GRID = st.lists(st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(0)]),
                        min_size=1, max_size=3, unique=True)
@@ -421,6 +423,88 @@ def test_search_rescales_each_candidate():
     grid = [Fraction(-1), Fraction(1, 2), Fraction(3)]
     hits = search_operators(act, "homomorphic_relative", grid)
     assert hits == reference_search(act, "homomorphic_relative", grid) == [LinearMap(1, 1, [[Fraction(1, 2)]])]
+
+
+def _representation(base: Algebra, m: int, k) -> Representation:
+    """base acting on an m-dimensional module by the constants k(name, i, j, out)."""
+    n = base.dimension
+    build = lambda name, left, right: BilinearOp.build(
+        left, right, m, lambda i, j: tuple(Fraction(k(name, i, j, o)) for o in range(m)))
+    return Representation(base, m, {
+        name: build(name, n, m) if name.endswith("_l") else build(name, m, n)
+        for name in ("prec_l", "succ_l", "prec_r", "succ_r")
+    })
+
+
+# prec the dual-number product, succ zero: a dendriform algebra of dimension
+# 2 (truncated_polynomial_dendriform(2) has both operations zero)
+_DUAL_PREC = Algebra(2, "dendriform", {
+    "prec": truncated_polynomial_algebra(2).op("mul"), "succ": BilinearOp.zero(2, 2, 2)})
+_P3 = [[Fraction(e) for e in row] for row in ((1, 1, 0), (0, 1, -1), (1, 1, 1))]  # unimodular
+
+# (subject, kind, grid): 3x3 maps on a 0/1 grid, unsorted grids with
+# rationals, maps between spaces of different dimensions, and the one empty
+# candidate of dimension 0
+SEARCH_CASES = {
+    "3x3 rota-baxter 0/1, transported": (
+        transport(truncated_polynomial_algebra(3), _P3), "rota_baxter", [Fraction(0), Fraction(1)]),
+    "3x3 dend-averaging 0/1": (truncated_polynomial_dendriform(3), "dend_averaging", [Fraction(1), Fraction(0)]),
+    "unsorted rationals, assoc-averaging": (truncated_polynomial_algebra(2), "assoc_averaging",
+                                            [Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(3, 2)]),
+    "unsorted rationals, homomorphic": (
+        model.self_action(_DUAL_PREC), "homomorphic_relative", [Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(2)]),
+    "module 1 -> base 2": (
+        _representation(_DUAL_PREC, 1, lambda name, i, j, o: (i + j + len(name)) % 3 - 1),
+        "relative_averaging", [Fraction(-1), Fraction(1, 2), Fraction(0), Fraction(2)]),
+    "module 3 -> base 1": (
+        _representation(one_dim_dendriform(1, 0), 3, lambda name, i, j, o: name.startswith("prec") and (i + j + 1) % 3 == o),
+        "relative_averaging", [Fraction(0), Fraction(-1), Fraction(1)]),
+    "dimension 0": (
+        Algebra(0, "associative", {"mul": BilinearOp.zero(0, 0, 0)}), "rota_baxter", [Fraction(0), Fraction(1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_search_matches_reference_on(case):
+    subject, kind, grid = SEARCH_CASES[case]
+    assert search_operators(subject, kind, grid) == reference_search(subject, kind, grid)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(OPERATOR_KINDS))
+def test_search_matches_reference_after_basis_change(data, kind):
+    """Transported structure constants are dense, so few polynomials are
+    decided by one entry of T alone."""
+    base = truncated_polynomial_algebra(2) if kind in ("rota_baxter", "assoc_averaging") else _DUAL_PREC
+    moved = transport(base, data.draw(unimodular_matrices(2)))
+    subject = {
+        "relative_averaging": model.adjoint_representation,
+        "homomorphic_relative": model.self_action,
+    }.get(kind, lambda a: a)(moved)
+    grid = [Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2)]
+    assert search_operators(subject, kind, grid) == reference_search(subject, kind, grid)
+
+
+def test_search_takes_no_engine_path(monkeypatch):
+    """With the engine's scan and check_operator disabled, every kind still
+    searches and finds the reference's hits: no candidate is checked one
+    by one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search candidate went through the engine")
+
+    grid = [Fraction(-1), Fraction(0), Fraction(1)]
+    cases = [
+        (truncated_polynomial_algebra(2), "rota_baxter"),
+        (truncated_polynomial_algebra(2), "assoc_averaging"),
+        (_DUAL_PREC, "dend_averaging"),
+        (model.adjoint_representation(_DUAL_PREC), "relative_averaging"),
+        (model.self_action(_DUAL_PREC), "homomorphic_relative"),
+    ]
+    monkeypatch.setattr(identities._Program, "violations", refuse)
+    monkeypatch.setattr(operators, "check_operator", refuse)
+    hits = [search_operators(subject, kind, grid) for subject, kind in cases]
+    monkeypatch.undo()
+    assert hits == [reference_search(subject, kind, grid) for subject, kind in cases]
 
 
 # ----------------------------------------------------------------------
