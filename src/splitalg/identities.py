@@ -11,20 +11,20 @@ expressions) are encoded as the k-1 consecutive pairwise equations; the
 remaining mathematically redundant pairs are available via paranoid=True.
 
 Every check in the package (catalogs, operator kinds, graph closure,
-morphisms, differentials) is a list of schema groups run by `_scan`.  A
-three-slot group made only of depth-2 products of its three slots (every
-catalog's) is contracted as sparse tensors; every other group visits its
-basis tuples one by one.  An operator search instead compiles its kind into
-polynomials in the entries of its map (`residual_polynomials`).
+morphisms, differentials, quotients) is a list of schema groups evaluated
+by one sparse evaluator (_Program): each subterm becomes a table of its
+non-zero values over the basis tuples of the slots it reads, and an
+equation's residuals are the sum of its terms' tables.  An operator search
+runs the same evaluator once, with the entries of its map as the variables
+of polynomials (residual_polynomials).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from itertools import compress
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg, sub
 from typing import Mapping, Sequence, Union
 
 from .linalg import Vector, vec_add
@@ -485,29 +485,32 @@ def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vec
 
 
 # ----------------------------------------------------------------------
-# The scan
+# The evaluator
 #
-# A program compiles schema groups once against a context's signature (its
+# Every check in the package, and the operator search, runs here.  A
+# program compiles schema groups once against a context's signature (its
 # operation and map names with their sorts, and the dimension of each
 # sort): each distinct subterm, keyed by the term and the slot sorts of its
-# group, becomes a node whose binder reads the context's current tensors
-# and returns a function of the basis tuple.  (An operator search does not
-# bind candidate maps: it compiles its kind into polynomials in the map's
-# entries, residual_polynomials below.)  A subterm reading fewer slots
-# than its group has is tabulated at bind over the slots it reads; an
-# operation on two basis leaves and a map on a basis leaf look up structure
-# constants and columns.  Terms reading every slot are evaluated per tuple.
-# The scan goes group by group and, inside a group, tuple-major: at each
-# basis tuple (lexicographic order), every equation of the group.
+# group, becomes a node that reads some of the group's slots.  Binding a
+# node to the context's current tensors gives its table, {rank: value}, over
+# the basis tuples of the slots it reads where the value can be non-zero:
+# the rank counts tuples in lexicographic order, and a value is the list of
+# its components.  Operations and maps read their arguments through the
+# non-zero (component, coefficient) pairs of each value (_pairs), made once
+# per table.
 #
-# A group of three slots whose every term is op2(op1(x_a, x_b), x_c) or
-# op2(x_c, op1(x_a, x_b)), for a, b, c its three slots, is contracted
-# instead: each such term binds to a sparse tensor, {rank of the basis tuple
-# in lexicographic order: its value}, built by joining op1's non-zero cells
-# with op2's rows (inner product on the left) or columns (on the right).  An
-# equation's residuals are the sum of its terms' tensors, so only tuples in
-# their supports are visited; the non-zero ones are reported in (tuple,
-# equation position) order, the order of the scan, with the same residuals.
+# - A variable leaf's table is the basis.
+# - An operation joins its arguments' tables through its non-zero
+#   structure constants, indexing one table by component; where the two
+#   read a common slot, only entries agreeing on it meet.
+# - A map applies its sparse columns to the sum of its argument's terms.
+# - A table is broadcast to more slots by adding the rank offsets of the
+#   slots it does not read.
+#
+# An equation's residuals are the sum of its terms' tables over its group's
+# slots, so only tuples in their supports are visited; the non-zero ones
+# are reported in (tuple, equation position) order.  Groups are bound one by
+# one, and after each, the tables no later group reads are dropped.
 #
 # All of it runs on Python ints.  Each tensor and map is scaled by D, the
 # lcm of the denominators of its non-zero entries, once in its lifetime (its
@@ -516,7 +519,9 @@ def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vec
 # times s.  An equation (or a map argument) brings its terms to one scale S,
 # the lcm of their scales times the lcm of the denominators of their
 # coefficients, so a residual r is exactly zero iff r is, and its true value
-# is r / S.  Scales are worked out at every bind, as D changes with T.
+# is r / S.  Scales are worked out at every bind, as D changes with T.  The
+# evaluator only adds, multiplies and tests for zero, so a map whose entries
+# are polynomials (VariableMap) binds the same way.
 
 
 def _common_scale(pairs) -> tuple[int, list[int]]:
@@ -525,379 +530,359 @@ def _common_scale(pairs) -> tuple[int, list[int]]:
     return scale, [c.numerator * (scale // s) // c.denominator for c, s in pairs]
 
 
-def _lincomb(pairs) -> tuple[int, ...] | None:
-    """sum c * v over (c, v) pairs; None when there are none."""
-    acc = None
-    for c, v in pairs:
-        if acc is None:
-            acc = v if c == 1 else tuple(map(neg, v)) if c == -1 else tuple(c * a for a in v)
-        elif c == 1:
-            acc = tuple(map(add, acc, v))
-        elif c == -1:
-            acc = tuple(map(sub, acc, v))
-        else:
-            acc = tuple(a + c * b for a, b in zip(acc, v))
-    return acc
+def _broadcast(table: dict, spread) -> dict:
+    """A table over more slots, for spread = (place, offsets): rank r goes to
+    place[r] + e for each e in offsets, the ranks of the slots it does not
+    read.  spread None leaves the table as it is."""
+    if spread is None:
+        return table
+    place, offsets = spread
+    return {place[rank] + e: v for rank, v in table.items() for e in offsets}
 
 
-def _product(cells, out_dim: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """x * y, from the non-zero (k, c) of each structure-constant vector."""
-    out = [0] * out_dim
-    ys = [(j, b) for j, b in enumerate(y) if b]
-    for i, a in enumerate(x):
-        if a:
-            row = cells[i]
-            for j, b in ys:
-                if row[j]:
-                    ab = a * b
-                    for k, c in row[j]:
-                        out[k] += ab * c
-    return tuple(out)
+def _sum(parts) -> dict:
+    """sum c * table over the (c, table) parts, of tables over the same slots."""
+    out: dict = {}
+    get = out.get
+    for c, table in parts:
+        for rank, v in table.items():
+            w = get(rank)
+            if w is None:
+                out[rank] = list(v) if c == 1 else [c * a for a in v]
+            else:
+                for k, a in compress(enumerate(v), v):
+                    w[k] += c * a
+    return out
 
 
-def _image(columns, out_dim: int, v: tuple[int, ...]) -> tuple[int, ...]:
-    """M v, from the non-zero (k, c) of each column of M."""
-    out = [0] * out_dim
-    for j, a in enumerate(v):
-        if a:
-            for k, c in columns[j]:
-                out[k] += a * c
-    return tuple(out)
+def _pairs(table: dict) -> dict:
+    """{rank: the non-zero (k, value) pairs of the value}."""
+    return {rank: [(k, a) for k, a in enumerate(v) if a] for rank, v in table.items()}
 
 
-def _tabulate(fn, slots: tuple[int, ...], dims: list[int]):
-    """Evaluate fn once per assignment of the slots it reads; the result
-    looks the value up."""
-    idx = [0] * (slots[-1] + 1)
-    table = {}
-    for assignment in itertools.product(*map(range, dims)):
-        for s, i in zip(slots, assignment):
-            idx[s] = i
-        table[assignment] = fn(idx)
-    return lambda idx: table[tuple(idx[s] for s in slots)]
+def _join(rows, cols, left, lplace, lkey, right, rplace, rkey, out_dim: int) -> dict:
+    """The table of x * y from the pairs of x and y and the non-zero
+    structure constants, rows[i] = [(j, [(k, c)])] and cols[j] = [(i, the
+    same)]: the rank of a pair is lplace[x's rank] + rplace[y's rank], and
+    only pairs whose ranks over the shared slots (lkey, rkey) are equal
+    meet.  The larger table is walked and the smaller indexed by component,
+    so each line of the index serves many entries."""
+    if len(right) > len(left):
+        left, lplace, lkey, right, rplace, rkey, rows = right, rplace, rkey, left, lplace, lkey, cols
+    index: dict = {}  # (key, component j) -> [(rank part, value_j)] of the smaller
+    for rank, v in right.items():
+        key, part = rkey[rank], rplace[rank]
+        for j, b in v:
+            index.setdefault((key, j), []).append((part, b))
+    lines: dict = {}  # (key, component i) -> [(rank part, [(k, value_j * c_ij)])]
+    out: dict = {}
+    get = out.get
+    for rank, v in left.items():
+        base, key = lplace[rank], lkey[rank]
+        for i, a in v:
+            line = lines.get((key, i))
+            if line is None:
+                line = lines[key, i] = [
+                    (part, cells if b == 1 else [(k, b * c) for k, c in cells])
+                    for j, cells in rows[i]
+                    for part, b in index.get((key, j), ())
+                ]
+            for part, cells in line:
+                w = get(base + part)
+                if w is None:
+                    w = out[base + part] = [0] * out_dim
+                for k, bc in cells:
+                    w[k] += a * bc
+    return out
 
 
-def _contraction_shape(term: Term):
-    """(outer op, inner op, (a, b, c), inner on the left) when the term is
-    op2(op1(x_a, x_b), x_c) or op2(x_c, op1(x_a, x_b)) for slots a, b, c
-    a permutation of 0, 1, 2; None otherwise."""
-    if term[0] in ("var", "map"):
-        return None
-    outer, left, right = term
-    on_left = left[0] != "var"
-    inner, leaf = (left, right) if on_left else (right, left)
-    if leaf[0] != "var" or inner[0] in ("var", "map") or inner[1][0] != "var" or inner[2][0] != "var":
-        return None
-    slots = (inner[1][1], inner[2][1], leaf[1])
-    return (outer, inner[0], slots, on_left) if sorted(slots) == [0, 1, 2] else None
-
-
-def _term_tensor(inner_cells, outer_cells, strides, on_left: bool, out_dim: int) -> dict:
-    """{rank: value ints} over the basis tuples where the term is not
-    (structurally) zero: inner_cells[p][q] are op1's non-zero (m, c) at
-    x_a = e_p, x_b = e_q, outer_cells op2's, and the tuple of (p, q, r),
-    r the index of x_c, has rank p*sa + q*sb + r*sc for strides (sa, sb, sc)."""
-    sa, sb, sc = strides
-    if on_left:  # row m of op2: x_c = e_r on the right of e_m
-        line = lambda m: [(r, cells) for r, cells in enumerate(outer_cells[m]) if cells]
-    else:  # column m of op2: x_c = e_r on the left of e_m
-        line = lambda m: [(r, row[m]) for r, row in enumerate(outer_cells) if row[m]]
-    lines: dict[int, list] = {}
-    tensor: dict[int, list[int]] = {}
-    for p, row in enumerate(inner_cells):
-        for q, cells in enumerate(row):
-            base = p * sa + q * sb
-            for m, c1 in cells:
-                if m not in lines:
-                    lines[m] = line(m)
-                for r, cells2 in lines[m]:
-                    rank = base + r * sc
-                    v = tensor.get(rank)
-                    if v is None:
-                        v = tensor[rank] = [0] * out_dim
-                    for k, c2 in cells2:
-                        v[k] += c1 * c2
-    return tensor
-
-
-def _unrank(rank: int, dims) -> tuple[int, int, int]:
-    """The basis tuple of a rank in the lexicographic order on three slots."""
-    i, rest = divmod(rank, dims[1] * dims[2])
-    return (i, *divmod(rest, dims[2]))
-
-
-def _contracted_violations(bound, tensors, dims):
-    """violations() of a contracted group: each equation's residual as the
-    sum of its terms' tensors, {rank: residual ints}; the non-zero ones in
-    (tuple, equation position) order."""
+def _residuals(equations, tables: list, scales: list) -> list:
+    """(rank, position, equation id, residual ints, scale) of each non-zero
+    residual of a group's equations, in (rank, position) order."""
     found = []
-    for position, (eqid, scale, signed) in enumerate(bound):
-        residuals: dict = {}
-        get = residuals.get
-        for c, p in signed:
-            for rank, v in tensors[p].items():
-                old = get(rank)
-                residuals[rank] = _lincomb(((c, v),) if old is None else ((1, old), (c, v)))
-        found += [(rank, position, eqid, r, scale) for rank, r in residuals.items() if any(r)]
-    found.sort(key=lambda f: f[:2])
-    for rank, _, eqid, residual, scale in found:
-        yield eqid, _unrank(rank, dims), residual, scale
+    for position, (eqid, terms) in enumerate(equations):
+        scale, ints = _common_scale([(c, scales[n]) for c, n, _ in terms])
+        sums = _sum([(k, _broadcast(tables[n], spread)) for k, (_, n, spread) in zip(ints, terms)])
+        found += [(rank, position, eqid, tuple(r), scale) for rank, r in sums.items() if any(r)]
+    found.sort()  # (rank, position) pairs are distinct
+    return found
+
+
+def _unrank(rank: int, reversed_dims) -> tuple[int, ...]:
+    """The basis tuple of a rank in the lexicographic order, for the slot
+    dimensions in reverse."""
+    idx = ()
+    for d in reversed_dims:
+        rank, i = divmod(rank, d)
+        idx = (i, *idx)
+    return idx
 
 
 class _Program:
     """Schema groups (and terms) compiled against the signature of a
-    context; `violations` binds the context's current tensors and scans."""
+    context; `violations` binds the context's current tensors."""
 
     def __init__(self, ctx: OpContext, groups=()):
         self.ctx = ctx
-        # per node, children first: (binder (fns, scales) -> (fn, scale),
-        # (slots, dims) to tabulate the bound function over, or None)
+        # per node: its binder (tables, scales, pairs) -> (table, scale),
+        # and the nodes it reads
         self.binders: list = []
+        self.reads: list = []
         self._memo: dict = {}
-        # (slot sorts, nodes bound before the group runs, top nodes,
-        # [(equation id, [(coefficient, top position)])], contracted)
+        self._layouts: dict = {}  # _layout and _ranks, computed once
+        # the nodes whose tables are summed (equation terms, map arguments):
+        # the others are read only through their _pairs
+        self.summed: set[int] = set()
+        # (slot sorts, nodes bound before the group runs,
+        # [(equation id, [(coefficient, node, spread)])])
         self.groups = [self._group(group) for group in groups]
-        # per group, the tensors no later group reads: dropped after it, so
-        # a check holds only the tensors it has still to read
-        last = {n: g for g, group in enumerate(self.groups) if group[4] for n in group[2]}
-        self.released = [[n for n, g in last.items() if g == group] for group in range(len(self.groups))]
+        # per group, the nodes whose tables no later group reads: dropped
+        # after it, so a check holds only the tables it has still to read
+        last, start = {}, 0
+        for g, (_, end, equations) in enumerate(self.groups):
+            for n in range(start, end):
+                last.update((child, g) for child in self.reads[n])
+            last.update((n, g) for _, terms in equations for _, n, _ in terms)
+            start = end
+        self.released: list[list[int]] = [[] for _ in self.groups]
+        for n, g in last.items():
+            self.released[g].append(n)
 
     def _group(self, group):
         sorts = group[0].slot_sorts
-        contracted = len(sorts) == 3 and all(
-            _contraction_shape(term) for schema in group for _, term in schema.lhs + schema.rhs
-        )
-        tops: dict[int, int] = {}  # node -> position in the values of a tuple
+        slots, dims = tuple(range(len(sorts))), tuple(self.ctx.dims[s] for s in sorts)
         equations = []
         for schema in group:
             if schema.slot_sorts != sorts:
                 raise SpecError("the schemas of a group must share their slot sorts")
             coefs: dict[int, Fraction] = {}
+            read: dict[int, tuple] = {}
             out_sorts = set()
             for sign, side in ((1, schema.lhs), (-1, schema.rhs)):
                 for c, term in side:
-                    node, out_sort, _, _ = self.compile(term, sorts, contracted)
+                    node, out_sort, read[node] = self.compile(term, sorts)
                     out_sorts.add(out_sort)
-                    top = tops.setdefault(node, len(tops))
-                    coefs[top] = coefs.get(top, 0) + sign * c
+                    c = c if sign == 1 else -c
+                    coefs[node] = coefs[node] + c if node in coefs else c
             if len(out_sorts) > 1:
                 raise SpecError(f"schema {schema.id!r} equates terms of different sorts")
-            equations.append((schema.id, [(c, top) for top, c in coefs.items() if c]))
-        return sorts, len(self.binders), list(tops), equations, contracted
+            terms = [(c, node, self._spread(read[node], slots, dims)) for node, c in coefs.items() if c]
+            self.summed.update(node for _, node, _ in terms)
+            equations.append((schema.id, terms))
+        return sorts, len(self.binders), equations
 
-    def compile(self, term: Term, sorts: tuple[str, ...], contracted: bool = False):
-        """(node, output sort, slots read, slot if the term is a variable
-        leaf) for a term in a group with these slot sorts; the node of a
-        contracted term binds to its sparse tensor, not to a function."""
-        key = (term, sorts, contracted)
+    def compile(self, term: Term, sorts: tuple[str, ...]):
+        """(node, output sort, slots read) for a term in a group with these
+        slot sorts."""
+        key = (term, sorts)
         if key not in self._memo:
-            binder, table, *compiled = (self._compile_contracted if contracted else self._compile)(term, sorts)
-            self.binders.append((binder, table))
+            binder, reads, *compiled = self._compile(term, sorts)
+            self.binders.append(binder)
+            self.reads.append(reads)
             self._memo[key] = (len(self.binders) - 1, *compiled)
         return self._memo[key]
 
     def _compile(self, term: Term, sorts: tuple[str, ...]):
-        """(binder, table, output sort, slots read, leaf slot) of a new node."""
+        """(binder, nodes read, output sort, slots read) of a new node."""
         ctx = self.ctx
+        dims = tuple(ctx.dims[s] for s in sorts)
         if term[0] == "var":
-            s, dim = term[1], ctx.dims[sorts[term[1]]]
-            basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-            fn = lambda idx: basis[idx[s]]
-            return (lambda fns, scales: (fn, 1)), None, sorts[s], (s,), s
+            s = term[1]
+            basis = {i: tuple(int(i == j) for j in range(dims[s])) for i in range(dims[s])}
+            return (lambda tables, scales, pairs: (basis, 1)), (), sorts[s], (s,)
         if term[0] == "map":
             name = term[1]
             _, source, out_sort = ctx.resolve_map(name)
             children = [self.compile(t, sorts) for _, t in term[2]]
             if any(child[1] != source for child in children):
                 raise SpecError(f"map {name!r} applied to an argument of the wrong sort")
-            coefs, nodes = [c for c, _ in term[2]], [child[0] for child in children]
-            leaf = children[0][3] if len(children) == 1 and coefs[0] == 1 else None
-            lookup = leaf is not None
+            slots = tuple(sorted({s for child in children for s in child[2]}))
+            argument = [(c, node, self._spread(read, slots, dims)) for (c, _), (node, _, read) in zip(term[2], children)]
+            self.summed.update(node for _, node, _ in argument)
+            out_dim = ctx.dims[out_sort]
 
-            def bind(fns, scales):
-                m = ctx.maps[name][0]
-                d, columns, sparse = m.integer_form
-                if lookup:
-                    return (lambda idx: columns[idx[leaf]]), d
-                arg_scale, ints = _common_scale([(c, scales[n]) for c, n in zip(coefs, nodes)])
-                terms = [(c, fns[n]) for c, n in zip(ints, nodes)]
-                return (lambda idx: _image(sparse, m.target_dim, _lincomb((c, f(idx)) for c, f in terms))), d * arg_scale
-        else:
-            name = term[0]
-            _, ls, rs, out_sort = ctx.resolve(name)
-            children = [self.compile(term[1], sorts), self.compile(term[2], sorts)]
-            (left, lsort, _, a), (right, rsort, _, b) = children
-            if (lsort, rsort) != (ls, rs):
-                raise SpecError(f"operation {name!r} applied to arguments of the wrong sort")
-            lookup = a is not None and b is not None
+            def bind(tables, scales, pairs):
+                d, columns = ctx.maps[name][0].integer_form
+                scale, ints = _common_scale([(c, scales[n]) for c, n, _ in argument])
+                parts = [(k, _broadcast(tables[n], spread)) for k, (_, n, spread) in zip(ints, argument)]
+                image = {}
+                for rank, v in _sum(parts).items():
+                    w = image[rank] = [0] * out_dim
+                    for j, a in compress(enumerate(v), v):
+                        for k, c in columns[j]:
+                            w[k] += a * c
+                return image, d * scale
 
-            def bind(fns, scales):
-                op = ctx.ops[name][0]
-                d, rows, cells = op.integer_form
-                scale = d * scales[left] * scales[right]
-                if lookup:
-                    return (lambda idx: rows[idx[a]][idx[b]]), scale
-                lf, rf = fns[left], fns[right]
-                return (lambda idx: _product(cells, op.out_dim, lf(idx), rf(idx))), scale
-        slots = tuple(sorted({s for child in children for s in child[2]}))
-        table = None if lookup or len(slots) == len(sorts) else (slots, [ctx.dims[sorts[s]] for s in slots])
-        return bind, table, out_sort, slots, None
+            return bind, [node for _, node, _ in argument], out_sort, slots
+        name = term[0]
+        _, ls, rs, out_sort = ctx.resolve(name)
+        left, lsort, lslots = self.compile(term[1], sorts)
+        right, rsort, rslots = self.compile(term[2], sorts)
+        if (lsort, rsort) != (ls, rs):
+            raise SpecError(f"operation {name!r} applied to arguments of the wrong sort")
+        slots, lplace, lkey, rplace, rkey = self._layout(lslots, rslots, dims)
+        out_dim = ctx.dims[out_sort]
 
-    def _compile_contracted(self, term: Term, sorts: tuple[str, ...]):
-        """_compile for a term of contraction shape, with the same refusals
-        in the same order."""
-        ctx = self.ctx
-        outer, inner, (a, b, c), on_left = _contraction_shape(term)
-        _, ols, ors, out_sort = ctx.resolve(outer)
-        _, ils, irs, mid = ctx.resolve(inner)
-        if (ils, irs) != (sorts[a], sorts[b]):
-            raise SpecError(f"operation {inner!r} applied to arguments of the wrong sort")
-        if (ols, ors) != ((mid, sorts[c]) if on_left else (sorts[c], mid)):
-            raise SpecError(f"operation {outer!r} applied to arguments of the wrong sort")
-        _, d1, d2 = (ctx.dims[s] for s in sorts)
-        strides = (d1 * d2, d2, 1)
-        strides = (strides[a], strides[b], strides[c])
+        def bind(tables, scales, pairs):
+            d, rows, cols = ctx.ops[name][0].integer_form
+            table = _join(rows, cols, pairs(left), lplace, lkey, pairs(right), rplace, rkey, out_dim)
+            return table, d * scales[left] * scales[right]
 
-        def bind(fns, scales):
-            d_in, _, inner_cells = ctx.ops[inner][0].integer_form
-            op = ctx.ops[outer][0]
-            d_out, _, outer_cells = op.integer_form
-            tensor = _term_tensor(inner_cells, outer_cells, strides, on_left, op.out_dim)
-            return tensor, d_in * d_out
+        return bind, (left, right), out_sort, slots
 
-        return bind, None, out_sort, (0, 1, 2), None
+    def _layout(self, lslots, rslots, dims):
+        """(slots, lplace, lkey, rplace, rkey) of _join for arguments reading
+        lslots and rslots."""
+        key = ("join", lslots, rslots, dims)
+        if key not in self._layouts:
+            slots = tuple(sorted({*lslots, *rslots}))
+            shared = tuple(s for s in lslots if s in rslots)
+            self._layouts[key] = (slots, self._ranks(lslots, slots, dims), self._ranks(lslots, shared, dims),
+                                  self._ranks(rslots, slots, dims, shared), self._ranks(rslots, shared, dims))
+        return self._layouts[key]
 
-    def bind(self, fns: list, scales: list, end: int | None = None) -> None:
-        """Extend fns and scales, each node's function of the basis tuple
-        (its value times its scale, in ints) and its scale, to the first
-        `end` nodes, on the context's current tensors."""
-        for binder, table in self.binders[len(fns):end]:
-            fn, scale = binder(fns, scales)
-            fns.append(fn if table is None else _tabulate(fn, *table))
+    def _ranks(self, slots, onto, dims, skip=()):
+        """Per rank over the slots: the rank over the slots `onto` of its
+        entries in `onto` and not in skip (the others count 0)."""
+        key = (slots, onto, skip, dims)
+        if key not in self._layouts:
+            if slots == onto and not skip:
+                ranks = range(math.prod(dims[s] for s in slots))  # the identity, not stored
+            else:
+                strides, step = {}, 1
+                for s in reversed(onto):
+                    strides[s], step = (0 if s in skip else step), step * dims[s]
+                ranks = [0]
+                for s in slots:
+                    stride = strides.get(s, 0)
+                    ranks = [r + i * stride for r in ranks for i in range(dims[s])]
+            self._layouts[key] = ranks
+        return self._layouts[key]
+
+    def _spread(self, read, slots, dims):
+        """The spread for _broadcast from the slots `read` to `slots`."""
+        if read == slots:
+            return None
+        return self._ranks(read, slots, dims), self._ranks(tuple(s for s in slots if s not in read), slots, dims)
+
+    def bind(self, tables: list, scales: list, views: dict, end: int | None = None) -> None:
+        """Extend tables and scales, each node's table (its values times its
+        scale, in ints) and its scale, to the first `end` nodes, on the
+        context's current tensors.  views holds the _pairs of the tables
+        operations have read; a table no sum reads is dropped once its pairs
+        are made."""
+        def pairs(n):
+            if n not in views:
+                views[n] = _pairs(tables[n])
+                if n not in self.summed:
+                    tables[n] = None
+            return views[n]
+
+        for binder in self.binders[len(tables):end]:
+            table, scale = binder(tables, scales, pairs)
+            tables.append(table)
             scales.append(scale)
 
     def violations(self):
         """(equation id, basis tuple, residual ints, scale) of each non-zero
-        residual in scan order, lazily: a caller that needs only the first
-        binds and evaluates no further."""
-        fns, scales = [], []
-        for released, (sorts, end, tops, equations, contracted) in zip(self.released, self.groups):
-            self.bind(fns, scales, end)
-            bound = []
-            for eqid, terms in equations:
-                scale, ints = _common_scale([(c, scales[tops[p]]) for c, p in terms])
-                bound.append((eqid, scale, [(c, p) for c, (_, p) in zip(ints, terms)]))
-            dims = [self.ctx.dims[s] for s in sorts]
-            if contracted:
-                yield from _contracted_violations(bound, [fns[n] for n in tops], dims)
-                for n in released:
-                    fns[n] = None
-                continue
-            values_of = [fns[n] for n in tops]
-            for idx in itertools.product(*map(range, dims)):
-                values = [f(idx) for f in values_of]
-                for eqid, scale, signed in bound:
-                    residual = _lincomb((c, values[p]) for c, p in signed)
-                    if residual is not None and any(residual):
-                        yield eqid, idx, residual, scale
+        residual in scan order, group by group: a caller that needs only the
+        first binds no further group."""
+        tables, scales, views = [], [], {}
+        for released, (sorts, end, equations) in zip(self.released, self.groups):
+            self.bind(tables, scales, views, end)
+            reversed_dims = [self.ctx.dims[s] for s in reversed(sorts)]
+            for rank, _, eqid, residual, scale in _residuals(equations, tables, scales):
+                yield eqid, _unrank(rank, reversed_dims), residual, scale
+            for n in released:
+                tables[n] = None
+                views.pop(n, None)
+
+
+def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term]) -> dict[str, BilinearOp]:
+    """Each term of the table, in two slots of these sorts, as the bilinear
+    operation of its values on the basis pairs; compiled as a check
+    compiles it, in one program for the whole table."""
+    program, sorts = _Program(ctx), tuple(sorts)
+    dims = tuple(ctx.dims[s] for s in sorts)
+    compiled = {name: program.compile(term, sorts) for name, term in table.items()}
+    program.summed.update(node for node, _, _ in compiled.values())
+    tables, scales = [], []
+    program.bind(tables, scales, {})
+    ops = {}
+    for name, (node, out_sort, read) in compiled.items():
+        out_dim, scale = ctx.dims[out_sort], scales[node]
+        rows = [[(Fraction(0),) * out_dim] * dims[1] for _ in range(dims[0])]
+        for rank, v in _broadcast(tables[node], program._spread(read, (0, 1), dims)).items():
+            i, j = divmod(rank, dims[1])
+            rows[i][j] = tuple(Fraction(a, scale) for a in v)
+        ops[name] = BilinearOp(*dims, out_dim, rows)
+    return ops
 
 
 # ----------------------------------------------------------------------
 # Residuals as polynomials in the entries of a map
 #
 # An operator search fixes the operations and varies the map T over a grid,
-# so T's entries are kept as variables: the entry in row r and column c of a
-# map from a sort of dimension m is variable r*m + c, the row-major position
-# of the entry.  A value is a sparse vector {component: polynomial}, and a
-# polynomial is {monomial: int} with a monomial the sorted tuple of its
-# variables.  Operations multiply through the non-zero cells of their
-# integer forms and carry scales as the scan does; a map node multiplies by
-# the variables of its column.
-
-_ONE = {(): 1}
+# so it binds T once to a map whose entries are variables: the entry in row
+# r and column c of a map from a space of dimension m is variable r*m + c,
+# its row-major position.  The entries are _Polys, closed under + and * with
+# ints, so the evaluator's tables hold polynomials and one bind of the
+# kind's groups gives every residual as a polynomial in T's entries.
 
 
-def _poly_mul_add(target: dict, c: int, p: dict, q: dict) -> None:
-    """target += c * p * q, for polynomials."""
-    for m1, a in p.items():
-        for m2, b in q.items():
-            mono = tuple(sorted(m1 + m2))
-            target[mono] = target.get(mono, 0) + c * a * b
+class _Poly(dict):
+    """A polynomial with int coefficients, {monomial: coefficient}, a
+    monomial the sorted tuple of its variables; closed under + and * with
+    ints, and never changed once made."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if type(other) is not _Poly:
+            return self if other == 1 else _Poly({m: a * other for m, a in self.items()})
+        out = _Poly()
+        get = out.get
+        for m1, a in self.items():
+            for m2, b in other.items():
+                m = m1 + m2 if not m1 or not m2 or m1[-1] <= m2[0] else tuple(sorted(m1 + m2))
+                out[m] = get(m, 0) + a * b
+        return out
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if type(other) is not _Poly:
+            return self + _Poly({(): other}) if other else self
+        out = _Poly(self)
+        get = out.get
+        for m, b in other.items():
+            out[m] = get(m, 0) + b
+        return out
+
+    __radd__ = __add__
+
+    def __bool__(self) -> bool:
+        return any(self.values())
 
 
-def _poly_value(term: Term, ctx: OpContext, idx, shape, memo: dict):
-    """(vector, scale) of a term at the basis tuple idx, with the map
-    nodes applying a symbolic map of shape (source_dim, target_dim)."""
-    if term not in memo:
-        if term[0] == "var":
-            memo[term] = {idx[term[1]]: _ONE}, 1
-        elif term[0] == "map":
-            source_dim, target_dim = shape
-            scale, vec = _poly_combine(term[2], ctx, idx, shape, memo)
-            out: dict = {}
-            for c, p in vec.items():
-                for r in range(target_dim):
-                    _poly_mul_add(out.setdefault(r, {}), 1, p, {(r * source_dim + c,): 1})
-            memo[term] = out, scale
-        else:
-            d, _, cells = ctx.resolve(term[0])[0].integer_form
-            (x, sx), (y, sy) = (_poly_value(t, ctx, idx, shape, memo) for t in term[1:])
-            out = {}
-            for i, p in x.items():
-                for j, q in y.items():
-                    for k, c in cells[i][j]:
-                        _poly_mul_add(out.setdefault(k, {}), c, p, q)
-            memo[term] = out, d * sx * sy
-    return memo[term]
+class VariableMap:
+    """A source_dim -> target_dim map whose entries are variables, in the
+    integer form the evaluator reads: bound in place of T, it makes every
+    residual a polynomial in T's entries (residual_polynomials)."""
+
+    def __init__(self, source_dim: int, target_dim: int):
+        self.source_dim, self.target_dim = source_dim, target_dim
+        self.integer_form = 1, [[(r, _Poly({(r * source_dim + c,): 1})) for r in range(target_dim)]
+                                for c in range(source_dim)]
 
 
-def _poly_combine(e: Expr, ctx: OpContext, idx, shape, memo: dict):
-    """(S, S times the vector) of an expression, S as in the scan."""
-    values = [_poly_value(term, ctx, idx, shape, memo) for _, term in e]
-    scale, ints = _common_scale([(c, s) for (c, _), (_, s) in zip(e, values)])
-    out: dict = {}
-    for c, (vec, _) in zip(ints, values):
-        for k, p in vec.items():
-            _poly_mul_add(out.setdefault(k, {}), c, p, _ONE)
-    return scale, out
-
-
-def residual_polynomials(ctx: OpContext, groups, source_dim: int, target_dim: int) -> list[dict]:
-    """Every equation of the groups at every basis tuple of its slot sorts,
-    with each map node applying one source_dim -> target_dim map whose
-    entries are the variables: one polynomial {monomial: int} per non-zero
-    (equation, basis tuple, output component), a non-zero multiple of the
-    residual's."""
-    found = []
-    for group in groups:
-        dims = [ctx.dims[s] for s in group[0].slot_sorts]
-        for idx in itertools.product(*map(range, dims)):
-            memo: dict = {}
-            for schema in group:
-                difference = schema.lhs + tuple((-c, term) for c, term in schema.rhs)
-                _, residual = _poly_combine(difference, ctx, idx, (source_dim, target_dim), memo)
-                for p in residual.values():
-                    p = {mono: a for mono, a in p.items() if a}
-                    if p:
-                        found.append(p)
-    return found
-
-
-def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term]) -> dict[str, BilinearOp]:
-    """Each term of the table, in two slots of these sorts, as the bilinear
-    operation of its values on the basis pairs; compiled as the scan
-    compiles it, in one program for the whole table."""
-    program, sorts = _Program(ctx), tuple(sorts)
-    left, right = (ctx.dims[s] for s in sorts)
-    compiled = {name: program.compile(term, sorts) for name, term in table.items()}
-    fns, scales = [], []
-    program.bind(fns, scales)
-    ops = {}
-    for name, (node, out_sort, _, _) in compiled.items():
-        fn, scale = fns[node], scales[node]
-        rows = [[tuple(Fraction(a, scale) for a in fn((i, j))) for j in range(right)] for i in range(left)]
-        ops[name] = BilinearOp(left, right, ctx.dims[out_sort], rows)
-    return ops
+def residual_polynomials(ctx: OpContext, groups) -> list[dict]:
+    """Each non-zero component of each residual of the groups, in a context
+    whose maps may be VariableMaps, as a polynomial {monomial: int}: a
+    non-zero multiple of the component's true value."""
+    polys = ({m: a for m, a in (p if isinstance(p, _Poly) else {(): p}).items() if a}
+             for _, _, residual, _ in _Program(ctx, groups).violations() for p in residual)
+    return [p for p in polys if p]
 
 
 def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) -> ViolationReport:
@@ -905,7 +890,7 @@ def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) 
     slot sorts; collect the non-zero residuals up to the cap.  The schemas
     of a group share their slot sorts."""
     program = _Program(ctx, groups)
-    checked = sum(len(eqs) * math.prod(ctx.dims[s] for s in sorts) for sorts, _, _, eqs, _ in program.groups)
+    checked = sum(len(eqs) * math.prod(ctx.dims[s] for s in sorts) for sorts, _, eqs in program.groups)
     violations: list[Violation] = []
     truncated = False
     for eqid, idx, residual, scale in program.violations():

@@ -17,6 +17,10 @@ class DimensionMismatch(ValueError):
 
 
 def frac(x) -> Fraction:
+    """x as an exact Fraction, from an int, a Fraction or a "p/q" string.  A
+    float is refused: its binary value is rarely the number that was meant."""
+    if isinstance(x, float):
+        raise TypeError(f"refusing the float {x!r}: give an int, a Fraction or a 'p/q' string")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

@@ -56,12 +56,11 @@ class SpecError(ValueError):
     """Invalid object construction (bad dimensions, missing operations)."""
 
 
-def _clear(vectors) -> tuple[int, list[tuple[int, ...]], list[list[tuple[int, int]]]]:
-    """(D, each vector times D as ints, the non-zero (k, c) of each): D is
-    the lcm of the denominators of the non-zero entries."""
+def _clear(vectors) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(D, the non-zero (k, c) of each vector times D as ints): D is the lcm
+    of the denominators of the non-zero entries."""
     d = math.lcm(*(c.denominator for v in vectors for c in v if c))
-    ints = [tuple(c.numerator * (d // c.denominator) for c in v) for v in vectors]
-    return d, ints, [[(k, c) for k, c in enumerate(v) if c] for v in ints]
+    return d, [[(k, c.numerator * (d // c.denominator)) for k, c in enumerate(v) if c] for v in vectors]
 
 
 class BilinearOp:
@@ -130,11 +129,13 @@ class BilinearOp:
 
     @cached_property
     def integer_form(self) -> tuple[int, list, list]:
-        """(D, rows, cells), computed once: rows[i][j] is D * (e_i * e_j) as
-        ints and cells[i][j] its non-zero (k, c), for D as in _clear."""
-        d, flat, sparse = _clear([v for row in self.coeffs for v in row])
-        rows = lambda vs: [vs[i * self.right_dim:(i + 1) * self.right_dim] for i in range(self.left_dim)]
-        return d, rows(flat), rows(sparse)
+        """(D, rows, columns), computed once: rows[i] lists (j, the non-zero
+        (k, c) of D * (e_i * e_j) as ints) for each j where e_i * e_j is not
+        zero, and columns[j] the same (i, (k, c)) for each i; D as in _clear."""
+        d, cells = _clear([v for row in self.coeffs for v in row])
+        n = self.right_dim
+        rows = [[(j, c) for j, c in enumerate(cells[i * n:(i + 1) * n]) if c] for i in range(self.left_dim)]
+        return d, rows, [[(i, cells[i * n + j]) for i in range(self.left_dim) if cells[i * n + j]] for j in range(n)]
 
 
 def evaluate(op: BilinearOp, x: Vector, y: Vector) -> Vector:
@@ -210,9 +211,9 @@ class LinearMap:
         return tuple(row[j] for row in self.matrix)
 
     @cached_property
-    def integer_form(self) -> tuple[int, list, list]:
-        """(D, columns, sparse columns), computed once: D times each column
-        as ints and its non-zero (k, c), for D as in _clear."""
+    def integer_form(self) -> tuple[int, list]:
+        """(D, columns), computed once: the non-zero (k, c) of D times each
+        column as ints, for D as in _clear."""
         return _clear([self.column(j) for j in range(self.source_dim)])
 
     def rank(self) -> int:

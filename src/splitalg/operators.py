@@ -15,6 +15,7 @@ from .identities import (
     DEFAULT_VIOLATION_CAP,
     IdentitySchema,
     OpContext,
+    VariableMap,
     ViolationReport,
     _scan,
     app,
@@ -26,7 +27,7 @@ from .identities import (
     var,
 )
 from .documents import short_repr
-from .linalg import span
+from .linalg import frac, span
 from .model import (
     Action,
     Algebra,
@@ -229,11 +230,13 @@ def search_operators(
     """All matrices with entries from the grid passing the requested check,
     enumerated in lexicographic (row-major) matrix order.
 
-    The kind is compiled once into its residual polynomials in the entries
-    of T.  The grid is walked depth first, one entry at a time in row-major
-    order, and each polynomial is evaluated as soon as its last entry is
-    set: a non-zero value prunes every candidate below."""
+    The kind is evaluated once, with T's entries as variables, into its
+    residual polynomials.  Grid values are ints, Fractions or "p/q"
+    strings.  The grid is walked depth first, one entry at a time in
+    row-major order, and each polynomial is evaluated as soon as its last
+    entry is set: a non-zero value prunes every candidate below."""
     source_dim, target_dim = operator_map_shape(subject, kind)
+    grid = [frac(g) for g in grid]
     seen = set()
     for value in grid:
         if value in seen:
@@ -246,12 +249,12 @@ def search_operators(
             f"{len(grid)}^{cells} = {total} candidates exceed the cap {cap}; "
             "shrink the grid or the dimensions"
         )
-    polys = residual_polynomials(_context(subject, kind), _KINDS[kind].groups, source_dim, target_dim)
+    ctx = _with_map(_context(subject, kind), kind, VariableMap(source_dim, target_dim))
+    polys = residual_polynomials(ctx, _KINDS[kind].groups)
     # Integers throughout: with L the lcm of the grid's denominators, entry
     # g is set to g*L, and a monomial of degree k < 2 takes 2 - k factors L
     # from the slot after the entries (T occurs at most twice in a term of
     # every kind), so each polynomial is L^2 times its true value.
-    grid = [Fraction(g) for g in grid]
     scale = math.lcm(*(g.denominator for g in grid))
     values = [g.numerator * (scale // g.denominator) for g in grid]
     # checks[e + 1]: the polynomials whose last entry is e; checks[0]: constants

@@ -1,4 +1,4 @@
-"""The compiled identity scan against a reference scan that interprets each
+"""The sparse evaluator against a reference scan that interprets each
 schema with evaluate_schema at every basis tuple, on generated objects and
 maps: same count, same witnesses in the same order, same residuals and the
 same truncation."""
@@ -6,6 +6,7 @@ same truncation."""
 import itertools
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from splitalg.identities import (
     OpContext,
     Violation,
     ViolationReport,
-    _Program,
     _eval_expr,
     _scan,
     app,
@@ -173,8 +173,9 @@ def test_empty_schema_matches_reference():
 
 
 _x, _y, _z = var(0), var(1), var(2)
-# Proper subterms that are not plain lookups, so the scan tabulates them:
-# T(x * y) and T(x + 2y) read two of three slots, T(T(x)) and T(-y) one of two.
+# Proper subterms that read fewer slots than their group, so their tables
+# are broadcast: T(x * y) and T(x + 2y) read two of three slots, T(T(x)) and
+# T(-y) one of two.
 TABULATED = [
     (equation("t.1", ("A", "A", "A"), app("mul", app("mul", _x, _y), _z), apply_map("T", app("mul", _x, _y))),),
     (
@@ -197,7 +198,7 @@ def test_tabulated_subterms_match_reference(data, cap):
 
 
 # ----------------------------------------------------------------------
-# Wide denominators.  The scan clears the denominators of each tensor and
+# Wide denominators.  The evaluator clears the denominators of each tensor and
 # each map on its own and brings every equation to one scale, so tensors
 # whose denominators differ between operations, non-unit coefficients and
 # terms of different depths must still give the reference residuals
@@ -303,8 +304,15 @@ def wide_groups(draw):
 _A3 = ("A", "A", "A")
 _half, _third = Fraction(3, 2), Fraction(-2, 3)
 # An empty side; terms of different depths and operations on the two sides
-# (scales 1, D_p^2, D_q D_S); terms of three scales inside one map argument.
+# (scales 1, D_p^2, D_q D_S); terms of three scales inside one map argument;
+# arguments of one operation that share a slot, directly (p(x, x)), across a
+# map (q(T(x), x)) or in part (p(q(x, y), T(x + z)), which shares x only).
 WIDE_FIXED = [
+    (
+        equation("w.shared", _A3, app("p", _x, _x), ((_half, app("q", apply_map("T", _x), _x)),)),
+        equation("w.partly", _A3, app("p", app("q", _x, _y), apply_map("T", expr(_x, _z))),
+                 app("q", _y, app("p", apply_map("S", _y), _y))),
+    ),
     (equation("w.empty", _A3, (), ((_half, app("p", _x, app("q", _y, _z))),)),),
     (
         equation("w.mixed", _A3, ((_third, app("p", app("p", _x, _y), _z)), (Fraction(1, 97), _x)),
@@ -485,14 +493,20 @@ def test_search_matches_reference_after_basis_change(data, kind):
     assert search_operators(subject, kind, grid) == reference_search(subject, kind, grid)
 
 
-def test_search_takes_no_engine_path(monkeypatch):
-    """With the engine's scan and check_operator disabled, every kind still
-    searches and finds the reference's hits: no candidate is checked one
-    by one."""
+def test_search_binds_the_engine_once(monkeypatch):
+    """A search binds its kind's groups once, with T's entries as
+    variables, whatever the grid size, and checks no candidate with
+    check_operator; every kind still finds the reference's hits."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a search candidate went through the engine")
+        raise AssertionError("a search candidate went through check_operator")
 
-    grid = [Fraction(-1), Fraction(0), Fraction(1)]
+    entered = []
+    violations = identities._Program.violations
+
+    def counting(self):
+        entered.append(self)
+        return violations(self)
+
     cases = [
         (truncated_polynomial_algebra(2), "rota_baxter"),
         (truncated_polynomial_algebra(2), "assoc_averaging"),
@@ -500,11 +514,17 @@ def test_search_takes_no_engine_path(monkeypatch):
         (model.adjoint_representation(_DUAL_PREC), "relative_averaging"),
         (model.self_action(_DUAL_PREC), "homomorphic_relative"),
     ]
-    monkeypatch.setattr(identities._Program, "violations", refuse)
+    grids = [[Fraction(0)], [Fraction(-1), Fraction(0), Fraction(1)]]
+    monkeypatch.setattr(identities._Program, "violations", counting)
     monkeypatch.setattr(operators, "check_operator", refuse)
-    hits = [search_operators(subject, kind, grid) for subject, kind in cases]
+    hits = []
+    for grid in grids:
+        for subject, kind in cases:
+            del entered[:]
+            hits.append(search_operators(subject, kind, grid))
+            assert len(entered) == 1
     monkeypatch.undo()
-    assert hits == [reference_search(subject, kind, grid) for subject, kind in cases]
+    assert hits == [reference_search(subject, kind, grid) for grid in grids for subject, kind in cases]
 
 
 # ----------------------------------------------------------------------
@@ -532,12 +552,11 @@ def test_each_tensor_is_cleared_once(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The contraction path.  A three-slot group whose terms are all products
-# op2(op1(x_a, x_b), x_c) or op2(x_c, op1(x_a, x_b)) of its three slots,
-# every catalog's, is contracted as sparse tensors instead of scanned tuple
-# by tuple.  It must give the scan's reports on sparse and wide inputs, in
-# mixed sorts, and on multi-schema groups in (tuple, equation position)
-# order.
+# Depth-2 products.  Every catalog term is op2(op1(x_a, x_b), x_c) or
+# op2(x_c, op1(x_a, x_b)) for its three slots, joined from the table of op1
+# and a basis.  The evaluator must give the reference's reports on sparse
+# and wide inputs, in mixed sorts, and on multi-schema groups in (tuple,
+# equation position) order.
 
 # about 85 % zero
 SPARSE_SCALARS = st.sampled_from([Fraction(0)] * 23 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
@@ -613,7 +632,6 @@ CONTRACTED_FIXED = [
 @given(ctx=wide_contexts(), groups=contracted_groups(), cap=st.integers(0, 30))
 def test_contracted_groups_match_reference(ctx, groups, cap):
     groups = CONTRACTED_FIXED + groups
-    assert [group[-1] for group in _Program(ctx, groups).groups] == [True] * len(groups)  # contracted
     assert_exact(_scan(ctx, groups, cap), reference_scan(ctx, groups), cap)
 
 
@@ -624,14 +642,9 @@ def seeded_subject(name: str):
         left, right, out, [[[rng.choice((-1, 0, 0, 1)) for _ in range(out)] for _ in range(right)] for _ in range(left)]))
 
 
-def test_catalogs_take_the_contraction(monkeypatch):
-    """With the scan's per-tuple product disabled, every catalog, paranoid
-    or not, still checks and gives the reference's report: no catalog group
-    falls back to the tuple scan."""
-    def refuse(*args):
-        raise AssertionError("a catalog group was scanned tuple by tuple")
-
-    monkeypatch.setattr(identities, "_product", refuse)
+def test_catalogs_take_the_contraction():
+    """Every catalog, paranoid or not, gives the reference's report on a
+    seeded failing subject."""
     for name in CATALOG_NAMES:
         obj = seeded_subject(name)
         for paranoid in (False, True):
@@ -642,11 +655,25 @@ def test_catalogs_take_the_contraction(monkeypatch):
 
 
 def test_contraction_at_dimension_32():
-    """The tuple scan took seconds here; the contraction visits only the
-    supports of the terms."""
+    """A scan of every basis tuple took seconds here; the tables hold only
+    the supports of the terms."""
     a = hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(16)))
     assert a.dimension == 32
     assert check(a, "quadri").ok
+
+
+def test_tables_are_released():
+    """A check drops each table once no later group reads it: the quadri
+    check at dimension 32 peaks near 2.3 MB, and keeping every table takes
+    about 11 MB."""
+    a = hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(16)))
+    tracemalloc.start()
+    try:
+        assert check(a, "quadri").ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,23 @@ def test_bilinear_evaluation_is_bilinear(dend):
         assert lhs == rhs
 
 
+def test_floats_are_refused():
+    """A float never becomes a coefficient: Fraction(0.1) is a binary
+    fraction, not 1/10.  Ints, Fractions and "p/q" strings are exact."""
+    from splitalg.operators import search_operators
+    from splitalg.samples import truncated_polynomial_algebra
+
+    for build in (lambda x: LinearMap(1, 1, [[x]]), lambda x: BilinearOp(1, 1, 1, [[[x]]])):
+        with pytest.raises(TypeError, match="0.1"):
+            build(0.1)
+        assert [build(x) for x in (1, Fraction(1, 10), "1/10")] == [build(Fraction(1)), *[build(Fraction(1, 10))] * 2]
+    poly = truncated_polynomial_algebra(2)
+    with pytest.raises(TypeError, match="0.5"):
+        search_operators(poly, "rota_baxter", [0.5, 0])
+    exact = search_operators(poly, "rota_baxter", [Fraction(0), Fraction(1, 2), Fraction(-1)])
+    assert exact and search_operators(poly, "rota_baxter", [0, "1/2", -1]) == exact
+
+
 def test_algebra_requires_signature_ops():
     z = BilinearOp.zero(2, 2, 2)
     with pytest.raises(SpecError):
