@@ -12,39 +12,19 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
-from .constructions import (
-    PreconditionFailure,
-    action_semidirect,
-    aguiar_dendriform,
-    aguiar_diassociative,
-    differential_quadri,
-    dual_extension,
-    hemisemidirect,
-    induced_quadri,
-    induced_six,
-    semidirect,
-    sum_collapse_quadri,
-    sum_collapse_six,
+# `check` needs only these; each other command imports what it uses
+from .documents import (
+    Document,
+    DocumentError,
+    parse_document,
+    parse_scalar,
+    scalar_to_json,
+    serialize_document,
+    short_repr,
 )
-from .documents import Document, DocumentError, parse_document, serialize_document, short_repr
 from .identities import CATALOG_NAMES, QUADRI_TO_DENDRIFORM_COLLAPSE, ViolationReport, check
 from .model import Action, Algebra, LinearMap, Representation, SpecError
-from .operators import (
-    DEFAULT_SEARCH_CAP,
-    check_operator,
-    operator_map_shape,
-    search_operators,
-)
-from .quotients import (
-    QuotientError,
-    embed_averaging,
-    quadri_to_relative_setup,
-    quotient_algebra,
-    six_to_homomorphic_setup,
-    splitting_ideal,
-)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -132,6 +112,8 @@ def _kind(raw: str) -> str:
 
 
 def cmd_check_operator(args) -> int:
+    from .operators import check_operator
+
     doc = _load_document(args.file)
     kind = _kind(args.kind)
     if args.map not in doc.maps:
@@ -146,68 +128,88 @@ def cmd_check_operator(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_VIOLATIONS
 
 
-def _verified(fn):
+def _construction(name: str):
+    """The construction `name`, imported only when a recipe runs."""
+    from . import constructions
+
+    return getattr(constructions, name)
+
+
+def _verified(name: str):
     """A product builder: it checks its input unless --no-verify is given."""
-    return lambda obj, verify: (fn(obj, verify=verify),)
+    return lambda obj, verify: (_construction(name)(obj, verify=verify),)
 
 
-def _single(fn):
+def _single(name: str):
     """A builder with one output."""
-    return lambda *objects, verify: (fn(*objects),)
+    return lambda *objects, verify: (_construction(name)(*objects),)
 
 
 def _dual_extension(d, verify):
-    action, projection = dual_extension(d)
+    action, projection = _construction("dual_extension")(d)
     return action.base, action.target, projection, action
 
 
 def _quotient_dend(a, verify):
+    from .quotients import quotient_algebra, splitting_ideal
+
     return quotient_algebra(
         a, splitting_ideal(a), QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform"
     )
 
 
+def _embed_averaging(q, verify):
+    from .quotients import embed_averaging
+
+    return embed_averaging(q)
+
+
 def _quadri_to_relative(q, verify):
+    from .quotients import quadri_to_relative_setup
+
     representation, projection = quadri_to_relative_setup(q)
     return representation.base, representation, projection
 
 
 def _six_to_homomorphic(s, verify):
+    from .quotients import six_to_homomorphic_setup
+
     action, projection = six_to_homomorphic_setup(s)
     return action.base, action.target, action, projection
 
 
 # recipe -> (object flags, builder, output names, verifications).  The
 # builder takes the flagged objects and the verify flag and returns the
-# outputs in order; a verification (label, catalog or operator kind,
-# output checked, output map or None) re-checks the outputs.
+# outputs in order, importing its construction when it runs; a
+# verification (label, catalog or operator kind, output checked, output map
+# or None) re-checks the outputs.
 RECIPES = {
-    "semidirect": (("rep",), _verified(semidirect), ("semidirect",), [
+    "semidirect": (("rep",), _verified("semidirect"), ("semidirect",), [
         ("semidirect:dendriform", "dendriform", "semidirect", None)]),
-    "hemisemidirect": (("rep",), _verified(hemisemidirect), ("hemisemidirect",), [
+    "hemisemidirect": (("rep",), _verified("hemisemidirect"), ("hemisemidirect",), [
         ("hemisemidirect:quadri", "quadri", "hemisemidirect", None)]),
-    "action-semidirect": (("action",), _verified(action_semidirect), ("action_semidirect",), [
+    "action-semidirect": (("action",), _verified("action_semidirect"), ("action_semidirect",), [
         ("action_semidirect:dendriform", "dendriform", "action_semidirect", None)]),
-    "aguiar-dendriform": (("algebra", "map"), _single(aguiar_dendriform), ("dendriform",), [
+    "aguiar-dendriform": (("algebra", "map"), _single("aguiar_dendriform"), ("dendriform",), [
         ("dendriform", "dendriform", "dendriform", None)]),
-    "aguiar-diass": (("algebra", "map"), _single(aguiar_diassociative), ("diassociative",), [
+    "aguiar-diass": (("algebra", "map"), _single("aguiar_diassociative"), ("diassociative",), [
         ("diassociative", "diassociative", "diassociative", None)]),
-    "induced-quadri": (("rep", "map"), _single(induced_quadri), ("induced_quadri",), [
+    "induced-quadri": (("rep", "map"), _single("induced_quadri"), ("induced_quadri",), [
         ("induced_quadri:quadri", "quadri", "induced_quadri", None)]),
-    "induced-six": (("action", "map"), _single(induced_six), ("induced_six",), [
+    "induced-six": (("action", "map"), _single("induced_six"), ("induced_six",), [
         ("induced_six:six", "six", "induced_six", None)]),
-    "differential-quadri": (("algebra", "map"), _single(differential_quadri), ("differential_quadri",), [
+    "differential-quadri": (("algebra", "map"), _single("differential_quadri"), ("differential_quadri",), [
         ("differential_quadri:quadri", "quadri", "differential_quadri", None)]),
     "dual-extension": (("algebra",), _dual_extension, ("base", "extension", "projection", "dual_extension"), [
         ("dual_extension:dend-action", "dend-action", "dual_extension", None),
         ("projection:homomorphic_relative", "homomorphic_relative", "dual_extension", "projection")]),
-    "sum-diass": (("algebra",), _single(sum_collapse_quadri), ("sum_diass",), [
+    "sum-diass": (("algebra",), _single("sum_collapse_quadri"), ("sum_diass",), [
         ("sum_diass:diassociative", "diassociative", "sum_diass", None)]),
-    "sum-triass": (("algebra",), _single(sum_collapse_six), ("sum_triass",), [
+    "sum-triass": (("algebra",), _single("sum_collapse_six"), ("sum_triass",), [
         ("sum_triass:triassociative", "triassociative", "sum_triass", None)]),
     "quotient-dend": (("algebra",), _quotient_dend, ("quotient", "quotient_map"), [
         ("quotient:dendriform", "dendriform", "quotient", None)]),
-    "embed-averaging": (("algebra",), lambda q, verify: embed_averaging(q),
+    "embed-averaging": (("algebra",), _embed_averaging,
                         ("ambient", "averaging", "inclusion"), [
         ("ambient:dendriform", "dendriform", "ambient", None),
         ("averaging:dend_averaging", "dend_averaging", "ambient", "averaging")]),
@@ -230,6 +232,8 @@ _OUTPUT_SECTIONS = {
 def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, ViolationReport]]]:
     """Returns (output document, [(label, report), ...]); no reports when
     verification is skipped."""
+    from .operators import check_operator
+
     flags, build, names, verifications = RECIPES[args.recipe]
     objects = []
     for flag in flags:
@@ -276,13 +280,13 @@ def cmd_construct(args) -> int:
     return EXIT_OK if all_ok else EXIT_VIOLATIONS
 
 
-def _parse_grid(raw: str) -> list[Fraction]:
+def _parse_grid(raw: str) -> list:
     grid = []
     for part in raw.split(","):
         part = part.strip()
         try:
-            grid.append(Fraction(part))
-        except (ValueError, ZeroDivisionError):
+            grid.append(parse_scalar(part, "--grid"))
+        except DocumentError:
             raise UsageError(f"invalid rational {short_repr(part)} in grid") from None
     if not grid:
         raise UsageError("empty grid")
@@ -290,14 +294,15 @@ def _parse_grid(raw: str) -> list[Fraction]:
 
 
 def cmd_search(args) -> int:
+    from .operators import DEFAULT_SEARCH_CAP, operator_map_shape, search_operators
+
     doc = _load_document(args.file)
     kind = _kind(args.kind)
     subject = _resolve_subject(doc, kind, args.object, "--object")
     grid = _parse_grid(args.grid)
-    maps = search_operators(subject, kind, grid, cap=args.cap)
+    cap = DEFAULT_SEARCH_CAP if args.cap is None else args.cap
+    maps = search_operators(subject, kind, grid, cap=cap)
     source_dim, target_dim = operator_map_shape(subject, kind)
-    from .documents import scalar_to_json
-
     rendered = [
         [[scalar_to_json(e) for e in row] for row in m.matrix] for m in maps
     ]
@@ -356,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object", help="object to search on (if ambiguous)")
     p.add_argument("--kind", required=True)
     p.add_argument("--grid", required=True, help="comma-separated rationals")
-    p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP)
+    p.add_argument("--cap", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_search)
 
@@ -384,14 +389,12 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (PreconditionFailure, QuotientError) as e:
+    except (UsageError, DocumentError, SpecError, OSError) as e:
+        # a refused construction or quotient carries the failing verdict
         print(f"error: {e}", file=sys.stderr)
         verdict = getattr(e, "verdict", None)
         if verdict is not None:
             print(verdict.render(), file=sys.stderr)
-        return EXIT_USAGE
-    except (UsageError, DocumentError, SpecError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 if __name__ == "__main__":

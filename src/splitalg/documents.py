@@ -78,12 +78,26 @@ def short_repr(value) -> str:
 
 
 def scalar_to_json(f: Fraction):
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
+    n, d = f.numerator, f.denominator
+    return n if d == 1 else f"{n}/{d}"
 
 
-def _parse_tensor(raw, left, right, out, path: str) -> BilinearOp:
+def _scalars(raw: list, tokens: dict, path: str, *index: int) -> tuple[Fraction, ...]:
+    """The entries of the list raw, found at path[index]..., as Fractions.
+    Each distinct int or string token is parsed once per document (tokens
+    maps it to its Fraction), and an entry's path is built only for a new
+    token, the only kind that can be refused."""
+    out = []
+    for k, e in enumerate(raw):
+        # a bool or a float may equal a cached int, so neither is looked up
+        f = tokens.get(e) if type(e) is int or type(e) is str else None
+        if f is None:
+            f = tokens[e] = parse_scalar(e, path + "".join(f"[{i}]" for i in (*index, k)))
+        out.append(f)
+    return tuple(out)
+
+
+def _parse_tensor(raw, left, right, out, path: str, tokens: dict) -> BilinearOp:
     if not isinstance(raw, list) or len(raw) != left:
         raise DocumentError(path, f"expected {left} rows of structure constants")
     coeffs = []
@@ -96,9 +110,7 @@ def _parse_tensor(raw, left, right, out, path: str) -> BilinearOp:
                 raise DocumentError(
                     f"{path}[{i}][{j}]", f"expected a vector of length {out}"
                 )
-            out_row.append(
-                [parse_scalar(e, f"{path}[{i}][{j}][{k}]") for k, e in enumerate(vec)]
-            )
+            out_row.append(_scalars(vec, tokens, path, i, j))
         coeffs.append(out_row)
     return BilinearOp(left, right, out, coeffs)
 
@@ -109,7 +121,7 @@ def _tensor_to_json(op: BilinearOp):
     ]
 
 
-def _parse_algebra(name: str, raw, path: str) -> Algebra:
+def _parse_algebra(name: str, raw, path: str, tokens: dict) -> Algebra:
     if not isinstance(raw, dict):
         raise DocumentError(path, "algebra must be an object")
     dim = raw.get("dimension")
@@ -127,7 +139,7 @@ def _parse_algebra(name: str, raw, path: str) -> Algebra:
     if not isinstance(raw_ops, dict):
         raise DocumentError(f"{path}.operations", "operations must be an object")
     ops = {
-        opname: _parse_tensor(t, dim, dim, dim, f"{path}.operations.{opname}")
+        opname: _parse_tensor(t, dim, dim, dim, f"{path}.operations.{opname}", tokens)
         for opname, t in raw_ops.items()
     }
     try:
@@ -148,7 +160,7 @@ def _resolve_dim(ref, algebras: Mapping[str, Algebra], path: str) -> int:
     raise DocumentError(path, "expected an algebra name or a dimension")
 
 
-def _parse_map(raw, algebras, path: str) -> LinearMap:
+def _parse_map(raw, algebras, path: str, tokens: dict) -> LinearMap:
     if not isinstance(raw, dict):
         raise DocumentError(path, "map must be an object")
     source = _resolve_dim(raw.get("source"), algebras, f"{path}.source")
@@ -160,18 +172,18 @@ def _parse_map(raw, algebras, path: str) -> LinearMap:
     for i, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != source:
             raise DocumentError(f"{path}.matrix[{i}]", f"expected {source} entries")
-        rows.append([parse_scalar(e, f"{path}.matrix[{i}][{j}]") for j, e in enumerate(row)])
+        rows.append(_scalars(row, tokens, f"{path}.matrix", i))
     return LinearMap(source, target, rows)
 
 
-def _parse_action_tensors(raw, n: int, m: int, path: str) -> dict[str, BilinearOp]:
+def _parse_action_tensors(raw, n: int, m: int, path: str, tokens: dict) -> dict[str, BilinearOp]:
     if not isinstance(raw, dict) or set(raw) != set(ACTION_SORTS):
         raise DocumentError(
             path, f"expected exactly the action tensors {', '.join(ACTION_SORTS)}"
         )
     dims = {"A": n, "V": m}
     return {
-        name: _parse_tensor(raw[name], *(dims[s] for s in sorts), f"{path}.{name}")
+        name: _parse_tensor(raw[name], *(dims[s] for s in sorts), f"{path}.{name}", tokens)
         for name, sorts in ACTION_SORTS.items()
     }
 
@@ -200,12 +212,13 @@ def parse_document(text: str) -> Document:
             raise DocumentError(f"$.{key}", "unknown top-level section")
         if not isinstance(section, dict):
             raise DocumentError(f"$.{key}", "section must be an object")
+    tokens: dict = {}  # scalar token -> Fraction, shared by the whole document
     algebras = {
-        name: _parse_algebra(name, a, f"$.algebras.{name}")
+        name: _parse_algebra(name, a, f"$.algebras.{name}", tokens)
         for name, a in raw.get("algebras", {}).items()
     }
     maps = {
-        name: _parse_map(m, algebras, f"$.maps.{name}")
+        name: _parse_map(m, algebras, f"$.maps.{name}", tokens)
         for name, m in raw.get("maps", {}).items()
     }
     representations = {}
@@ -218,7 +231,7 @@ def parse_document(text: str) -> Document:
         if not isinstance(mdim, int) or isinstance(mdim, bool) or mdim < 0:
             raise DocumentError(f"{path}.module_dim", "module_dim must be a non-negative integer")
         actions = _parse_action_tensors(
-            r.get("actions"), base.dimension, mdim, f"{path}.actions"
+            r.get("actions"), base.dimension, mdim, f"{path}.actions", tokens
         )
         try:
             representations[name] = Representation(base, mdim, actions)
@@ -232,7 +245,7 @@ def parse_document(text: str) -> Document:
         base = _require_algebra(a.get("base"), algebras, f"{path}.base", "dendriform")
         target = _require_algebra(a.get("target"), algebras, f"{path}.target", "dendriform")
         tensors = _parse_action_tensors(
-            a.get("actions"), base.dimension, target.dimension, f"{path}.actions"
+            a.get("actions"), base.dimension, target.dimension, f"{path}.actions", tokens
         )
         try:
             actions[name] = Action(base, target, tensors)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -73,19 +72,41 @@ def _as_expr(e) -> Expr:
     return expr(e)
 
 
-@dataclass(frozen=True)
-class IdentitySchema:
-    id: str
-    slot_sorts: tuple[str, ...]
-    lhs: Expr
-    rhs: Expr
+class _Record:
+    """A record of named fields: field-wise ==, a hash of the fields and a
+    repr that lists them, for subclasses that name their fields in
+    __slots__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Violation:
-    identity: str
-    witness: tuple[int, ...]
-    residual: Vector
+class IdentitySchema(_Record):
+    __slots__ = ("id", "slot_sorts", "lhs", "rhs")
+
+    def __init__(self, id: str, slot_sorts: tuple[str, ...], lhs: Expr, rhs: Expr):
+        self.id, self.slot_sorts, self.lhs, self.rhs = id, slot_sorts, lhs, rhs
+
+
+class Violation(_Record):
+    __slots__ = ("identity", "witness", "residual")
+
+    def __init__(self, identity: str, witness: tuple[int, ...], residual: Vector):
+        self.identity, self.witness, self.residual = identity, witness, residual
 
     def to_dict(self) -> dict:
         from .documents import scalar_to_json
@@ -97,15 +118,16 @@ class Violation:
         }
 
 
-@dataclass
-class ViolationReport:
+class ViolationReport(_Record):
     """Outcome of a check.  Operator-style checks set `kind`, which adds a
     `kind: pass/FAIL` head to render() and a "kind" key to to_dict()."""
 
-    checked: int
-    violations: list[Violation]
-    truncated: bool = False
-    kind: str | None = None
+    __slots__ = ("checked", "violations", "truncated", "kind")
+    __hash__ = None  # unhashable, like the list of violations it holds
+
+    def __init__(self, checked: int, violations: list[Violation], truncated: bool = False,
+                 kind: str | None = None):
+        self.checked, self.violations, self.truncated, self.kind = checked, violations, truncated, kind
 
     @property
     def ok(self) -> bool:

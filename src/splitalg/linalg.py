@@ -25,7 +25,11 @@ def frac(x) -> Fraction:
 
 
 def vector(entries: Iterable) -> Vector:
-    return tuple(frac(e) for e in entries)
+    v = tuple(entries)
+    for e in v:
+        if type(e) is not Fraction:
+            return tuple(map(frac, v))
+    return v
 
 
 def zero_vector(dim: int) -> Vector:

@@ -7,7 +7,6 @@ identity engine of `splitalg.identities`."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,6 +16,7 @@ from .identities import (
     OpContext,
     VariableMap,
     ViolationReport,
+    _Record,
     _scan,
     app,
     apply_map,
@@ -81,12 +81,14 @@ _HOMOMORPHIC_RELATIVE = _RELATIVE_AVERAGING + tuple(
 )
 
 
-@dataclass(frozen=True)
-class _Kind:
-    subject: type
-    needs: str  # the error when the subject has another type
-    map_sorts: tuple[str, str]  # T maps the first sort to the second
-    groups: tuple[tuple[IdentitySchema, ...], ...]
+class _Kind(_Record):
+    __slots__ = ("subject", "needs", "map_sorts", "groups")
+
+    def __init__(self, subject: type, needs: str, map_sorts: tuple[str, str], groups):
+        self.subject = subject
+        self.needs = needs  # the error when the subject has another type
+        self.map_sorts = map_sorts  # T maps the first sort to the second
+        self.groups: tuple[tuple[IdentitySchema, ...], ...] = groups
 
 
 _KINDS = {

@@ -11,7 +11,7 @@ from splitalg.cli import main
 from splitalg.documents import Document, parse_document, serialize_document
 from splitalg.identities import check
 from splitalg.model import Algebra, BilinearOp, LinearMap, perp_dendriform_part
-from splitalg.samples import one_dim_dendriform
+from splitalg.samples import one_dim_dendriform, truncated_polynomial_algebra
 
 from conftest import random_quadri
 
@@ -282,6 +282,19 @@ def test_search_bad_grid_error_is_short(capsys, sample_doc_path):
     assert err.count("\n") == 1 and len(err) < 200
 
 
+@pytest.mark.parametrize("grid", ["1.5", "1_000", "0,1e5000", "0,1e1000000"])
+def test_search_grid_takes_the_document_scalars(capsys, sample_doc_path, grid):
+    """Grid values follow the documents' scalar grammar, integers and p/q:
+    decimals, digit separators and exponents are refused before any search."""
+    code, out, err = run(
+        capsys, "search", sample_doc_path, "--object", "poly",
+        "--kind", "rota-baxter", "--grid", grid,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid rational ") and err.endswith(" in grid\n")
+    assert err.count("\n") == 1
+
+
 def test_byte_identical_reruns(capsys, sample_doc_path, tmp_path):
     outputs = []
     for _ in range(2):
@@ -370,6 +383,28 @@ def test_check_fuzzed_document(sample_doc_path, tmp_path_factory, data, value, t
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["check", str(path), "--object", target[0], "--catalog", target[1]])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grid=st.text(alphabet="0123456789/._e-, ", max_size=10),
+    cap=st.none() | st.integers(-1, 300),
+    kind=st.sampled_from(["rota-baxter", "assoc-averaging"]),
+)
+def test_search_fuzzed_argv(tmp_path_factory, grid, cap, kind):
+    """Any grid string and cap: `search` exits 0, 1 or 2 and never ends in
+    a traceback."""
+    path = tmp_path_factory.getbasetemp() / "search-fuzz.json"
+    if not path.exists():
+        path.write_text(serialize_document(Document(algebras={"poly": truncated_polynomial_algebra(2)})))
+    argv = ["search", str(path), "--kind", kind, "--grid", grid]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 
