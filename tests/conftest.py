@@ -108,6 +108,39 @@ def sample_doc_path(tmp_path_factory, poly, integ, dend, adjoint):
 
 
 @pytest.fixture(scope="session")
+def recipe_doc_path(tmp_path_factory):
+    """A document with an input for every `construct` recipe, and inputs
+    that fail some recipes' hypotheses, written once per session."""
+    poly = truncated_polynomial_algebra()
+    dend = truncated_polynomial_dendriform()
+    n = dend.dimension
+    act, proj = dual_extension(dend)
+    bad = one_dim_dendriform(1, 1)
+    off_diagonal = [[1 if (i, j) == (0, 1) else 0 for j in range(n)] for i in range(n)]
+    doc = Document(
+        algebras={
+            "poly": poly,
+            "dend": dend,
+            "quadri": averaging_quadri(dend, LinearMap.identity(n)),
+            "six": induced_six(act, proj),
+            "bad": bad,
+        },
+        maps={
+            "integrate": integration_map(),
+            "shift": shift_map(n),
+            "ident": LinearMap.identity(n),
+            "zero": LinearMap.zero(n, n),
+            "off_diagonal": LinearMap(n, n, off_diagonal),
+        },
+        representations={"adjoint": adjoint_representation(dend)},
+        actions={"self": self_action(dend), "bad_self": self_action(bad)},
+    )
+    path = tmp_path_factory.mktemp("docs") / "recipes.json"
+    path.write_text(serialize_document(doc))
+    return str(path)
+
+
+@pytest.fixture(scope="session")
 def broken_doc_path(tmp_path_factory):
     """Document whose algebra violates the dendriform axioms (a=b=1)."""
     doc = Document(algebras={"bad": one_dim_dendriform(1, 1)})

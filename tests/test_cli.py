@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitalg.cli import main
+from splitalg.cli import KIND_ALIASES, RECIPES, main
 from splitalg.documents import Document, parse_document, serialize_document
 from splitalg.identities import check
 from splitalg.model import Algebra, BilinearOp, LinearMap, perp_dendriform_part
@@ -351,6 +351,15 @@ def test_invalid_rational_error_is_short(capsys, tmp_path):
     assert len(err) < 200
 
 
+def run_fuzzed(argv: list[str]) -> None:
+    """`main` on argv exits 0, 1 or 2 and never ends in a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 # Small JSON values to plant in a document: no value asks for a large tensor.
 SMALL_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-4, 4) | st.text(max_size=5)
@@ -380,11 +389,7 @@ def test_check_fuzzed_document(sample_doc_path, tmp_path_factory, data, value, t
         parent[key] = value
     path = tmp_path_factory.mktemp("fuzz", numbered=True) / "doc.json"
     path.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", str(path), "--object", target[0], "--catalog", target[1]])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    run_fuzzed(["check", str(path), "--object", target[0], "--catalog", target[1]])
 
 
 @settings(max_examples=80, deadline=None)
@@ -402,11 +407,71 @@ def test_search_fuzzed_argv(tmp_path_factory, grid, cap, kind):
     argv = ["search", str(path), "--kind", kind, "--grid", grid]
     if cap is not None:
         argv += ["--cap", str(cap)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    run_fuzzed(argv)
+
+
+# the recipe document's names for each object and map flag
+SECTION_NAMES = {
+    "algebra": ["poly", "dend", "quadri", "six", "bad"],
+    "map": ["integrate", "shift", "ident", "zero", "off_diagonal"],
+    "rep": ["adjoint"],
+    "action": ["self", "bad_self"],
+}
+OTHER_NAME = st.sampled_from([None, "nope", *(n for names in SECTION_NAMES.values() for n in names)])
+
+
+def flag_value(section: str):
+    """A name of the flag's own section, None (the flag left out), another
+    name of the document, or any short text."""
+    return st.sampled_from(SECTION_NAMES[section]) | OTHER_NAME | st.text(max_size=4)
+
+
+def flags(**values) -> list[str]:
+    """`--name value` for each drawn value, `--name` for each true boolean;
+    None and False leave the flag out."""
+    argv = []
+    for name, value in values.items():
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value not in (None, False):
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KIND_ALIASES))
+    | st.sampled_from([None, "rota_baxter", "dend_averaging", ""]) | st.text(max_size=6),
+    map_name=flag_value("map"),
+    on=st.sampled_from([None, "poly", "dend", "adjoint", "self"]) | OTHER_NAME | st.text(max_size=4),
+    as_json=st.booleans(),
+)
+def test_check_operator_fuzzed_argv(recipe_doc_path, kind, map_name, on, as_json):
+    """Any kind, including aliases and unknown names, on any map and
+    object: `check-operator` exits 0, 1 or 2 and never ends in a traceback."""
+    run_fuzzed(["check-operator", recipe_doc_path,
+                *flags(kind=kind, map=map_name, on=on, json=as_json)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    recipe=st.sampled_from(sorted(RECIPES)),
+    algebra=flag_value("algebra"),
+    rep=flag_value("rep"),
+    action=flag_value("action"),
+    map_name=flag_value("map"),
+    no_verify=st.booleans(),
+    as_json=st.booleans(),
+)
+def test_construct_fuzzed_argv(recipe_doc_path, tmp_path_factory, recipe, algebra, rep, action,
+                               map_name, no_verify, as_json):
+    """Every recipe with any object and map names: `construct` exits 0, 1
+    or 2 and never ends in a traceback."""
+    out = tmp_path_factory.getbasetemp() / "construct-fuzz.json"
+    run_fuzzed(["construct", recipe_doc_path, "--recipe", recipe, "--out", str(out),
+                *flags(algebra=algebra, rep=rep, action=action, map=map_name,
+                       no_verify=no_verify, json=as_json)])
 
 
 def test_check_signature_not_a_string(capsys, tmp_path):

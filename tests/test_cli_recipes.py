@@ -11,46 +11,6 @@ import hashlib
 import pytest
 
 from splitalg.cli import main
-from splitalg.constructions import averaging_quadri, dual_extension, induced_six
-from splitalg.documents import Document, serialize_document
-from splitalg.model import LinearMap, adjoint_representation, self_action
-from splitalg.samples import (
-    integration_map,
-    one_dim_dendriform,
-    truncated_polynomial_algebra,
-    truncated_polynomial_dendriform,
-)
-
-from conftest import shift_map
-
-
-def recipe_document() -> str:
-    poly = truncated_polynomial_algebra()
-    dend = truncated_polynomial_dendriform()
-    n = dend.dimension
-    act, proj = dual_extension(dend)
-    bad = one_dim_dendriform(1, 1)
-    off_diagonal = [[1 if (i, j) == (0, 1) else 0 for j in range(n)] for i in range(n)]
-    return serialize_document(
-        Document(
-            algebras={
-                "poly": poly,
-                "dend": dend,
-                "quadri": averaging_quadri(dend, LinearMap.identity(n)),
-                "six": induced_six(act, proj),
-                "bad": bad,
-            },
-            maps={
-                "integrate": integration_map(),
-                "shift": shift_map(n),
-                "ident": LinearMap.identity(n),
-                "zero": LinearMap.zero(n, n),
-                "off_diagonal": LinearMap(n, n, off_diagonal),
-            },
-            representations={"adjoint": adjoint_representation(dend)},
-            actions={"self": self_action(dend), "bad_self": self_action(bad)},
-        )
-    )
 
 
 INPUT_SHA = "c0b85e39a74fa2a72043a0f70af209a89e44ab48633a301447fe36f56eca18ec"
@@ -128,23 +88,16 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def recipe_input(tmp_path_factory):
-    text = recipe_document()
-    path = tmp_path_factory.mktemp("recipes") / "recipes.json"
-    path.write_text(text)
-    return path, text
-
-
-def test_recipe_input_unchanged(recipe_input):
-    assert _sha(recipe_input[1].encode()) == INPUT_SHA
+def test_recipe_input_unchanged(recipe_doc_path):
+    with open(recipe_doc_path, "rb") as fh:
+        assert _sha(fh.read()) == INPUT_SHA
 
 
 @pytest.mark.parametrize("verify", [True, False], ids=["verify", "no-verify"])
 @pytest.mark.parametrize("recipe,flags", CASES, ids=[f"{r}-{f[-1]}" for r, f in CASES])
-def test_recipe_output_pinned(recipe, flags, verify, recipe_input, tmp_path, monkeypatch, capsys):
+def test_recipe_output_pinned(recipe, flags, verify, recipe_doc_path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    argv = ["construct", str(recipe_input[0]), "--recipe", recipe, *flags, "--out", "out.json"]
+    argv = ["construct", recipe_doc_path, "--recipe", recipe, *flags, "--out", "out.json"]
     code = main(argv + ([] if verify else ["--no-verify"]))
     captured = capsys.readouterr()
     written = tmp_path / "out.json"

@@ -1,7 +1,9 @@
-"""What importing the package costs: the lazy package attributes, the
-modules each entry point loads, and the record classes written without
-dataclasses."""
+"""What starting and ending a process costs: the lazy package attributes,
+the modules each entry point loads, the record classes written without
+dataclasses, and the CLI's exit hook."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import splitalg
+from splitalg.cli import main
 from splitalg.identities import IdentitySchema, Violation, ViolationReport
 from splitalg.model import Algebra
 from splitalg.operators import _Kind
@@ -42,6 +45,13 @@ EXPORTS = {
 HEAVY = {"splitalg.operators", "splitalg.constructions", "splitalg.quotients"}
 
 
+def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter with stdout and stderr piped."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          timeout=60)
+
+
 def loaded_by(code: str, *argv: str) -> list[str]:
     """The modules that running `code` in a fresh interpreter adds to
     sys.modules (what the interpreter loads at start-up is left out)."""
@@ -50,9 +60,7 @@ def loaded_by(code: str, *argv: str) -> list[str]:
         f"{code}\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_fresh(script, *argv)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -138,3 +146,42 @@ def test_records_keep_repr_equality_and_hash():
     assert kind == _Kind(Algebra, "needs", ("A", "A"), ())
     assert kind != _Kind(Algebra, "other", ("A", "A"), ())
     assert hash(kind) == hash((Algebra, "needs", ("A", "A"), ()))
+
+
+def test_cli_freezes_the_heap_before_finalisation(sample_doc_path):
+    """Atexit handlers run last in, first out: a probe registered before
+    `main` runs after the CLI's hook, and sees every object frozen."""
+    code = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "from splitalg.cli import main\n"
+        "sys.exit(main())"
+    )
+    done = run_fresh(code, "check", sample_doc_path, "--object", "dend", "--catalog", "dendriform",
+                     "--json")
+    assert done.returncode == 0, done.stderr
+    *report, probe = done.stdout.decode().splitlines()
+    assert json.loads("".join(report))["violations"] == []
+    assert probe == "frozen True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{doc}", "--object", "dend", "--catalog", "dendriform", "--json"],
+    ["construct", "{doc}", "--recipe", "semidirect", "--rep", "adjoint", "--out", "{out}", "--json"],
+    ["search", "{doc}", "--object", "poly", "--kind", "rota-baxter", "--grid", "-1,0,1",
+     "--cap", "43046721", "--json"],
+], ids=["check", "construct", "search"])
+def test_cli_process_output_matches_in_process_run(sample_doc_path, tmp_path, argv):
+    """A CLI process ending through the exit hook writes the same stdout
+    and output file, byte for byte, as `main` run in this process."""
+    out = tmp_path / "out.json"
+    argv = [a.format(doc=sample_doc_path, out=out) for a in argv]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        expected_code = main(argv)
+    expected_file = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    done = run_fresh("import sys; from splitalg.cli import main; sys.exit(main())", *argv)
+    assert done.returncode == expected_code == 0, done.stderr
+    assert done.stdout == stdout.getvalue().encode()
+    assert (out.read_bytes() if out.exists() else None) == expected_file
