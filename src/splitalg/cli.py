@@ -24,6 +24,7 @@ from .documents import (
     scalar_to_json,
     serialize_document,
     short_repr,
+    unbounded_digits,
 )
 from .identities import CATALOG_NAMES, QUADRI_TO_DENDRIFORM_COLLAPSE, ViolationReport, check
 from .model import Action, Algebra, LinearMap, Representation, SpecError
@@ -66,11 +67,12 @@ def cmd_check(args) -> int:
     doc = _load_document(args.file)
     obj = doc.lookup_object(args.object)
     report = check(obj, args.catalog, paranoid=args.paranoid)
-    _emit(
-        args,
-        {"object": args.object, "catalog": args.catalog, **report.to_dict()},
-        f"{args.object} against {args.catalog}:\n{report.render()}",
-    )
+    with unbounded_digits():
+        _emit(
+            args,
+            {"object": args.object, "catalog": args.catalog, **report.to_dict()},
+            f"{args.object} against {args.catalog}:\n{report.render()}",
+        )
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
@@ -88,7 +90,7 @@ def _resolve_subject(doc: Document, kind: str, name: str | None, flag: str):
     if name is not None:
         obj = doc.lookup_object(name)
         if signature and (not isinstance(obj, Algebra) or obj.signature != signature):
-            raise UsageError(f"{name!r} is not a {signature} algebra")
+            raise UsageError(f"{name!r} is not an algebra of signature {signature!r}")
         return obj
     candidates = {
         n: o
@@ -122,11 +124,12 @@ def cmd_check_operator(args) -> int:
         raise UsageError(f"no map named {args.map!r}")
     subject = _resolve_subject(doc, kind, args.on, "--on")
     verdict = check_operator(subject, kind, doc.maps[args.map])
-    _emit(
-        args,
-        {"map": args.map, **verdict.to_dict()},
-        f"{args.map}:\n{verdict.render()}",
-    )
+    with unbounded_digits():
+        _emit(
+            args,
+            {"map": args.map, **verdict.to_dict()},
+            f"{args.map}:\n{verdict.render()}",
+        )
     return EXIT_OK if verdict.ok else EXIT_VIOLATIONS
 
 
@@ -262,24 +265,24 @@ def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, Violatio
 def cmd_construct(args) -> int:
     doc = _load_document(args.file)
     out_doc, checks = _run_recipe(args, doc)
-    text = serialize_document(out_doc)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    all_ok = all(item.ok for _, item in checks)
-    payload = {
-        "recipe": args.recipe,
-        "out": args.out,
-        "verifications": [
-            {"label": label, **item.to_dict()} for label, item in checks
-        ],
-    }
-    lines = [f"{args.recipe}: wrote {args.out}"]
-    for label, item in checks:
-        lines.append(f"[{label}] {item.render()}")
-    if not checks:
-        lines.append("(verification skipped)")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if all_ok else EXIT_VIOLATIONS
+    with unbounded_digits():
+        text = serialize_document(out_doc)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        payload = {
+            "recipe": args.recipe,
+            "out": args.out,
+            "verifications": [
+                {"label": label, **item.to_dict()} for label, item in checks
+            ],
+        }
+        lines = [f"{args.recipe}: wrote {args.out}"]
+        for label, item in checks:
+            lines.append(f"[{label}] {item.render()}")
+        if not checks:
+            lines.append("(verification skipped)")
+        _emit(args, payload, "\n".join(lines))
+    return EXIT_OK if all(item.ok for _, item in checks) else EXIT_VIOLATIONS
 
 
 def _parse_grid(raw: str) -> list:
@@ -405,7 +408,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         verdict = getattr(e, "verdict", None)
         if verdict is not None:
-            print(verdict.render(), file=sys.stderr)
+            with unbounded_digits():
+                print(verdict.render(), file=sys.stderr)
         return EXIT_USAGE
 
 if __name__ == "__main__":

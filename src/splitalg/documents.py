@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -75,6 +77,22 @@ def short_repr(value) -> str:
     characters, so that an error message stays one short line."""
     text = repr(value)
     return text if len(text) <= 40 else f"{text[:32]}... ({len(str(value))} characters)"
+
+
+@contextmanager
+def unbounded_digits():
+    """Ints convert to text in full inside the block.  Python refuses to
+    convert one of more than 4300 digits (sys.get_int_max_str_digits), and
+    documents keep that bound on their input, but computed values outgrow
+    it; the limit is restored on leaving."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def scalar_to_json(f: Fraction):

@@ -14,9 +14,11 @@ Every check in the package (catalogs, operator kinds, graph closure,
 morphisms, differentials, quotients) is a list of schema groups evaluated
 by one sparse evaluator (_Program): each subterm becomes a table of its
 non-zero values over the basis tuples of the slots it reads, and an
-equation's residuals are the sum of its terms' tables.  An operator search
-runs the same evaluator once, with the entries of its map as the variables
-of polynomials (residual_polynomials).
+equation's residuals are the sum of its terms' tables.  Its one output,
+violations(), is what every caller reads: a term's table (tabulate) is the
+residuals of term = 0.  An operator search runs the same evaluator once,
+with the entries of its map as the variables of polynomials
+(residual_polynomials).
 """
 
 from __future__ import annotations
@@ -513,9 +515,10 @@ def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vec
 # program compiles schema groups once against a context's signature (its
 # operation and map names with their sorts, and the dimension of each
 # sort): each distinct subterm, keyed by the term and the slot sorts of its
-# group, becomes a node that reads some of the group's slots.  Binding a
-# node to the context's current tensors gives its table, {rank: value}, over
-# the basis tuples of the slots it reads where the value can be non-zero:
+# group, becomes a node that reads some of the group's slots.  A program has
+# one output, violations(): it evaluates each node on the context's current
+# tensors to its table, {rank: value}, over the basis tuples of the slots it
+# reads where the value can be non-zero:
 # the rank counts tuples in lexicographic order, and a value is the list of
 # its components.  Operations and maps read their arguments through the
 # non-zero (component, coefficient) pairs of each value (_pairs), made once
@@ -531,19 +534,20 @@ def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vec
 #
 # An equation's residuals are the sum of its terms' tables over its group's
 # slots, so only tuples in their supports are visited; the non-zero ones
-# are reported in (tuple, equation position) order.  Groups are bound one by
-# one, and after each, the tables no later group reads are dropped.
+# are reported in (tuple, equation position) order.  Groups are evaluated
+# one by one, and after each, the tables no later group reads are dropped.
+# A term's own table (tabulate) is the residuals of the equation term = 0.
 #
 # All of it runs on Python ints.  Each tensor and map is scaled by D, the
 # lcm of the denominators of its non-zero entries, once in its lifetime (its
-# integer_form); basis leaves are 0/1 ints.  A bound node carries its scale
+# integer_form); basis leaves are 0/1 ints.  A node carries its scale
 # s, the product of the scales of its nodes, and its value is the true value
 # times s.  An equation (or a map argument) brings its terms to one scale S,
 # the lcm of their scales times the lcm of the denominators of their
 # coefficients, so a residual r is exactly zero iff r is, and its true value
-# is r / S.  Scales are worked out at every bind, as D changes with T.  The
-# evaluator only adds, multiplies and tests for zero, so a map whose entries
-# are polynomials (VariableMap) binds the same way.
+# is r / S.  Scales are worked out at every evaluation, as D changes with T.
+# The evaluator only adds, multiplies and tests for zero, so a map whose
+# entries are polynomials (VariableMap) evaluates the same way.
 
 
 def _common_scale(pairs) -> tuple[int, list[int]]:
@@ -641,10 +645,10 @@ def _unrank(rank: int, reversed_dims) -> tuple[int, ...]:
 
 
 class _Program:
-    """Schema groups (and terms) compiled against the signature of a
-    context; `violations` binds the context's current tensors."""
+    """Schema groups compiled against the signature of a context; its one
+    output, `violations`, evaluates them on the context's current tensors."""
 
-    def __init__(self, ctx: OpContext, groups=()):
+    def __init__(self, ctx: OpContext, groups):
         self.ctx = ctx
         # per node: its binder (tables, scales, pairs) -> (table, scale),
         # and the nodes it reads
@@ -655,7 +659,7 @@ class _Program:
         # the nodes whose tables are summed (equation terms, map arguments):
         # the others are read only through their _pairs
         self.summed: set[int] = set()
-        # (slot sorts, nodes bound before the group runs,
+        # (slot sorts, nodes evaluated before the group runs,
         # [(equation id, [(coefficient, node, spread)])])
         self.groups = [self._group(group) for group in groups]
         # per group, the nodes whose tables no later group reads: dropped
@@ -787,12 +791,16 @@ class _Program:
             return None
         return self._ranks(read, slots, dims), self._ranks(tuple(s for s in slots if s not in read), slots, dims)
 
-    def bind(self, tables: list, scales: list, views: dict, end: int | None = None) -> None:
-        """Extend tables and scales, each node's table (its values times its
-        scale, in ints) and its scale, to the first `end` nodes, on the
-        context's current tensors.  views holds the _pairs of the tables
-        operations have read; a table no sum reads is dropped once its pairs
-        are made."""
+    def violations(self):
+        """(equation id, basis tuple, residual ints, scale) of each non-zero
+        residual in scan order, group by group, on the context's current
+        tensors: a caller that needs only the first binds no further group.
+        tables[n] and scales[n] are node n's table (its values times its
+        scale, in ints) and its scale; views holds the _pairs of the tables
+        operations have read, and a table no sum reads is dropped once its
+        pairs are made."""
+        tables, scales, views = [], [], {}
+
         def pairs(n):
             if n not in views:
                 views[n] = _pairs(tables[n])
@@ -800,18 +808,11 @@ class _Program:
                     tables[n] = None
             return views[n]
 
-        for binder in self.binders[len(tables):end]:
-            table, scale = binder(tables, scales, pairs)
-            tables.append(table)
-            scales.append(scale)
-
-    def violations(self):
-        """(equation id, basis tuple, residual ints, scale) of each non-zero
-        residual in scan order, group by group: a caller that needs only the
-        first binds no further group."""
-        tables, scales, views = [], [], {}
         for released, (sorts, end, equations) in zip(self.released, self.groups):
-            self.bind(tables, scales, views, end)
+            for binder in self.binders[len(tables):end]:
+                table, scale = binder(tables, scales, pairs)
+                tables.append(table)
+                scales.append(scale)
             reversed_dims = [self.ctx.dims[s] for s in reversed(sorts)]
             for rank, _, eqid, residual, scale in _residuals(equations, tables, scales):
                 yield eqid, _unrank(rank, reversed_dims), residual, scale
@@ -822,23 +823,18 @@ class _Program:
 
 def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term]) -> dict[str, BilinearOp]:
     """Each term of the table, in two slots of these sorts, as the bilinear
-    operation of its values on the basis pairs; compiled as a check
-    compiles it, in one program for the whole table."""
-    program, sorts = _Program(ctx), tuple(sorts)
+    operation of its values on the basis pairs: the residuals of term = 0,
+    one group per term in one program, evaluated as a check evaluates them.
+    A pair with no residual holds the zero of the term's output sort."""
+    sorts = tuple(sorts)
+    program = _Program(ctx, [(equation(name, sorts, term, ()),) for name, term in table.items()])
     dims = tuple(ctx.dims[s] for s in sorts)
-    compiled = {name: program.compile(term, sorts) for name, term in table.items()}
-    program.summed.update(node for node, _, _ in compiled.values())
-    tables, scales = [], []
-    program.bind(tables, scales, {})
-    ops = {}
-    for name, (node, out_sort, read) in compiled.items():
-        out_dim, scale = ctx.dims[out_sort], scales[node]
-        rows = [[(Fraction(0),) * out_dim] * dims[1] for _ in range(dims[0])]
-        for rank, v in _broadcast(tables[node], program._spread(read, (0, 1), dims)).items():
-            i, j = divmod(rank, dims[1])
-            rows[i][j] = tuple(Fraction(a, scale) for a in v)
-        ops[name] = BilinearOp(*dims, out_dim, rows)
-    return ops
+    # compile returns the nodes the program already holds
+    out_dims = {name: ctx.dims[program.compile(term, sorts)[1]] for name, term in table.items()}
+    rows = {name: [[(Fraction(0),) * d] * dims[1] for _ in range(dims[0])] for name, d in out_dims.items()}
+    for name, (i, j), residual, scale in program.violations():
+        rows[name][i][j] = tuple(Fraction(a, scale) for a in residual)
+    return {name: BilinearOp(*dims, d, rows[name]) for name, d in out_dims.items()}
 
 
 # ----------------------------------------------------------------------

@@ -232,8 +232,9 @@ def search_operators(
     """All matrices with entries from the grid passing the requested check,
     enumerated in lexicographic (row-major) matrix order.
 
-    The kind is evaluated once, with T's entries as variables, into its
-    residual polynomials.  Grid values are ints, Fractions or "p/q"
+    The kind is evaluated once, with T's entries as variables (with the
+    one candidate of a one-value grid as T), into its residual
+    polynomials.  Grid values are ints, Fractions or "p/q"
     strings.  The grid is walked depth first, one entry at a time in
     row-major order, and each polynomial is evaluated as soon as its last
     entry is set: a non-zero value prunes every candidate below."""
@@ -251,8 +252,11 @@ def search_operators(
             f"{len(grid)}^{cells} = {total} candidates exceed the cap {cap}; "
             "shrink the grid or the dimensions"
         )
-    ctx = _with_map(_context(subject, kind), kind, VariableMap(source_dim, target_dim))
-    polys = residual_polynomials(ctx, _KINDS[kind].groups)
+    # one grid value leaves one candidate: bound as T, it makes every
+    # residual a constant, with no polynomial to build
+    t = (LinearMap(source_dim, target_dim, [grid * source_dim] * target_dim) if len(grid) == 1
+         else VariableMap(source_dim, target_dim))
+    polys = residual_polynomials(_with_map(_context(subject, kind), kind, t), _KINDS[kind].groups)
     # Integers throughout: with L the lcm of the grid's denominators, entry
     # g is set to g*L, and a monomial of degree k < 2 takes 2 - k factors L
     # from the slot after the entries (T occurs at most twice in a term of

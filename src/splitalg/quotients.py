@@ -8,7 +8,6 @@ scans in them, and the quotient tensors are term tables."""
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -76,15 +75,12 @@ def _sides(name: str):
     return ("left", _op(name, _Bx, _y)), ("right", _op(name, _y, _Bx))
 
 
-def _first(ctx: OpContext, sorts, groups):
-    """(label, basis tuple) of the first equation lhs = rhs that fails,
-    scanning the groups of (label, lhs, rhs) in order; None if all hold."""
-    labels = [label for group in groups for label, _, _ in group]
-    ids = map(str, itertools.count())
-    schemas = [tuple(equation(next(ids), sorts, lhs, rhs) for _, lhs, rhs in group) for group in groups]
-    for eqid, witness, _, _ in _Program(ctx, schemas).violations():
-        return labels[int(eqid)], witness
-    return None
+def _failures(ctx: OpContext, sorts, groups):
+    """(label, basis tuple, residual ints, scale) of each failure of an
+    equation lhs = rhs, scanning the groups of (label, lhs, rhs) in order;
+    the labels are the equation ids."""
+    schemas = [tuple(equation(label, sorts, lhs, rhs) for label, lhs, rhs in group) for group in groups]
+    return _Program(ctx, schemas).violations()
 
 
 class Ideal:
@@ -102,14 +98,18 @@ class Ideal:
         """The ambient's operations and the maps of the subspace, built once."""
         return _context(self.ambient, self.subspace)
 
-    def closure_witness(self):
-        """First (op, ideal basis index, ambient basis index, side) whose
-        product escapes the subspace, or None if closed: P(op(Bx, y)) = 0
-        and P(op(y, Bx)) = 0, operation by operation in sorted order."""
+    def _escapes(self):
+        """The failures of P(op(Bx, y)) = 0 and P(op(y, Bx)) = 0, labelled
+        (op, side), operation by operation in sorted order: each residual is
+        a product that escapes the subspace, reduced modulo it."""
         groups = [[((name, side), apply_map("P", term), ()) for side, term in _sides(name)]
                   for name in sorted(self.ambient.operations)]
-        found = _first(self.context, ("I", "A"), groups)
-        return found and (found[0][0], *found[1], found[0][1])
+        return _failures(self.context, ("I", "A"), groups)
+
+    def closure_witness(self):
+        """First (op, ideal basis index, ambient basis index, side) whose
+        product escapes the subspace, or None if closed."""
+        return next(((name, *witness, side) for (name, side), witness, _, _ in self._escapes()), None)
 
     def is_closed(self) -> bool:
         return self.closure_witness() is None
@@ -119,20 +119,20 @@ def ideal_generated(a: Algebra, generators: Sequence[Vector]) -> Ideal:
     """Least subspace containing the generators and closed under left and
     right multiplication by every operation.
 
-    Saturates by multiplying the current basis with all basis elements on
-    both sides and re-spanning; the rank can only grow, so this terminates
-    in at most `dimension` iterations.  Multiplying by basis elements only
-    is enough by bilinearity.
+    Saturates by adding the products of the current basis with all basis
+    elements on both sides that escape it, reduced modulo it (the same span);
+    the rank grows with every round that adds one, so this terminates in at
+    most `dimension` rounds.  Multiplying by basis elements only is enough by
+    bilinearity.
     """
     n = a.dimension
     ideal = Ideal(a, span(list(generators), n))
-    table = {(name, side): term for name in sorted(a.operations) for side, term in _sides(name)}
     while True:
-        products = tabulate(ideal.context, ("I", "A"), table).values()
-        bigger = span([*ideal.subspace.basis, *(v for op in products for row in op.coeffs for v in row)], n)
-        if bigger.dim == ideal.subspace.dim:
+        # a residual is the reduced product times its scale: the same span
+        escaped = [residual for _, _, residual, _ in ideal._escapes()]
+        if not escaped:
             return ideal
-        ideal = Ideal(a, bigger)
+        ideal = Ideal(a, span([*ideal.subspace.basis, *escaped], n))
 
 
 def splitting_ideal(q: Algebra) -> Ideal:
@@ -185,9 +185,7 @@ def quotient_algebra(
     # Merged operations must agree modulo the ideal: P(first(x, y)) = P(other(x, y)).
     groups = [[((first, other), apply_map("P", _op(first, _x, _y)), apply_map("P", _op(other, _x, _y)))]
               for dst, first in sorted(firsts.items()) for other in sorted(preimages[dst])[1:]]
-    found = _first(ctx, ("A", "A"), groups)
-    if found is not None:
-        (first, other), (i, j) = found
+    for (first, other), (i, j), _, _ in _failures(ctx, ("A", "A"), groups):
         raise QuotientError(
             f"ill-defined collapse: {first!r} and {other!r} "
             f"disagree modulo the ideal at basis pair ({i}, {j})",

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitalg.cli import KIND_ALIASES, RECIPES, main
-from splitalg.documents import Document, parse_document, serialize_document
+from splitalg.documents import Document, parse_document, serialize_document, unbounded_digits
 from splitalg.identities import check
 from splitalg.model import Algebra, BilinearOp, LinearMap, perp_dendriform_part
 from splitalg.samples import one_dim_dendriform, truncated_polynomial_algebra
@@ -514,3 +516,77 @@ def test_subject_errors_name_the_command_flag(capsys, sample_doc_path, tmp_path,
     code, out, err = run(capsys, command, str(none), "--kind", "averaging", *extra)
     assert (code, out) == (2, "")
     assert err == "error: the document has no object for kind 'dend_averaging'\n"
+
+
+@pytest.mark.parametrize("command, extra", [("search", ["--object", "dend", "--grid", "0"]),
+                                            ("check-operator", ["--on", "dend", "--map", "integrate"])])
+def test_subject_of_another_signature(capsys, sample_doc_path, command, extra):
+    code, out, err = run(capsys, command, sample_doc_path, "--kind", "rota-baxter", *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: 'dend' is not an algebra of signature 'associative'\n"
+
+
+def _digits_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_construct_writes_numbers_past_the_digit_limit(capsys, tmp_path):
+    """Sums of two 3000-digit fractions have about 6000 digits, past the
+    4300 digits documents accept: they are written in full, and the
+    limit on input stays in force."""
+    a, b = "1/" + "7" * 3000, "1/" + "3" * 2999 + "1"
+    p = tmp_path / "q.json"
+    p.write_text(json.dumps({"algebras": {"q": {"dimension": 1, "signature": "quadri", "operations": {
+        "prec_vdash": [[[a]]], "prec_dashv": [[[a]]], "succ_vdash": [[[b]]], "succ_dashv": [[[b]]]}}}}))
+    limit = _digits_limit()
+    out_path = tmp_path / "o.json"
+    code, out, err = run(capsys, "construct", str(p), "--recipe", "sum-diass", "--algebra", "q",
+                         "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert "[sum_diass:diassociative] checked 5 instance(s): all passed" in out
+    assert _digits_limit() == limit
+    total = Fraction(1, int("7" * 3000)) + Fraction(1, int("3" * 2999 + "1"))
+    with unbounded_digits():
+        expected = f'"{total.numerator}/{total.denominator}"'
+    assert len(expected) > 2 * 4300
+    assert out_path.read_text().count(expected) == 2  # dashv and vdash
+    # the written document holds scalars over the input limit
+    code, _, err = run(capsys, "check", str(out_path), "--object", "sum_diass", "--catalog", "diassociative")
+    assert code == (0 if limit is None else 2)
+
+
+# (argv after the document, exit code, whether the report goes to stderr,
+# the residual line before its digits); mul, T, prec and succ are all N
+LONG_REPORTS = {
+    "check-operator": (["check-operator", "--map", "t", "--kind", "rota-baxter"], 1, False,
+                       "rota-baxter at (0, 0): residual ["),
+    "check-operator --json": (["check-operator", "--map", "t", "--kind", "rota-baxter", "--json"], 1, False,
+                              '"residual": ['),
+    "check": (["check", "--object", "d", "--catalog", "dendriform"], 1, False, "dend.1 at (0, 0, 0): residual ["),
+    "construct refusal": (["construct", "--recipe", "aguiar-dendriform", "--algebra", "a", "--map", "t",
+                           "--out", "o.json"], 2, True, "rota-baxter at (0, 0): residual ["),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_REPORTS))
+def test_reports_print_numbers_past_the_digit_limit(capsys, tmp_path, monkeypatch, case):
+    """N = 3000 nines: the Rota-Baxter residual N^3 - 2 N^3 and the
+    dendriform residual N^2 - 2 N^2 have 9000 and 6000 digits, and are
+    printed in full."""
+    argv, expected_code, on_stderr, prefix = LONG_REPORTS[case]
+    n = "9" * 3000
+    monkeypatch.chdir(tmp_path)
+    Path("r.json").write_text(json.dumps({
+        "algebras": {"a": {"dimension": 1, "signature": "associative", "operations": {"mul": [[[n]]]}},
+                     "d": {"dimension": 1, "signature": "dendriform",
+                           "operations": {"prec": [[[n]]], "succ": [[[n]]]}}},
+        "maps": {"t": {"source": 1, "target": 1, "matrix": [[n]]}}}))
+    limit = _digits_limit()
+    code, out, err = run(capsys, argv[0], "r.json", *argv[1:])
+    assert code == expected_code
+    assert _digits_limit() == limit
+    with unbounded_digits():
+        residual = str(-int(n) ** (2 if argv[0] == "check" else 3))
+    assert len(residual) in (6001, 9001)
+    assert f"{prefix}{residual}]" in (err if on_stderr else out)
+    assert (out if on_stderr else err) == ""

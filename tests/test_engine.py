@@ -35,7 +35,7 @@ from splitalg.identities import (
 )
 from splitalg import model, operators
 from splitalg.constructions import dual_extension, hemisemidirect, induced_six, sum_collapse_quadri, sum_collapse_six
-from splitalg.linalg import basis_vector, is_zero
+from splitalg.linalg import basis_vector, is_zero, rref
 from splitalg.model import (
     ACTION_SORTS,
     SIGNATURE_OPS,
@@ -48,9 +48,14 @@ from splitalg.model import (
 )
 from splitalg.operators import OPERATOR_KINDS, _KINDS, check_operator, operator_map_shape, search_operators
 from splitalg.quotients import quadri_to_relative_setup
-from splitalg.samples import one_dim_dendriform, truncated_polynomial_algebra, truncated_polynomial_dendriform
+from splitalg.samples import (
+    integration_map,
+    one_dim_dendriform,
+    truncated_polynomial_algebra,
+    truncated_polynomial_dendriform,
+)
 
-from conftest import random_quadri, transport
+from conftest import random_quadri, shift_map, transport
 
 SCALARS = st.sampled_from([Fraction(k) for k in (-2, -1, 0, 0, 0, 0, 1, 1, 2)] + [Fraction(1, 2)])
 DIMS = st.integers(1, 3)
@@ -376,6 +381,51 @@ def test_wide_tabulate_matches_reference(ctx, table):
             assert all(type(e) is Fraction for e in ops[name].coeffs[i][j])
 
 
+def test_tabulate_keeps_the_shape_of_zero_tables():
+    """A table is the residuals of term = 0, and a pair with none holds the
+    zero of the term's output sort: an all-zero term, a zero-dimensional
+    output sort and zero-dimensional slots keep their shapes."""
+    a = truncated_polynomial_algebra(2)
+    ctx = OpContext(
+        {"mul": (a.op("mul"), "A", "A", "A"), "zero": (BilinearOp.zero(2, 2, 2), "A", "A", "A"),
+         "to_v": (BilinearOp.zero(2, 2, 0), "A", "A", "V"), "act": (BilinearOp.zero(2, 0, 0), "A", "V", "V"),
+         "from_v": (BilinearOp.zero(0, 0, 2), "V", "V", "A")},
+        {"A": 2, "V": 0},
+    )
+    assert tabulate(ctx, ("A", "A"), {"mul": app("mul", _x, _y), "zero": app("zero", _x, _y),
+                                      "to_v": app("to_v", _x, _y)}) == {
+        "mul": a.op("mul"), "zero": BilinearOp.zero(2, 2, 2), "to_v": BilinearOp.zero(2, 2, 0)}
+    assert tabulate(ctx, ("A", "V"), {"act": app("act", _x, _y)}) == {"act": BilinearOp.zero(2, 0, 0)}
+    assert tabulate(ctx, ("V", "V"), {"from_v": app("from_v", _x, _y)}) == {"from_v": BilinearOp.zero(0, 0, 2)}
+    assert tabulate(ctx, ("A", "A"), {}) == {}
+
+
+def test_tables_and_quotients_reach_the_engine_through_violations(monkeypatch):
+    """tabulate, ideal saturation, the closure scan and the quotient each
+    evaluate through _Program.violations, the engine's one output."""
+    from splitalg.quotients import Ideal, ideal_generated, quotient_algebra, splitting_ideal
+
+    entered = []
+    violations = identities._Program.violations
+    monkeypatch.setattr(identities._Program, "violations", lambda self: entered.append(self) or violations(self))
+    assert not hasattr(identities._Program, "bind")
+
+    a = truncated_polynomial_algebra(3)
+    tabulate(context_for(a), ("A", "A"), {"mul": app("mul", _x, _y)})
+    assert len(entered) == 1
+    del entered[:]
+    ideal = ideal_generated(a, [basis_vector(3, 1)])  # x^2: one round adds x^3, the next adds nothing
+    assert ideal.subspace.dim == 2 and len(entered) == 2
+    del entered[:]
+    assert Ideal(a, ideal.subspace).closure_witness() is None
+    assert len(entered) == 1
+    q = hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(2)))
+    ideal = splitting_ideal(q)
+    del entered[:]
+    quotient_algebra(q, ideal, identities.QUADRI_TO_DENDRIFORM_COLLAPSE, "dendriform")
+    assert len(entered) == 3  # the closure scan, the collapse agreement and the quotient table
+
+
 # ----------------------------------------------------------------------
 # Operator search compiles its kind into polynomials in the entries of T
 # and walks the grid depth first, pruning at the first non-zero polynomial;
@@ -525,6 +575,45 @@ def test_search_binds_the_engine_once(monkeypatch):
             assert len(entered) == 1
     monkeypatch.undo()
     assert hits == [reference_search(subject, kind, grid) for grid in grids for subject, kind in cases]
+
+
+ONE_VALUE_SUBJECTS = [
+    (truncated_polynomial_algebra(2), "rota_baxter"),
+    (truncated_polynomial_algebra(3), "rota_baxter"),
+    (Algebra(1, "associative", {"mul": BilinearOp(1, 1, 1, [[[Fraction(-2)]]])}), "rota_baxter"),
+    (truncated_polynomial_algebra(3), "assoc_averaging"),
+    (Algebra(2, "associative", {"mul": BilinearOp.build(2, 2, 2, lambda i, j: basis_vector(2, 0))}),
+     "assoc_averaging"),
+    (truncated_polynomial_dendriform(3), "dend_averaging"),
+    (_DUAL_PREC, "dend_averaging"),
+    (one_dim_dendriform(1, 0), "dend_averaging"),
+    (model.adjoint_representation(_DUAL_PREC), "relative_averaging"),
+    (model.adjoint_representation(one_dim_dendriform(0, 1)), "relative_averaging"),
+    (model.self_action(_DUAL_PREC), "homomorphic_relative"),
+    (model.self_action(one_dim_dendriform(1, 0)), "homomorphic_relative"),
+    (Algebra(0, "associative", {"mul": BilinearOp.zero(0, 0, 0)}), "rota_baxter"),
+]
+
+
+@pytest.mark.parametrize("value", [0, 1, "1/2"])
+def test_one_value_search_is_one_check(monkeypatch, value):
+    """A one-value grid has one candidate, the constant map: it is a hit
+    exactly when check_operator passes it, and the search builds no
+    polynomial for it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-value search built a polynomial")
+
+    hits = set()
+    for subject, kind in ONE_VALUE_SUBJECTS:
+        source, target = operator_map_shape(subject, kind)
+        t = LinearMap(source, target, [[Fraction(value)] * source] * target)
+        expected = [t] if check_operator(subject, kind, t).ok else []
+        with monkeypatch.context() as patch:
+            patch.setattr(identities._Poly, "__init__", refuse)
+            assert search_operators(subject, kind, [value]) == expected
+        hits.add(bool(expected))
+    # T = 0 is an operator of every kind; the other values hit and miss
+    assert hits == ({True} if value == 0 else {True, False})
 
 
 # ----------------------------------------------------------------------
@@ -728,3 +817,36 @@ def test_catalog_verdict_invariant_under_basis_change(data, subject, k, signed):
     assert report.ok == check(a, name).ok == (subject != "random quadri")
     groups = [(schema,) for schema in catalog(name)]
     assert_exact(report, reference_scan(context_for(moved), groups), DEFAULT_VIOLATION_CAP)
+
+
+def _conjugate(t: LinearMap, p) -> LinearMap:
+    """p^-1 t p: the map t in the basis of transport(_, p)."""
+    n = t.source_dim
+    reduced, _ = rref([[*row, *(Fraction(int(i == j)) for j in range(n))] for i, row in enumerate(p)])
+    product = lambda x, y: [[sum((x[i][k] * y[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+                            for i in range(n)]
+    return LinearMap(n, n, product([row[n:] for row in reduced], product(t.matrix, p)))
+
+
+# algebra operator kind -> (its algebra at size k, maps that pass there)
+OPERATOR_INVARIANCE = {
+    "rota_baxter": (truncated_polynomial_algebra, lambda k: [integration_map(k), LinearMap.zero(k, k)]),
+    "assoc_averaging": (truncated_polynomial_algebra, lambda k: [shift_map(k), LinearMap.identity(k)]),
+    "dend_averaging": (truncated_polynomial_dendriform, lambda k: [LinearMap.scalar(k, -2), LinearMap.identity(k)]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(OPERATOR_INVARIANCE)), k=st.integers(2, 3),
+       signed=st.booleans())
+def test_operator_verdict_invariant_under_basis_change(data, kind, k, signed):
+    """T is an operator of a kind on an algebra exactly when p^-1 T p is one
+    on the algebra transported by p."""
+    build, passing = OPERATOR_INVARIANCE[kind]
+    a = build(k)
+    t = data.draw(st.sampled_from(passing(k)) | linear_maps(k, k))
+    p = data.draw(signed_permutations(k) if signed else unimodular_matrices(k))
+    verdict = check_operator(a, kind, t).ok
+    assert check_operator(transport(a, p), kind, _conjugate(t, p)).ok == verdict
+    if t in passing(k):
+        assert verdict
