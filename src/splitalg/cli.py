@@ -8,12 +8,11 @@ byte-identical.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import json
-import re
 import sys
+from types import SimpleNamespace
 
 # `check` needs only these; each other command imports what it uses
 from .documents import (
@@ -293,8 +292,6 @@ def _parse_grid(raw: str) -> list:
             grid.append(parse_scalar(part, "--grid"))
         except DocumentError:
             raise UsageError(f"invalid rational {short_repr(part)} in grid") from None
-    if not grid:
-        raise UsageError("empty grid")
     return grid
 
 
@@ -324,65 +321,141 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="splitalg",
-        description="Exact verification and construction for split-operation algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_HELP = ("-h", "--help")
+_JSON = {"--json": ("print one JSON object", False, None, None)}
+_KIND = (f"operator kind: {', '.join(KIND_ALIASES)}", True, str, None)
 
-    p = sub.add_parser("check", help="check an object against an identity catalog")
-    p.add_argument("file")
-    p.add_argument("--object", required=True)
-    p.add_argument("--catalog", required=True, choices=CATALOG_NAMES)
-    p.add_argument("--paranoid", action="store_true",
-                   help="also check the mathematically redundant chain pairs")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("check-operator", help="check an operator property of a map")
-    p.add_argument("file")
-    p.add_argument("--map", required=True)
-    p.add_argument("--kind", required=True)
-    p.add_argument("--on", help="object the operator lives on (if ambiguous)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check_operator)
-
-    p = sub.add_parser("construct", help="run a construction and write the result")
-    p.add_argument("file")
-    p.add_argument("--recipe", required=True, choices=tuple(RECIPES))
-    p.add_argument("--out", required=True)
-    p.add_argument("--algebra")
-    p.add_argument("--rep")
-    p.add_argument("--action")
-    p.add_argument("--map")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip re-verification of the constructed objects")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_construct)
-
-    p = sub.add_parser("search", help="enumerate operators over a finite grid")
-    p.add_argument("file")
-    p.add_argument("--object", help="object to search on (if ambiguous)")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--grid", required=True, help="comma-separated rationals")
-    p.add_argument("--cap", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_search)
-
-    return parser
+# command -> (handler, help line, positional, flags); flag -> (help, required,
+# value type, choices), where the type reads the value and is None for a
+# switch.  Every command also takes -h/--help.
+COMMANDS = {
+    "check": (cmd_check, "check an object against an identity catalog", "file", {
+        "--object": ("object to check", True, str, None),
+        "--catalog": ("identity catalog", True, str, CATALOG_NAMES),
+        "--paranoid": ("also check the mathematically redundant chain pairs", False, None, None),
+        **_JSON}),
+    "check-operator": (cmd_check_operator, "check an operator property of a map", "file", {
+        "--map": ("map to check", True, str, None),
+        "--kind": _KIND,
+        "--on": ("object the operator lives on (if ambiguous)", False, str, None),
+        **_JSON}),
+    "construct": (cmd_construct, "run a construction and write the result", "file", {
+        "--recipe": ("construction to run", True, str, tuple(RECIPES)),
+        "--out": ("document to write", True, str, None),
+        **{f"--{flag}": (f"recipe input, a name in {section}", False, str, None)
+           for flag, section in _SECTIONS.items()},
+        "--no-verify": ("skip re-verification of the constructed objects", False, None, None),
+        **_JSON}),
+    "search": (cmd_search, "enumerate operators over a finite grid", "file", {
+        "--object": ("object to search on (if ambiguous)", False, str, None),
+        "--kind": _KIND,
+        "--grid": ("comma-separated rationals", True, str, None),
+        "--cap": ("most candidates to scan", False, int, None),
+        **_JSON}),
+}
 
 
-def _attach_grid(argv: list[str]) -> list[str]:
-    """`--grid -1,0,1` as `--grid=-1,0,1`: argparse takes a separate value
-    that starts with '-' and is not a plain number for an option."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] == "--grid" and re.match(r"-[\d.]", arg):
-            out[-1] = f"--grid={arg}"
-        else:
-            out.append(arg)
-    return out
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _usage(command: str | None) -> str:
+    """The help of one command, or of them all."""
+    if command is None:
+        return "\n\n".join([
+            f"usage: splitalg {{{','.join(COMMANDS)}}} ...\n"
+            "Exact verification and construction for split-operation algebras.",
+            *map(_usage, COMMANDS),
+        ])
+    _, summary, positional, flags = COMMANDS[command]
+    lines = [f"usage: splitalg {command} {positional} [flags]: {summary}", "  -h, --help  show this help"]
+    for flag, (text, required, kind, choices) in flags.items():
+        value = "" if kind is None else f" {{{','.join(choices)}}}" if choices else f" {_dest(flag).upper()}"
+        lines.append(f"  {flag}{value}  {text}{' (required)' if required else ''}")
+    return "\n".join(lines)
+
+
+def _print_help(args) -> int:
+    print(_usage(args.command))
+    return EXIT_OK
+
+
+def _read_flag(token: str, names) -> tuple[str, str | None] | None:
+    """(flag, its value after '=' or None) for a token that names a flag,
+    None for a positional; an unknown flag comes back as itself.  A long
+    flag may be cut to a unique prefix; '-' alone, '--', a negative number
+    and a token with a space are positionals."""
+    if not token.startswith("-") or token in ("-", "--"):
+        return None
+    name, eq, value = token.partition("=")
+    if token in names:
+        return token, None
+    if eq and name in names:
+        return name, value
+    if token.startswith("--"):
+        matches = [n for n in names if n.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    whole, dot, fraction = token[1:].partition(".")
+    if " " in token or ((fraction if dot else whole).isdecimal() and (whole + "0").isdecimal()):
+        return None
+    return token, None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command line read by the COMMANDS table: `command`, its handler
+    `fn` (which prints the help for -h/--help), the positional, and each
+    flag's value under its name without dashes (None, or False for a
+    switch, when absent).  Flags come before or after the positional, as
+    `--flag value` or `--flag=value`; the last of a repeated flag wins, and
+    `--` ends the flags.  Raises UsageError."""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command not in COMMANDS:
+        if _read_flag(command, _HELP) not in (("-h", None), ("--help", None)):
+            raise UsageError(f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+        return SimpleNamespace(command=None, fn=_print_help)
+    fn, _, positional, flags = COMMANDS[command]
+    fields = {"command": command, "fn": fn, positional: None}
+    fields.update((_dest(flag), None if spec[2] else False) for flag, spec in flags.items())
+    cut = rest.index("--") if "--" in rest else len(rest)
+    # every token is named before any flag is read, so an ambiguous one is refused first
+    read = [_read_flag(token, (*flags, *_HELP)) for token in rest[:cut]]
+    words, unknown, i = [], [], 0
+    while i < cut:
+        token, flag = rest[i], read[i]
+        i += 1
+        if flag is None or flag[0] not in flags and flag[0] not in _HELP:
+            (words if flag is None else unknown).append(token)
+            continue
+        name, value = flag
+        kind, choices = flags[name][2:] if name in flags else (None, None)
+        if kind is None and value is not None:
+            raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+        if name in _HELP:
+            return SimpleNamespace(command=command, fn=_print_help)
+        if kind is not None and value is None:
+            if i == len(rest):
+                raise UsageError(f"argument {name}: expected one argument")
+            value, i = rest[i], i + 1
+        try:
+            value = True if kind is None else kind(value)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
+        if choices and value not in choices:
+            raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(choices)})")
+        fields[_dest(name)] = value
+    words += rest[cut + 1:]
+    missing = [positional][:not words] + [f for f, spec in flags.items() if spec[1] and fields[_dest(f)] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if len(words) > 1 or unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(words[1:] + unknown)}")
+    fields[positional] = words[0]
+    return SimpleNamespace(**fields)
 
 
 def main(argv=None) -> int:
@@ -395,13 +468,8 @@ def main(argv=None) -> int:
     # would pin garbage in long-lived callers such as a test process.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_grid(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as e:
-        # argparse exits with 2 on usage errors already
-        return int(e.code or 0)
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.fn(args)
     except (UsageError, DocumentError, SpecError, OSError) as e:
         # a refused construction or quotient carries the failing verdict

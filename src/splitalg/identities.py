@@ -905,17 +905,18 @@ def residual_polynomials(ctx: OpContext, groups) -> list[dict]:
 
 def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) -> ViolationReport:
     """Evaluate every equation of every group on every basis tuple of its
-    slot sorts; collect the non-zero residuals up to the cap.  The schemas
-    of a group share their slot sorts."""
+    slot sorts; collect the non-zero residuals up to the cap, and stop at
+    the first one past it.  The schemas of a group share their slot sorts."""
     program = _Program(ctx, groups)
     checked = sum(len(eqs) * math.prod(ctx.dims[s] for s in sorts) for sorts, _, eqs in program.groups)
     violations: list[Violation] = []
     truncated = False
     for eqid, idx, residual, scale in program.violations():
-        if len(violations) < max_violations:
-            violations.append(Violation(eqid, idx, tuple(Fraction(r, scale) for r in residual)))
-        else:
+        if len(violations) >= max_violations:
+            # the cap is full: bind no further group
             truncated = True
+            break
+        violations.append(Violation(eqid, idx, tuple(Fraction(r, scale) for r in residual)))
     return ViolationReport(checked, violations, truncated, kind)
 
 

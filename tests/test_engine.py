@@ -426,6 +426,37 @@ def test_tables_and_quotients_reach_the_engine_through_violations(monkeypatch):
     assert len(entered) == 3  # the closure scan, the collapse agreement and the quotient table
 
 
+def test_full_cap_binds_no_further_group(monkeypatch):
+    """A scan whose cap is full stops at the group that holds the first
+    residual past the cap; it binds none of the later groups, and its
+    report is the uncapped one cut at the cap.  Each group of this quadri
+    check holds 20 to 27 residuals, so the 101st is in the fifth of 19."""
+    a = random_quadri(0, 3)
+    groups = [(schema,) for schema in catalog("quadri")]
+    bound = []
+    residuals = identities._residuals
+    monkeypatch.setattr(identities, "_residuals", lambda *args: bound.append(1) or residuals(*args))
+
+    def bound_at(n):
+        """The groups bound when the n-th residual arrives."""
+        del bound[:]
+        for k, _ in enumerate(identities._Program(context_for(a), groups).violations(), 1):
+            if k == n:
+                return len(bound)
+
+    full = check(a, "quadri", max_violations=10**6)
+    assert not full.truncated and len(full.violations) > DEFAULT_VIOLATION_CAP + 1
+    assert len(bound) == len(groups)
+    for cap in (DEFAULT_VIOLATION_CAP, 0):
+        holding = bound_at(cap + 1)
+        assert (1 if cap else 0) < holding < len(groups)
+        del bound[:]
+        report = check(a, "quadri", max_violations=cap)
+        assert len(bound) == holding
+        assert report.truncated and report.checked == full.checked
+        assert report.violations == full.violations[:cap]
+
+
 # ----------------------------------------------------------------------
 # Operator search compiles its kind into polynomials in the entries of T
 # and walks the grid depth first, pruning at the first non-zero polynomial;

@@ -43,6 +43,9 @@ EXPORTS = {
                   "splitting_ideal"],
 }
 HEAVY = {"splitalg.operators", "splitalg.constructions", "splitalg.quotients"}
+# the command line is read from the CLI's own table: no argument parser,
+# and none of the translation machinery argparse brings in
+PARSER = {"argparse", "gettext", "locale"}
 
 
 def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
@@ -68,7 +71,7 @@ def loaded_by(code: str, *argv: str) -> list[str]:
 def test_cli_import_skips_dataclasses_and_unused_layers():
     loaded = set(loaded_by("import splitalg.cli"))
     assert "splitalg.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", *HEAVY}
+    assert not loaded & {"dataclasses", "inspect", *HEAVY, *PARSER}
 
 
 def test_package_import_loads_no_submodule():
@@ -85,7 +88,19 @@ def test_check_command_loads_no_unused_layer(sample_doc_path):
     )
     loaded = set(loaded_by(code, sample_doc_path))
     assert {"splitalg.documents", "splitalg.identities"} <= loaded
-    assert not loaded & {"dataclasses", "inspect", *HEAVY}
+    assert not loaded & {"dataclasses", "inspect", *HEAVY, *PARSER}
+
+
+def test_search_command_loads_no_argument_parser(sample_doc_path):
+    code = (
+        "import contextlib, io; from splitalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['search', sys.argv[1], '--object', 'poly', '--kind', 'rota-baxter',\n"
+        "                 '--grid', '-1']) == 0"
+    )
+    loaded = set(loaded_by(code, sample_doc_path))
+    assert "splitalg.operators" in loaded
+    assert not loaded & PARSER
 
 
 def test_package_exports_each_name_from_its_home_module():
