@@ -11,7 +11,9 @@ from __future__ import annotations
 import atexit
 import gc
 import json
+import os
 import sys
+from importlib import import_module
 from types import SimpleNamespace
 
 # `check` needs only these; each other command imports what it uses
@@ -25,7 +27,7 @@ from .documents import (
     short_repr,
     unbounded_digits,
 )
-from .identities import CATALOG_NAMES, QUADRI_TO_DENDRIFORM_COLLAPSE, ViolationReport, check
+from .identities import CATALOG_NAMES, ViolationReport, check
 from .model import Action, Algebra, LinearMap, Representation, SpecError
 
 EXIT_OK = 0
@@ -55,11 +57,18 @@ def _load_document(path: str) -> Document:
     return parse_document(text)
 
 
+def _write(text: str) -> None:
+    """Print text; a reader that has closed stdout loses it, and the
+    command keeps its exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # so the interpreter's last flush of the unwritten rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
+    _write(json.dumps(payload, sort_keys=True) if getattr(args, "json", False) else human)
 
 
 def cmd_check(args) -> int:
@@ -132,105 +141,65 @@ def cmd_check_operator(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_VIOLATIONS
 
 
-def _construction(name: str):
-    """The construction `name`, imported only when a recipe runs."""
-    from . import constructions
-
-    return getattr(constructions, name)
-
-
-def _verified(name: str):
-    """A product builder: it checks its input unless --no-verify is given."""
-    return lambda obj, verify: (_construction(name)(obj, verify=verify),)
-
-
-def _single(name: str):
-    """A builder with one output."""
-    return lambda *objects, verify: (_construction(name)(*objects),)
-
-
-def _dual_extension(d, verify):
-    action, projection = _construction("dual_extension")(d)
-    return action.base, action.target, projection, action
-
-
-def _quotient_dend(a, verify):
-    from .quotients import quotient_algebra, splitting_ideal
-
-    return quotient_algebra(
-        a, splitting_ideal(a), QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform"
-    )
-
-
-def _embed_averaging(q, verify):
-    from .quotients import embed_averaging
-
-    return embed_averaging(q)
-
-
-def _quadri_to_relative(q, verify):
-    from .quotients import quadri_to_relative_setup
-
-    representation, projection = quadri_to_relative_setup(q)
-    return representation.base, representation, projection
-
-
-def _six_to_homomorphic(s, verify):
-    from .quotients import six_to_homomorphic_setup
-
-    action, projection = six_to_homomorphic_setup(s)
-    return action.base, action.target, action, projection
-
-
-# recipe -> (object flags, builder, output names, verifications).  The
-# builder takes the flagged objects and the verify flag and returns the
-# outputs in order, importing its construction when it runs; a
-# verification (label, catalog or operator kind, output checked, output map
-# or None) re-checks the outputs.
+# recipe -> (object flags, construction, whether it takes verify, output
+# names, verifications).  The construction, "module.function" here, is looked
+# up when the recipe runs and called with the flagged objects (and verify=);
+# the names pair with `_outputs` of its result.  A verification (label,
+# catalog or operator kind, output checked, output map or None) re-checks them.
 RECIPES = {
-    "semidirect": (("rep",), _verified("semidirect"), ("semidirect",), [
+    "semidirect": (("rep",), "constructions.semidirect", True, ("semidirect",), [
         ("semidirect:dendriform", "dendriform", "semidirect", None)]),
-    "hemisemidirect": (("rep",), _verified("hemisemidirect"), ("hemisemidirect",), [
+    "hemisemidirect": (("rep",), "constructions.hemisemidirect", True, ("hemisemidirect",), [
         ("hemisemidirect:quadri", "quadri", "hemisemidirect", None)]),
-    "action-semidirect": (("action",), _verified("action_semidirect"), ("action_semidirect",), [
+    "action-semidirect": (("action",), "constructions.action_semidirect", True, ("action_semidirect",), [
         ("action_semidirect:dendriform", "dendriform", "action_semidirect", None)]),
-    "aguiar-dendriform": (("algebra", "map"), _single("aguiar_dendriform"), ("dendriform",), [
+    "aguiar-dendriform": (("algebra", "map"), "constructions.aguiar_dendriform", False, ("dendriform",), [
         ("dendriform", "dendriform", "dendriform", None)]),
-    "aguiar-diass": (("algebra", "map"), _single("aguiar_diassociative"), ("diassociative",), [
+    "aguiar-diass": (("algebra", "map"), "constructions.aguiar_diassociative", False, ("diassociative",), [
         ("diassociative", "diassociative", "diassociative", None)]),
-    "induced-quadri": (("rep", "map"), _single("induced_quadri"), ("induced_quadri",), [
+    "induced-quadri": (("rep", "map"), "constructions.induced_quadri", False, ("induced_quadri",), [
         ("induced_quadri:quadri", "quadri", "induced_quadri", None)]),
-    "induced-six": (("action", "map"), _single("induced_six"), ("induced_six",), [
+    "induced-six": (("action", "map"), "constructions.induced_six", False, ("induced_six",), [
         ("induced_six:six", "six", "induced_six", None)]),
-    "differential-quadri": (("algebra", "map"), _single("differential_quadri"), ("differential_quadri",), [
+    "differential-quadri": (("algebra", "map"), "constructions.differential_quadri", False, ("differential_quadri",), [
         ("differential_quadri:quadri", "quadri", "differential_quadri", None)]),
-    "dual-extension": (("algebra",), _dual_extension, ("base", "extension", "projection", "dual_extension"), [
+    "dual-extension": (("algebra",), "constructions.dual_extension", False,
+                       ("base", "extension", "dual_extension", "projection"), [
         ("dual_extension:dend-action", "dend-action", "dual_extension", None),
         ("projection:homomorphic_relative", "homomorphic_relative", "dual_extension", "projection")]),
-    "sum-diass": (("algebra",), _single("sum_collapse_quadri"), ("sum_diass",), [
+    "sum-diass": (("algebra",), "constructions.sum_collapse_quadri", False, ("sum_diass",), [
         ("sum_diass:diassociative", "diassociative", "sum_diass", None)]),
-    "sum-triass": (("algebra",), _single("sum_collapse_six"), ("sum_triass",), [
+    "sum-triass": (("algebra",), "constructions.sum_collapse_six", False, ("sum_triass",), [
         ("sum_triass:triassociative", "triassociative", "sum_triass", None)]),
-    "quotient-dend": (("algebra",), _quotient_dend, ("quotient", "quotient_map"), [
+    "quotient-dend": (("algebra",), "quotients.dendriform_quotient", False, ("quotient", "quotient_map"), [
         ("quotient:dendriform", "dendriform", "quotient", None)]),
-    "embed-averaging": (("algebra",), _embed_averaging,
-                        ("ambient", "averaging", "inclusion"), [
+    "embed-averaging": (("algebra",), "quotients.embed_averaging", False, ("ambient", "averaging", "inclusion"), [
         ("ambient:dendriform", "dendriform", "ambient", None),
         ("averaging:dend_averaging", "dend_averaging", "ambient", "averaging")]),
-    "quadri-to-relative": (("algebra",), _quadri_to_relative,
+    "quadri-to-relative": (("algebra",), "quotients.quadri_to_relative_setup", False,
                            ("quotient", "representation", "quotient_map"), [
         ("representation:dend-representation", "dend-representation", "representation", None),
         ("quotient_map:relative_averaging", "relative_averaging", "representation", "quotient_map")]),
-    "six-to-homomorphic": (("algebra",), _six_to_homomorphic,
+    "six-to-homomorphic": (("algebra",), "quotients.six_to_homomorphic_setup", False,
                            ("quotient", "perp", "action", "quotient_map"), [
         ("action:dend-action", "dend-action", "action", None),
         ("quotient_map:homomorphic_relative", "homomorphic_relative", "action", "quotient_map")]),
 }
 # where each object flag's name is looked up, and where each output goes
 _SECTIONS = {"algebra": "algebras", "rep": "representations", "action": "actions", "map": "maps"}
-_OUTPUT_SECTIONS = {
-    Algebra: "algebras", LinearMap: "maps", Representation: "representations", Action: "actions"
-}
+_OUTPUT_SECTIONS = {Algebra: "algebras", LinearMap: "maps", Representation: "representations", Action: "actions"}
+
+
+def _outputs(result):
+    """The objects of a construction's result (a tuple, or one object), each
+    representation after its base and each action after its base and its
+    target: a document holds the algebras its modules reference."""
+    for obj in result if isinstance(result, tuple) else (result,):
+        if isinstance(obj, Representation):
+            yield obj.base
+            if isinstance(obj, Action):
+                yield obj.target
+        yield obj
 
 
 def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, ViolationReport]]]:
@@ -238,7 +207,7 @@ def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, Violatio
     verification is skipped."""
     from .operators import check_operator
 
-    flags, build, names, verifications = RECIPES[args.recipe]
+    flags, construction, takes_verify, names, verifications = RECIPES[args.recipe]
     objects = []
     for flag in flags:
         name, section = getattr(args, flag), getattr(doc, _SECTIONS[flag])
@@ -248,7 +217,10 @@ def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, Violatio
             raise UsageError(f"no {flag} named {name!r}")
         objects.append(section[name])
     verify = not args.no_verify
-    outputs = dict(zip(names, build(*objects, verify=verify)))
+    module, function = construction.split(".")
+    build = getattr(import_module(f".{module}", __package__), function)
+    result = build(*objects, verify=verify) if takes_verify else build(*objects)
+    outputs = dict(zip(names, _outputs(result), strict=True))
     sections: dict[str, dict] = {}
     for name, obj in outputs.items():
         sections.setdefault(_OUTPUT_SECTIONS[type(obj)], {})[name] = obj
@@ -268,16 +240,9 @@ def cmd_construct(args) -> int:
         text = serialize_document(out_doc)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        payload = {
-            "recipe": args.recipe,
-            "out": args.out,
-            "verifications": [
-                {"label": label, **item.to_dict()} for label, item in checks
-            ],
-        }
-        lines = [f"{args.recipe}: wrote {args.out}"]
-        for label, item in checks:
-            lines.append(f"[{label}] {item.render()}")
+        verifications = [{"label": label, **item.to_dict()} for label, item in checks]
+        payload = {"recipe": args.recipe, "out": args.out, "verifications": verifications}
+        lines = [f"{args.recipe}: wrote {args.out}", *(f"[{label}] {item.render()}" for label, item in checks)]
         if not checks:
             lines.append("(verification skipped)")
         _emit(args, payload, "\n".join(lines))
@@ -376,7 +341,7 @@ def _usage(command: str | None) -> str:
 
 
 def _print_help(args) -> int:
-    print(_usage(args.command))
+    _write(_usage(args.command))
     return EXIT_OK
 
 

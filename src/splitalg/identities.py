@@ -28,7 +28,7 @@ from itertools import compress
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .linalg import Vector, vec_add
+from .linalg import Vector
 from .model import (
     ACTION_SORTS,
     Action,
@@ -37,7 +37,6 @@ from .model import (
     LinearMap,
     Representation,
     SpecError,
-    evaluate,
 )
 
 # A term is a variable leaf ("var", slot), a bilinear operation applied to
@@ -466,46 +465,6 @@ def context_for(obj) -> OpContext:
             ops["succ_t"] = (obj.target.op("succ"), "V", "V", "V")
         return OpContext(ops, {"A": obj.base.dimension, "V": obj.module_dim})
     raise SpecError(f"cannot check identities on {type(obj).__name__}")
-
-
-# The reference evaluator: interprets a schema at arbitrary slot values.
-# The tests compare the compiled scan below against it.
-
-def _eval_term(term: Term, schema: IdentitySchema, ctx: OpContext, values) -> tuple[Vector, str]:
-    """(value, sort) of a term at the slot values."""
-    if term[0] == "var":
-        return values[term[1]], schema.slot_sorts[term[1]]
-    if term[0] == "map":
-        m, source, target = ctx.resolve_map(term[1])
-        value, sort = _eval_expr(term[2], schema, ctx, values)
-        if sort != source:
-            raise SpecError(f"map {term[1]!r} applied to an argument of the wrong sort")
-        return m.apply(value), target
-    op, ls, rs, out = ctx.resolve(term[0])
-    left, lsort = _eval_term(term[1], schema, ctx, values)
-    right, rsort = _eval_term(term[2], schema, ctx, values)
-    if (lsort, rsort) != (ls, rs):
-        raise SpecError(
-            f"operation {term[0]!r} applied to arguments of the wrong sort"
-        )
-    return evaluate(op, left, right), out
-
-
-def _eval_expr(e: Expr, schema: IdentitySchema, ctx: OpContext, values):
-    """(value, sort) of a non-empty expression; (None, None) for the empty one."""
-    total = sort = None
-    for coef, term in e:
-        v, sort = _eval_term(term, schema, ctx, values)
-        scaled = tuple(coef * a for a in v)
-        total = scaled if total is None else vec_add(total, scaled)
-    return total, sort
-
-
-def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vector]) -> Vector:
-    """lhs - rhs of a schema at arbitrary slot values (not just basis); the
-    empty tuple for 0 = 0, where no term fixes a sort."""
-    difference = schema.lhs + tuple((-c, term) for c, term in schema.rhs)
-    return _eval_expr(difference, schema, ctx, values)[0] or ()
 
 
 # ----------------------------------------------------------------------

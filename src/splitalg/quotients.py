@@ -195,6 +195,12 @@ def quotient_algebra(
     return Algebra(ctx.dims["Q"], signature, ops), ctx.maps["Pi"][0]
 
 
+def dendriform_quotient(a: Algebra) -> tuple[Algebra, LinearMap]:
+    """The dendriform algebra a / splitting ideal, each split pair merged,
+    and the quotient map."""
+    return quotient_algebra(a, splitting_ideal(a), QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform")
+
+
 def _converse(a: Algebra):
     """(quotient dendriform algebra by the splitting ideal, its actions on the
     original space by coset lifts: xbar prec_l y = x prec_vdash y and

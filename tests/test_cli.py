@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +18,8 @@ from splitalg.model import Algebra, BilinearOp, LinearMap, perp_dendriform_part
 from splitalg.samples import one_dim_dendriform, truncated_polynomial_algebra
 
 from conftest import random_quadri
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -590,3 +594,24 @@ def test_reports_print_numbers_past_the_digit_limit(capsys, tmp_path, monkeypatc
     assert len(residual) in (6001, 9001)
     assert f"{prefix}{residual}]" in (err if on_stderr else out)
     assert (out if on_stderr else err) == ""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--help"], 0),
+    (["check", "{sample}", "--object", "dend", "--catalog", "dendriform", "--json"], 0),
+    (["check", "{broken}", "--object", "bad", "--catalog", "dendriform", "--json"], 1),
+], ids=["help", "check-pass", "check-fail"])
+def test_closed_stdout_keeps_the_exit_code(sample_doc_path, broken_doc_path, argv, expected):
+    """A reader that has closed stdout before the command writes loses the
+    output, not the exit code: nothing reaches stderr, so no error line,
+    no traceback and no message from the interpreter's last flush."""
+    argv = [a.format(sample=sample_doc_path, broken=broken_doc_path) for a in argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "splitalg.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (expected, b"")

@@ -19,12 +19,13 @@ from splitalg.constructions import (
     sum_collapse_quadri,
     sum_collapse_six,
 )
-from splitalg.identities import IdentitySchema, _eval_expr, app, apply_map, check, context_for, expr, tabulate, var
+from splitalg.identities import IdentitySchema, app, apply_map, check, context_for, expr, tabulate, var
 from splitalg.linalg import basis_vector, vec_add
 from splitalg.model import LinearMap, SpecError, adjoint_representation, evaluate, self_action
 from splitalg.operators import check_homomorphic_relative
 from splitalg.samples import one_dim_dendriform, zero_algebra
 from conftest import shift_map
+from oracle import eval_expr
 from test_engine import actions, algebras, linear_maps, representations
 
 
@@ -258,6 +259,6 @@ def test_tabulate_matches_reference(data):
             for i in range(ctx.dims[sorts[0]]):
                 for j in range(ctx.dims[sorts[1]]):
                     values = (basis_vector(ctx.dims[sorts[0]], i), basis_vector(ctx.dims[sorts[1]], j))
-                    value, sort = _eval_expr(expr(term), schema, ctx, values)
+                    value, sort = eval_expr(expr(term), schema, ctx, values)
                     assert op.coeffs[i][j] == value
                     assert op.out_dim == ctx.dims[sort]

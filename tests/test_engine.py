@@ -20,7 +20,6 @@ from splitalg.identities import (
     OpContext,
     Violation,
     ViolationReport,
-    _eval_expr,
     _scan,
     app,
     apply_map,
@@ -28,7 +27,6 @@ from splitalg.identities import (
     check,
     context_for,
     equation,
-    evaluate_schema,
     expr,
     tabulate,
     var,
@@ -56,6 +54,7 @@ from splitalg.samples import (
 )
 
 from conftest import random_quadri, shift_map, transport
+from oracle import eval_expr, evaluate_schema
 
 SCALARS = st.sampled_from([Fraction(k) for k in (-2, -1, 0, 0, 0, 0, 1, 1, 2)] + [Fraction(1, 2)])
 DIMS = st.integers(1, 3)
@@ -376,7 +375,7 @@ def test_wide_tabulate_matches_reference(ctx, table):
     schema = equation("reference", ("A", "A"), (), ())
     for name, term in table.items():
         for i, j in itertools.product(range(n), repeat=2):
-            value = _eval_expr(expr(term), schema, ctx, (basis_vector(n, i), basis_vector(n, j)))[0]
+            value = eval_expr(expr(term), schema, ctx, (basis_vector(n, i), basis_vector(n, j)))[0]
             assert ops[name].coeffs[i][j] == value
             assert all(type(e) is Fraction for e in ops[name].coeffs[i][j])
 

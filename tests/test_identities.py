@@ -11,7 +11,6 @@ from splitalg.identities import (
     check,
     check_morphism,
     context_for,
-    evaluate_schema,
 )
 from splitalg.linalg import is_zero, vector
 from splitalg.model import (
@@ -24,6 +23,7 @@ from splitalg.model import (
 from splitalg.samples import one_dim_dendriform, zero_algebra
 
 from conftest import random_quadri
+from oracle import evaluate_schema
 
 
 EXPECTED_SIZES = {

@@ -103,6 +103,20 @@ def test_search_command_loads_no_argument_parser(sample_doc_path):
     assert not loaded & PARSER
 
 
+def test_recipe_loads_only_its_construction_module(recipe_doc_path, tmp_path):
+    """A recipe looks its construction up when it runs: a sum collapse
+    imports `constructions`, and nothing imports `quotients`."""
+    code = (
+        "import contextlib, io; from splitalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['construct', sys.argv[1], '--recipe', 'sum-diass', '--algebra', 'quadri',\n"
+        "                 '--out', sys.argv[2]]) == 0"
+    )
+    loaded = set(loaded_by(code, recipe_doc_path, str(tmp_path / "out.json")))
+    assert "splitalg.constructions" in loaded
+    assert "splitalg.quotients" not in loaded
+
+
 def test_package_exports_each_name_from_its_home_module():
     names = [name for names in EXPORTS.values() for name in names]
     assert len(names) == 59
