@@ -57,14 +57,15 @@ def _load_document(path: str) -> Document:
     return parse_document(text)
 
 
-def _write(text: str) -> None:
-    """Print text; a reader that has closed stdout loses it, and the
-    command keeps its exit code."""
+def _write(text: str, stream=None) -> None:
+    """Print text to stdout, or to stream; a reader that has closed it loses
+    the text, and the command keeps its exit code."""
+    stream = sys.stdout if stream is None else stream
     try:
-        print(text, flush=True)
+        print(text, file=stream, flush=True)
     except BrokenPipeError:
         # so the interpreter's last flush of the unwritten rest goes nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -74,7 +75,7 @@ def _emit(args, payload: dict, human: str) -> None:
 def cmd_check(args) -> int:
     doc = _load_document(args.file)
     obj = doc.lookup_object(args.object)
-    report = check(obj, args.catalog, paranoid=args.paranoid)
+    report = check(obj, args.catalog)
     with unbounded_digits():
         _emit(
             args,
@@ -141,46 +142,46 @@ def cmd_check_operator(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_VIOLATIONS
 
 
-# recipe -> (object flags, construction, whether it takes verify, output
-# names, verifications).  The construction, "module.function" here, is looked
-# up when the recipe runs and called with the flagged objects (and verify=);
-# the names pair with `_outputs` of its result.  A verification (label,
-# catalog or operator kind, output checked, output map or None) re-checks them.
+# recipe -> (object flags, construction, output names, verifications).  The
+# construction, "module.function" here, is looked up when the recipe runs and
+# called with the flagged objects; the names pair with `_outputs` of its
+# result.  A verification (label, catalog or operator kind, output checked,
+# output map or None) re-checks them.
 RECIPES = {
-    "semidirect": (("rep",), "constructions.semidirect", True, ("semidirect",), [
+    "semidirect": (("rep",), "constructions.semidirect", ("semidirect",), [
         ("semidirect:dendriform", "dendriform", "semidirect", None)]),
-    "hemisemidirect": (("rep",), "constructions.hemisemidirect", True, ("hemisemidirect",), [
+    "hemisemidirect": (("rep",), "constructions.hemisemidirect", ("hemisemidirect",), [
         ("hemisemidirect:quadri", "quadri", "hemisemidirect", None)]),
-    "action-semidirect": (("action",), "constructions.action_semidirect", True, ("action_semidirect",), [
+    "action-semidirect": (("action",), "constructions.action_semidirect", ("action_semidirect",), [
         ("action_semidirect:dendriform", "dendriform", "action_semidirect", None)]),
-    "aguiar-dendriform": (("algebra", "map"), "constructions.aguiar_dendriform", False, ("dendriform",), [
+    "aguiar-dendriform": (("algebra", "map"), "constructions.aguiar_dendriform", ("dendriform",), [
         ("dendriform", "dendriform", "dendriform", None)]),
-    "aguiar-diass": (("algebra", "map"), "constructions.aguiar_diassociative", False, ("diassociative",), [
+    "aguiar-diass": (("algebra", "map"), "constructions.aguiar_diassociative", ("diassociative",), [
         ("diassociative", "diassociative", "diassociative", None)]),
-    "induced-quadri": (("rep", "map"), "constructions.induced_quadri", False, ("induced_quadri",), [
+    "induced-quadri": (("rep", "map"), "constructions.induced_quadri", ("induced_quadri",), [
         ("induced_quadri:quadri", "quadri", "induced_quadri", None)]),
-    "induced-six": (("action", "map"), "constructions.induced_six", False, ("induced_six",), [
+    "induced-six": (("action", "map"), "constructions.induced_six", ("induced_six",), [
         ("induced_six:six", "six", "induced_six", None)]),
-    "differential-quadri": (("algebra", "map"), "constructions.differential_quadri", False, ("differential_quadri",), [
+    "differential-quadri": (("algebra", "map"), "constructions.differential_quadri", ("differential_quadri",), [
         ("differential_quadri:quadri", "quadri", "differential_quadri", None)]),
-    "dual-extension": (("algebra",), "constructions.dual_extension", False,
+    "dual-extension": (("algebra",), "constructions.dual_extension",
                        ("base", "extension", "dual_extension", "projection"), [
         ("dual_extension:dend-action", "dend-action", "dual_extension", None),
         ("projection:homomorphic_relative", "homomorphic_relative", "dual_extension", "projection")]),
-    "sum-diass": (("algebra",), "constructions.sum_collapse_quadri", False, ("sum_diass",), [
+    "sum-diass": (("algebra",), "constructions.sum_collapse_quadri", ("sum_diass",), [
         ("sum_diass:diassociative", "diassociative", "sum_diass", None)]),
-    "sum-triass": (("algebra",), "constructions.sum_collapse_six", False, ("sum_triass",), [
+    "sum-triass": (("algebra",), "constructions.sum_collapse_six", ("sum_triass",), [
         ("sum_triass:triassociative", "triassociative", "sum_triass", None)]),
-    "quotient-dend": (("algebra",), "quotients.dendriform_quotient", False, ("quotient", "quotient_map"), [
+    "quotient-dend": (("algebra",), "quotients.dendriform_quotient", ("quotient", "quotient_map"), [
         ("quotient:dendriform", "dendriform", "quotient", None)]),
-    "embed-averaging": (("algebra",), "quotients.embed_averaging", False, ("ambient", "averaging", "inclusion"), [
+    "embed-averaging": (("algebra",), "quotients.embed_averaging", ("ambient", "averaging", "inclusion"), [
         ("ambient:dendriform", "dendriform", "ambient", None),
         ("averaging:dend_averaging", "dend_averaging", "ambient", "averaging")]),
-    "quadri-to-relative": (("algebra",), "quotients.quadri_to_relative_setup", False,
+    "quadri-to-relative": (("algebra",), "quotients.quadri_to_relative_setup",
                            ("quotient", "representation", "quotient_map"), [
         ("representation:dend-representation", "dend-representation", "representation", None),
         ("quotient_map:relative_averaging", "relative_averaging", "representation", "quotient_map")]),
-    "six-to-homomorphic": (("algebra",), "quotients.six_to_homomorphic_setup", False,
+    "six-to-homomorphic": (("algebra",), "quotients.six_to_homomorphic_setup",
                            ("quotient", "perp", "action", "quotient_map"), [
         ("action:dend-action", "dend-action", "action", None),
         ("quotient_map:homomorphic_relative", "homomorphic_relative", "action", "quotient_map")]),
@@ -203,11 +204,10 @@ def _outputs(result):
 
 
 def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, ViolationReport]]]:
-    """Returns (output document, [(label, report), ...]); no reports when
-    verification is skipped."""
+    """Returns (output document, [(label, report), ...])."""
     from .operators import check_operator
 
-    flags, construction, takes_verify, names, verifications = RECIPES[args.recipe]
+    flags, construction, names, verifications = RECIPES[args.recipe]
     objects = []
     for flag in flags:
         name, section = getattr(args, flag), getattr(doc, _SECTIONS[flag])
@@ -216,16 +216,14 @@ def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, Violatio
         if name not in section:
             raise UsageError(f"no {flag} named {name!r}")
         objects.append(section[name])
-    verify = not args.no_verify
     module, function = construction.split(".")
     build = getattr(import_module(f".{module}", __package__), function)
-    result = build(*objects, verify=verify) if takes_verify else build(*objects)
-    outputs = dict(zip(names, _outputs(result), strict=True))
+    outputs = dict(zip(names, _outputs(build(*objects)), strict=True))
     sections: dict[str, dict] = {}
     for name, obj in outputs.items():
         sections.setdefault(_OUTPUT_SECTIONS[type(obj)], {})[name] = obj
     checks = []
-    for label, what, subject, map_name in verifications if verify else ():
+    for label, what, subject, map_name in verifications:
         if map_name is None:
             checks.append((label, check(outputs[subject], what)))
         else:
@@ -243,8 +241,6 @@ def cmd_construct(args) -> int:
         verifications = [{"label": label, **item.to_dict()} for label, item in checks]
         payload = {"recipe": args.recipe, "out": args.out, "verifications": verifications}
         lines = [f"{args.recipe}: wrote {args.out}", *(f"[{label}] {item.render()}" for label, item in checks)]
-        if not checks:
-            lines.append("(verification skipped)")
         _emit(args, payload, "\n".join(lines))
     return EXIT_OK if all(item.ok for _, item in checks) else EXIT_VIOLATIONS
 
@@ -297,7 +293,6 @@ COMMANDS = {
     "check": (cmd_check, "check an object against an identity catalog", "file", {
         "--object": ("object to check", True, str, None),
         "--catalog": ("identity catalog", True, str, CATALOG_NAMES),
-        "--paranoid": ("also check the mathematically redundant chain pairs", False, None, None),
         **_JSON}),
     "check-operator": (cmd_check_operator, "check an operator property of a map", "file", {
         "--map": ("map to check", True, str, None),
@@ -309,7 +304,6 @@ COMMANDS = {
         "--out": ("document to write", True, str, None),
         **{f"--{flag}": (f"recipe input, a name in {section}", False, str, None)
            for flag, section in _SECTIONS.items()},
-        "--no-verify": ("skip re-verification of the constructed objects", False, None, None),
         **_JSON}),
     "search": (cmd_search, "enumerate operators over a finite grid", "file", {
         "--object": ("object to search on (if ambiguous)", False, str, None),
@@ -438,11 +432,12 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (UsageError, DocumentError, SpecError, OSError) as e:
         # a refused construction or quotient carries the failing verdict
-        print(f"error: {e}", file=sys.stderr)
+        lines = [f"error: {e}"]
         verdict = getattr(e, "verdict", None)
         if verdict is not None:
             with unbounded_digits():
-                print(verdict.render(), file=sys.stderr)
+                lines.append(verdict.render())
+        _write("\n".join(lines), sys.stderr)
         return EXIT_USAGE
 
 if __name__ == "__main__":

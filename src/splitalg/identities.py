@@ -7,8 +7,10 @@ an identity on every basis tuple is equivalent to checking it on all
 vectors, by multilinearity.
 
 Chained equalities in the source axioms (a brace listing k equal
-expressions) are encoded as the k-1 consecutive pairwise equations; the
-remaining mathematically redundant pairs are available via paranoid=True.
+expressions) are encoded as the k-1 consecutive pairwise equations.  The
+other pairs are redundant: at every basis tuple the residual of pair (i, j)
+is the sum of the consecutive residuals between i and j, so it vanishes
+wherever those do.
 
 Every check in the package (catalogs, operator kinds, graph closure,
 morphisms, differentials, quotients) is a list of schema groups evaluated
@@ -176,18 +178,12 @@ def equation(eqid, sorts, lhs, rhs) -> IdentitySchema:
     return IdentitySchema(eqid, tuple(sorts), _as_expr(lhs), _as_expr(rhs))
 
 
-def _chain(eqid: str, sorts, exprs: Sequence, paranoid: bool) -> list[IdentitySchema]:
-    """Encode E1 = E2 = ... = Ek as consecutive pairs (plus the redundant
-    pairs when paranoid)."""
-    out = []
-    letters = "abcdefgh"
-    for n in range(len(exprs) - 1):
-        out.append(equation(f"{eqid}{letters[n]}", sorts, exprs[n], exprs[n + 1]))
-    if paranoid:
-        for i in range(len(exprs)):
-            for j in range(i + 2, len(exprs)):
-                out.append(equation(f"{eqid}p{i + 1}{j + 1}", sorts, exprs[i], exprs[j]))
-    return out
+def _chain(eqid: str, sorts, exprs: Sequence) -> list[IdentitySchema]:
+    """Encode E1 = E2 = ... = Ek as its k-1 consecutive pairs."""
+    return [
+        equation(f"{eqid}{'abcdefgh'[n]}", sorts, exprs[n], exprs[n + 1])
+        for n in range(len(exprs) - 1)
+    ]
 
 
 def _dend_shape(ids, sorts, pair12, pair23, pair_out, pair_out2):
@@ -223,7 +219,7 @@ def _dend_shape(ids, sorts, pair12, pair23, pair_out, pair_out2):
     return [e1, e2, e3]
 
 
-def _catalog_associative(paranoid: bool):
+def _catalog_associative():
     return [
         equation(
             "assoc",
@@ -234,7 +230,7 @@ def _catalog_associative(paranoid: bool):
     ]
 
 
-def _catalog_dendriform(paranoid: bool):
+def _catalog_dendriform():
     pair = ("prec", "succ")
     return _dend_shape(("dend.1", "dend.2", "dend.3"), ("A", "A", "A"), pair, pair, pair, pair)
 
@@ -250,11 +246,11 @@ def _diass_equations(dashv: str, vdash: str, ids):
     ]
 
 
-def _catalog_diassociative(paranoid: bool):
+def _catalog_diassociative():
     return _diass_equations("dashv", "vdash", ["di.1", "di.2", "di.3", "di.4", "di.5"])
 
 
-def _catalog_triassociative(paranoid: bool):
+def _catalog_triassociative():
     A3 = ("A", "A", "A")
     eqs = _diass_equations("dashv", "vdash", ["tri.1", "tri.2", "tri.3", "tri.4", "tri.5"])
     eqs.append(
@@ -270,7 +266,7 @@ def _catalog_triassociative(paranoid: bool):
     return eqs
 
 
-def _catalog_quadri(paranoid: bool):
+def _catalog_quadri():
     A3 = ("A", "A", "A")
     pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
     eqs: list[IdentitySchema] = []
@@ -282,7 +278,6 @@ def _catalog_quadri(paranoid: bool):
             app(pv, app(pd, _x, _y), _z),
             expr(app(pv, _x, app(pv, _y, _z)), app(pv, _x, app(sv, _y, _z))),
         ],
-        paranoid,
     )
     eqs += _chain(
         "quadri.2",
@@ -292,7 +287,6 @@ def _catalog_quadri(paranoid: bool):
             app(pv, app(sd, _x, _y), _z),
             app(sv, _x, app(pv, _y, _z)),
         ],
-        paranoid,
     )
     eqs += _chain(
         "quadri.3",
@@ -304,7 +298,6 @@ def _catalog_quadri(paranoid: bool):
             expr(app(sv, app(pv, _x, _y), _z), app(sv, app(sd, _x, _y), _z)),
             expr(app(sv, app(pd, _x, _y), _z), app(sv, app(sv, _x, _y), _z)),
         ],
-        paranoid,
     )
     eqs += _dend_shape(("quadri.4", "quadri.5", "quadri.6"), A3, (pv, sv), (pd, sd), (pd, sd), (pv, sv))
     eqs += _chain(
@@ -317,7 +310,6 @@ def _catalog_quadri(paranoid: bool):
             expr(app(pd, _x, app(pv, _y, _z)), app(pd, _x, app(sd, _y, _z))),
             expr(app(pd, _x, app(pd, _y, _z)), app(pd, _x, app(sv, _y, _z))),
         ],
-        paranoid,
     )
     eqs += _chain(
         "quadri.8",
@@ -327,7 +319,6 @@ def _catalog_quadri(paranoid: bool):
             app(sd, _x, app(pv, _y, _z)),
             app(sd, _x, app(pd, _y, _z)),
         ],
-        paranoid,
     )
     eqs += _chain(
         "quadri.9",
@@ -337,12 +328,11 @@ def _catalog_quadri(paranoid: bool):
             app(sd, _x, app(sd, _y, _z)),
             expr(app(sd, app(pd, _x, _y), _z), app(sd, app(sd, _x, _y), _z)),
         ],
-        paranoid,
     )
     return eqs
 
 
-def _catalog_six(paranoid: bool):
+def _catalog_six():
     """The 9 + 8 + 8 compatibility axioms between the perp pair and the
     quadri quadruple.  The embedded dendriform and quadri axioms are not
     repeated here; check them via perp_dendriform_part / quadri_part."""
@@ -357,27 +347,17 @@ def _catalog_six(paranoid: bool):
         [(pv, "p"), (pv, "s"), (sv, "p"), (sv, "s")], start=1
     ):
         inner = {"p": (pp, pv, pd), "s": (sp, sv, sd)}[position]
-        eqs += _chain(
-            f"six.2.{n}",
-            A3,
-            [app(outer, app(i, _x, _y), _z) for i in inner],
-            paranoid,
-        )
+        eqs += _chain(f"six.2.{n}", A3, [app(outer, app(i, _x, _y), _z) for i in inner])
     # four chains of three, inner variants on the right argument
     for n, (outer, position) in enumerate(
         [(pd, "p"), (sd, "p"), (pd, "s"), (sd, "s")], start=1
     ):
         inner = {"p": (pp, pv, pd), "s": (sp, sv, sd)}[position]
-        eqs += _chain(
-            f"six.3.{n}",
-            A3,
-            [app(outer, _x, app(i, _y, _z)) for i in inner],
-            paranoid,
-        )
+        eqs += _chain(f"six.3.{n}", A3, [app(outer, _x, app(i, _y, _z)) for i in inner])
     return eqs
 
 
-def _catalog_dend_representation(paranoid: bool):
+def _catalog_dend_representation():
     d = ("prec", "succ")
     l = ("prec_l", "succ_l")
     r = ("prec_r", "succ_r")
@@ -388,7 +368,7 @@ def _catalog_dend_representation(paranoid: bool):
     return eqs
 
 
-def _catalog_dend_action(paranoid: bool):
+def _catalog_dend_action():
     # prec_t / succ_t are the target algebra's own dendriform operations.
     l = ("prec_l", "succ_l")
     r = ("prec_r", "succ_r")
@@ -414,14 +394,14 @@ _CATALOGS = {
 CATALOG_NAMES = tuple(sorted(_CATALOGS))
 
 
-def catalog(name: str, paranoid: bool = False) -> list[IdentitySchema]:
+def catalog(name: str) -> list[IdentitySchema]:
     try:
         builder = _CATALOGS[name]
     except KeyError:
         raise UnknownCatalog(
             f"unknown catalog {name!r}; known: {', '.join(CATALOG_NAMES)}"
         ) from None
-    return builder(paranoid)
+    return builder()
 
 
 # ----------------------------------------------------------------------
@@ -882,13 +862,11 @@ def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) 
 def check(
     obj,
     catalog_name: str,
-    paranoid: bool = False,
     max_violations: int = DEFAULT_VIOLATION_CAP,
 ) -> ViolationReport:
     """Evaluate every schema of the catalog on every basis tuple consistent
     with the slot sorts; collect all nonzero residuals (up to the cap)."""
-    schemas = catalog(catalog_name, paranoid=paranoid)
-    return check_schemas(obj, schemas, max_violations=max_violations)
+    return check_schemas(obj, catalog(catalog_name), max_violations=max_violations)
 
 
 def check_schemas(

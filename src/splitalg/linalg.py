@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: RREF, spans, membership, quotient coordinates.
+"""Exact rational linear algebra: RREF, spans, reduction modulo a span.
 
 Everything here works over exact Fractions; there is deliberately no
 floating-point path anywhere in the package.
@@ -50,15 +50,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(k, v: Vector) -> Vector:
-    k = frac(k)
-    return tuple(k * a for a in v)
-
-
-def is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
@@ -120,13 +111,6 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
 
-    def contains(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch(
-                f"vector length {len(v)} vs ambient dimension {self.ambient_dim}"
-            )
-        return is_zero(self.reduce(v))
-
     def reduce(self, v: Vector) -> Vector:
         """Subtract the unique span element matching v on the pivot columns."""
         if len(v) != self.ambient_dim:
@@ -144,12 +128,6 @@ class Subspace:
     def complement_indices(self) -> tuple[int, ...]:
         pivot_set = set(self.pivots)
         return tuple(c for c in range(self.ambient_dim) if c not in pivot_set)
-
-    def project(self, v: Vector) -> Vector:
-        """Coset representative of v in complement (non-pivot) coordinates."""
-        reduced = self.reduce(v)
-        return tuple(reduced[c] for c in self.complement_indices())
-
 
 def span(vectors: Sequence[Vector], ambient_dim: int | None = None) -> Subspace:
     """Canonical RREF basis of the linear span of the given vectors."""

@@ -274,13 +274,6 @@ class Algebra:
         except KeyError:
             raise SpecError(f"algebra has no operation {name!r}") from None
 
-    def same_tensors(self, other: "Algebra") -> bool:
-        return (
-            self.dimension == other.dimension
-            and set(self.operations) == set(other.operations)
-            and all(self.operations[k] == other.operations[k] for k in self.operations)
-        )
-
     def with_signature(self, signature: str, rename: Mapping[str, str]) -> "Algebra":
         """View of this algebra under another signature, renaming operations.
 

@@ -111,10 +111,6 @@ class Ideal:
         product escapes the subspace, or None if closed."""
         return next(((name, *witness, side) for (name, side), witness, _, _ in self._escapes()), None)
 
-    def is_closed(self) -> bool:
-        return self.closure_witness() is None
-
-
 def ideal_generated(a: Algebra, generators: Sequence[Vector]) -> Ideal:
     """Least subspace containing the generators and closed under left and
     right multiplication by every operation.

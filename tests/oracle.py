@@ -1,13 +1,15 @@
 """The reference evaluator: interprets a schema at arbitrary slot values in
 `Fraction` arithmetic, one term at a time.  The tests hold the library's
-sparse evaluator (`identities._Program`) and `tabulate` to it."""
+sparse evaluator (`identities._Program`) and `tabulate` to it.  Also the
+coset coordinates of a vector modulo a subspace, which the reference
+quotient reads."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 from splitalg.identities import Expr, IdentitySchema, OpContext, Term
-from splitalg.linalg import Vector, vec_add
+from splitalg.linalg import Subspace, Vector, vec_add
 from splitalg.model import SpecError, evaluate
 
 
@@ -46,3 +48,9 @@ def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vec
     empty tuple for 0 = 0, where no term fixes a sort."""
     difference = schema.lhs + tuple((-c, term) for c, term in schema.rhs)
     return eval_expr(difference, schema, ctx, values)[0] or ()
+
+
+def project(sub: Subspace, v: Vector) -> Vector:
+    """Coset representative of v in the complement (non-pivot) coordinates."""
+    reduced = sub.reduce(v)
+    return tuple(reduced[c] for c in sub.complement_indices())

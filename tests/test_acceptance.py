@@ -125,7 +125,7 @@ def test_criterion_5_graph_theorem(adjoint):
 def test_criterion_6_quotient_round_trip(quadri):
     with criterion(6, "splitting-ideal quotient round-trips exactly"):
         ideal = splitting_ideal(quadri)
-        assert ideal.is_closed()
+        assert ideal.closure_witness() is None
         rep, proj = quadri_to_relative_setup(quadri)
         assert check(rep.base, "dendriform").ok
         assert check_relative_averaging(rep, proj).ok

@@ -59,12 +59,13 @@ def test_check_json_round_trip(capsys, sample_doc_path):
 
 
 def test_check_paranoid(capsys, sample_doc_path):
-    code, out, _ = run(
+    """The redundant chain pairs are no switch: a brace's other pairs are
+    sums of its consecutive ones, and the flag is an unknown argument."""
+    code, out, err = run(
         capsys, "check", sample_doc_path, "--object", "dend", "--catalog", "dendriform",
         "--paranoid", "--json",
     )
-    assert code == 0
-    assert json.loads(out)["checked"] >= 3 * 64
+    assert (code, out, err) == (2, "", "error: unrecognized arguments: --paranoid\n")
 
 
 def test_check_unknown_object(capsys, sample_doc_path):
@@ -227,12 +228,14 @@ def test_construct_missing_flag(capsys, sample_doc_path, tmp_path):
 
 
 def test_construct_no_verify(capsys, sample_doc_path, tmp_path):
-    code, out, _ = run(
-        capsys, "construct", sample_doc_path, "--recipe", "quotient-dend",
-        "--algebra", "dend", "--out", str(tmp_path / "q.json"), "--no-verify",
+    """Every construction is verified: skipping it is an unknown argument."""
+    out_path = tmp_path / "s.json"
+    code, out, err = run(
+        capsys, "construct", sample_doc_path, "--recipe", "semidirect",
+        "--rep", "adjoint", "--out", str(out_path), "--no-verify",
     )
-    # quotient-dend needs a quadri algebra; dend is dendriform
-    assert code == 2
+    assert (code, out, err) == (2, "", "error: unrecognized arguments: --no-verify\n")
+    assert not out_path.exists()
 
 
 def test_search(capsys, sample_doc_path):
@@ -467,17 +470,15 @@ def test_check_operator_fuzzed_argv(recipe_doc_path, kind, map_name, on, as_json
     rep=flag_value("rep"),
     action=flag_value("action"),
     map_name=flag_value("map"),
-    no_verify=st.booleans(),
     as_json=st.booleans(),
 )
 def test_construct_fuzzed_argv(recipe_doc_path, tmp_path_factory, recipe, algebra, rep, action,
-                               map_name, no_verify, as_json):
+                               map_name, as_json):
     """Every recipe with any object and map names: `construct` exits 0, 1
     or 2 and never ends in a traceback."""
     out = tmp_path_factory.getbasetemp() / "construct-fuzz.json"
     run_fuzzed(["construct", recipe_doc_path, "--recipe", recipe, "--out", str(out),
-                *flags(algebra=algebra, rep=rep, action=action, map=map_name,
-                       no_verify=no_verify, json=as_json)])
+                *flags(algebra=algebra, rep=rep, action=action, map=map_name, json=as_json)])
 
 
 def test_check_signature_not_a_string(capsys, tmp_path):
@@ -596,6 +597,22 @@ def test_reports_print_numbers_past_the_digit_limit(capsys, tmp_path, monkeypatc
     assert (out if on_stderr else err) == ""
 
 
+def run_with_closed(argv: list[str], stream: str) -> tuple[int, bytes]:
+    """Run the CLI in a fresh interpreter whose `stream` ("stdout" or
+    "stderr") is a pipe with its read end closed before it starts: (exit
+    code, what it wrote to the other stream)."""
+    other = "stderr" if stream == "stdout" else "stdout"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "splitalg.cli", *argv],
+                              **{stream: write, other: subprocess.PIPE},
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    finally:
+        os.close(write)
+    return done.returncode, getattr(done, other)
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["--help"], 0),
     (["check", "{sample}", "--object", "dend", "--catalog", "dendriform", "--json"], 0),
@@ -606,12 +623,45 @@ def test_closed_stdout_keeps_the_exit_code(sample_doc_path, broken_doc_path, arg
     output, not the exit code: nothing reaches stderr, so no error line,
     no traceback and no message from the interpreter's last flush."""
     argv = [a.format(sample=sample_doc_path, broken=broken_doc_path) for a in argv]
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        done = subprocess.run([sys.executable, "-m", "splitalg.cli", *argv], stdout=write,
-                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
-                              timeout=60)
-    finally:
-        os.close(write)
-    assert (done.returncode, done.stderr) == (expected, b"")
+    assert run_with_closed(argv, "stdout") == (expected, b"")
+
+
+@pytest.mark.parametrize("catalog", [["--catalog", "dendriform"], []], ids=["missing-file", "missing-flag"])
+def test_closed_stderr_keeps_the_exit_code(catalog):
+    """An error line that no reader takes is lost, and the command still
+    exits 2: the error of writing it is not a failed check."""
+    argv = ["check", "/nonexistent.json", "--object", "x", *catalog]
+    assert run_with_closed(argv, "stderr") == (2, b"")
+
+
+# per subcommand, an input it accepts and an input error, with the exit
+# code each has when both streams are open
+STREAM_CASES = [
+    (["check", "{broken}", "--object", "bad", "--catalog", "dendriform"], 1),
+    (["check", "{sample}", "--object", "ghost", "--catalog", "dendriform"], 2),
+    (["check-operator", "{sample}", "--map", "integrate", "--kind", "rota-baxter", "--on", "poly"], 0),
+    (["check-operator", "{sample}", "--map", "integrate", "--kind", "pentagram"], 2),
+    (["construct", "{recipes}", "--recipe", "semidirect", "--rep", "adjoint", "--out", "{out}"], 0),
+    (["construct", "{recipes}", "--recipe", "action-semidirect", "--action", "bad_self", "--out", "{out}"], 2),
+    (["search", "{sample}", "--object", "poly", "--kind", "rota-baxter", "--grid", "0"], 0),
+    (["search", "{sample}", "--object", "poly", "--kind", "rota-baxter", "--grid", "0,x"], 2),
+]
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+@pytest.mark.parametrize("argv, expected", STREAM_CASES,
+                         ids=[f"{argv[0]}-{'input-error' if code == 2 else 'accepted'}" for argv, code in STREAM_CASES])
+def test_closed_stream_keeps_the_exit_code(sample_doc_path, broken_doc_path, recipe_doc_path, tmp_path,
+                                           argv, expected, stream):
+    """Every subcommand exits with the code it has with both streams open
+    when either stream's reader has gone, and never ends in a traceback."""
+    argv = [a.format(sample=sample_doc_path, broken=broken_doc_path, recipes=recipe_doc_path,
+                     out=tmp_path / "out.json") for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == expected
+    code, other = run_with_closed(argv, stream)
+    assert code == expected
+    assert b"Traceback" not in other
+    if stream == "stdout":
+        # stderr holds the error line, and nothing else
+        assert other.startswith(b"error: ") == (expected == 2)

@@ -1,7 +1,8 @@
 """The CLI's table-driven parser against the argparse parser it replaced.
 
 The reference below is the earlier `build_parser` and `_attach_grid`,
-verbatim.  Argument vectors are drawn from each command's vocabulary: full
+verbatim but for the two switches since removed from the CLI (`check
+--paranoid`, `construct --no-verify`).  Argument vectors are drawn from each command's vocabulary: full
 flags, unique and ambiguous prefixes, `--flag=value`, repeated flags, `--`,
 the positional anywhere, missing required flags, bad choices and bad
 `--cap` values, unknown flags and extra positionals.  Where argparse
@@ -54,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--object", required=True)
     p.add_argument("--catalog", required=True, choices=CATALOG_NAMES)
-    p.add_argument("--paranoid", action="store_true",
-                   help="also check the mathematically redundant chain pairs")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 
@@ -75,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep")
     p.add_argument("--action")
     p.add_argument("--map")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip re-verification of the constructed objects")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_construct)
 

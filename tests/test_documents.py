@@ -55,11 +55,11 @@ def test_full_round_trip(poly, dend, integ, adjoint):
     )
     text = serialize_document(doc)
     doc2 = parse_document(text)
-    assert doc2.algebras["poly"].same_tensors(poly)
-    assert doc2.algebras["dend"].same_tensors(dend)
+    for read, written in ((doc2.algebras["poly"], poly), (doc2.algebras["dend"], dend),
+                          (doc2.actions["self"].target, dend)):
+        assert (read.dimension, read.operations) == (written.dimension, written.operations)
     assert doc2.maps["integrate"] == integ
     assert doc2.representations["adjoint"].actions == adjoint.actions
-    assert doc2.actions["self"].target.same_tensors(dend)
     # canonical form is a fixed point
     assert serialize_document(doc2) == text
 

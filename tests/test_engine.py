@@ -33,7 +33,7 @@ from splitalg.identities import (
 )
 from splitalg import model, operators
 from splitalg.constructions import dual_extension, hemisemidirect, induced_six, sum_collapse_quadri, sum_collapse_six
-from splitalg.linalg import basis_vector, is_zero, rref
+from splitalg.linalg import basis_vector, rref
 from splitalg.model import (
     ACTION_SORTS,
     SIGNATURE_OPS,
@@ -71,7 +71,7 @@ def reference_scan(ctx, groups):
             for schema in group:
                 checked += 1
                 residual = evaluate_schema(schema, ctx, values)
-                if not is_zero(residual):
+                if any(residual):
                     found.append((schema.id, idx, residual))
     return checked, found
 
@@ -144,11 +144,11 @@ KIND_SUBJECTS = {
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), name=st.sampled_from(CATALOG_NAMES), paranoid=st.booleans(), cap=st.integers(0, 6))
-def test_catalog_scan_matches_reference(data, name, paranoid, cap):
+@given(data=st.data(), name=st.sampled_from(CATALOG_NAMES), cap=st.integers(0, 6))
+def test_catalog_scan_matches_reference(data, name, cap):
     obj = data.draw(catalog_subjects(name))
-    report = check(obj, name, paranoid=paranoid, max_violations=cap)
-    groups = [(schema,) for schema in catalog(name, paranoid=paranoid)]
+    report = check(obj, name, max_violations=cap)
+    groups = [(schema,) for schema in catalog(name)]
     assert_same(report, reference_scan(context_for(obj), groups), cap)
 
 
@@ -710,11 +710,11 @@ def sparse_subjects(draw, name):
 
 
 @settings(max_examples=30, deadline=None)
-@given(data=st.data(), name=st.sampled_from(CATALOG_NAMES), paranoid=st.booleans(), cap=st.integers(0, 6))
-def test_sparse_catalog_scan_matches_reference(data, name, paranoid, cap):
+@given(data=st.data(), name=st.sampled_from(CATALOG_NAMES), cap=st.integers(0, 6))
+def test_sparse_catalog_scan_matches_reference(data, name, cap):
     obj = data.draw(sparse_subjects(name))
-    groups = [(schema,) for schema in catalog(name, paranoid=paranoid)]
-    assert_exact(check(obj, name, paranoid=paranoid, max_violations=cap), reference_scan(context_for(obj), groups), cap)
+    groups = [(schema,) for schema in catalog(name)]
+    assert_exact(check(obj, name, max_violations=cap), reference_scan(context_for(obj), groups), cap)
 
 
 def contraction_terms():
@@ -762,15 +762,14 @@ def seeded_subject(name: str):
 
 
 def test_catalogs_take_the_contraction():
-    """Every catalog, paranoid or not, gives the reference's report on a
-    seeded failing subject."""
+    """Every catalog gives the reference's report on a seeded failing
+    subject."""
     for name in CATALOG_NAMES:
         obj = seeded_subject(name)
-        for paranoid in (False, True):
-            groups = [(schema,) for schema in catalog(name, paranoid=paranoid)]
-            report = check(obj, name, paranoid=paranoid, max_violations=10)
-            assert report.violations
-            assert_exact(report, reference_scan(context_for(obj), groups), 10)
+        groups = [(schema,) for schema in catalog(name)]
+        report = check(obj, name, max_violations=10)
+        assert report.violations
+        assert_exact(report, reference_scan(context_for(obj), groups), 10)
 
 
 def test_contraction_at_dimension_32():
