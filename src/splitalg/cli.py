@@ -234,10 +234,11 @@ def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, Violatio
 def cmd_construct(args) -> int:
     doc = _load_document(args.file)
     out_doc, checks = _run_recipe(args, doc)
+    # under the bound a document is read with, so that check reads it back
+    text = serialize_document(out_doc)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     with unbounded_digits():
-        text = serialize_document(out_doc)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         verifications = [{"label": label, **item.to_dict()} for label, item in checks]
         payload = {"recipe": args.recipe, "out": args.out, "verifications": verifications}
         lines = [f"{args.recipe}: wrote {args.out}", *(f"[{label}] {item.render()}" for label, item in checks)]

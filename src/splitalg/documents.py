@@ -83,8 +83,8 @@ def short_repr(value) -> str:
 def unbounded_digits():
     """Ints convert to text in full inside the block.  Python refuses to
     convert one of more than 4300 digits (sys.get_int_max_str_digits), and
-    documents keep that bound on their input, but computed values outgrow
-    it; the limit is restored on leaving."""
+    documents keep that bound, read and written, but the reports of computed
+    values print them in full; the limit is restored on leaving."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
@@ -292,7 +292,19 @@ def _find_algebra_name(alg: Algebra, algebras: Mapping[str, Algebra]) -> str | N
 
 def serialize_document(doc: Document) -> str:
     """Deterministic canonical text for a document (sorted keys, reduced
-    rationals, trailing newline)."""
+    rationals, trailing newline).  A scalar past the interpreter's int-to-text
+    bound, which parse_document keeps too, is refused with a SpecError, so a
+    document is written only if it can be read back."""
+    try:
+        return _serialize(doc)
+    except SpecError:
+        raise
+    except ValueError:  # an int past the bound
+        raise SpecError(f"cannot write a scalar of over {sys.get_int_max_str_digits()} digits, "
+                        "more than a document is read with") from None
+
+
+def _serialize(doc: Document) -> str:
     raw: dict[str, Any] = {}
     if doc.algebras:
         raw["algebras"] = {n: _algebra_to_json(a) for n, a in doc.algebras.items()}

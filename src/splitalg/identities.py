@@ -2,9 +2,11 @@
 
 An identity is a formal equation between linear combinations of terms in
 one to three variable slots.  Slots carry a sort: A for the base algebra,
-V for a module (operator and morphism checks name further sorts).  Checking
-an identity on every basis tuple is equivalent to checking it on all
-vectors, by multilinearity.
+V for a module (operator and morphism checks name further sorts).  Every
+term is multilinear: it reads each slot exactly once.  So checking an
+identity on every basis tuple is equivalent to checking it on all vectors,
+and the evaluator refuses, with a SpecError, a term that repeats a slot or
+leaves one out, where that equivalence fails.
 
 Chained equalities in the source axioms (a brace listing k equal
 expressions) are encoded as the k-1 consecutive pairwise equations.  The
@@ -463,13 +465,17 @@ def context_for(obj) -> OpContext:
 # non-zero (component, coefficient) pairs of each value (_pairs), made once
 # per table.
 #
+# Every term is multilinear: it reads each slot of its group exactly once.
+# The program refuses any other at compile time, since on a term that
+# repeats a slot or leaves one out, a verdict on the basis tuples says
+# nothing of other vectors: the two arguments of an operation read disjoint
+# slots, the terms of a map argument read the same slots, and each term of
+# an equation reads all the slots of its group.
+#
 # - A variable leaf's table is the basis.
 # - An operation joins its arguments' tables through its non-zero
-#   structure constants, indexing one table by component; where the two
-#   read a common slot, only entries agreeing on it meet.
+#   structure constants, indexing one table by component.
 # - A map applies its sparse columns to the sum of its argument's terms.
-# - A table is broadcast to more slots by adding the rank offsets of the
-#   slots it does not read.
 #
 # An equation's residuals are the sum of its terms' tables over its group's
 # slots, so only tuples in their supports are visited; the non-zero ones
@@ -495,16 +501,6 @@ def _common_scale(pairs) -> tuple[int, list[int]]:
     return scale, [c.numerator * (scale // s) // c.denominator for c, s in pairs]
 
 
-def _broadcast(table: dict, spread) -> dict:
-    """A table over more slots, for spread = (place, offsets): rank r goes to
-    place[r] + e for each e in offsets, the ranks of the slots it does not
-    read.  spread None leaves the table as it is."""
-    if spread is None:
-        return table
-    place, offsets = spread
-    return {place[rank] + e: v for rank, v in table.items() for e in offsets}
-
-
 def _sum(parts) -> dict:
     """sum c * table over the (c, table) parts, of tables over the same slots."""
     out: dict = {}
@@ -525,32 +521,31 @@ def _pairs(table: dict) -> dict:
     return {rank: [(k, a) for k, a in enumerate(v) if a] for rank, v in table.items()}
 
 
-def _join(rows, cols, left, lplace, lkey, right, rplace, rkey, out_dim: int) -> dict:
-    """The table of x * y from the pairs of x and y and the non-zero
-    structure constants, rows[i] = [(j, [(k, c)])] and cols[j] = [(i, the
-    same)]: the rank of a pair is lplace[x's rank] + rplace[y's rank], and
-    only pairs whose ranks over the shared slots (lkey, rkey) are equal
-    meet.  The larger table is walked and the smaller indexed by component,
-    so each line of the index serves many entries."""
+def _join(rows, cols, left, lplace, right, rplace, out_dim: int) -> dict:
+    """The table of x * y from the pairs of x and y, which read disjoint
+    slots, and the non-zero structure constants, rows[i] = [(j, [(k, c)])]
+    and cols[j] = [(i, the same)]: the rank of a pair is lplace[x's rank] +
+    rplace[y's rank].  The larger table is walked and the smaller indexed by
+    component, so each line of the index serves many entries."""
     if len(right) > len(left):
-        left, lplace, lkey, right, rplace, rkey, rows = right, rplace, rkey, left, lplace, lkey, cols
-    index: dict = {}  # (key, component j) -> [(rank part, value_j)] of the smaller
+        left, lplace, right, rplace, rows = right, rplace, left, lplace, cols
+    index: dict = {}  # component j -> [(rank part, value_j)] of the smaller
     for rank, v in right.items():
-        key, part = rkey[rank], rplace[rank]
+        part = rplace[rank]
         for j, b in v:
-            index.setdefault((key, j), []).append((part, b))
-    lines: dict = {}  # (key, component i) -> [(rank part, [(k, value_j * c_ij)])]
+            index.setdefault(j, []).append((part, b))
+    lines: dict = {}  # component i -> [(rank part, [(k, value_j * c_ij)])]
     out: dict = {}
     get = out.get
     for rank, v in left.items():
-        base, key = lplace[rank], lkey[rank]
+        base = lplace[rank]
         for i, a in v:
-            line = lines.get((key, i))
+            line = lines.get(i)
             if line is None:
-                line = lines[key, i] = [
+                line = lines[i] = [
                     (part, cells if b == 1 else [(k, b * c) for k, c in cells])
                     for j, cells in rows[i]
-                    for part, b in index.get((key, j), ())
+                    for part, b in index.get(j, ())
                 ]
             for part, cells in line:
                 w = get(base + part)
@@ -566,8 +561,8 @@ def _residuals(equations, tables: list, scales: list) -> list:
     residual of a group's equations, in (rank, position) order."""
     found = []
     for position, (eqid, terms) in enumerate(equations):
-        scale, ints = _common_scale([(c, scales[n]) for c, n, _ in terms])
-        sums = _sum([(k, _broadcast(tables[n], spread)) for k, (_, n, spread) in zip(ints, terms)])
+        scale, ints = _common_scale([(c, scales[n]) for c, n in terms])
+        sums = _sum(zip(ints, [tables[n] for _, n in terms]))
         found += [(rank, position, eqid, tuple(r), scale) for rank, r in sums.items() if any(r)]
     found.sort()  # (rank, position) pairs are distinct
     return found
@@ -594,12 +589,12 @@ class _Program:
         self.binders: list = []
         self.reads: list = []
         self._memo: dict = {}
-        self._layouts: dict = {}  # _layout and _ranks, computed once
+        self._ranked: dict = {}  # _ranks, computed once
         # the nodes whose tables are summed (equation terms, map arguments):
         # the others are read only through their _pairs
         self.summed: set[int] = set()
         # (slot sorts, nodes evaluated before the group runs,
-        # [(equation id, [(coefficient, node, spread)])])
+        # [(equation id, [(coefficient, node)])])
         self.groups = [self._group(group) for group in groups]
         # per group, the nodes whose tables no later group reads: dropped
         # after it, so a check holds only the tables it has still to read
@@ -607,7 +602,7 @@ class _Program:
         for g, (_, end, equations) in enumerate(self.groups):
             for n in range(start, end):
                 last.update((child, g) for child in self.reads[n])
-            last.update((n, g) for _, terms in equations for _, n, _ in terms)
+            last.update((n, g) for _, terms in equations for _, n in terms)
             start = end
         self.released: list[list[int]] = [[] for _ in self.groups]
         for n, g in last.items():
@@ -615,7 +610,7 @@ class _Program:
 
     def _group(self, group):
         sorts = group[0].slot_sorts
-        slots, dims = tuple(range(len(sorts))), tuple(self.ctx.dims[s] for s in sorts)
+        slots = tuple(range(len(sorts)))
         equations = []
         for schema in group:
             if schema.slot_sorts != sorts:
@@ -631,8 +626,10 @@ class _Program:
                     coefs[node] = coefs[node] + c if node in coefs else c
             if len(out_sorts) > 1:
                 raise SpecError(f"schema {schema.id!r} equates terms of different sorts")
-            terms = [(c, node, self._spread(read[node], slots, dims)) for node, c in coefs.items() if c]
-            self.summed.update(node for _, node, _ in terms)
+            if any(r != slots for r in read.values()):
+                raise SpecError(f"schema {schema.id!r} has a term that does not read all its slots (not multilinear)")
+            terms = [(c, node) for node, c in coefs.items() if c]
+            self.summed.update(node for _, node in terms)
             equations.append((schema.id, terms))
         return sorts, len(self.binders), equations
 
@@ -661,74 +658,59 @@ class _Program:
             children = [self.compile(t, sorts) for _, t in term[2]]
             if any(child[1] != source for child in children):
                 raise SpecError(f"map {name!r} applied to an argument of the wrong sort")
-            slots = tuple(sorted({s for child in children for s in child[2]}))
-            argument = [(c, node, self._spread(read, slots, dims)) for (c, _), (node, _, read) in zip(term[2], children)]
-            self.summed.update(node for _, node, _ in argument)
+            reads = {child[2] for child in children}
+            if len(reads) > 1:
+                raise SpecError(f"map {name!r} applied to terms that read different slots (not multilinear)")
+            slots = reads.pop() if reads else ()
+            argument = [(c, node) for (c, _), (node, _, _) in zip(term[2], children)]
+            self.summed.update(node for _, node in argument)
             out_dim = ctx.dims[out_sort]
 
             def bind(tables, scales, pairs):
                 d, columns = ctx.maps[name][0].integer_form
-                scale, ints = _common_scale([(c, scales[n]) for c, n, _ in argument])
-                parts = [(k, _broadcast(tables[n], spread)) for k, (_, n, spread) in zip(ints, argument)]
+                scale, ints = _common_scale([(c, scales[n]) for c, n in argument])
                 image = {}
-                for rank, v in _sum(parts).items():
+                for rank, v in _sum(zip(ints, [tables[n] for _, n in argument])).items():
                     w = image[rank] = [0] * out_dim
                     for j, a in compress(enumerate(v), v):
                         for k, c in columns[j]:
                             w[k] += a * c
                 return image, d * scale
 
-            return bind, [node for _, node, _ in argument], out_sort, slots
+            return bind, [node for _, node in argument], out_sort, slots
         name = term[0]
         _, ls, rs, out_sort = ctx.resolve(name)
         left, lsort, lslots = self.compile(term[1], sorts)
         right, rsort, rslots = self.compile(term[2], sorts)
         if (lsort, rsort) != (ls, rs):
             raise SpecError(f"operation {name!r} applied to arguments of the wrong sort")
-        slots, lplace, lkey, rplace, rkey = self._layout(lslots, rslots, dims)
+        if set(lslots) & set(rslots):
+            raise SpecError(f"operation {name!r} applied to arguments that read a common slot (not multilinear)")
+        # the arguments may read their slots out of order, as op(y, x) does
+        slots = tuple(sorted(lslots + rslots))
+        lplace, rplace = self._ranks(lslots, slots, dims), self._ranks(rslots, slots, dims)
         out_dim = ctx.dims[out_sort]
 
         def bind(tables, scales, pairs):
             d, rows, cols = ctx.ops[name][0].integer_form
-            table = _join(rows, cols, pairs(left), lplace, lkey, pairs(right), rplace, rkey, out_dim)
+            table = _join(rows, cols, pairs(left), lplace, pairs(right), rplace, out_dim)
             return table, d * scales[left] * scales[right]
 
         return bind, (left, right), out_sort, slots
 
-    def _layout(self, lslots, rslots, dims):
-        """(slots, lplace, lkey, rplace, rkey) of _join for arguments reading
-        lslots and rslots."""
-        key = ("join", lslots, rslots, dims)
-        if key not in self._layouts:
-            slots = tuple(sorted({*lslots, *rslots}))
-            shared = tuple(s for s in lslots if s in rslots)
-            self._layouts[key] = (slots, self._ranks(lslots, slots, dims), self._ranks(lslots, shared, dims),
-                                  self._ranks(rslots, slots, dims, shared), self._ranks(rslots, shared, dims))
-        return self._layouts[key]
-
-    def _ranks(self, slots, onto, dims, skip=()):
-        """Per rank over the slots: the rank over the slots `onto` of its
-        entries in `onto` and not in skip (the others count 0)."""
-        key = (slots, onto, skip, dims)
-        if key not in self._layouts:
-            if slots == onto and not skip:
-                ranks = range(math.prod(dims[s] for s in slots))  # the identity, not stored
-            else:
-                strides, step = {}, 1
-                for s in reversed(onto):
-                    strides[s], step = (0 if s in skip else step), step * dims[s]
-                ranks = [0]
-                for s in slots:
-                    stride = strides.get(s, 0)
-                    ranks = [r + i * stride for r in ranks for i in range(dims[s])]
-            self._layouts[key] = ranks
-        return self._layouts[key]
-
-    def _spread(self, read, slots, dims):
-        """The spread for _broadcast from the slots `read` to `slots`."""
-        if read == slots:
-            return None
-        return self._ranks(read, slots, dims), self._ranks(tuple(s for s in slots if s not in read), slots, dims)
+    def _ranks(self, slots, onto, dims):
+        """Per rank over the slots: its rank over the slots `onto`, which
+        hold them, with the entries of the other slots 0."""
+        key = (slots, onto, dims)
+        if key not in self._ranked:
+            strides, step = {}, 1
+            for s in reversed(onto):
+                strides[s], step = step, step * dims[s]
+            ranks = [0]
+            for s in slots:
+                ranks = [r + i * strides[s] for r in ranks for i in range(dims[s])]
+            self._ranked[key] = ranks
+        return self._ranked[key]
 
     def violations(self):
         """(equation id, basis tuple, residual ints, scale) of each non-zero
@@ -761,10 +743,11 @@ class _Program:
 
 
 def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term]) -> dict[str, BilinearOp]:
-    """Each term of the table, in two slots of these sorts, as the bilinear
-    operation of its values on the basis pairs: the residuals of term = 0,
-    one group per term in one program, evaluated as a check evaluates them.
-    A pair with no residual holds the zero of the term's output sort."""
+    """Each term of the table, which reads both of two slots of these sorts
+    once, as the bilinear operation of its values on the basis pairs: the
+    residuals of term = 0, one group per term in one program, evaluated as a
+    check evaluates them.  A pair with no residual holds the zero of the
+    term's output sort."""
     sorts = tuple(sorts)
     program = _Program(ctx, [(equation(name, sorts, term, ()),) for name, term in table.items()])
     dims = tuple(ctx.dims[s] for s in sorts)

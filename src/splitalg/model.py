@@ -124,9 +124,6 @@ class BilinearOp:
             lambda i, j: vec_add(self.coeffs[i][j], other.coeffs[i][j]),
         )
 
-    def is_zero(self) -> bool:
-        return all(all(e == 0 for e in v) for row in self.coeffs for v in row)
-
     @cached_property
     def integer_form(self) -> tuple[int, list, list]:
         """(D, rows, columns), computed once: rows[i] lists (j, the non-zero

@@ -139,7 +139,7 @@ def test_differential_quadri(dend):
     assert check_differential(dend, zero).ok
     dq = differential_quadri(dend, zero)
     assert check(dq, "quadri").ok
-    assert dq.op("prec_vdash").is_zero()
+    assert not any(any(v) for row in dq.op("prec_vdash").coeffs for v in row)
     # the identity is not a differential (d^2 = d != 0)
     verdict = check_differential(dend, LinearMap.identity(n))
     assert not verdict.ok
@@ -234,12 +234,12 @@ TWIST_TABLES = {
         "dashv": app("succ_r", _x, _Ty),
         "both": app("prec", _Tx, _Ty),
         "nested": apply_map("T", app("succ_l", _Tx, _y)),
-        "sum": app("prec_r", _x, apply_map("T", expr(_x, _y, _y))),
-        "leaf": _y,
+        "sum": apply_map("T", expr(app("prec_l", _Tx, _y), app("succ_r", _x, _Ty), app("succ_r", _x, _Ty))),
+        "swap": app("prec_r", _y, _Tx),
     },
     ("A", "V"): {
         "action": app("prec_l", _x, _y),
-        "twice": app("succ_l", app("prec", _x, _Ty), _y),
+        "base": app("succ", _x, _Ty),
     },
 }
 

@@ -4,6 +4,7 @@ maps: same count, same witnesses in the same order, same residuals and the
 same truncation."""
 
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from splitalg.identities import (
     apply_map,
     catalog,
     check,
+    check_schemas,
     context_for,
     equation,
     expr,
@@ -42,6 +44,7 @@ from splitalg.model import (
     BilinearOp,
     LinearMap,
     Representation,
+    SpecError,
     adjoint_representation,
 )
 from splitalg.operators import OPERATOR_KINDS, _KINDS, check_operator, operator_map_shape, search_operators
@@ -177,13 +180,15 @@ def test_empty_schema_matches_reference():
 
 
 _x, _y, _z = var(0), var(1), var(2)
-# Proper subterms that read fewer slots than their group, so their tables
-# are broadcast: T(x * y) and T(x + 2y) read two of three slots, T(T(x)) and
-# T(-y) one of two.
+# Maps inside products, so subterms read fewer slots than their group:
+# T(x * y) and T(x y + y x + y x) read two of three slots, T(y * x) reads
+# them out of order, and T(T(x)) and T(-y) read one of two.
 TABULATED = [
-    (equation("t.1", ("A", "A", "A"), app("mul", app("mul", _x, _y), _z), apply_map("T", app("mul", _x, _y))),),
+    (equation("t.1", ("A", "A", "A"), app("mul", app("mul", _x, _y), _z),
+              app("mul", apply_map("T", app("mul", _x, _y)), _z)),),
     (
-        equation("t.2", ("A", "A", "A"), app("mul", apply_map("T", expr(_x, _y, _y)), _z), ()),
+        equation("t.2", ("A", "A", "A"), app("mul", apply_map("T", expr(
+            app("mul", _x, _y), app("mul", _y, _x), app("mul", _y, _x))), _z), ()),
         equation("t.3", ("A", "A", "A"), (), app("mul", _z, apply_map("T", app("mul", _y, _x)))),
     ),
     (equation("t.4", ("A", "A"), app("mul", apply_map("T", apply_map("T", _x)), _y),
@@ -276,21 +281,27 @@ def wide_contexts(draw):
     return OpContext(ops, {"A": n}, maps)
 
 
-def wide_terms(slots):
-    return st.recursive(
-        st.integers(0, slots - 1).map(var),
-        lambda sub: st.one_of(
-            st.builds(app, st.sampled_from(["p", "q"]), sub, sub),
-            st.builds(apply_map, st.sampled_from(["S", "T"]),
-                      st.lists(st.tuples(COEFS, sub), min_size=1, max_size=3).map(tuple)),
-        ),
-        max_leaves=5,
-    )
+@st.composite
+def wide_terms(draw, slots, maps=2):
+    """A multilinear term in p, q, S and T that reads each of the slots (a
+    sorted tuple) once: an operation splits them into two non-empty parts,
+    the left one holding any of them, and the terms of a map argument all
+    read the same slots.  At most `maps` maps are nested."""
+    if maps and draw(st.integers(0, 3)) == 0:
+        argument = st.lists(st.tuples(COEFS, wide_terms(slots, maps - 1)), min_size=1, max_size=3)
+        return apply_map(draw(st.sampled_from(["S", "T"])), tuple(draw(argument)))
+    if len(slots) == 1:
+        return var(slots[0])
+    order = draw(st.permutations(slots))
+    cut = draw(st.integers(1, len(slots) - 1))
+    left, right = (wide_terms(tuple(sorted(part)), maps) for part in (order[:cut], order[cut:]))
+    return app(draw(st.sampled_from(["p", "q"])), draw(left), draw(right))
 
 
 def wide_sides(slots, min_size=0):
-    """A side of an equation: up to three terms with coefficients; () is zero."""
-    return st.lists(st.tuples(COEFS, wide_terms(slots)), min_size=min_size, max_size=3).map(tuple)
+    """A side of an equation in these many slots: up to three terms with
+    coefficients; () is zero."""
+    return st.lists(st.tuples(COEFS, wide_terms(tuple(range(slots)))), min_size=min_size, max_size=3).map(tuple)
 
 
 @st.composite
@@ -308,22 +319,27 @@ def wide_groups(draw):
 _A3 = ("A", "A", "A")
 _half, _third = Fraction(3, 2), Fraction(-2, 3)
 # An empty side; terms of different depths and operations on the two sides
-# (scales 1, D_p^2, D_q D_S); terms of three scales inside one map argument;
-# arguments of one operation that share a slot, directly (p(x, x)), across a
-# map (q(T(x), x)) or in part (p(q(x, y), T(x + z)), which shares x only).
+# (scales D_p^2, D_p D_q D_T, D_q^2 D_S); terms of three scales inside one
+# map argument, over three slots (w.map) and over one (T(z - 2/3 S(z)));
+# arguments that read later slots than their partners (q(T(...z...), x),
+# p(z, T(q(x, y))), q(z, p(y, x))).
 WIDE_FIXED = [
     (
-        equation("w.shared", _A3, app("p", _x, _x), ((_half, app("q", apply_map("T", _x), _x)),)),
-        equation("w.partly", _A3, app("p", app("q", _x, _y), apply_map("T", expr(_x, _z))),
-                 app("q", _y, app("p", apply_map("S", _y), _y))),
+        equation("w.later", _A3, app("q", app("q", apply_map("T", ((Fraction(1), _z), (_third, apply_map("S", _z)))),
+                                                  _x), _y),
+                 ((_half, app("p", app("q", _y, _z), apply_map("T", _x))),)),
+        equation("w.apart", _A3, app("p", app("q", _x, _y), apply_map("T", _z)),
+                 app("q", _y, app("p", apply_map("S", _x), _z))),
     ),
     (equation("w.empty", _A3, (), ((_half, app("p", _x, app("q", _y, _z))),)),),
     (
-        equation("w.mixed", _A3, ((_third, app("p", app("p", _x, _y), _z)), (Fraction(1, 97), _x)),
-                 ((Fraction(4), app("q", _x, apply_map("S", _y))),)),
-        equation("w.map", _A3, apply_map("T", ((_half, app("p", _x, _y)), (_third, _z),
-                                               (Fraction(5, 7), app("q", _x, apply_map("S", _z))))),
-                 app("q", apply_map("T", _x), _z)),
+        equation("w.mixed", _A3, ((_third, app("p", app("p", _x, _y), _z)),
+                                  (Fraction(1, 97), app("p", _z, apply_map("T", app("q", _x, _y))))),
+                 ((Fraction(4), app("q", app("q", _x, apply_map("S", _y)), _z)),)),
+        equation("w.map", _A3, apply_map("T", ((_half, app("p", app("p", _x, _y), _z)),
+                                               (_third, app("q", _z, app("p", _y, _x))),
+                                               (Fraction(5, 7), app("q", _x, apply_map("S", app("p", _y, _z)))))),
+                 app("q", apply_map("T", app("p", _x, _y)), _z)),
     ),
 ]
 
@@ -365,12 +381,13 @@ def test_wide_operator_scan_matches_reference(data, kind, cap):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ctx=wide_contexts(), table=st.lists(wide_terms(2), min_size=1, max_size=4))
+@given(ctx=wide_contexts(), table=st.lists(wide_terms((0, 1)), min_size=1, max_size=4))
 def test_wide_tabulate_matches_reference(ctx, table):
     """tabulate divides each entry by its term's scale: exact Fractions."""
     n = ctx.dims["A"]
     table = {f"t{i}": term for i, term in enumerate(table)}
-    table["fixed"] = apply_map("T", ((_half, app("p", _x, _y)), (_third, _y), (Fraction(1, 97), apply_map("S", _x))))
+    table["fixed"] = apply_map("T", ((_half, app("p", _x, _y)), (_third, app("q", _y, _x)),
+                                     (Fraction(1, 97), apply_map("S", app("p", _x, apply_map("T", _y))))))
     ops = tabulate(ctx, ("A", "A"), table)
     schema = equation("reference", ("A", "A"), (), ())
     for name, term in table.items():
@@ -378,6 +395,73 @@ def test_wide_tabulate_matches_reference(ctx, table):
             value = eval_expr(expr(term), schema, ctx, (basis_vector(n, i), basis_vector(n, j)))[0]
             assert ops[name].coeffs[i][j] == value
             assert all(type(e) is Fraction for e in ops[name].coeffs[i][j])
+
+
+# ----------------------------------------------------------------------
+# Multilinear terms only.  Every entry to the engine refuses, with one error
+# line naming the rule, a term that repeats a slot or leaves one out; on the
+# others, the residuals at the basis tuples give a schema's value at any
+# vectors.
+
+_P = OpContext({name: (truncated_polynomial_algebra(2).op("mul"), "A", "A", "A") for name in ("p", "q")}, {"A": 2},
+               {name: (LinearMap.identity(2), "A", "A") for name in ("S", "T")})
+# e0 * e1 = e0 and every other product 0: x * x vanishes at both basis
+# vectors but not at e0 + e1
+_UNSOUND = Algebra(2, "associative", {"mul": BilinearOp(2, 2, 2, [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])})
+_SHARED, _APART, _SHORT = "read a common slot", "read different slots", "does not read all its slots"
+
+
+def _scan_one(sorts, term):
+    return lambda: _scan(_P, [(equation("r", sorts, term, ()),)], DEFAULT_VIOLATION_CAP)
+
+
+# case -> (the call, the rule it breaks)
+REFUSED = {
+    "p(x, x)": (_scan_one(("A",), app("p", _x, _x)), _SHARED),
+    "q(T(x), x)": (_scan_one(("A",), app("q", apply_map("T", _x), _x)), _SHARED),
+    "p(q(x, y), T(x + z))": (_scan_one(_A3, app("p", app("q", _x, _y), apply_map("T", expr(_x, _z)))), _APART),
+    "p(q(x, y), T(p(x, z)))": (_scan_one(_A3, app("p", app("q", _x, _y), apply_map("T", app("p", _x, _z)))), _SHARED),
+    "p(x, y) in three slots": (_scan_one(_A3, app("p", _x, _y)), _SHORT),
+    "T(x + 2y)": (_scan_one(("A", "A"), apply_map("T", ((Fraction(1), _x), (Fraction(2), _y)))), _APART),
+    "tabulate y": (lambda: tabulate(_P, ("A", "A"), {"leaf": _y}), _SHORT),
+    "check_schemas x * x": (
+        lambda: check_schemas(_UNSOUND, [equation("sq", ("A",), app("mul", _x, _x), ())]), _SHARED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_non_multilinear_terms_are_refused(case):
+    call, rule = REFUSED[case]
+    with pytest.raises(SpecError) as refused:
+        call()
+    assert rule in str(refused.value) and "\n" not in str(refused.value)
+
+
+def test_refused_square_is_not_zero():
+    """A pass of x * x on the basis of _UNSOUND would be wrong: it vanishes
+    at e0 and e1, and is e0 at e0 + e1."""
+    ctx, square = context_for(_UNSOUND), equation("sq", ("A",), app("mul", _x, _x), ())
+    assert [evaluate_schema(square, ctx, [basis_vector(2, i)]) for i in range(2)] == [(0, 0), (0, 0)]
+    assert evaluate_schema(square, ctx, [(Fraction(1), Fraction(1))]) == (1, 0)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), ctx=wide_contexts(), slots=st.integers(1, 3))
+def test_basis_residuals_give_every_value(data, ctx, slots):
+    """The claim the refusals protect: a multilinear schema's value at any
+    vectors is the sum, over the basis tuples, of the product of the
+    vectors' coordinates there times the engine's residual, exactly."""
+    n = ctx.dims["A"]
+    schema = equation("s", ("A",) * slots, data.draw(wide_sides(slots, 1)), data.draw(wide_sides(slots)))
+    values = [tuple(data.draw(st.lists(RATIONALS, min_size=n, max_size=n))) for _ in range(slots)]
+    total = (Fraction(0),) * n
+    for v in _scan(ctx, [(schema,)], math.inf).violations:
+        weight = math.prod(values[s][i] for s, i in enumerate(v.witness))
+        total = tuple(t + weight * r for t, r in zip(total, v.residual))
+    assert total == evaluate_schema(schema, ctx, values)
 
 
 def test_tabulate_keeps_the_shape_of_zero_tables():
