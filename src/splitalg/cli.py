@@ -59,10 +59,14 @@ def _load_document(path: str) -> Document:
 
 def _write(text: str, stream=None) -> None:
     """Print text to stdout, or to stream; a reader that has closed it loses
-    the text, and the command keeps its exit code."""
+    the text, and the command keeps its exit code.  Characters the stream's
+    encoding cannot hold are written as backslash escapes."""
     stream = sys.stdout if stream is None else stream
     try:
-        print(text, file=stream, flush=True)
+        try:
+            print(text, file=stream, flush=True)
+        except UnicodeEncodeError:  # nothing was written: the text is encoded whole first
+            print(text.encode(stream.encoding, "backslashreplace").decode(stream.encoding), file=stream, flush=True)
     except BrokenPipeError:
         # so the interpreter's last flush of the unwritten rest goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())

@@ -233,9 +233,7 @@ _DIFFERENTIAL = ((equation("d2=0", ("A",), apply_map("d", apply_map("d", _x)), (
 )
 
 
-def check_differential(
-    d: Algebra, diff: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> ViolationReport:
+def check_differential(d: Algebra, diff: LinearMap) -> ViolationReport:
     """d^2 = 0 on basis vectors and the Leibniz rule for both operations on
     basis pairs."""
     _require_signature(d, "dendriform")
@@ -243,7 +241,7 @@ def check_differential(
         raise SpecError("differential must be an endomorphism of the algebra")
     ctx = context_for(d)
     ctx.maps["d"] = (diff, "A", "A")
-    return _scan(ctx, _DIFFERENTIAL, max_violations, "differential")
+    return _scan(ctx, _DIFFERENTIAL, DEFAULT_VIOLATION_CAP, "differential")
 
 
 def differential_quadri(d: Algebra, diff: LinearMap) -> Algebra:

@@ -194,18 +194,6 @@ def _parse_map(raw, algebras, path: str, tokens: dict) -> LinearMap:
     return LinearMap(source, target, rows)
 
 
-def _parse_action_tensors(raw, n: int, m: int, path: str, tokens: dict) -> dict[str, BilinearOp]:
-    if not isinstance(raw, dict) or set(raw) != set(ACTION_SORTS):
-        raise DocumentError(
-            path, f"expected exactly the action tensors {', '.join(ACTION_SORTS)}"
-        )
-    dims = {"A": n, "V": m}
-    return {
-        name: _parse_tensor(raw[name], *(dims[s] for s in sorts), f"{path}.{name}", tokens)
-        for name, sorts in ACTION_SORTS.items()
-    }
-
-
 def _require_algebra(ref, algebras, path: str, signature: str | None = None) -> Algebra:
     if not isinstance(ref, str) or ref not in algebras:
         raise DocumentError(path, f"unknown algebra {ref!r}")
@@ -213,6 +201,35 @@ def _require_algebra(ref, algebras, path: str, signature: str | None = None) -> 
     if signature and alg.signature != signature:
         raise DocumentError(path, f"algebra {ref!r} must have signature {signature!r}")
     return alg
+
+
+# section -> (class, the key beside "base" that gives the module): a
+# representation names its module's dimension, an action its target algebra
+_MODULES = {"representations": (Representation, "module_dim"), "actions": (Action, "target")}
+
+
+def _parse_module(section: str, raw, path: str, algebras, tokens: dict):
+    cls, key = _MODULES[section]
+    if not isinstance(raw, dict):
+        raise DocumentError(path, f"{section[:-1]} must be an object")
+    base = _require_algebra(raw.get("base"), algebras, f"{path}.base", "dendriform")
+    if key == "target":
+        module = _require_algebra(raw.get(key), algebras, f"{path}.{key}", "dendriform")
+        m = module.dimension
+    else:
+        module = m = raw.get(key)
+        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+            raise DocumentError(f"{path}.{key}", f"{key} must be a non-negative integer")
+    tensors = raw.get("actions")
+    if not isinstance(tensors, dict) or set(tensors) != set(ACTION_SORTS):
+        raise DocumentError(f"{path}.actions", f"expected exactly the action tensors {', '.join(ACTION_SORTS)}")
+    dims = {"A": base.dimension, "V": m}
+    tensors = {name: _parse_tensor(tensors[name], *(dims[s] for s in sorts), f"{path}.actions.{name}", tokens)
+               for name, sorts in ACTION_SORTS.items()}
+    try:
+        return cls(base, module, tensors)
+    except SpecError as e:
+        raise DocumentError(path, str(e)) from None
 
 
 def parse_document(text: str) -> Document:
@@ -239,37 +256,14 @@ def parse_document(text: str) -> Document:
         name: _parse_map(m, algebras, f"$.maps.{name}", tokens)
         for name, m in raw.get("maps", {}).items()
     }
-    representations = {}
-    for name, r in raw.get("representations", {}).items():
-        path = f"$.representations.{name}"
-        if not isinstance(r, dict):
-            raise DocumentError(path, "representation must be an object")
-        base = _require_algebra(r.get("base"), algebras, f"{path}.base", "dendriform")
-        mdim = r.get("module_dim")
-        if not isinstance(mdim, int) or isinstance(mdim, bool) or mdim < 0:
-            raise DocumentError(f"{path}.module_dim", "module_dim must be a non-negative integer")
-        actions = _parse_action_tensors(
-            r.get("actions"), base.dimension, mdim, f"{path}.actions", tokens
-        )
-        try:
-            representations[name] = Representation(base, mdim, actions)
-        except SpecError as e:
-            raise DocumentError(path, str(e)) from None
-    actions = {}
-    for name, a in raw.get("actions", {}).items():
-        path = f"$.actions.{name}"
-        if not isinstance(a, dict):
-            raise DocumentError(path, "action must be an object")
-        base = _require_algebra(a.get("base"), algebras, f"{path}.base", "dendriform")
-        target = _require_algebra(a.get("target"), algebras, f"{path}.target", "dendriform")
-        tensors = _parse_action_tensors(
-            a.get("actions"), base.dimension, target.dimension, f"{path}.actions", tokens
-        )
-        try:
-            actions[name] = Action(base, target, tensors)
-        except SpecError as e:
-            raise DocumentError(path, str(e)) from None
-    return Document(algebras, maps, representations, actions)
+    modules = {
+        section: {
+            name: _parse_module(section, r, f"$.{section}.{name}", algebras, tokens)
+            for name, r in raw.get(section, {}).items()
+        }
+        for section in _MODULES
+    }
+    return Document(algebras, maps, **modules)
 
 
 def _algebra_to_json(a: Algebra):
@@ -283,11 +277,18 @@ def _algebra_to_json(a: Algebra):
     return out
 
 
-def _find_algebra_name(alg: Algebra, algebras: Mapping[str, Algebra]) -> str | None:
-    for name, a in algebras.items():
-        if a is alg:
-            return name
-    return None
+def _module_to_json(section: str, name: str, obj, names: Mapping[int, str]):
+    """A representation or action, its algebras given by name: names maps
+    the id of each algebra of the document to its first name."""
+    key = _MODULES[section][1]
+    refs = (obj.base, obj.target) if key == "target" else (obj.base,)
+    if any(id(a) not in names for a in refs):
+        raise SpecError(f"{section[:-1]} {name!r} references an algebra not in the document")
+    return {
+        "base": names[id(obj.base)],
+        key: names[id(obj.target)] if key == "target" else obj.module_dim,
+        "actions": {k: _tensor_to_json(op) for k, op in obj.actions.items()},
+    }
 
 
 def serialize_document(doc: Document) -> str:
@@ -317,31 +318,11 @@ def _serialize(doc: Document) -> str:
             }
             for n, m in doc.maps.items()
         }
-    if doc.representations:
-        raw["representations"] = {}
-        for n, r in doc.representations.items():
-            base_name = _find_algebra_name(r.base, doc.algebras)
-            if base_name is None:
-                raise SpecError(
-                    f"representation {n!r} references an algebra not in the document"
-                )
-            raw["representations"][n] = {
-                "base": base_name,
-                "module_dim": r.module_dim,
-                "actions": {k: _tensor_to_json(op) for k, op in r.actions.items()},
-            }
-    if doc.actions:
-        raw["actions"] = {}
-        for n, a in doc.actions.items():
-            base_name = _find_algebra_name(a.base, doc.algebras)
-            target_name = _find_algebra_name(a.target, doc.algebras)
-            if base_name is None or target_name is None:
-                raise SpecError(
-                    f"action {n!r} references an algebra not in the document"
-                )
-            raw["actions"][n] = {
-                "base": base_name,
-                "target": target_name,
-                "actions": {k: _tensor_to_json(op) for k, op in a.actions.items()},
-            }
+    names: dict[int, str] = {}
+    for n, a in doc.algebras.items():
+        names.setdefault(id(a), n)
+    for section in _MODULES:
+        objs = getattr(doc, section)
+        if objs:
+            raw[section] = {n: _module_to_json(section, n, obj, names) for n, obj in objs.items()}
     return json.dumps(raw, sort_keys=True, indent=1) + "\n"

@@ -842,21 +842,15 @@ def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) 
     return ViolationReport(checked, violations, truncated, kind)
 
 
-def check(
-    obj,
-    catalog_name: str,
-    max_violations: int = DEFAULT_VIOLATION_CAP,
-) -> ViolationReport:
+def check(obj, catalog_name: str) -> ViolationReport:
     """Evaluate every schema of the catalog on every basis tuple consistent
     with the slot sorts; collect all nonzero residuals (up to the cap)."""
-    return check_schemas(obj, catalog(catalog_name), max_violations=max_violations)
+    return check_schemas(obj, catalog(catalog_name))
 
 
-def check_schemas(
-    obj, schemas: Sequence[IdentitySchema], max_violations: int = DEFAULT_VIOLATION_CAP
-) -> ViolationReport:
+def check_schemas(obj, schemas: Sequence[IdentitySchema]) -> ViolationReport:
     """Each schema is its own group, so witnesses come schema by schema."""
-    return _scan(context_for(obj), [(schema,) for schema in schemas], max_violations)
+    return _scan(context_for(obj), [(schema,) for schema in schemas], DEFAULT_VIOLATION_CAP)
 
 
 def check_morphism(
@@ -864,7 +858,6 @@ def check_morphism(
     source: Algebra,
     target: Algebra,
     op_pairing: Mapping[str, str],
-    max_violations: int = DEFAULT_VIOLATION_CAP,
 ) -> ViolationReport:
     """Check f(a * b) = f(a) *' f(b) on basis pairs, for every source
     operation * paired with a target operation *'."""
@@ -882,7 +875,7 @@ def check_morphism(
         rhs = app(tgt, apply_map("f", var(0)), apply_map("f", var(1)))
         groups.append((equation(f"morphism:{src_name}->{tgt_name}", ("A", "A"), lhs, rhs),))
     ctx = OpContext(ops, {"A": source.dimension, "B": target.dimension}, {"f": (f, "A", "B")})
-    return _scan(ctx, groups, max_violations)
+    return _scan(ctx, groups, DEFAULT_VIOLATION_CAP)
 
 
 QUADRI_TO_DENDRIFORM_COLLAPSE = {

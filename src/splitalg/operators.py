@@ -137,48 +137,36 @@ def _with_map(ctx: OpContext, kind: str, t: LinearMap) -> OpContext:
     return ctx
 
 
-def check_operator(
-    subject, kind: str, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> ViolationReport:
+def check_operator(subject, kind: str, t: LinearMap) -> ViolationReport:
     """Check that t is an operator of the given kind on the subject."""
     ctx = _with_map(_context(subject, kind), kind, t)
-    return _scan(ctx, _KINDS[kind].groups, max_violations, kind)
+    return _scan(ctx, _KINDS[kind].groups, DEFAULT_VIOLATION_CAP, kind)
 
 
-def check_rota_baxter(
-    a: Algebra, r: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> ViolationReport:
+def check_rota_baxter(a: Algebra, r: LinearMap) -> ViolationReport:
     """mu(Ra, Rb) = R(mu(a, Rb) + mu(Ra, b)) on all basis pairs."""
-    return check_operator(a, "rota_baxter", r, max_violations)
+    return check_operator(a, "rota_baxter", r)
 
 
-def check_assoc_averaging(
-    a: Algebra, h: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> ViolationReport:
+def check_assoc_averaging(a: Algebra, h: LinearMap) -> ViolationReport:
     """mu(Ha, Hb) = H mu(a, Hb) = H mu(Ha, b); two equations per pair."""
-    return check_operator(a, "assoc_averaging", h, max_violations)
+    return check_operator(a, "assoc_averaging", h)
 
 
-def check_dend_averaging(
-    d: Algebra, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> ViolationReport:
+def check_dend_averaging(d: Algebra, t: LinearMap) -> ViolationReport:
     """Tx*Ty = T(Tx*y) = T(x*Ty) for * in {prec, succ}; four equations per pair."""
-    return check_operator(d, "dend_averaging", t, max_violations)
+    return check_operator(d, "dend_averaging", t)
 
 
-def check_relative_averaging(
-    rep: Representation, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> ViolationReport:
+def check_relative_averaging(rep: Representation, t: LinearMap) -> ViolationReport:
     """Tu*Tv = T(Tu *_l v) = T(u *_r Tv) for * in {prec, succ}."""
-    return check_operator(rep, "relative_averaging", t, max_violations)
+    return check_operator(rep, "relative_averaging", t)
 
 
-def check_homomorphic_relative(
-    act: Action, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> ViolationReport:
+def check_homomorphic_relative(act: Action, t: LinearMap) -> ViolationReport:
     """Relative averaging with respect to the underlying representation,
     plus the homomorphism equations T(u *' v) = Tu * Tv."""
-    return check_operator(act, "homomorphic_relative", t, max_violations)
+    return check_operator(act, "homomorphic_relative", t)
 
 
 # P(op(Gx, Gy)) = 0 for each hemisemidirect operation: G sends e_a to the
@@ -189,9 +177,7 @@ _GRAPH_CLOSURE = tuple(
 )
 
 
-def graph_subalgebra_check(
-    rep: Representation, t: LinearMap, max_violations: int = DEFAULT_VIOLATION_CAP
-) -> ViolationReport:
+def graph_subalgebra_check(rep: Representation, t: LinearMap) -> ViolationReport:
     """Is the graph {(Tu, u)} closed under the hemisemidirect quadri ops?
 
     Closure is tested on the graph generators (T e_a, e_a) only; by
@@ -210,7 +196,7 @@ def graph_subalgebra_check(
         {"V": m, "H": n + m},
         {"G": (g, "V", "H"), "P": (p, "H", "H")},
     )
-    return _scan(ctx, _GRAPH_CLOSURE, max_violations, "relative_averaging")
+    return _scan(ctx, _GRAPH_CLOSURE, DEFAULT_VIOLATION_CAP, "relative_averaging")
 
 
 def operator_map_shape(subject, kind: str) -> tuple[int, int]:

@@ -2,14 +2,16 @@
 `Fraction` arithmetic, one term at a time.  The tests hold the library's
 sparse evaluator (`identities._Program`) and `tabulate` to it.  Also the
 coset coordinates of a vector modulo a subspace, which the reference
-quotient reads."""
+quotient reads, and the splitting rule with a degree-3 span comparison,
+which the catalogs are held to."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from splitalg.identities import Expr, IdentitySchema, OpContext, Term
-from splitalg.linalg import Subspace, Vector, vec_add
+from splitalg.identities import Expr, IdentitySchema, OpContext, Term, app
+from splitalg.linalg import Subspace, Vector, rref, vec_add
 from splitalg.model import SpecError, evaluate
 
 
@@ -54,3 +56,71 @@ def project(sub: Subspace, v: Vector) -> Vector:
     """Coset representative of v in the complement (non-pivot) coordinates."""
     reduced = sub.reduce(v)
     return tuple(reduced[c] for c in sub.complement_indices())
+
+
+# ----------------------------------------------------------------------
+# The splitting rule (the successor of Bai, Bellier, Guo and Ni, "Splitting
+# of operations, Manin products, and Rota-Baxter operators", IMRN 2013):
+# each operation o splits into prec_o and succ_o (for "mul", prec and succ),
+# and each axiom yields one axiom per variable.  That variable carries the
+# split: an operation on the path from the root to it becomes its prec part
+# when the variable sits in the left argument and its succ part when in the
+# right one; an operation off the path becomes the sum of both parts.
+
+
+def _slots(term: Term) -> set:
+    return {term[1]} if term[0] == "var" else _slots(term[1]) | _slots(term[2])
+
+
+def split_term(term: Term, slot: int) -> list[Term]:
+    """The terms whose sum is `term` split at `slot`; at a slot the term does
+    not read (None), the sum over both parts of every operation."""
+    if term[0] == "var":
+        return [term]
+    op, left, right = term
+    sides = ("prec",) if slot in _slots(left) else ("succ",) if slot in _slots(right) else ("prec", "succ")
+    return [app(side if op == "mul" else f"{side}_{op}", a, b)
+            for side in sides for a in split_term(left, slot) for b in split_term(right, slot)]
+
+
+def successor(schemas: Sequence[IdentitySchema]) -> list[IdentitySchema]:
+    """The split axioms: schema s gives s@0, s@1, ... one per slot."""
+    def split(e: Expr, slot: int) -> Expr:
+        return tuple((c, t) for c, term in e for t in split_term(term, slot))
+
+    return [IdentitySchema(f"{s.id}@{slot}", s.slot_sorts, split(s.lhs, slot), split(s.rhs, slot))
+            for s in schemas for slot in range(len(s.slot_sorts))]
+
+
+def rename(schemas: Sequence[IdentitySchema], names: dict) -> list[IdentitySchema]:
+    """The schemas with each operation op read as names.get(op, op)."""
+    def term(t: Term) -> Term:
+        return t if t[0] == "var" else app(names.get(t[0], t[0]), term(t[1]), term(t[2]))
+
+    return [IdentitySchema(s.id, s.slot_sorts, tuple((c, term(t)) for c, t in s.lhs),
+                           tuple((c, term(t)) for c, t in s.rhs)) for s in schemas]
+
+
+def degree3_vector(schema: IdentitySchema, ops: Sequence[str]) -> Vector:
+    """lhs - rhs of a degree-3 schema in the basis of the monomials
+    (x o1 y) o2 z and x o2 (y o1 z) over the operations ops: 2 * len(ops)**2
+    coordinates.  The variables must stand in the order x, y, z."""
+    index = {op: k for k, op in enumerate(ops)}
+    n = len(ops)
+    out = [Fraction(0)] * (2 * n * n)
+    x, y, z = ("var", 0), ("var", 1), ("var", 2)
+    for sign, e in ((1, schema.lhs), (-1, schema.rhs)):
+        for c, (outer, left, right) in e:
+            if left[0] != "var":
+                shape, inner, args = 0, left[0], (left[1], left[2], right)
+            else:
+                shape, inner, args = 1, right[0], (left, right[1], right[2])
+            if args != (x, y, z):
+                raise ValueError(f"{schema.id}: not a degree-3 term in the order x, y, z")
+            out[(shape * n + index[outer]) * n + index[inner]] += sign * c
+    return tuple(out)
+
+
+def rank(schemas: Sequence[IdentitySchema], ops: Sequence[str]) -> int:
+    """The dimension of the span of the schemas' degree-3 vectors."""
+    return len(rref([degree3_vector(s, ops) for s in schemas])[1]) if schemas else 0

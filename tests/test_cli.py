@@ -14,7 +14,7 @@ from splitalg.cli import KIND_ALIASES, RECIPES, main
 from splitalg.documents import Document, parse_document, serialize_document, unbounded_digits
 from splitalg.identities import check
 from splitalg.model import Algebra, BilinearOp, LinearMap, perp_dendriform_part
-from splitalg.samples import one_dim_dendriform, truncated_polynomial_algebra
+from splitalg.samples import integration_map, one_dim_dendriform, truncated_polynomial_algebra, truncated_polynomial_dendriform
 
 from conftest import random_quadri
 
@@ -662,3 +662,22 @@ def test_closed_stream_keeps_the_exit_code(sample_doc_path, broken_doc_path, rec
     if stream == "stdout":
         # stderr holds the error line, and nothing else
         assert other.startswith(b"error: ") == (expected == 2)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["check", "doc.json", "--object", "d\u00e9", "--catalog", "dendriform"], b"d\\xe9 against dendriform:"),
+    (["check-operator", "doc.json", "--map", "\u222b", "--kind", "rota-baxter", "--on", "p\u00e9"], b"\\u222b:"),
+    (["construct", "doc.json", "--recipe", "dual-extension", "--algebra", "d\u00e9", "--out", "d\u00e9-out.json"],
+     b"dual-extension: wrote d\\xe9-out.json"),
+], ids=["check", "check-operator", "construct"])
+def test_unencodable_names_are_escaped(tmp_path, argv, line):
+    """A name that stdout's encoding cannot hold is printed as backslash
+    escapes, and the command exits with its verdict's code: an encoding
+    error is not a failed check."""
+    doc = Document(algebras={"d\u00e9": truncated_polynomial_dendriform(), "p\u00e9": truncated_polynomial_algebra()},
+                   maps={"\u222b": integration_map()})
+    (tmp_path / "doc.json").write_text(serialize_document(doc), encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "splitalg.cli", *argv], capture_output=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "ascii"}, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.splitlines()[0] == line

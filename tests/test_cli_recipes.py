@@ -10,7 +10,9 @@ import hashlib
 
 import pytest
 
-from splitalg.cli import main
+from splitalg.cli import RECIPES, main
+from splitalg.documents import parse_document
+from splitalg.identities import check
 
 
 INPUT_SHA = "c0b85e39a74fa2a72043a0f70af209a89e44ab48633a301447fe36f56eca18ec"
@@ -87,3 +89,22 @@ def test_recipe_output_pinned(recipe, flags, switch, recipe_doc_path, tmp_path, 
     file_sha = _sha(written.read_bytes()) if written.exists() else None
     digests = (code, _sha(captured.out.encode()), _sha(captured.err.encode()), file_sha)
     assert digests == (REFUSED if switch else EXPECTED[(recipe, flags[-1])])
+
+
+ACCEPTED = [(recipe, flags) for recipe, flags in CASES if EXPECTED[(recipe, flags[-1])][0] == 0]
+
+
+@pytest.mark.parametrize("recipe,flags", ACCEPTED, ids=[f"{r}-{f[-1]}" for r, f in ACCEPTED])
+def test_written_document_checks(recipe, flags, recipe_doc_path, tmp_path, monkeypatch, capsys):
+    """What `construct` writes with exit 0, `check` reads back and passes:
+    every object the recipe verified against a catalog passes that catalog
+    again from the written file."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", recipe_doc_path, "--recipe", recipe, *flags, "--out", "out.json"]) == 0
+    doc = parse_document((tmp_path / "out.json").read_text(encoding="utf-8"))
+    checked = [(subject, what) for _, what, subject, map_name in RECIPES[recipe][3] if map_name is None]
+    assert checked
+    for subject, what in checked:
+        assert check(doc.lookup_object(subject), what).ok
+        assert main(["check", "out.json", "--object", subject, "--catalog", what]) == 0
+    capsys.readouterr()

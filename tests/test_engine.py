@@ -137,6 +137,22 @@ def catalog_subjects(name):
     return algebras(name)
 
 
+def catalog_scan(obj, name, cap):
+    """The catalog check through the engine at `cap`; at the default cap
+    the engine's report is the public check's."""
+    groups = [(schema,) for schema in catalog(name)]
+    assert check(obj, name) == _scan(context_for(obj), groups, DEFAULT_VIOLATION_CAP)
+    return _scan(context_for(obj), groups, cap)
+
+
+def operator_scan(subject, kind, t, cap):
+    """The operator check through the engine at `cap`; at the default cap
+    the engine's report is the public check's."""
+    ctx = lambda: operators._with_map(operators._context(subject, kind), kind, t)
+    assert check_operator(subject, kind, t) == _scan(ctx(), _KINDS[kind].groups, DEFAULT_VIOLATION_CAP, kind)
+    return _scan(ctx(), _KINDS[kind].groups, cap, kind)
+
+
 KIND_SUBJECTS = {
     "rota_baxter": algebras("associative"),
     "assoc_averaging": algebras("associative"),
@@ -150,7 +166,7 @@ KIND_SUBJECTS = {
 @given(data=st.data(), name=st.sampled_from(CATALOG_NAMES), cap=st.integers(0, 6))
 def test_catalog_scan_matches_reference(data, name, cap):
     obj = data.draw(catalog_subjects(name))
-    report = check(obj, name, max_violations=cap)
+    report = catalog_scan(obj, name, cap)
     groups = [(schema,) for schema in catalog(name)]
     assert_same(report, reference_scan(context_for(obj), groups), cap)
 
@@ -160,7 +176,7 @@ def test_catalog_scan_matches_reference(data, name, cap):
 def test_operator_scan_matches_reference(data, kind, cap):
     subject = data.draw(KIND_SUBJECTS[kind])
     t = data.draw(linear_maps(*operator_map_shape(subject, kind)))
-    report = check_operator(subject, kind, t, max_violations=cap)
+    report = operator_scan(subject, kind, t, cap)
     ctx = context_for(subject)
     ctx.maps["T"] = (t, *_KINDS[kind].map_sorts)
     assert_same(report, reference_scan(ctx, _KINDS[kind].groups), cap)
@@ -367,7 +383,7 @@ def test_wide_schemas_match_reference(ctx, groups, cap):
 def test_wide_catalog_scan_matches_reference(data, name, cap):
     obj = data.draw(wide_subjects(name))
     groups = [(schema,) for schema in catalog(name)]
-    assert_exact(check(obj, name, max_violations=cap), reference_scan(context_for(obj), groups), cap)
+    assert_exact(catalog_scan(obj, name, cap), reference_scan(context_for(obj), groups), cap)
 
 
 @settings(max_examples=40, deadline=None)
@@ -377,7 +393,7 @@ def test_wide_operator_scan_matches_reference(data, kind, cap):
     t = data.draw(wide_maps(*operator_map_shape(subject, kind)))
     ctx = context_for(subject)
     ctx.maps["T"] = (t, *_KINDS[kind].map_sorts)
-    assert_exact(check_operator(subject, kind, t, max_violations=cap), reference_scan(ctx, _KINDS[kind].groups), cap)
+    assert_exact(operator_scan(subject, kind, t, cap), reference_scan(ctx, _KINDS[kind].groups), cap)
 
 
 @settings(max_examples=40, deadline=None)
@@ -527,17 +543,18 @@ def test_full_cap_binds_no_further_group(monkeypatch):
             if k == n:
                 return len(bound)
 
-    full = check(a, "quadri", max_violations=10**6)
+    full = _scan(context_for(a), groups, 10**6)
     assert not full.truncated and len(full.violations) > DEFAULT_VIOLATION_CAP + 1
     assert len(bound) == len(groups)
     for cap in (DEFAULT_VIOLATION_CAP, 0):
         holding = bound_at(cap + 1)
         assert (1 if cap else 0) < holding < len(groups)
         del bound[:]
-        report = check(a, "quadri", max_violations=cap)
+        report = _scan(context_for(a), groups, cap)
         assert len(bound) == holding
         assert report.truncated and report.checked == full.checked
         assert report.violations == full.violations[:cap]
+    assert check(a, "quadri") == _scan(context_for(a), groups, DEFAULT_VIOLATION_CAP)
 
 
 # ----------------------------------------------------------------------
@@ -798,7 +815,7 @@ def sparse_subjects(draw, name):
 def test_sparse_catalog_scan_matches_reference(data, name, cap):
     obj = data.draw(sparse_subjects(name))
     groups = [(schema,) for schema in catalog(name)]
-    assert_exact(check(obj, name, max_violations=cap), reference_scan(context_for(obj), groups), cap)
+    assert_exact(catalog_scan(obj, name, cap), reference_scan(context_for(obj), groups), cap)
 
 
 def contraction_terms():
@@ -851,7 +868,7 @@ def test_catalogs_take_the_contraction():
     for name in CATALOG_NAMES:
         obj = seeded_subject(name)
         groups = [(schema,) for schema in catalog(name)]
-        report = check(obj, name, max_violations=10)
+        report = catalog_scan(obj, name, 10)
         assert report.violations
         assert_exact(report, reference_scan(context_for(obj), groups), 10)
 

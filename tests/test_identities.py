@@ -7,6 +7,7 @@ import pytest
 from splitalg.identities import (
     CATALOG_NAMES,
     UnknownCatalog,
+    _scan,
     catalog,
     check,
     check_morphism,
@@ -148,7 +149,13 @@ def test_morphism_check(dend):
 
 
 def test_truncated_report_is_not_ok():
-    """A cap of 0 keeps no witness, but the check still fails."""
-    report = check(random_quadri(1), "quadri", max_violations=0)
+    """A cap of 0 keeps no witness, but the check still fails; a cap of 1
+    keeps the check's first witness."""
+    a = random_quadri(1)
+    groups = [(schema,) for schema in catalog("quadri")]
+    report = _scan(context_for(a), groups, 0)
     assert report.truncated and not report.violations
     assert not report.ok
+    one = _scan(context_for(a), groups, 1)
+    assert one.truncated and one.violations == check(a, "quadri").violations[:1]
+    assert not one.ok

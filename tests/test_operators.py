@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from splitalg.identities import _scan
 from splitalg.model import Algebra, BilinearOp, LinearMap, SpecError, self_action
 from splitalg.operators import (
+    _KINDS,
     SearchCapExceeded,
+    _context,
+    _with_map,
     check_assoc_averaging,
     check_dend_averaging,
     check_homomorphic_relative,
@@ -155,11 +159,16 @@ def test_graph_check_on_an_action(matrix):
 
 
 def test_truncated_operator_report_is_not_ok():
-    """A report whose cap dropped every violation still fails."""
-    verdict = check_operator(truncated_polynomial_algebra(2), "rota_baxter", LinearMap.identity(2), max_violations=0)
+    """A report whose cap dropped every violation still fails; a cap of 1
+    holds the one witness, so its report is the check's."""
+    a, t = truncated_polynomial_algebra(2), LinearMap.identity(2)
+    ctx = _with_map(_context(a, "rota_baxter"), "rota_baxter", t)
+    verdict = _scan(ctx, _KINDS["rota_baxter"].groups, 0, "rota_baxter")
     assert verdict.truncated and not verdict.violations
     assert not verdict.ok
     assert verdict.render().splitlines()[0] == "rota_baxter: FAIL (4 instance(s) checked)"
+    one = _scan(ctx, _KINDS["rota_baxter"].groups, 1, "rota_baxter")
+    assert not one.truncated and one == check_operator(a, "rota_baxter", t)
 
 
 @pytest.mark.parametrize("grid", [[0, 0, 1], [Fraction(1, 2), Fraction(0), Fraction(2, 4)]])

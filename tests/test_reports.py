@@ -1,21 +1,31 @@
 """The reports of failing operator, graph, morphism and differential checks,
-pinned byte for byte with a small cap, so that witness order, residuals,
+pinned byte for byte at a small cap, so that witness order, residuals,
 counts and the truncation line cannot drift.  The expected values were
 recorded from the hand-written checkers that the schema engine replaced.
 """
 
 import hashlib
+import inspect
 import json
 
 import pytest
 
-from splitalg.constructions import check_differential
-from splitalg.identities import DEFAULT_VIOLATION_CAP, check, check_morphism
+from splitalg.constructions import _DIFFERENTIAL, check_differential
+from splitalg.identities import (
+    DEFAULT_VIOLATION_CAP,
+    ViolationReport,
+    _scan,
+    check,
+    check_morphism,
+    check_schemas,
+    context_for,
+)
 from splitalg.model import LinearMap, adjoint_representation, self_action
 from splitalg.operators import (
     check_assoc_averaging,
     check_dend_averaging,
     check_homomorphic_relative,
+    check_operator,
     check_relative_averaging,
     check_rota_baxter,
     graph_subalgebra_check,
@@ -29,22 +39,25 @@ DEND = truncated_polynomial_dendriform()
 OFF_DIAGONAL = LinearMap(4, 4, [[1 if (i, j) == (0, 1) else 0 for j in range(4)] for i in range(4)])
 PAIRING = {"prec": "prec", "succ": "succ"}
 
+# name -> (the check, the cap its report is pinned at)
 CASES = {
-    "rota_baxter": lambda: check_rota_baxter(POLY3, LinearMap.identity(3), max_violations=2),
-    "assoc_averaging": lambda: check_assoc_averaging(
-        truncated_polynomial_algebra(), integration_map(), max_violations=1
-    ),
-    "dend_averaging": lambda: check_dend_averaging(DEND, OFF_DIAGONAL, max_violations=3),
-    "relative_averaging": lambda: check_relative_averaging(
-        adjoint_representation(DEND), OFF_DIAGONAL, max_violations=3
-    ),
-    "homomorphic_relative": lambda: check_homomorphic_relative(
-        self_action(DEND), LinearMap.scalar(4, 2), max_violations=3
-    ),
-    "graph": lambda: graph_subalgebra_check(adjoint_representation(DEND), OFF_DIAGONAL, max_violations=3),
-    "morphism": lambda: check_morphism(LinearMap.scalar(4, 2), DEND, DEND, PAIRING, max_violations=3),
-    "differential": lambda: check_differential(DEND, OFF_DIAGONAL, max_violations=3),
+    "rota_baxter": (lambda: check_rota_baxter(POLY3, LinearMap.identity(3)), 2),
+    "assoc_averaging": (lambda: check_assoc_averaging(truncated_polynomial_algebra(), integration_map()), 1),
+    "dend_averaging": (lambda: check_dend_averaging(DEND, OFF_DIAGONAL), 3),
+    "relative_averaging": (lambda: check_relative_averaging(adjoint_representation(DEND), OFF_DIAGONAL), 3),
+    "homomorphic_relative": (lambda: check_homomorphic_relative(self_action(DEND), LinearMap.scalar(4, 2)), 3),
+    "graph": (lambda: graph_subalgebra_check(adjoint_representation(DEND), OFF_DIAGONAL), 3),
+    "morphism": (lambda: check_morphism(LinearMap.scalar(4, 2), DEND, DEND, PAIRING), 3),
+    "differential": (lambda: check_differential(DEND, OFF_DIAGONAL), 3),
 }
+
+
+def cut(report, cap):
+    """The report a scan capped at `cap` gives: the first `cap` witnesses of
+    the report at the default cap, truncated when any witness is left out."""
+    return ViolationReport(report.checked, report.violations[:cap],
+                           report.truncated or len(report.violations) > cap, report.kind)
+
 
 # name -> (render(), to_dict() as sorted JSON)
 EXPECTED = {
@@ -114,18 +127,35 @@ EXPECTED = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_pinned(name):
-    report = CASES[name]()
+    check_fn, cap = CASES[name]
+    report = cut(check_fn(), cap)
     render, as_json = EXPECTED[name]
     assert report.render() == render
     assert json.dumps(report.to_dict(), sort_keys=True) == as_json
 
 
+@pytest.mark.parametrize("fn", [
+    check, check_schemas, check_morphism, check_operator, check_rota_baxter, check_assoc_averaging,
+    check_dend_averaging, check_relative_averaging, check_homomorphic_relative, graph_subalgebra_check,
+    check_differential,
+], ids=lambda fn: fn.__name__)
+def test_public_checks_take_no_cap(fn):
+    """Every public check reports at most DEFAULT_VIOLATION_CAP witnesses;
+    only the engine's _scan takes a cap."""
+    assert "max_violations" not in inspect.signature(fn).parameters
+
+
 def test_differential_respects_the_cap():
     """d^2 = 0 witnesses count against the cap like every other witness."""
     d = truncated_polynomial_dendriform(3)
-    report = check_differential(d, LinearMap.identity(3), max_violations=1)
+    ctx = context_for(d)
+    ctx.maps["d"] = (LinearMap.identity(3), "A", "A")
+    report = _scan(ctx, _DIFFERENTIAL, 1, "differential")
     assert len(report.violations) == 1
     assert report.truncated
+    assert report.violations[0].identity == "d2=0"
+    assert _scan(ctx, _DIFFERENTIAL, 0, "differential").truncated
+    assert check_differential(d, LinearMap.identity(3)) == _scan(ctx, _DIFFERENTIAL, DEFAULT_VIOLATION_CAP, "differential")
 
 
 # Failing quadri checks on seeded random algebras, each capped at the
