@@ -72,7 +72,7 @@ def _slots(term: Term) -> set:
     return {term[1]} if term[0] == "var" else _slots(term[1]) | _slots(term[2])
 
 
-def split_term(term: Term, slot: int) -> list[Term]:
+def split_term(term: Term, slot: int | None) -> list[Term]:
     """The terms whose sum is `term` split at `slot`; at a slot the term does
     not read (None), the sum over both parts of every operation."""
     if term[0] == "var":
@@ -83,12 +83,13 @@ def split_term(term: Term, slot: int) -> list[Term]:
             for side in sides for a in split_term(left, slot) for b in split_term(right, slot)]
 
 
+def split_expr(e: Expr, slot: int | None) -> Expr:
+    return tuple((c, t) for c, term in e for t in split_term(term, slot))
+
+
 def successor(schemas: Sequence[IdentitySchema]) -> list[IdentitySchema]:
     """The split axioms: schema s gives s@0, s@1, ... one per slot."""
-    def split(e: Expr, slot: int) -> Expr:
-        return tuple((c, t) for c, term in e for t in split_term(term, slot))
-
-    return [IdentitySchema(f"{s.id}@{slot}", s.slot_sorts, split(s.lhs, slot), split(s.rhs, slot))
+    return [IdentitySchema(f"{s.id}@{slot}", s.slot_sorts, split_expr(s.lhs, slot), split_expr(s.rhs, slot))
             for s in schemas for slot in range(len(s.slot_sorts))]
 
 

@@ -13,7 +13,7 @@ import pytest
 from splitalg.identities import IdentitySchema, catalog
 from splitalg.model import SIGNATURE_OPS
 
-from oracle import degree3_vector, rank, rename, split_term, successor
+from oracle import degree3_vector, rank, rename, split_expr, successor
 
 PERP = {"prec": "prec_perp", "succ": "succ_perp"}
 
@@ -38,9 +38,7 @@ def test_split_axioms_sum_to_the_collapsed_axiom(parent, split):
     ops = SIGNATURE_OPS[split]
     for axiom in catalog(parent):
         parts = [degree3_vector(s, ops) for s in successor([axiom])]
-        collapsed = IdentitySchema(axiom.id, axiom.slot_sorts,
-                                   *(tuple((c, t) for c, term in e for t in split_term(term, None))
-                                     for e in (axiom.lhs, axiom.rhs)))
+        collapsed = IdentitySchema(axiom.id, axiom.slot_sorts, split_expr(axiom.lhs, None), split_expr(axiom.rhs, None))
         assert tuple(map(sum, zip(*parts))) == degree3_vector(collapsed, ops)
 
 
