@@ -3,9 +3,9 @@
 Each function builds explicit structure-constant tensors with one of two
 builders: `_blocks` places the input tensors as blocks of a product, and
 `identities.tabulate` evaluates a table of twisted terms such as
-mu(x, Ty) on basis pairs.  Outputs are not re-verified here; the test
-suite and the CLI re-run the identity catalogs on every constructed object
-instead of trusting the theorems.
+mu(x, Ty) on basis pairs.  Every theorem refuses an input that fails the
+axioms of its own type (`_require_axioms`) or its operator identity.
+Outputs are not re-verified here; the tests and the CLI re-check them.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .model import (
     Representation,
     SpecError,
     adjoint_representation,
+    perp_dendriform_part,
+    quadri_part,
 )
 from .operators import (
     check_assoc_averaging,
@@ -53,23 +55,37 @@ class PreconditionFailure(SpecError):
         self.verdict = verdict
 
 
-def _require_signature(a: Algebra, *signatures: str) -> None:
-    if a.signature not in signatures:
-        raise SpecError(
-            f"expected signature in {signatures}, got {a.signature!r}"
-        )
-
-
 def _require(report: ViolationReport, message: str) -> None:
     """Refuse an input whose hypothesis check failed, with that verdict."""
     if not report.ok:
         raise PreconditionFailure(message, report)
 
 
-def _verify_action(act: Action) -> None:
-    for alg, which in ((act.base, "base"), (act.target, "target")):
-        _require(check(alg, "dendriform"), f"{which} algebra is not dendriform")
-    _require(check(act, "dend-action"), "input is not an action")
+def _require_axioms(obj, *signatures: str) -> None:
+    """Refuse a theorem's input that fails the axioms of its own type, with
+    the first failing verdict.  A representation needs a dendriform base and
+    the module axioms; an action also a dendriform target and the action
+    axioms.  An algebra needs one of the signatures and its catalog; a six
+    algebra also needs its perp pair and its quadri part."""
+    if isinstance(obj, Representation):
+        parts = [(obj.base, "dendriform", "base algebra is not dendriform")]
+        if isinstance(obj, Action):
+            parts += [(obj.target, "dendriform", "target algebra is not dendriform"),
+                      (obj, "dend-action", "input is not an action")]
+        parts.append((obj, "dend-representation", "input is not a representation"))
+    elif obj.signature not in signatures:
+        raise SpecError(f"expected signature in {signatures}, got {obj.signature!r}")
+    elif obj.signature == "six":
+        parts = [
+            (perp_dendriform_part(obj), "dendriform", "target not dendriform: the perp pair fails the dendriform axioms"),
+            (obj, "six", "input is not a six-dendriform algebra"),
+            (quadri_part(obj), "quadri", "the quadri part is not a quadri-dendriform algebra"),
+        ]
+    else:
+        name = {"associative": "an associative", "quadri": "a quadri-dendriform"}.get(obj.signature, "a " + obj.signature)
+        parts = [(obj, obj.signature, f"input is not {name} algebra")]
+    for part, catalog_name, message in parts:
+        _require(check(part, catalog_name), message)
 
 
 def _blocks(shape: tuple[int, int, int], *placements) -> BilinearOp:
@@ -94,23 +110,20 @@ def _module_blocks(rep: Representation, op: str):
     return (rep.base.op(op), 0, 0, 0), (actions[f"{op}_l"], 0, n, n), (actions[f"{op}_r"], n, 0, n)
 
 
-def semidirect(rep: Representation, verify: bool = True) -> Algebra:
-    """Dendriform structure on base + module:
-    (x,u) prec (y,v) = (x prec y, x prec_l v + u prec_r y), same shape for succ.
-    """
-    if verify:
-        _require(check(rep, "dend-representation"), "input is not a representation")
+def _semidirect(rep: Representation) -> Algebra:
     shape = (rep.base.dimension + rep.module_dim,) * 3
     ops = {op: _blocks(shape, *_module_blocks(rep, op)) for op in ("prec", "succ")}
     return Algebra(shape[0], "dendriform", ops)
 
 
-def hemisemidirect(rep: Representation, verify: bool = True) -> Algebra:
-    """Quadri-dendriform structure on base + module; each split operation
-    keeps the base product and only a one-sided action:
-    (x,u) prec_vdash (y,v) = (x prec y, x prec_l v), and so on."""
-    if verify:
-        _require(check(rep, "dend-representation"), "input is not a representation")
+def semidirect(rep: Representation) -> Algebra:
+    """Dendriform structure on base + module:
+    (x,u) prec (y,v) = (x prec y, x prec_l v + u prec_r y), same shape for succ."""
+    _require_axioms(rep)
+    return _semidirect(rep)
+
+
+def _hemisemidirect(rep: Representation) -> Algebra:
     shape = (rep.base.dimension + rep.module_dim,) * 3
     blocks = {op: _module_blocks(rep, op) for op in ("prec", "succ")}
     ops = {f"{op}_vdash": _blocks(shape, base, left) for op, (base, left, _) in blocks.items()}
@@ -118,12 +131,19 @@ def hemisemidirect(rep: Representation, verify: bool = True) -> Algebra:
     return Algebra(shape[0], "quadri", ops)
 
 
-def action_semidirect(act: Action, verify: bool = True) -> Algebra:
+def hemisemidirect(rep: Representation) -> Algebra:
+    """Quadri-dendriform structure on base + module; each split operation
+    keeps the base product and only a one-sided action:
+    (x,u) prec_vdash (y,v) = (x prec y, x prec_l v), and so on."""
+    _require_axioms(rep)
+    return _hemisemidirect(rep)
+
+
+def action_semidirect(act: Action) -> Algebra:
     """Dendriform structure on base + target with the target's own products
     on the module block:
     (x,u) prec (y,v) = (x prec y, x prec_l v + u prec_r y + u prec' v)."""
-    if verify:
-        _verify_action(act)
+    _require_axioms(act)
     n = act.base.dimension
     shape = (n + act.target.dimension,) * 3
     ops = {
@@ -133,36 +153,24 @@ def action_semidirect(act: Action, verify: bool = True) -> Algebra:
     return Algebra(shape[0], "dendriform", ops)
 
 
+def _sum_collapse(q: Algebra, signature: str, *names: str) -> Algebra:
+    """Each named operation is the sum of its prec and succ halves."""
+    ops = {name: q.op(f"prec_{name}") + q.op(f"succ_{name}") for name in names}
+    return Algebra(q.dimension, signature, ops, q.basis_labels)
+
+
 def sum_collapse_quadri(q: Algebra) -> Algebra:
     """Di-associative collapse: vdash = prec_vdash + succ_vdash,
     dashv = prec_dashv + succ_dashv."""
-    _require_signature(q, "quadri", "six")
-    return Algebra(
-        q.dimension,
-        "diassociative",
-        {
-            "vdash": q.op("prec_vdash") + q.op("succ_vdash"),
-            "dashv": q.op("prec_dashv") + q.op("succ_dashv"),
-        },
-        q.basis_labels,
-    )
+    _require_axioms(q, "quadri", "six")
+    return _sum_collapse(q, "diassociative", "vdash", "dashv")
 
 
 def sum_collapse_six(s: Algebra) -> Algebra:
     """Tri-associative collapse: the di-associative pair plus
     perp = prec_perp + succ_perp."""
-    _require_signature(s, "six")
-    di = sum_collapse_quadri(s)
-    return Algebra(
-        s.dimension,
-        "triassociative",
-        {
-            "vdash": di.op("vdash"),
-            "dashv": di.op("dashv"),
-            "perp": s.op("prec_perp") + s.op("succ_perp"),
-        },
-        s.basis_labels,
-    )
+    _require_axioms(s, "six")
+    return _sum_collapse(s, "triassociative", "vdash", "dashv", "perp")
 
 
 def _twisted(subject, t: LinearMap, source: str, table) -> dict[str, BilinearOp]:
@@ -176,7 +184,7 @@ def _twisted(subject, t: LinearMap, source: str, table) -> dict[str, BilinearOp]
 def aguiar_dendriform(assoc: Algebra, r: LinearMap) -> Algebra:
     """Dendriform structure from a Rota-Baxter operator:
     a prec b = mu(a, Rb), a succ b = mu(Ra, b)."""
-    _require_signature(assoc, "associative")
+    _require_axioms(assoc, "associative")
     _require(check_rota_baxter(assoc, r), "map is not a Rota-Baxter operator")
     ops = _twisted(assoc, r, "A", {"prec": app("mul", _x, _Ty), "succ": app("mul", _Tx, _y)})
     return Algebra(assoc.dimension, "dendriform", ops, assoc.basis_labels)
@@ -185,7 +193,7 @@ def aguiar_dendriform(assoc: Algebra, r: LinearMap) -> Algebra:
 def aguiar_diassociative(assoc: Algebra, h: LinearMap) -> Algebra:
     """Di-associative structure from an averaging operator:
     a dashv b = mu(a, Hb), a vdash b = mu(Ha, b)."""
-    _require_signature(assoc, "associative")
+    _require_axioms(assoc, "associative")
     _require(check_assoc_averaging(assoc, h), "map is not an averaging operator")
     ops = _twisted(assoc, h, "A", {"dashv": app("mul", _x, _Ty), "vdash": app("mul", _Tx, _y)})
     return Algebra(assoc.dimension, "diassociative", ops, assoc.basis_labels)
@@ -203,6 +211,7 @@ def induced_quadri(rep: Representation, t: LinearMap) -> Algebra:
     """Quadri-dendriform structure on the module of a relative averaging
     operator: u prec_vdash v = Tu prec_l v, u prec_dashv v = u prec_r Tv,
     and the succ analogues."""
+    _require_axioms(rep)
     _require(check_relative_averaging(rep, t), "map is not a relative averaging operator")
     return Algebra(rep.module_dim, "quadri", _twisted(rep, t, "V", _QUADRI_TWIST))
 
@@ -217,6 +226,7 @@ def induced_six(act: Action, t: LinearMap) -> Algebra:
     """Six-dendriform structure on the target of a homomorphic relative
     averaging operator: the perp pair copies the target's own products and
     the quadri quadruple is T-twisted as in induced_quadri."""
+    _require_axioms(act)
     _require(check_homomorphic_relative(act, t), "map is not a homomorphic relative averaging operator")
     ops = _twisted(act, t, "V", _QUADRI_TWIST)
     ops["prec_perp"] = act.target.op("prec")
@@ -236,7 +246,6 @@ _DIFFERENTIAL = ((equation("d2=0", ("A",), apply_map("d", apply_map("d", _x)), (
 def check_differential(d: Algebra, diff: LinearMap) -> ViolationReport:
     """d^2 = 0 on basis vectors and the Leibniz rule for both operations on
     basis pairs."""
-    _require_signature(d, "dendriform")
     if (diff.source_dim, diff.target_dim) != (d.dimension, d.dimension):
         raise SpecError("differential must be an endomorphism of the algebra")
     ctx = context_for(d)
@@ -247,6 +256,7 @@ def check_differential(d: Algebra, diff: LinearMap) -> ViolationReport:
 def differential_quadri(d: Algebra, diff: LinearMap) -> Algebra:
     """Quadri structure of a differential dendriform algebra:
     x prec_vdash y = d(x) prec y, x prec_dashv y = x prec d(y), etc."""
+    _require_axioms(d, "dendriform")
     _require(check_differential(d, diff), "map is not a differential")
     return Algebra(d.dimension, "quadri", _twisted(adjoint_representation(d), diff, "V", _QUADRI_TWIST))
 
@@ -256,7 +266,7 @@ def dual_extension(d: Algebra) -> tuple[Action, LinearMap]:
     t-bilinear products, the displayed four actions of D on F, and the
     degree-0 projection T: F -> D, which is a homomorphic relative
     averaging operator."""
-    _require_signature(d, "dendriform")
+    _require_axioms(d, "dendriform")
     n = d.dimension
     total = 2 * n
     # (x + x't)(y + y't) = xy + (xy' + x'y)t, as t^2 = 0

@@ -337,7 +337,8 @@ def _catalog_quadri():
 def _catalog_six():
     """The 9 + 8 + 8 compatibility axioms between the perp pair and the
     quadri quadruple.  The embedded dendriform and quadri axioms are not
-    repeated here; check them via perp_dendriform_part / quadri_part."""
+    repeated here: constructions._require_axioms checks every six input's
+    perp_dendriform_part and quadri_part."""
     A3 = ("A", "A", "A")
     pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
     pp, sp = "prec_perp", "succ_perp"

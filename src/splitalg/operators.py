@@ -184,11 +184,11 @@ def graph_subalgebra_check(rep: Representation, t: LinearMap) -> ViolationReport
     bilinearity of the operations this already implies closure of the span.
     Equivalent to check_relative_averaging by the graph theorem.
     """
-    from .constructions import hemisemidirect
+    from .constructions import _hemisemidirect
 
     ctx = _with_map(_context(rep, "relative_averaging"), "relative_averaging", t)
     n, m = ctx.dims["A"], ctx.dims["V"]
-    hemi = hemisemidirect(rep, verify=False)
+    hemi = _hemisemidirect(rep)
     g = LinearMap(m, n + m, [*t.matrix, *LinearMap.identity(m).matrix])
     p = reduction(span([g.column(a) for a in range(m)], n + m))
     ctx = OpContext(

@@ -11,14 +11,13 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .constructions import _require, semidirect
+from .constructions import _require_axioms, _semidirect
 from .identities import (
     QUADRI_TO_DENDRIFORM_COLLAPSE,
     OpContext,
     _Program,
     app,
     apply_map,
-    check,
     equation,
     tabulate,
     var,
@@ -31,7 +30,6 @@ from .model import (
     Representation,
     SpecError,
     perp_dendriform_part,
-    quadri_part,
     reduction,
 )
 
@@ -194,6 +192,7 @@ def quotient_algebra(
 def dendriform_quotient(a: Algebra) -> tuple[Algebra, LinearMap]:
     """The dendriform algebra a / splitting ideal, each split pair merged,
     and the quotient map."""
+    _require_axioms(a, "quadri", "six")
     return quotient_algebra(a, splitting_ideal(a), QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform")
 
 
@@ -215,9 +214,7 @@ def quadri_to_relative_setup(q: Algebra) -> tuple[Representation, LinearMap]:
     """The converse theorem: from a quadri-dendriform algebra, build the
     quotient dendriform algebra, its representation on the original space,
     and the quotient map as a relative averaging operator."""
-    if q.signature != "quadri":
-        raise SpecError("expected a quadri-dendriform algebra")
-    _require(check(q, "quadri"), "input is not a quadri-dendriform algebra")
+    _require_axioms(q, "quadri")
     base, actions, projection = _converse(q)
     return Representation(base, q.dimension, actions), projection
 
@@ -227,7 +224,7 @@ def embed_averaging(q: Algebra) -> tuple[Algebra, LinearMap, LinearMap]:
     algebra: ambient = semidirect(quotient, original space), the averaging
     operator (xbar, y) -> (ybar, 0), and the inclusion x -> (0, x)."""
     rep, projection = quadri_to_relative_setup(q)
-    ambient = semidirect(rep, verify=False)
+    ambient = _semidirect(rep)
     r, n = rep.base.dimension, q.dimension
     total = r + n
     averaging = LinearMap(total, total, [*([0] * r + list(row) for row in projection.matrix), *[[0] * total] * n])
@@ -239,11 +236,6 @@ def six_to_homomorphic_setup(s: Algebra) -> tuple[Action, LinearMap]:
     """From a six-dendriform algebra: quotient by the splitting ideal of
     the quadri part, act on the perp dendriform algebra, and return the
     quotient map as a homomorphic relative averaging operator."""
-    if s.signature != "six":
-        raise SpecError("expected a six-dendriform algebra")
-    target = perp_dendriform_part(s)
-    _require(check(target, "dendriform"), "target not dendriform: the perp pair fails the dendriform axioms")
-    _require(check(s, "six"), "input is not a six-dendriform algebra")
-    _require(check(quadri_part(s), "quadri"), "the quadri part is not a quadri-dendriform algebra")
+    _require_axioms(s, "six")
     base, actions, projection = _converse(s)
-    return Action(base, target, actions), projection
+    return Action(base, perp_dendriform_part(s), actions), projection

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitalg.cli import KIND_ALIASES, RECIPES, main
+from splitalg.cli import _SECTIONS, KIND_ALIASES, RECIPES, main
 from splitalg.documents import Document, parse_document, serialize_document, unbounded_digits
 from splitalg.identities import check
-from splitalg.model import Algebra, BilinearOp, LinearMap, perp_dendriform_part
+from splitalg.model import Action, Algebra, BilinearOp, LinearMap, Representation, perp_dendriform_part
 from splitalg.samples import integration_map, one_dim_dendriform, truncated_polynomial_algebra, truncated_polynomial_dendriform
 
 from conftest import random_quadri
+from test_constructions import COUNTEREXAMPLES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -217,6 +219,46 @@ def test_construct_six_to_homomorphic_refuses_bad_perp(capsys, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("recipe", sorted(COUNTEREXAMPLES))
+def test_construct_refuses_inputs_failing_their_axioms(capsys, tmp_path, recipe):
+    """Each input fails its own axioms: construct prints the failing verdict
+    under the error line, exits 2 and writes no file."""
+    _, args, message, (part, catalog_name) = COUNTEREXAMPLES[recipe]
+    doc = {section: {} for section in _SECTIONS.values()}
+    argv = []
+    for i, (flag, obj) in enumerate(zip(RECIPES[recipe][0], args)):
+        doc[_SECTIONS[flag]][f"x{i}"] = obj
+        argv += [f"--{flag}", f"x{i}"]
+        if isinstance(obj, Representation):
+            doc["algebras"]["base"] = obj.base
+            if isinstance(obj, Action):
+                doc["algebras"]["target"] = obj.target
+    p = tmp_path / "doc.json"
+    p.write_text(serialize_document(Document(**doc)))
+    code, out, err = run(capsys, "construct", str(p), "--recipe", recipe, *argv, "--out", str(tmp_path / "x.json"))
+    verdict = check(part, catalog_name)
+    assert not verdict.ok
+    assert (code, out, err) == (2, "", f"error: {message}\n{verdict.render()}\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_construct_never_reports_violations_of_its_output(capsys, recipe_doc_path, tmp_path, monkeypatch):
+    """Every recipe on every combination of the recipe document's names for
+    its flags: an output is written only when it passes its verifications
+    (exit 0), and an input that fails its hypotheses is refused (exit 2)."""
+    monkeypatch.chdir(tmp_path)
+    doc = parse_document(Path(recipe_doc_path).read_text(encoding="utf-8"))
+    codes = {}
+    for recipe, (flags, *_) in RECIPES.items():
+        for names in itertools.product(*(sorted(getattr(doc, _SECTIONS[flag])) for flag in flags)):
+            argv = [arg for flag, name in zip(flags, names) for arg in (f"--{flag}", name)]
+            codes[recipe, names] = main(["construct", recipe_doc_path, "--recipe", recipe, *argv, "--out", "o.json"])
+    capsys.readouterr()
+    assert len(codes) == 129
+    assert {key: code for key, code in codes.items() if code not in (0, 2)} == {}
+    assert codes["dual-extension", ("bad",)] == 2
+
+
 def test_construct_missing_flag(capsys, sample_doc_path, tmp_path):
     code, _, err = run(
         capsys, "construct", sample_doc_path, "--recipe", "semidirect",
@@ -359,12 +401,13 @@ def test_invalid_rational_error_is_short(capsys, tmp_path):
     assert len(err) < 200
 
 
-def run_fuzzed(argv: list[str]) -> None:
-    """`main` on argv exits 0, 1 or 2 and never ends in a traceback."""
+def run_fuzzed(argv: list[str], codes=(0, 1, 2)) -> None:
+    """`main` on argv exits with one of the codes and never ends in a
+    traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2)
+    assert code in codes
     assert "Traceback" not in err.getvalue()
 
 
@@ -473,11 +516,13 @@ def test_check_operator_fuzzed_argv(recipe_doc_path, kind, map_name, on, as_json
 )
 def test_construct_fuzzed_argv(recipe_doc_path, tmp_path_factory, recipe, algebra, rep, action,
                                map_name, as_json):
-    """Every recipe with any object and map names: `construct` exits 0, 1
-    or 2 and never ends in a traceback."""
+    """Every recipe with any object and map names: `construct` exits 0 or
+    2, never 1 (it refuses an input that fails its hypotheses rather than
+    write an output that fails its verifications), and never ends in a
+    traceback."""
     out = tmp_path_factory.getbasetemp() / "construct-fuzz.json"
     run_fuzzed(["construct", recipe_doc_path, "--recipe", recipe, "--out", str(out),
-                *flags(algebra=algebra, rep=rep, action=action, map=map_name, json=as_json)])
+                *flags(algebra=algebra, rep=rep, action=action, map=map_name, json=as_json)], codes=(0, 2))
 
 
 def test_check_signature_not_a_string(capsys, tmp_path):
@@ -534,15 +579,24 @@ def _digits_limit():
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
 
 
+# e0 e0 = a e1 under prec_vdash and prec_dashv, b e1 under succ_vdash and
+# succ_dashv, every other product 0: each triple product vanishes, so this
+# is a quadri algebra, and its sum collapse has e0 vdash e0 = (a + b) e1
+_LONG_A, _LONG_B = "1/" + "7" * 3000, "1/" + "3" * 2999 + "1"
+_LONG_QUADRI = {"dimension": 2, "signature": "quadri", "operations": {
+    name: [[[0, a], [0, 0]], [[0, 0], [0, 0]]] for name, a in (
+        ("prec_vdash", _LONG_A), ("prec_dashv", _LONG_A), ("succ_vdash", _LONG_B), ("succ_dashv", _LONG_B))}}
+
+
 def test_construct_refuses_numbers_past_the_digit_limit(capsys, tmp_path):
     """Sums of two 3000-digit fractions have about 6000 digits, past the
     4300 digits a document is read with: construct writes no document that
     check would refuse.  It exits 2 with one error line, writes no file and
     prints nothing, and the limit stays in force."""
-    a, b = "1/" + "7" * 3000, "1/" + "3" * 2999 + "1"
     p = tmp_path / "q.json"
-    p.write_text(json.dumps({"algebras": {"q": {"dimension": 1, "signature": "quadri", "operations": {
-        "prec_vdash": [[[a]]], "prec_dashv": [[[a]]], "succ_vdash": [[[b]]], "succ_dashv": [[[b]]]}}}}))
+    p.write_text(json.dumps({"algebras": {"q": _LONG_QUADRI}}))
+    assert run(capsys, "check", str(p), "--object", "q", "--catalog", "quadri")[:2] == (
+        0, "q against quadri:\nchecked 152 instance(s): all passed\n")
     limit = _digits_limit()
     out_path = tmp_path / "o.json"
     code, out, err = run(capsys, "construct", str(p), "--recipe", "sum-diass", "--algebra", "q",
@@ -553,6 +607,27 @@ def test_construct_refuses_numbers_past_the_digit_limit(capsys, tmp_path):
         return
     assert (code, out) == (2, "")
     assert err == f"error: cannot write a scalar of over {limit} digits, more than a document is read with\n"
+    assert not out_path.exists()
+    assert _digits_limit() == limit
+
+
+def test_construct_refuses_a_long_non_quadri_input(capsys, tmp_path):
+    """The 1-dim algebra with every split product a or b fails quadri.1b:
+    its sum collapse is refused before any long scalar is written, with the
+    verdict in full under the error line."""
+    p = tmp_path / "q.json"
+    ops = {name: [[[a]]] for name, a in (
+        ("prec_vdash", _LONG_A), ("prec_dashv", _LONG_A), ("succ_vdash", _LONG_B), ("succ_dashv", _LONG_B))}
+    p.write_text(json.dumps({"algebras": {"q": {"dimension": 1, "signature": "quadri", "operations": ops}}}))
+    limit = _digits_limit()
+    out_path = tmp_path / "o.json"
+    code, out, err = run(capsys, "construct", str(p), "--recipe", "sum-diass", "--algebra", "q",
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    q = parse_document(p.read_text()).algebras["q"]
+    with unbounded_digits():
+        assert err == f"error: input is not a quadri-dendriform algebra\n{check(q, 'quadri').render()}\n"
+    assert "quadri.1b at (0, 0, 0)" in err
     assert not out_path.exists()
     assert _digits_limit() == limit
 

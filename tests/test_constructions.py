@@ -1,11 +1,15 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitalg import constructions
 from splitalg.constructions import (
     PreconditionFailure,
+    _hemisemidirect,
+    _semidirect,
     action_semidirect,
     aguiar_dendriform,
     aguiar_diassociative,
@@ -21,8 +25,18 @@ from splitalg.constructions import (
 )
 from splitalg.identities import IdentitySchema, app, apply_map, check, context_for, expr, tabulate, var
 from splitalg.linalg import basis_vector, vec_add
-from splitalg.model import LinearMap, SpecError, adjoint_representation, evaluate, self_action
-from splitalg.operators import check_homomorphic_relative
+from splitalg.model import (
+    Action,
+    Algebra,
+    BilinearOp,
+    LinearMap,
+    Representation,
+    SpecError,
+    adjoint_representation,
+    evaluate,
+    self_action,
+)
+from splitalg.operators import check_homomorphic_relative, check_relative_averaging, check_rota_baxter
 from splitalg.samples import one_dim_dendriform, zero_algebra
 from conftest import shift_map
 from oracle import eval_expr
@@ -165,11 +179,81 @@ def test_sum_collapse_requires_signature(dend):
 
 
 def test_semidirect_verifies_by_default():
+    """There is no switch to skip the check: the unchecked block builder is
+    private."""
     bad = adjoint_representation(one_dim_dendriform(1, 1))
     with pytest.raises(PreconditionFailure) as exc:
         semidirect(bad)
     assert not exc.value.verdict.ok
-    assert semidirect(bad, verify=False).dimension == 2
+    assert _semidirect(bad).dimension == 2
+
+
+@pytest.mark.parametrize("build", [semidirect, hemisemidirect, action_semidirect])
+def test_block_products_take_no_verify(dend, build):
+    subject = self_action(dend) if build is action_semidirect else adjoint_representation(dend)
+    with pytest.raises(TypeError):
+        build(subject, verify=False)
+
+
+def _op(left, right, out, table):
+    """The operation whose product of basis elements i and j is table[i, j]
+    (zero where absent)."""
+    return BilinearOp.build(left, right, out, lambda i, j: table.get((i, j), (0,) * out))
+
+
+# Inputs that fail their own axioms while passing the checks the
+# constructions ran before they checked them.  Z: the 1-dim zero dendriform
+# algebra.
+_Z = zero_algebra(1, "dendriform")
+_NON_ASSOCIATIVE = Algebra(2, "associative", {"mul": _op(2, 2, 2, {(0, 1): (0, 1), (1, 0): (0, -1), (1, 1): (1, -1)})})
+_ZERO_REP = Representation(one_dim_dendriform(1, 1), 1, {
+    name: BilinearOp.zero(1, 1, 1) for name in ("prec_l", "succ_l", "prec_r", "succ_r")})
+# an action (dend-action holds) that is not a representation: rep.1 fails
+_NOT_A_REP = Action(_Z, _Z, {"prec_l": BilinearOp(1, 1, 1, [[[1]]]),
+                             **{name: BilinearOp.zero(1, 1, 1) for name in ("succ_l", "prec_r", "succ_r")}})
+# a module of dimension 2 over Z, with T = [[0, 1]] relative averaging
+_BAD_MODULE = Representation(_Z, 2, {
+    "prec_l": _op(1, 2, 2, {(0, 0): (-1, 0)}),
+    "succ_l": _op(1, 2, 2, {(0, 0): (1, 0), (0, 1): (-1, 0)}),
+    "prec_r": _op(2, 1, 2, {(1, 0): (-1, 0)}),
+    "succ_r": _op(2, 1, 2, {(0, 0): (1, 0), (1, 0): (-1, 0)}),
+})
+# id -> (construction, its arguments, refusal message, the input's failing check)
+COUNTEREXAMPLES = {
+    "aguiar-dendriform": (aguiar_dendriform, (_NON_ASSOCIATIVE, LinearMap(2, 2, [[-1, 0], [0, 0]])),
+                          "input is not an associative algebra", (_NON_ASSOCIATIVE, "associative")),
+    "semidirect": (semidirect, (_ZERO_REP,), "base algebra is not dendriform", (_ZERO_REP.base, "dendriform")),
+    "hemisemidirect": (hemisemidirect, (_ZERO_REP,), "base algebra is not dendriform",
+                       (_ZERO_REP.base, "dendriform")),
+    "dual-extension": (dual_extension, (_ZERO_REP.base,), "input is not a dendriform algebra",
+                       (_ZERO_REP.base, "dendriform")),
+    "action-semidirect": (action_semidirect, (_NOT_A_REP,), "input is not a representation",
+                          (_NOT_A_REP, "dend-representation")),
+    "induced-six": (induced_six, (_NOT_A_REP, LinearMap.zero(1, 1)), "input is not a representation",
+                    (_NOT_A_REP, "dend-representation")),
+    "induced-quadri": (induced_quadri, (_BAD_MODULE, LinearMap(2, 1, [[0, 1]])), "input is not a representation",
+                       (_BAD_MODULE, "dend-representation")),
+}
+
+
+def test_counterexamples_pass_the_operator_checks():
+    """Each input passes the checks its construction ran before it checked
+    the input's own axioms."""
+    assert check_rota_baxter(*COUNTEREXAMPLES["aguiar-dendriform"][1]).ok
+    assert check(_ZERO_REP, "dend-representation").ok
+    assert check(_NOT_A_REP.base, "dendriform").ok and check(_NOT_A_REP, "dend-action").ok
+    assert check_homomorphic_relative(*COUNTEREXAMPLES["induced-six"][1]).ok
+    assert check_relative_averaging(*COUNTEREXAMPLES["induced-quadri"][1]).ok
+
+
+@pytest.mark.parametrize("case", sorted(COUNTEREXAMPLES))
+def test_input_failing_its_axioms_is_refused(case):
+    build, args, message, (part, catalog_name) = COUNTEREXAMPLES[case]
+    with pytest.raises(PreconditionFailure) as exc:
+        build(*args)
+    assert str(exc.value) == message
+    assert exc.value.verdict == check(part, catalog_name)
+    assert not exc.value.verdict.ok
 
 
 def assert_formula(op, formula):
@@ -185,7 +269,7 @@ def test_module_products_match_block_formulas(rep):
     """(x,u) * (y,v) = (x * y, x *_l v + u *_r y) for semidirect; the
     hemisemidirect products keep one action each."""
     n = rep.base.dimension
-    sd, hemi = semidirect(rep, verify=False), hemisemidirect(rep, verify=False)
+    sd, hemi = _semidirect(rep), _hemisemidirect(rep)
     for op in ("prec", "succ"):
         base, left, right = rep.base.op(op), rep.actions[f"{op}_l"], rep.actions[f"{op}_r"]
         assert_formula(sd.op(op), lambda a, b: evaluate(base, a[:n], b[:n])
@@ -199,8 +283,11 @@ def test_module_products_match_block_formulas(rep):
 @settings(max_examples=30, deadline=None)
 @given(act=actions())
 def test_action_semidirect_matches_block_formula(act):
+    """The block formula holds on any action-shaped input, so the input's
+    axioms are not checked here."""
     n = act.base.dimension
-    asd = action_semidirect(act, verify=False)
+    with mock.patch.object(constructions, "_require_axioms"):
+        asd = action_semidirect(act)
     for op in ("prec", "succ"):
         base, left, right = act.base.op(op), act.actions[f"{op}_l"], act.actions[f"{op}_r"]
         own = act.target.op(op)
@@ -212,9 +299,11 @@ def test_action_semidirect_matches_block_formula(act):
 @given(d=algebras("dendriform"))
 def test_dual_extension_matches_block_formulas(d):
     """(x + x't)(y + y't) = xy + (xy' + x'y)t; D acts on either side of each
-    degree; the projection keeps degree 0."""
+    degree; the projection keeps degree 0.  Any algebra of dendriform
+    signature: its axioms are not checked here."""
     n = d.dimension
-    act, proj = dual_extension(d)
+    with mock.patch.object(constructions, "_require_axioms"):
+        act, proj = dual_extension(d)
     for op in ("prec", "succ"):
         mu = d.op(op)
         assert_formula(act.target.op(op), lambda a, b: evaluate(mu, a[:n], b[:n])
