@@ -31,10 +31,13 @@ from .model import (
     BilinearOp,
     LinearMap,
     Representation,
+    SIGNATURE_OPS,
     SpecError,
     adjoint_representation,
+    half,
     perp_dendriform_part,
     quadri_part,
+    split,
 )
 from .operators import (
     check_assoc_averaging,
@@ -153,9 +156,9 @@ def action_semidirect(act: Action) -> Algebra:
     return Algebra(shape[0], "dendriform", ops)
 
 
-def _sum_collapse(q: Algebra, signature: str, *names: str) -> Algebra:
-    """Each named operation is the sum of its prec and succ halves."""
-    ops = {name: q.op(f"prec_{name}") + q.op(f"succ_{name}") for name in names}
+def _sum_collapse(q: Algebra, signature: str) -> Algebra:
+    """Each operation of the signature is the sum of its prec and succ halves."""
+    ops = {name: q.op(prec) + q.op(succ) for name in SIGNATURE_OPS[signature] for prec, succ in [split(name)]}
     return Algebra(q.dimension, signature, ops, q.basis_labels)
 
 
@@ -163,14 +166,14 @@ def sum_collapse_quadri(q: Algebra) -> Algebra:
     """Di-associative collapse: vdash = prec_vdash + succ_vdash,
     dashv = prec_dashv + succ_dashv."""
     _require_axioms(q, "quadri", "six")
-    return _sum_collapse(q, "diassociative", "vdash", "dashv")
+    return _sum_collapse(q, "diassociative")
 
 
 def sum_collapse_six(s: Algebra) -> Algebra:
     """Tri-associative collapse: the di-associative pair plus
     perp = prec_perp + succ_perp."""
     _require_axioms(s, "six")
-    return _sum_collapse(s, "triassociative", "vdash", "dashv", "perp")
+    return _sum_collapse(s, "triassociative")
 
 
 def _twisted(subject, t: LinearMap, source: str, table) -> dict[str, BilinearOp]:
@@ -229,8 +232,7 @@ def induced_six(act: Action, t: LinearMap) -> Algebra:
     _require_axioms(act)
     _require(check_homomorphic_relative(act, t), "map is not a homomorphic relative averaging operator")
     ops = _twisted(act, t, "V", _QUADRI_TWIST)
-    ops["prec_perp"] = act.target.op("prec")
-    ops["succ_perp"] = act.target.op("succ")
+    ops.update((name, act.target.op(half(name))) for name in split("perp"))
     return Algebra(act.target.dimension, "six", ops, act.target.basis_labels)
 
 

@@ -40,7 +40,9 @@ from .model import (
     BilinearOp,
     LinearMap,
     Representation,
+    SIGNATURE_OPS,
     SpecError,
+    half,
 )
 
 # A term is a variable leaf ("var", slot), a bilinear operation applied to
@@ -879,9 +881,4 @@ def check_morphism(
     return _scan(ctx, groups, DEFAULT_VIOLATION_CAP)
 
 
-QUADRI_TO_DENDRIFORM_COLLAPSE = {
-    "prec_vdash": "prec",
-    "prec_dashv": "prec",
-    "succ_vdash": "succ",
-    "succ_dashv": "succ",
-}
+QUADRI_TO_DENDRIFORM_COLLAPSE = {name: half(name) for name in SIGNATURE_OPS["quadri"]}

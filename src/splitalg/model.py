@@ -22,25 +22,33 @@ from .linalg import (
     zero_vector,
 )
 
+
+def split(op: str) -> tuple[str, str]:
+    """The prec and succ halves of a di- or tri-associative operation."""
+    return f"prec_{op}", f"succ_{op}"
+
+
+def half(name: str) -> str:
+    """The half, prec or succ, of a split operation or of an action."""
+    return name.partition("_")[0]
+
+
 # Canonical operation names per signature.  The ASCII names fix the usual
-# symbols: prec/succ for the dendriform pair, dashv/vdash/perp for the
-# (di/tri-)associative operations, and the four split pairs for quadri.
+# symbols: prec/succ for the dendriform pair and dashv/vdash/perp for the
+# (di/tri-)associative operations.  Quadri and six split each di-/tri-associative
+# operation into its halves (Bai-Bellier-Guo-Ni); the splitting ideal identifies
+# every split operation with the others of its half.
 SIGNATURE_OPS: dict[str, tuple[str, ...]] = {
     "associative": ("mul",),
     "dendriform": ("prec", "succ"),
     "diassociative": ("dashv", "vdash"),
     "triassociative": ("dashv", "perp", "vdash"),
-    "quadri": ("prec_dashv", "prec_vdash", "succ_dashv", "succ_vdash"),
-    "six": (
-        "prec_dashv",
-        "prec_perp",
-        "prec_vdash",
-        "succ_dashv",
-        "succ_perp",
-        "succ_vdash",
-    ),
-    "raw": (),
 }
+SIGNATURE_OPS.update(
+    {signature: tuple(sorted(name for op in SIGNATURE_OPS[whole] for name in split(op)))
+     for signature, whole in (("quadri", "diassociative"), ("six", "triassociative"))},
+    raw=(),
+)
 
 # The four action tensors of a representation or action and the sorts of
 # (left argument, right argument, output): A the base algebra, V the module.
@@ -321,19 +329,11 @@ class Action(Representation):
 
 
 def adjoint_representation(d: Algebra) -> Representation:
-    """The algebra acting on itself: all four actions are the algebra's own ops."""
+    """The algebra acting on itself: each action is the algebra's operation
+    of its half."""
     if d.signature != "dendriform":
         raise SpecError("adjoint representation needs a dendriform algebra")
-    return Representation(
-        d,
-        d.dimension,
-        {
-            "prec_l": d.op("prec"),
-            "succ_l": d.op("succ"),
-            "prec_r": d.op("prec"),
-            "succ_r": d.op("succ"),
-        },
-    )
+    return Representation(d, d.dimension, {name: d.op(half(name)) for name in ACTION_SORTS})
 
 
 def self_action(d: Algebra) -> Action:
@@ -344,25 +344,12 @@ def self_action(d: Algebra) -> Action:
 
 def dendriform_to_quadri(d: Algebra) -> Algebra:
     """Promote a dendriform algebra to quadri with both split pairs equal."""
-    return Algebra(
-        d.dimension,
-        "quadri",
-        {
-            "prec_vdash": d.op("prec"),
-            "prec_dashv": d.op("prec"),
-            "succ_vdash": d.op("succ"),
-            "succ_dashv": d.op("succ"),
-        },
-        d.basis_labels,
-    )
+    return quadri_part(dendriform_to_six(d))
 
 
 def dendriform_to_six(d: Algebra) -> Algebra:
-    """Promote a dendriform algebra to six with all three pairs equal."""
-    q = dendriform_to_quadri(d)
-    ops = dict(q.operations)
-    ops["prec_perp"] = d.op("prec")
-    ops["succ_perp"] = d.op("succ")
+    """Promote a dendriform algebra to six: each operation is d's of its half."""
+    ops = {name: d.op(half(name)) for name in SIGNATURE_OPS["six"]}
     return Algebra(d.dimension, "six", ops, d.basis_labels)
 
 
@@ -374,5 +361,5 @@ def quadri_part(s: Algebra) -> Algebra:
 
 
 def perp_dendriform_part(s: Algebra) -> Algebra:
-    """The (prec_perp, succ_perp) dendriform pair inside a six algebra."""
-    return s.with_signature("dendriform", {"prec_perp": "prec", "succ_perp": "succ"})
+    """The dendriform pair of the two perp halves inside a six algebra."""
+    return s.with_signature("dendriform", {name: half(name) for name in split("perp")})

@@ -29,6 +29,7 @@ from .model import (
     LinearMap,
     Representation,
     SpecError,
+    half,
     perp_dendriform_part,
     reduction,
 )
@@ -130,16 +131,19 @@ def ideal_generated(a: Algebra, generators: Sequence[Vector]) -> Ideal:
 
 
 def splitting_ideal(q: Algebra) -> Ideal:
-    """Ideal generated by the split-operation differences
-    x prec_vdash y - x prec_dashv y and x succ_vdash y - x succ_dashv y."""
+    """Ideal generated by the differences x prec_X y - x prec_Y y and
+    x succ_X y - x succ_Y y: it identifies each split operation with the
+    others of its half, so for a six algebra perp with vdash and dashv too."""
     if q.signature not in ("quadri", "six"):
         raise SpecError("splitting ideal needs a quadri or six signature")
-    pv, pd = q.op("prec_vdash"), q.op("prec_dashv")
-    sv, sd = q.op("succ_vdash"), q.op("succ_dashv")
-    n = q.dimension
+    ops = q.operations.items()
+    firsts = {half(name): op.coeffs for name, op in reversed(ops)}  # each half's first wins
     generators = [
-        vec_sub(split.coeffs[i][j], other.coeffs[i][j])
-        for i in range(n) for j in range(n) for split, other in ((pv, pd), (sv, sd))
+        vec_sub(cell, first)
+        for name, op in ops
+        for row, first_row in zip(op.coeffs, firsts[half(name)])
+        for cell, first in zip(row, first_row)
+        if cell != first
     ]
     return ideal_generated(q, generators)
 
@@ -233,9 +237,9 @@ def embed_averaging(q: Algebra) -> tuple[Algebra, LinearMap, LinearMap]:
 
 
 def six_to_homomorphic_setup(s: Algebra) -> tuple[Action, LinearMap]:
-    """From a six-dendriform algebra: quotient by the splitting ideal of
-    the quadri part, act on the perp dendriform algebra, and return the
-    quotient map as a homomorphic relative averaging operator."""
+    """From a six-dendriform algebra: quotient by its splitting ideal (perp
+    included), act on the perp dendriform algebra, and return the quotient
+    map as a homomorphic relative averaging operator."""
     _require_axioms(s, "six")
     base, actions, projection = _converse(s)
     return Action(base, perp_dendriform_part(s), actions), projection

@@ -7,6 +7,7 @@ became a table; a change to them is a change of CLI output.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 from importlib import import_module
 
@@ -15,10 +16,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from splitalg.cli import _SECTIONS, RECIPES, _outputs, main
-from splitalg.constructions import PreconditionFailure
+from splitalg.constructions import PreconditionFailure, induced_six
 from splitalg.documents import Document, parse_document, serialize_document
 from splitalg.identities import check
 from splitalg.model import Action, Algebra, BilinearOp, LinearMap, Representation, perp_dendriform_part, quadri_part
+from splitalg.operators import check_operator
+from splitalg.quotients import dendriform_quotient, six_to_homomorphic_setup
 
 
 INPUT_SHA = "c0b85e39a74fa2a72043a0f70af209a89e44ab48633a301447fe36f56eca18ec"
@@ -173,7 +176,7 @@ def recipe_doc(recipe_doc_path):
 def test_perturbed_input_is_refused_or_its_output_holds(recipe, flags, recipe_doc, data):
     """One structure constant of one part of an accepted input changed:
     the construction refuses it with the failing verdict, or its output
-    passes every axiom of its type."""
+    passes every axiom of its type and every operator check of the recipe."""
     objects = [getattr(recipe_doc, _SECTIONS[flag[2:]])[name] for flag, name in zip(flags[::2], flags[1::2])]
     which = data.draw(st.integers(0, len(objects) - 1))
     tensors = _tensors(objects[which])
@@ -191,7 +194,7 @@ def test_perturbed_input_is_refused_or_its_output_holds(recipe, flags, recipe_do
         coeffs[i][j][k] += delta
         changed = BilinearOp(tensor.left_dim, tensor.right_dim, tensor.out_dim, coeffs)
     objects[which] = _replace(objects[which], name, changed)
-    _, construction, names, _ = RECIPES[recipe]
+    _, construction, names, verifications = RECIPES[recipe]
     module, function = construction.split(".")
     try:
         result = getattr(import_module(f"splitalg.{module}"), function)(*objects)
@@ -200,18 +203,21 @@ def test_perturbed_input_is_refused_or_its_output_holds(recipe, flags, recipe_do
         assert not e.verdict.ok
         return
     event("accepted")
-    for obj in _outputs(result):
+    outputs = dict(zip(names, _outputs(result), strict=True))
+    for obj in outputs.values():
         for part, catalog_name in _type_axioms(obj):
             assert check(part, catalog_name).ok, catalog_name
+    for _, kind, subject, map_name in verifications:
+        if map_name is not None:
+            assert check_operator(outputs[subject], kind, outputs[map_name]).ok, kind
 
 
-@pytest.mark.xfail(strict=True, reason="the six converse accepts a six algebra whose perp and vdash "
-                   "products disagree modulo the splitting ideal")
 def test_six_converse_quotient_map_is_homomorphic(recipe_doc, tmp_path, monkeypatch, capsys):
     """e0 prec_perp e0 of the recipe document's six algebra lowered by e2:
-    the six, quadri and perp dendriform axioms still hold, and
-    six-to-homomorphic accepts it, but its quotient map fails hom:prec at
-    (0, 0), and construct exits 1."""
+    the six, quadri and perp dendriform axioms still hold, and the splitting
+    ideal also identifies perp with vdash and dashv.  So six-to-homomorphic
+    passes both its verifications, induced_six gives back the input exactly,
+    and both converse theorems quotient by the same ideal."""
     six = recipe_doc.algebras["six"]
     coeffs = [[list(v) for v in row] for row in six.op("prec_perp").coeffs]
     coeffs[0][0][2] -= 1
@@ -219,6 +225,13 @@ def test_six_converse_quotient_map_is_homomorphic(recipe_doc, tmp_path, monkeypa
     assert all(check(part, catalog_name).ok for part, catalog_name in _type_axioms(s))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.json").write_text(serialize_document(Document(algebras={"s": s})))
-    code = main(["construct", "s.json", "--recipe", "six-to-homomorphic", "--algebra", "s", "--out", "o.json"])
-    capsys.readouterr()
+    code = main(["construct", "s.json", "--recipe", "six-to-homomorphic", "--algebra", "s", "--out", "o.json", "--json"])
+    verifications = json.loads(capsys.readouterr().out)["verifications"]
     assert code == 0
+    assert [(v["label"], v["violations"]) for v in verifications] == [
+        ("action:dend-action", []), ("quotient_map:homomorphic_relative", [])]
+    act, projection = six_to_homomorphic_setup(s)
+    back = induced_six(act, projection)
+    assert (back.dimension, back.operations) == (s.dimension, s.operations)
+    base, quotient_map = dendriform_quotient(s)
+    assert (base.dimension, base.operations, quotient_map) == (5, act.base.operations, projection)

@@ -33,6 +33,7 @@ from splitalg.model import (
     Representation,
     SpecError,
     adjoint_representation,
+    dendriform_to_six,
     evaluate,
     self_action,
 )
@@ -98,7 +99,7 @@ def test_aguiar_diassociative(poly, integ):
         aguiar_diassociative(poly, integ)
 
 
-def test_induced_quadri_and_collapse(adjoint, quadri):
+def test_induced_quadri_and_collapse(adjoint, quadri, dend):
     report = check(quadri, "quadri")
     assert report.ok
     di = sum_collapse_quadri(quadri)
@@ -106,6 +107,9 @@ def test_induced_quadri_and_collapse(adjoint, quadri):
     # collapse really is the sum of the split pair
     pv, sv = quadri.op("prec_vdash"), quadri.op("succ_vdash")
     assert di.op("vdash") == pv + sv
+    # each of the three operations of a promoted six collapses to prec + succ
+    tri = sum_collapse_six(dendriform_to_six(dend))
+    assert tri.operations == dict.fromkeys(("dashv", "perp", "vdash"), dend.op("prec") + dend.op("succ"))
 
 
 def test_induced_quadri_refuses_bad_map(adjoint):

@@ -10,6 +10,7 @@ from splitalg.model import (
     BilinearOp,
     LinearMap,
     Representation,
+    SIGNATURE_OPS,
     SpecError,
     adjoint_representation,
     dendriform_to_quadri,
@@ -127,6 +128,9 @@ def test_action_requires_matching_target(dend):
 
 
 def test_dendriform_promotions_share_tensors(dend):
+    # the split signatures keep their order: prec halves first, each sorted
+    assert SIGNATURE_OPS["quadri"] == ("prec_dashv", "prec_vdash", "succ_dashv", "succ_vdash")
+    assert SIGNATURE_OPS["six"] == ("prec_dashv", "prec_perp", "prec_vdash", "succ_dashv", "succ_perp", "succ_vdash")
     q = dendriform_to_quadri(dend)
     assert q.signature == "quadri"
     for name in ("prec_vdash", "prec_dashv"):

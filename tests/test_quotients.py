@@ -14,6 +14,7 @@ from splitalg.model import (
     LinearMap,
     SpecError,
     dendriform_to_quadri,
+    dendriform_to_six,
     evaluate,
     perp_dendriform_part,
 )
@@ -25,6 +26,7 @@ from splitalg.operators import (
 from splitalg.quotients import (
     Ideal,
     QuotientError,
+    dendriform_quotient,
     embed_averaging,
     ideal_generated,
     quadri_to_relative_setup,
@@ -58,6 +60,12 @@ def test_ideal_closure_witness(poly):
 def test_splitting_ideal_zero_on_promoted(dend):
     q = dendriform_to_quadri(dend)
     assert splitting_ideal(q).subspace.dim == 0
+    # on the six promotion too: the quotient is d itself by the identity
+    s = dendriform_to_six(dend)
+    assert splitting_ideal(s).subspace.dim == 0
+    base, projection = dendriform_quotient(s)
+    assert (base.op("prec"), base.op("succ")) == (dend.op("prec"), dend.op("succ"))
+    assert projection == LinearMap.identity(dend.dimension)
 
 
 def test_splitting_ideal_requires_split_signature(dend):
