@@ -91,32 +91,24 @@ def cmd_check(args) -> int:
 
 def _resolve_subject(doc: Document, kind: str, name: str | None, flag: str):
     """The object named by the command's flag, or else the document's one
-    object of the kind's type."""
-    wanted = {
-        "rota_baxter": ("associative", doc.algebras),
-        "assoc_averaging": ("associative", doc.algebras),
-        "dend_averaging": ("dendriform", doc.algebras),
-        "relative_averaging": (None, {**doc.representations, **doc.actions}),
-        "homomorphic_relative": (None, doc.actions),
-    }[kind]
-    signature, section = wanted
+    object that the kind takes."""
+    from .operators import _KINDS
+
+    spec = _KINDS[kind]
     if name is not None:
         obj = doc.lookup_object(name)
-        if signature and (not isinstance(obj, Algebra) or obj.signature != signature):
-            raise UsageError(f"{name!r} is not an algebra of signature {signature!r}")
+        if spec.signature and not spec.fits(obj):
+            raise UsageError(f"{name!r} is not an algebra of signature {spec.signature!r}")
         return obj
-    candidates = {
-        n: o
-        for n, o in section.items()
-        if signature is None or (isinstance(o, Algebra) and o.signature == signature)
-    }
+    sections = (doc.algebras, doc.representations, doc.actions)
+    candidates = [obj for section in sections for obj in section.values() if spec.fits(obj)]
     if not candidates:
         raise UsageError(f"the document has no object for kind {kind!r}")
     if len(candidates) > 1:
         raise UsageError(
             f"{flag} is required: {len(candidates)} candidate object(s) for kind {kind!r}"
         )
-    return next(iter(candidates.values()))
+    return candidates[0]
 
 
 def _kind(raw: str) -> str:

@@ -179,9 +179,7 @@ def sum_collapse_six(s: Algebra) -> Algebra:
 def _twisted(subject, t: LinearMap, source: str, table) -> dict[str, BilinearOp]:
     """The subject's term table on the basis pairs of the sort `source`,
     with t as the map T from that sort to the base algebra A."""
-    ctx = context_for(subject)
-    ctx.maps["T"] = (t, source, "A")
-    return tabulate(ctx, (source, source), table)
+    return tabulate(context_for(subject, {"T": (t, source, "A")}), (source, source), table)
 
 
 def aguiar_dendriform(assoc: Algebra, r: LinearMap) -> Algebra:
@@ -248,11 +246,7 @@ _DIFFERENTIAL = ((equation("d2=0", ("A",), apply_map("d", apply_map("d", _x)), (
 def check_differential(d: Algebra, diff: LinearMap) -> ViolationReport:
     """d^2 = 0 on basis vectors and the Leibniz rule for both operations on
     basis pairs."""
-    if (diff.source_dim, diff.target_dim) != (d.dimension, d.dimension):
-        raise SpecError("differential must be an endomorphism of the algebra")
-    ctx = context_for(d)
-    ctx.maps["d"] = (diff, "A", "A")
-    return _scan(ctx, _DIFFERENTIAL, DEFAULT_VIOLATION_CAP, "differential")
+    return _scan(context_for(d, {"d": (diff, "A", "A")}), _DIFFERENTIAL, DEFAULT_VIOLATION_CAP, "differential")
 
 
 def differential_quadri(d: Algebra, diff: LinearMap) -> Algebra:

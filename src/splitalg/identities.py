@@ -414,12 +414,18 @@ def catalog(name: str) -> list[IdentitySchema]:
 
 class OpContext:
     """Resolves operation and map names to tensors with sorted signatures,
-    and knows the dimension of each sort."""
+    and knows the dimension of each sort.  Refuses a map whose shape does
+    not fit the dimensions of its source and target sorts."""
 
     def __init__(self, ops: Mapping[str, tuple], dims: Mapping[str, int], maps: Mapping[str, tuple] | None = None):
         self.ops = dict(ops)
         self.dims = dict(dims)
         self.maps = dict(maps or {})
+        for name, (f, source, target) in self.maps.items():
+            m, n = self.dims[source], self.dims[target]
+            if (f.source_dim, f.target_dim) != (m, n):
+                raise SpecError(
+                    f"map {name} is {f.source_dim}->{f.target_dim}, but its sorts {source}->{target} need {m}->{n}")
 
     def resolve(self, name: str) -> tuple[BilinearOp, str, str, str]:
         try:
@@ -434,12 +440,13 @@ class OpContext:
             raise SpecError(f"no linear map {name!r} to apply") from None
 
 
-def context_for(obj) -> OpContext:
+def context_for(obj, maps: Mapping[str, tuple] | None = None) -> OpContext:
+    """The object's operations on the sorts A (algebra or base) and V (module), with the maps."""
     if isinstance(obj, Algebra):
         ops = {
             name: (op, "A", "A", "A") for name, op in obj.operations.items()
         }
-        return OpContext(ops, {"A": obj.dimension, "V": 0})
+        return OpContext(ops, {"A": obj.dimension, "V": 0}, maps)
     if isinstance(obj, Representation):
         ops = {
             name: (op, "A", "A", "A") for name, op in obj.base.operations.items()
@@ -448,7 +455,7 @@ def context_for(obj) -> OpContext:
         if isinstance(obj, Action):
             ops["prec_t"] = (obj.target.op("prec"), "V", "V", "V")
             ops["succ_t"] = (obj.target.op("succ"), "V", "V", "V")
-        return OpContext(ops, {"A": obj.base.dimension, "V": obj.module_dim})
+        return OpContext(ops, {"A": obj.base.dimension, "V": obj.module_dim}, maps)
     raise SpecError(f"cannot check identities on {type(obj).__name__}")
 
 
@@ -864,11 +871,6 @@ def check_morphism(
 ) -> ViolationReport:
     """Check f(a * b) = f(a) *' f(b) on basis pairs, for every source
     operation * paired with a target operation *'."""
-    if f.source_dim != source.dimension or f.target_dim != target.dimension:
-        raise SpecError(
-            f"map {f.source_dim}->{f.target_dim} does not match algebras of "
-            f"dimensions {source.dimension}, {target.dimension}"
-        )
     ops, groups = {}, []
     for src_name, tgt_name in sorted(op_pairing.items()):
         src, tgt = "source:" + src_name, "target:" + tgt_name

@@ -82,65 +82,51 @@ _HOMOMORPHIC_RELATIVE = _RELATIVE_AVERAGING + tuple(
 
 
 class _Kind(_Record):
-    __slots__ = ("subject", "needs", "map_sorts", "groups")
+    __slots__ = ("subject", "signature", "map_sorts", "groups")
 
-    def __init__(self, subject: type, needs: str, map_sorts: tuple[str, str], groups):
+    def __init__(self, subject: type, signature: str | None, map_sorts: tuple[str, str], groups):
         self.subject = subject
-        self.needs = needs  # the error when the subject has another type
+        self.signature = signature  # of an algebra subject; None for a module
         self.map_sorts = map_sorts  # T maps the first sort to the second
         self.groups: tuple[tuple[IdentitySchema, ...], ...] = groups
 
+    def fits(self, obj) -> bool:
+        return isinstance(obj, self.subject) and (self.signature is None or obj.signature == self.signature)
+
+    @property
+    def needs(self) -> str:
+        """The subject, as in "an associative algebra"."""
+        noun = f"{self.signature or ''} {self.subject.__name__.lower()}".lstrip()
+        return ("an " if noun[0] in "aeiou" else "a ") + noun
+
 
 _KINDS = {
-    "rota_baxter": _Kind(Algebra, "kind 'rota_baxter' needs an algebra", _AA, _ROTA_BAXTER),
-    "assoc_averaging": _Kind(Algebra, "kind 'assoc_averaging' needs an algebra", _AA, _ASSOC_AVERAGING),
-    "dend_averaging": _Kind(Algebra, "kind 'dend_averaging' needs an algebra", _AA, _DEND_AVERAGING),
-    "relative_averaging": _Kind(
-        Representation, "relative averaging needs a representation", ("V", "A"), _RELATIVE_AVERAGING
-    ),
-    "homomorphic_relative": _Kind(
-        Action, "homomorphic relative averaging needs an action", ("V", "A"), _HOMOMORPHIC_RELATIVE
-    ),
+    "rota_baxter": _Kind(Algebra, "associative", _AA, _ROTA_BAXTER),
+    "assoc_averaging": _Kind(Algebra, "associative", _AA, _ASSOC_AVERAGING),
+    "dend_averaging": _Kind(Algebra, "dendriform", _AA, _DEND_AVERAGING),
+    "relative_averaging": _Kind(Representation, None, ("V", "A"), _RELATIVE_AVERAGING),
+    "homomorphic_relative": _Kind(Action, None, ("V", "A"), _HOMOMORPHIC_RELATIVE),
 }
 
 OPERATOR_KINDS = tuple(_KINDS)
 
 
-def _context(subject, kind: str) -> OpContext:
-    """The subject's operations and dimensions, for a check of this kind."""
+def _context(subject, kind: str, t: LinearMap | None = None) -> OpContext:
+    """The subject's context for a check of this kind, with t as its map T."""
     try:
         spec = _KINDS[kind]
     except KeyError:
         raise SpecError(
             f"unknown operator kind {kind!r}; known: {', '.join(OPERATOR_KINDS)}"
         ) from None
-    if not isinstance(subject, spec.subject):
-        raise SpecError(spec.needs)
-    return context_for(subject)
-
-
-def _with_map(ctx: OpContext, kind: str, t: LinearMap) -> OpContext:
-    """The context with t as the map T of the kind, once its shape fits."""
-    source, target = _KINDS[kind].map_sorts
-    n, m = ctx.dims[target], ctx.dims[source]
-    if (t.source_dim, t.target_dim) != (m, n):
-        if source == target:
-            raise SpecError(
-                f"map {t.source_dim}->{t.target_dim} is not an endomorphism of "
-                f"dimension {n}"
-            )
-        raise SpecError(
-            f"map {t.source_dim}->{t.target_dim} does not send the module "
-            f"(dim {m}) to the base (dim {n})"
-        )
-    ctx.maps["T"] = (t, source, target)
-    return ctx
+    if not spec.fits(subject):
+        raise SpecError(f"kind {kind!r} needs {spec.needs}")
+    return context_for(subject, None if t is None else {"T": (t, *spec.map_sorts)})
 
 
 def check_operator(subject, kind: str, t: LinearMap) -> ViolationReport:
     """Check that t is an operator of the given kind on the subject."""
-    ctx = _with_map(_context(subject, kind), kind, t)
-    return _scan(ctx, _KINDS[kind].groups, DEFAULT_VIOLATION_CAP, kind)
+    return _scan(_context(subject, kind, t), _KINDS[kind].groups, DEFAULT_VIOLATION_CAP, kind)
 
 
 def check_rota_baxter(a: Algebra, r: LinearMap) -> ViolationReport:
@@ -186,7 +172,7 @@ def graph_subalgebra_check(rep: Representation, t: LinearMap) -> ViolationReport
     """
     from .constructions import _hemisemidirect
 
-    ctx = _with_map(_context(rep, "relative_averaging"), "relative_averaging", t)
+    ctx = _context(rep, "relative_averaging", t)
     n, m = ctx.dims["A"], ctx.dims["V"]
     hemi = _hemisemidirect(rep)
     g = LinearMap(m, n + m, [*t.matrix, *LinearMap.identity(m).matrix])
@@ -242,7 +228,7 @@ def search_operators(
     # residual a constant, with no polynomial to build
     t = (LinearMap(source_dim, target_dim, [grid * source_dim] * target_dim) if len(grid) == 1
          else VariableMap(source_dim, target_dim))
-    polys = residual_polynomials(_with_map(_context(subject, kind), kind, t), _KINDS[kind].groups)
+    polys = residual_polynomials(_context(subject, kind, t), _KINDS[kind].groups)
     # Integers throughout: with L the lcm of the grid's denominators, entry
     # g is set to g*L, and a monomial of degree k < 2 takes 2 - k factors L
     # from the slot after the entries (T occurs at most twice in a term of

@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 from splitalg.cli import _SECTIONS, KIND_ALIASES, RECIPES, main
 from splitalg.documents import Document, parse_document, serialize_document, unbounded_digits
 from splitalg.identities import check
-from splitalg.model import Action, Algebra, BilinearOp, LinearMap, Representation, perp_dendriform_part
+from splitalg.model import (
+    Action, Algebra, BilinearOp, LinearMap, Representation, SpecError, adjoint_representation, perp_dendriform_part,
+    self_action,
+)
+from splitalg.operators import check_rota_baxter
 from splitalg.samples import integration_map, one_dim_dendriform, truncated_polynomial_algebra, truncated_polynomial_dendriform
 
 from conftest import random_quadri
@@ -113,13 +117,14 @@ def test_check_operator_wrong_shape(capsys, sample_doc_path, tmp_path):
     doc["maps"]["skew"] = {"source": 2, "target": 2, "matrix": [[0, 1], [0, 0]]}
     p = tmp_path / "withskew.json"
     p.write_text(json.dumps(doc))
-    code, _, err = run(
+    code, out, err = run(
         capsys, "check-operator", str(p), "--map", "skew", "--kind", "rota-baxter", "--on", "poly"
     )
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert err == "error: map T is 2->2, but its sorts A->A need 4->4\n"
 
 
-def test_check_operator_wrong_subject(capsys, sample_doc_path):
+def test_check_operator_wrong_subject(capsys, sample_doc_path, dend, integ):
     # relative averaging lives on a representation, not on an algebra
     code, _, err = run(
         capsys, "check-operator", sample_doc_path, "--map", "integrate",
@@ -127,6 +132,10 @@ def test_check_operator_wrong_subject(capsys, sample_doc_path):
     )
     assert code == 2
     assert "needs a representation" in err
+    # the library refuses an algebra of another signature by the same rule
+    with pytest.raises(SpecError) as refused:
+        check_rota_baxter(dend, integ)
+    assert str(refused.value) == "kind 'rota_baxter' needs an associative algebra"
 
 
 def test_check_operator_unknown_kind(capsys, sample_doc_path):
@@ -547,8 +556,9 @@ def test_search_repeated_grid_value(capsys, sample_doc_path):
 
 @pytest.mark.parametrize("command, flag", [("search", "--object"), ("check-operator", "--on")])
 def test_subject_errors_name_the_command_flag(capsys, sample_doc_path, tmp_path, command, flag):
-    """An ambiguous subject asks for the command's own flag; a document
-    with no object of the kind's type says so."""
+    """An ambiguous subject asks for the command's own flag, counting
+    candidates by object: a representation and an action of the same name
+    are two.  A document with no object of the kind's type says so."""
     extra = ["--grid", "0,1"] if command == "search" else ["--map", "m"]
     doc = json.loads(Path(sample_doc_path).read_text())
     doc["maps"]["m"] = {"source": 4, "target": 4, "matrix": [[0] * 4 for _ in range(4)]}
@@ -557,6 +567,15 @@ def test_subject_errors_name_the_command_flag(capsys, sample_doc_path, tmp_path,
     code, out, err = run(capsys, command, str(two), "--kind", "relative-averaging", *extra)
     assert (code, out) == (2, "")
     assert err == f"error: {flag} is required: 2 candidate object(s) for kind 'relative_averaging'\n"
+
+    d = truncated_polynomial_dendriform(2)
+    same = tmp_path / "same.json"
+    same.write_text(serialize_document(Document(algebras={"d": d}, representations={"r": adjoint_representation(d)},
+                                                actions={"r": self_action(d)}, maps={"m": LinearMap.zero(2, 2)})))
+    code, out, err = run(capsys, command, str(same), "--kind", "relative-averaging", *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} is required: 2 candidate object(s) for kind 'relative_averaging'\n"
+    assert run(capsys, command, str(same), "--kind", "relative-averaging", *extra, flag, "r")[0] == 0
 
     zero = BilinearOp.zero(2, 2, 2)
     none = tmp_path / "dual.json"

@@ -342,8 +342,8 @@ TWIST_TABLES = {
 def test_tabulate_matches_reference(data):
     """tabulate equals the reference evaluator on every basis pair."""
     subject = data.draw(st.one_of(representations(), actions()))
-    ctx = context_for(subject)
-    ctx.maps["T"] = (data.draw(linear_maps(ctx.dims["V"], ctx.dims["A"])), "V", "A")
+    t = data.draw(linear_maps(subject.module_dim, subject.base.dimension))
+    ctx = context_for(subject, {"T": (t, "V", "A")})
     for sorts, table in TWIST_TABLES.items():
         ops = tabulate(ctx, sorts, table)
         schema = IdentitySchema("reference", sorts, (), ())

@@ -148,7 +148,7 @@ def catalog_scan(obj, name, cap):
 def operator_scan(subject, kind, t, cap):
     """The operator check through the engine at `cap`; at the default cap
     the engine's report is the public check's."""
-    ctx = lambda: operators._with_map(operators._context(subject, kind), kind, t)
+    ctx = lambda: operators._context(subject, kind, t)
     assert check_operator(subject, kind, t) == _scan(ctx(), _KINDS[kind].groups, DEFAULT_VIOLATION_CAP, kind)
     return _scan(ctx(), _KINDS[kind].groups, cap, kind)
 
@@ -177,8 +177,7 @@ def test_operator_scan_matches_reference(data, kind, cap):
     subject = data.draw(KIND_SUBJECTS[kind])
     t = data.draw(linear_maps(*operator_map_shape(subject, kind)))
     report = operator_scan(subject, kind, t, cap)
-    ctx = context_for(subject)
-    ctx.maps["T"] = (t, *_KINDS[kind].map_sorts)
+    ctx = context_for(subject, {"T": (t, *_KINDS[kind].map_sorts)})
     assert_same(report, reference_scan(ctx, _KINDS[kind].groups), cap)
 
 
@@ -217,8 +216,7 @@ TABULATED = [
 def test_tabulated_subterms_match_reference(data, cap):
     a = data.draw(algebras("associative"))
     t = data.draw(linear_maps(a.dimension, a.dimension))
-    ctx = context_for(a)
-    ctx.maps["T"] = (t, "A", "A")
+    ctx = context_for(a, {"T": (t, "A", "A")})
     assert_same(_scan(ctx, TABULATED, cap), reference_scan(ctx, TABULATED), cap)
 
 
@@ -391,8 +389,7 @@ def test_wide_catalog_scan_matches_reference(data, name, cap):
 def test_wide_operator_scan_matches_reference(data, kind, cap):
     subject = data.draw(wide_subjects(kind))
     t = data.draw(wide_maps(*operator_map_shape(subject, kind)))
-    ctx = context_for(subject)
-    ctx.maps["T"] = (t, *_KINDS[kind].map_sorts)
+    ctx = context_for(subject, {"T": (t, *_KINDS[kind].map_sorts)})
     assert_exact(operator_scan(subject, kind, t, cap), reference_scan(ctx, _KINDS[kind].groups), cap)
 
 

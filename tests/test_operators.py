@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from splitalg.identities import _scan
+from splitalg.constructions import aguiar_dendriform, check_differential
+from splitalg.identities import _scan, check_morphism
 from splitalg.model import Algebra, BilinearOp, LinearMap, SpecError, self_action
 from splitalg.operators import (
     _KINDS,
     SearchCapExceeded,
     _context,
-    _with_map,
     check_assoc_averaging,
     check_dend_averaging,
     check_homomorphic_relative,
@@ -162,7 +162,7 @@ def test_truncated_operator_report_is_not_ok():
     """A report whose cap dropped every violation still fails; a cap of 1
     holds the one witness, so its report is the check's."""
     a, t = truncated_polynomial_algebra(2), LinearMap.identity(2)
-    ctx = _with_map(_context(a, "rota_baxter"), "rota_baxter", t)
+    ctx = _context(a, "rota_baxter", t)
     verdict = _scan(ctx, _KINDS["rota_baxter"].groups, 0, "rota_baxter")
     assert verdict.truncated and not verdict.violations
     assert not verdict.ok
@@ -186,3 +186,22 @@ def test_search_degree_three_dend_averaging():
     assert hashlib.sha256(rendered.encode()).hexdigest() == (
         "ae49a1f7066f1c004721e3f28bafae2886accb024a58e0beb0565b6e60ab4804"
     )
+
+
+@pytest.mark.parametrize("entry", ["rota_baxter", "relative_averaging", "differential", "morphism",
+                                   "aguiar_dendriform", "graph_subalgebra"])
+def test_map_of_the_wrong_shape_is_refused_by_its_sorts(entry, poly, dend, adjoint):
+    """Every entry point refuses a 2x2 map on dimension-4 objects with the
+    one message of the context, which names the map and its sorts."""
+    skew = LinearMap(2, 2, [[0, 1], [0, 0]])
+    call, name, sorts = {
+        "rota_baxter": (lambda: check_operator(poly, "rota_baxter", skew), "T", "A->A"),
+        "relative_averaging": (lambda: check_operator(adjoint, "relative_averaging", skew), "T", "V->A"),
+        "differential": (lambda: check_differential(dend, skew), "d", "A->A"),
+        "morphism": (lambda: check_morphism(skew, dend, dend, {"prec": "prec", "succ": "succ"}), "f", "A->B"),
+        "aguiar_dendriform": (lambda: aguiar_dendriform(poly, skew), "T", "A->A"),
+        "graph_subalgebra": (lambda: graph_subalgebra_check(adjoint, skew), "T", "V->A"),
+    }[entry]
+    with pytest.raises(SpecError) as refused:
+        call()
+    assert str(refused.value) == f"map {name} is 2->2, but its sorts {sorts} need 4->4"

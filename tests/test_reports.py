@@ -148,8 +148,7 @@ def test_public_checks_take_no_cap(fn):
 def test_differential_respects_the_cap():
     """d^2 = 0 witnesses count against the cap like every other witness."""
     d = truncated_polynomial_dendriform(3)
-    ctx = context_for(d)
-    ctx.maps["d"] = (LinearMap.identity(3), "A", "A")
+    ctx = context_for(d, {"d": (LinearMap.identity(3), "A", "A")})
     report = _scan(ctx, _DIFFERENTIAL, 1, "differential")
     assert len(report.violations) == 1
     assert report.truncated

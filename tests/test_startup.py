@@ -17,7 +17,7 @@ import pytest
 import splitalg
 from splitalg.cli import main
 from splitalg.identities import IdentitySchema, Violation, ViolationReport
-from splitalg.model import Algebra
+from splitalg.model import Algebra, Representation
 from splitalg.operators import _Kind
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -168,13 +168,15 @@ def test_records_keep_repr_equality_and_hash():
     with pytest.raises(TypeError, match="unhashable type: 'ViolationReport'"):
         hash(report)
 
-    kind = _Kind(Algebra, "needs", ("A", "A"), ())
+    kind = _Kind(Algebra, "associative", ("A", "A"), ())
     assert repr(kind) == (
-        "_Kind(subject=<class 'splitalg.model.Algebra'>, needs='needs', map_sorts=('A', 'A'), groups=())"
+        "_Kind(subject=<class 'splitalg.model.Algebra'>, signature='associative', map_sorts=('A', 'A'), groups=())"
     )
-    assert kind == _Kind(Algebra, "needs", ("A", "A"), ())
-    assert kind != _Kind(Algebra, "other", ("A", "A"), ())
-    assert hash(kind) == hash((Algebra, "needs", ("A", "A"), ()))
+    assert kind == _Kind(Algebra, "associative", ("A", "A"), ())
+    assert kind != _Kind(Algebra, "dendriform", ("A", "A"), ())
+    assert hash(kind) == hash((Algebra, "associative", ("A", "A"), ()))
+    assert kind.needs == "an associative algebra"
+    assert _Kind(Representation, None, ("V", "A"), ()).needs == "a representation"
 
 
 def test_cli_freezes_the_heap_before_finalisation(sample_doc_path):
