@@ -90,18 +90,20 @@ def cmd_check(args) -> int:
 
 
 def _resolve_subject(doc: Document, kind: str, name: str | None, flag: str):
-    """The object named by the command's flag, or else the document's one
-    object that the kind takes."""
+    """The first object of the flag's name that the kind takes (algebras,
+    representations, actions), or the kind's refusal of the object of that
+    name; with no name, the document's one object that the kind takes."""
     from .operators import _KINDS
 
     spec = _KINDS[kind]
+    sections = (doc.algebras, doc.representations, doc.actions)
+    candidates = [obj for section in sections for key, obj in section.items()
+                  if spec.fits(obj) and name in (None, key)]
     if name is not None:
-        obj = doc.lookup_object(name)
+        obj = candidates[0] if candidates else doc.lookup_object(name)
         if spec.signature and not spec.fits(obj):
             raise UsageError(f"{name!r} is not an algebra of signature {spec.signature!r}")
         return obj
-    sections = (doc.algebras, doc.representations, doc.actions)
-    candidates = [obj for section in sections for obj in section.values() if spec.fits(obj)]
     if not candidates:
         raise UsageError(f"the document has no object for kind {kind!r}")
     if len(candidates) > 1:

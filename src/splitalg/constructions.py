@@ -201,10 +201,11 @@ def aguiar_diassociative(assoc: Algebra, h: LinearMap) -> Algebra:
 
 
 # u prec_vdash v = Tu prec_l v, u prec_dashv v = u prec_r Tv, and the succ
-# analogues, for a map T from a module to its base.
+# analogues, for a map T from a module to its base: on the sorts A x V and
+# V x A, the operation of a half is that action.
 _QUADRI_TWIST = {
-    **{f"{op}_vdash": app(f"{op}_l", _Tx, _y) for op in ("prec", "succ")},
-    **{f"{op}_dashv": app(f"{op}_r", _x, _Ty) for op in ("prec", "succ")},
+    **{f"{op}_vdash": app(op, _Tx, _y) for op in ("prec", "succ")},
+    **{f"{op}_dashv": app(op, _x, _Ty) for op in ("prec", "succ")},
 }
 
 

@@ -175,6 +175,7 @@ class UnknownCatalog(SpecError):
 # Catalog construction
 
 _x, _y, _z = var(0), var(1), var(2)
+_A3 = ("A", "A", "A")
 
 
 def equation(eqid, sorts, lhs, rhs) -> IdentitySchema:
@@ -190,8 +191,8 @@ def _chain(eqid: str, sorts, exprs: Sequence) -> list[IdentitySchema]:
     ]
 
 
-def _dend_shape(ids, sorts, pair12, pair23, pair_out, pair_out2):
-    """Three axioms of dendriform shape on possibly mixed sorts.
+def _dend_shape(ids, pair12, pair23, pair_out, pair_out2):
+    """Three axioms of dendriform shape on the sorts A, A, A.
 
     Each pair is a (prec-like, succ-like) operation name tuple: pair12
     combines slots 1,2; pair23 combines slots 2,3; pair_out joins the
@@ -204,19 +205,19 @@ def _dend_shape(ids, sorts, pair12, pair23, pair_out, pair_out2):
     po2, so2 = pair_out2
     e1 = equation(
         ids[0],
-        sorts,
+        _A3,
         app(po, app(p12, _x, _y), _z),
         expr(app(po2, _x, app(p23, _y, _z)), app(po2, _x, app(s23, _y, _z))),
     )
     e2 = equation(
         ids[1],
-        sorts,
+        _A3,
         app(po, app(s12, _x, _y), _z),
         app(so2, _x, app(p23, _y, _z)),
     )
     e3 = equation(
         ids[2],
-        sorts,
+        _A3,
         app(so2, _x, app(s23, _y, _z)),
         expr(app(so, app(p12, _x, _y), _z), app(so, app(s12, _x, _y), _z)),
     )
@@ -227,7 +228,7 @@ def _catalog_associative():
     return [
         equation(
             "assoc",
-            ("A", "A", "A"),
+            _A3,
             app("mul", app("mul", _x, _y), _z),
             app("mul", _x, app("mul", _y, _z)),
         )
@@ -236,17 +237,16 @@ def _catalog_associative():
 
 def _catalog_dendriform():
     pair = ("prec", "succ")
-    return _dend_shape(("dend.1", "dend.2", "dend.3"), ("A", "A", "A"), pair, pair, pair, pair)
+    return _dend_shape(("dend.1", "dend.2", "dend.3"), pair, pair, pair, pair)
 
 
 def _diass_equations(dashv: str, vdash: str, ids):
-    A3 = ("A", "A", "A")
     return [
-        equation(ids[0], A3, app(dashv, app(dashv, _x, _y), _z), app(dashv, _x, app(vdash, _y, _z))),
-        equation(ids[1], A3, app(dashv, app(dashv, _x, _y), _z), app(dashv, _x, app(dashv, _y, _z))),
-        equation(ids[2], A3, app(dashv, app(vdash, _x, _y), _z), app(vdash, _x, app(dashv, _y, _z))),
-        equation(ids[3], A3, app(vdash, app(dashv, _x, _y), _z), app(vdash, _x, app(vdash, _y, _z))),
-        equation(ids[4], A3, app(vdash, app(vdash, _x, _y), _z), app(vdash, _x, app(vdash, _y, _z))),
+        equation(ids[0], _A3, app(dashv, app(dashv, _x, _y), _z), app(dashv, _x, app(vdash, _y, _z))),
+        equation(ids[1], _A3, app(dashv, app(dashv, _x, _y), _z), app(dashv, _x, app(dashv, _y, _z))),
+        equation(ids[2], _A3, app(dashv, app(vdash, _x, _y), _z), app(vdash, _x, app(dashv, _y, _z))),
+        equation(ids[3], _A3, app(vdash, app(dashv, _x, _y), _z), app(vdash, _x, app(vdash, _y, _z))),
+        equation(ids[4], _A3, app(vdash, app(vdash, _x, _y), _z), app(vdash, _x, app(vdash, _y, _z))),
     ]
 
 
@@ -255,28 +255,26 @@ def _catalog_diassociative():
 
 
 def _catalog_triassociative():
-    A3 = ("A", "A", "A")
     eqs = _diass_equations("dashv", "vdash", ["tri.1", "tri.2", "tri.3", "tri.4", "tri.5"])
     eqs.append(
-        equation("tri.6", A3, app("perp", app("perp", _x, _y), _z), app("perp", _x, app("perp", _y, _z)))
+        equation("tri.6", _A3, app("perp", app("perp", _x, _y), _z), app("perp", _x, app("perp", _y, _z)))
     )
     eqs += [
-        equation("tri.7", A3, app("dashv", app("dashv", _x, _y), _z), app("dashv", _x, app("perp", _y, _z))),
-        equation("tri.8", A3, app("dashv", app("perp", _x, _y), _z), app("perp", _x, app("dashv", _y, _z))),
-        equation("tri.9", A3, app("perp", app("dashv", _x, _y), _z), app("perp", _x, app("vdash", _y, _z))),
-        equation("tri.10", A3, app("perp", app("vdash", _x, _y), _z), app("vdash", _x, app("perp", _y, _z))),
-        equation("tri.11", A3, app("vdash", app("perp", _x, _y), _z), app("vdash", _x, app("vdash", _y, _z))),
+        equation("tri.7", _A3, app("dashv", app("dashv", _x, _y), _z), app("dashv", _x, app("perp", _y, _z))),
+        equation("tri.8", _A3, app("dashv", app("perp", _x, _y), _z), app("perp", _x, app("dashv", _y, _z))),
+        equation("tri.9", _A3, app("perp", app("dashv", _x, _y), _z), app("perp", _x, app("vdash", _y, _z))),
+        equation("tri.10", _A3, app("perp", app("vdash", _x, _y), _z), app("vdash", _x, app("perp", _y, _z))),
+        equation("tri.11", _A3, app("vdash", app("perp", _x, _y), _z), app("vdash", _x, app("vdash", _y, _z))),
     ]
     return eqs
 
 
 def _catalog_quadri():
-    A3 = ("A", "A", "A")
     pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
     eqs: list[IdentitySchema] = []
     eqs += _chain(
         "quadri.1",
-        A3,
+        _A3,
         [
             app(pv, app(pv, _x, _y), _z),
             app(pv, app(pd, _x, _y), _z),
@@ -285,7 +283,7 @@ def _catalog_quadri():
     )
     eqs += _chain(
         "quadri.2",
-        A3,
+        _A3,
         [
             app(pv, app(sv, _x, _y), _z),
             app(pv, app(sd, _x, _y), _z),
@@ -294,7 +292,7 @@ def _catalog_quadri():
     )
     eqs += _chain(
         "quadri.3",
-        A3,
+        _A3,
         [
             app(sv, _x, app(sv, _y, _z)),
             expr(app(sv, app(pv, _x, _y), _z), app(sv, app(sv, _x, _y), _z)),
@@ -303,10 +301,10 @@ def _catalog_quadri():
             expr(app(sv, app(pd, _x, _y), _z), app(sv, app(sv, _x, _y), _z)),
         ],
     )
-    eqs += _dend_shape(("quadri.4", "quadri.5", "quadri.6"), A3, (pv, sv), (pd, sd), (pd, sd), (pv, sv))
+    eqs += _dend_shape(("quadri.4", "quadri.5", "quadri.6"), (pv, sv), (pd, sd), (pd, sd), (pv, sv))
     eqs += _chain(
         "quadri.7",
-        A3,
+        _A3,
         [
             app(pd, app(pd, _x, _y), _z),
             expr(app(pd, _x, app(pv, _y, _z)), app(pd, _x, app(sv, _y, _z))),
@@ -317,7 +315,7 @@ def _catalog_quadri():
     )
     eqs += _chain(
         "quadri.8",
-        A3,
+        _A3,
         [
             app(pd, app(sd, _x, _y), _z),
             app(sd, _x, app(pv, _y, _z)),
@@ -326,7 +324,7 @@ def _catalog_quadri():
     )
     eqs += _chain(
         "quadri.9",
-        A3,
+        _A3,
         [
             app(sd, _x, app(sv, _y, _z)),
             app(sd, _x, app(sd, _y, _z)),
@@ -341,48 +339,33 @@ def _catalog_six():
     quadri quadruple.  The embedded dendriform and quadri axioms are not
     repeated here: constructions._require_axioms checks every six input's
     perp_dendriform_part and quadri_part."""
-    A3 = ("A", "A", "A")
     pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
     pp, sp = "prec_perp", "succ_perp"
-    eqs = _dend_shape(("six.1.1", "six.1.2", "six.1.3"), A3, (pv, sv), (pp, sp), (pp, sp), (pv, sv))
-    eqs += _dend_shape(("six.1.4", "six.1.5", "six.1.6"), A3, (pd, sd), (pv, sv), (pp, sp), (pp, sp))
-    eqs += _dend_shape(("six.1.7", "six.1.8", "six.1.9"), A3, (pp, sp), (pd, sd), (pd, sd), (pp, sp))
+    eqs = _dend_shape(("six.1.1", "six.1.2", "six.1.3"), (pv, sv), (pp, sp), (pp, sp), (pv, sv))
+    eqs += _dend_shape(("six.1.4", "six.1.5", "six.1.6"), (pd, sd), (pv, sv), (pp, sp), (pp, sp))
+    eqs += _dend_shape(("six.1.7", "six.1.8", "six.1.9"), (pp, sp), (pd, sd), (pd, sd), (pp, sp))
     # four chains of three, outer op applied to three inner variants
     for n, (outer, position) in enumerate(
         [(pv, "p"), (pv, "s"), (sv, "p"), (sv, "s")], start=1
     ):
         inner = {"p": (pp, pv, pd), "s": (sp, sv, sd)}[position]
-        eqs += _chain(f"six.2.{n}", A3, [app(outer, app(i, _x, _y), _z) for i in inner])
+        eqs += _chain(f"six.2.{n}", _A3, [app(outer, app(i, _x, _y), _z) for i in inner])
     # four chains of three, inner variants on the right argument
     for n, (outer, position) in enumerate(
         [(pd, "p"), (sd, "p"), (pd, "s"), (sd, "s")], start=1
     ):
         inner = {"p": (pp, pv, pd), "s": (sp, sv, sd)}[position]
-        eqs += _chain(f"six.3.{n}", A3, [app(outer, _x, app(i, _y, _z)) for i in inner])
+        eqs += _chain(f"six.3.{n}", _A3, [app(outer, _x, app(i, _y, _z)) for i in inner])
     return eqs
 
 
-def _catalog_dend_representation():
-    d = ("prec", "succ")
-    l = ("prec_l", "succ_l")
-    r = ("prec_r", "succ_r")
-    eqs = []
-    eqs += _dend_shape(("rep.1", "rep.2", "rep.3"), ("A", "A", "V"), d, l, l, l)
-    eqs += _dend_shape(("rep.4", "rep.5", "rep.6"), ("A", "V", "A"), l, r, r, l)
-    eqs += _dend_shape(("rep.7", "rep.8", "rep.9"), ("V", "A", "A"), r, d, r, r)
-    return eqs
-
-
-def _catalog_dend_action():
-    # prec_t / succ_t are the target algebra's own dendriform operations.
-    l = ("prec_l", "succ_l")
-    r = ("prec_r", "succ_r")
-    t = ("prec_t", "succ_t")
-    eqs = []
-    eqs += _dend_shape(("act.1", "act.2", "act.3"), ("A", "V", "V"), l, t, t, l)
-    eqs += _dend_shape(("act.4", "act.5", "act.6"), ("V", "A", "V"), r, l, t, t)
-    eqs += _dend_shape(("act.7", "act.8", "act.9"), ("V", "V", "A"), t, r, r, t)
-    return eqs
+def _dendriform_on(prefix: str, patterns) -> list[IdentitySchema]:
+    """The dendriform axioms on each sort pattern, numbered on from
+    prefix.1: an operation on a mixed pair of sorts is an action of its
+    half, so these are the dendriform axioms of the semidirect product
+    that read those sorts (Bai-Bellier-Guo-Ni)."""
+    return [IdentitySchema(f"{prefix}.{3 * p + k}", tuple(sorts), s.lhs, s.rhs)
+            for p, sorts in enumerate(patterns) for k, s in enumerate(_catalog_dendriform(), 1)]
 
 
 _CATALOGS = {
@@ -392,8 +375,8 @@ _CATALOGS = {
     "triassociative": _catalog_triassociative,
     "quadri": _catalog_quadri,
     "six": _catalog_six,
-    "dend-representation": _catalog_dend_representation,
-    "dend-action": _catalog_dend_action,
+    "dend-representation": lambda: _dendriform_on("rep", ("AAV", "AVA", "VAA")),
+    "dend-action": lambda: _dendriform_on("act", ("AVV", "VAV", "VVA")),
 }
 
 CATALOG_NAMES = tuple(sorted(_CATALOGS))
@@ -413,11 +396,12 @@ def catalog(name: str) -> list[IdentitySchema]:
 # Evaluation
 
 class OpContext:
-    """Resolves operation and map names to tensors with sorted signatures,
-    and knows the dimension of each sort.  Refuses a map whose shape does
-    not fit the dimensions of its source and target sorts."""
+    """Resolves an operation by (name, left sort, right sort) to its tensor
+    and output sort, and a map by name to its tensor and sorts; knows the
+    dimension of each sort.  Refuses a map whose shape does not fit the
+    dimensions of its source and target sorts."""
 
-    def __init__(self, ops: Mapping[str, tuple], dims: Mapping[str, int], maps: Mapping[str, tuple] | None = None):
+    def __init__(self, ops: Mapping[tuple, tuple], dims: Mapping[str, int], maps: Mapping[str, tuple] | None = None):
         self.ops = dict(ops)
         self.dims = dict(dims)
         self.maps = dict(maps or {})
@@ -427,11 +411,11 @@ class OpContext:
                 raise SpecError(
                     f"map {name} is {f.source_dim}->{f.target_dim}, but its sorts {source}->{target} need {m}->{n}")
 
-    def resolve(self, name: str) -> tuple[BilinearOp, str, str, str]:
+    def resolve(self, name: str, left: str, right: str) -> tuple[BilinearOp, str]:
         try:
-            return self.ops[name]
+            return self.ops[name, left, right]
         except KeyError:
-            raise SpecError(f"object supplies no operation {name!r}") from None
+            raise SpecError(f"object supplies no operation {name!r} on {left} x {right}") from None
 
     def resolve_map(self, name: str) -> tuple[LinearMap, str, str]:
         try:
@@ -440,21 +424,24 @@ class OpContext:
             raise SpecError(f"no linear map {name!r} to apply") from None
 
 
+def on_sort(ops: Mapping[str, BilinearOp], sort: str) -> dict:
+    """Operations on one sort, keyed as an OpContext resolves them."""
+    return {(name, sort, sort): (op, sort) for name, op in ops.items()}
+
+
 def context_for(obj, maps: Mapping[str, tuple] | None = None) -> OpContext:
-    """The object's operations on the sorts A (algebra or base) and V (module), with the maps."""
+    """The object's operations on the sorts A (algebra or base) and V
+    (module), with the maps.  An operation of a module is named by its half:
+    prec on A x V is the left action prec_l, on V x A the right action
+    prec_r, and on V x V an action's target product."""
     if isinstance(obj, Algebra):
-        ops = {
-            name: (op, "A", "A", "A") for name, op in obj.operations.items()
-        }
-        return OpContext(ops, {"A": obj.dimension, "V": 0}, maps)
+        return OpContext(on_sort(obj.operations, "A"), {"A": obj.dimension, "V": 0}, maps)
     if isinstance(obj, Representation):
-        ops = {
-            name: (op, "A", "A", "A") for name, op in obj.base.operations.items()
-        }
-        ops.update((name, (obj.actions[name], *sorts)) for name, sorts in ACTION_SORTS.items())
+        ops = on_sort(obj.base.operations, "A")
+        ops.update(((half(name), left, right), (obj.actions[name], out))
+                   for name, (left, right, out) in ACTION_SORTS.items())
         if isinstance(obj, Action):
-            ops["prec_t"] = (obj.target.op("prec"), "V", "V", "V")
-            ops["succ_t"] = (obj.target.op("succ"), "V", "V", "V")
+            ops.update(on_sort(obj.target.operations, "V"))
         return OpContext(ops, {"A": obj.base.dimension, "V": obj.module_dim}, maps)
     raise SpecError(f"cannot check identities on {type(obj).__name__}")
 
@@ -689,11 +676,9 @@ class _Program:
 
             return bind, [node for _, node in argument], out_sort, slots
         name = term[0]
-        _, ls, rs, out_sort = ctx.resolve(name)
         left, lsort, lslots = self.compile(term[1], sorts)
         right, rsort, rslots = self.compile(term[2], sorts)
-        if (lsort, rsort) != (ls, rs):
-            raise SpecError(f"operation {name!r} applied to arguments of the wrong sort")
+        out_sort = ctx.resolve(name, lsort, rsort)[1]
         if set(lslots) & set(rslots):
             raise SpecError(f"operation {name!r} applied to arguments that read a common slot (not multilinear)")
         # the arguments may read their slots out of order, as op(y, x) does
@@ -702,7 +687,7 @@ class _Program:
         out_dim = ctx.dims[out_sort]
 
         def bind(tables, scales, pairs):
-            d, rows, cols = ctx.ops[name][0].integer_form
+            d, rows, cols = ctx.ops[name, lsort, rsort][0].integer_form
             table = _join(rows, cols, pairs(left), lplace, pairs(right), rplace, out_dim)
             return table, d * scales[left] * scales[right]
 
@@ -872,13 +857,12 @@ def check_morphism(
     """Check f(a * b) = f(a) *' f(b) on basis pairs, for every source
     operation * paired with a target operation *'."""
     ops, groups = {}, []
-    for src_name, tgt_name in sorted(op_pairing.items()):
-        src, tgt = "source:" + src_name, "target:" + tgt_name
-        ops[src] = (source.op(src_name), "A", "A", "A")
-        ops[tgt] = (target.op(tgt_name), "B", "B", "B")
+    for src, tgt in sorted(op_pairing.items()):
+        ops[src, "A", "A"] = (source.op(src), "A")
+        ops[tgt, "B", "B"] = (target.op(tgt), "B")
         lhs = apply_map("f", app(src, var(0), var(1)))
         rhs = app(tgt, apply_map("f", var(0)), apply_map("f", var(1)))
-        groups.append((equation(f"morphism:{src_name}->{tgt_name}", ("A", "A"), lhs, rhs),))
+        groups.append((equation(f"morphism:{src}->{tgt}", ("A", "A"), lhs, rhs),))
     ctx = OpContext(ops, {"A": source.dimension, "B": target.dimension}, {"f": (f, "A", "B")})
     return _scan(ctx, groups, DEFAULT_VIOLATION_CAP)
 

@@ -23,6 +23,7 @@ from .identities import (
     context_for,
     equation,
     expr,
+    on_sort,
     residual_polynomials,
     var,
 )
@@ -59,24 +60,24 @@ _ASSOC_AVERAGING = (
     ),
 )
 
-_DEND_AVERAGING = tuple(
-    (
-        equation(f"T{op}:TxTy=T(Txy)", _AA, app(op, _Tx, _Ty), apply_map("T", app(op, _Tx, _y))),
-        equation(f"T{op}:TxTy=T(xTy)", _AA, app(op, _Tx, _Ty), apply_map("T", app(op, _x, _Ty))),
-    )
-    for op in ("prec", "succ")
-)
 
-_RELATIVE_AVERAGING = tuple(
-    (
-        equation(f"{op}:TuTv=T(Tu.v)", _VV, app(op, _Tx, _Ty), apply_map("T", app(f"{op}_l", _Tx, _y))),
-        equation(f"{op}:TuTv=T(u.Tv)", _VV, app(op, _Tx, _Ty), apply_map("T", app(f"{op}_r", _x, _Ty))),
+def _averaging(sorts, ids: tuple[str, str]):
+    """Tx * Ty = T(Tx * y) = T(x * Ty) for * in {prec, succ}, one group per
+    operation; ids are formatted with its name.  On a module (sorts V, V)
+    the products with one argument in V are the actions."""
+    return tuple(
+        (
+            equation(ids[0].format(op), sorts, app(op, _Tx, _Ty), apply_map("T", app(op, _Tx, _y))),
+            equation(ids[1].format(op), sorts, app(op, _Tx, _Ty), apply_map("T", app(op, _x, _Ty))),
+        )
+        for op in ("prec", "succ")
     )
-    for op in ("prec", "succ")
-)
 
+
+_DEND_AVERAGING = _averaging(_AA, ("T{}:TxTy=T(Txy)", "T{}:TxTy=T(xTy)"))
+_RELATIVE_AVERAGING = _averaging(_VV, ("{}:TuTv=T(Tu.v)", "{}:TuTv=T(u.Tv)"))
 _HOMOMORPHIC_RELATIVE = _RELATIVE_AVERAGING + tuple(
-    (equation(f"hom:{op}", _VV, apply_map("T", app(f"{op}_t", _x, _y)), app(op, _Tx, _Ty)),)
+    (equation(f"hom:{op}", _VV, apply_map("T", app(op, _x, _y)), app(op, _Tx, _Ty)),)
     for op in ("prec", "succ")
 )
 
@@ -178,7 +179,7 @@ def graph_subalgebra_check(rep: Representation, t: LinearMap) -> ViolationReport
     g = LinearMap(m, n + m, [*t.matrix, *LinearMap.identity(m).matrix])
     p = reduction(span([g.column(a) for a in range(m)], n + m))
     ctx = OpContext(
-        {name: (op, "H", "H", "H") for name, op in hemi.operations.items()},
+        on_sort(hemi.operations, "H"),
         {"V": m, "H": n + m},
         {"G": (g, "V", "H"), "P": (p, "H", "H")},
     )

@@ -19,6 +19,7 @@ from .identities import (
     app,
     apply_map,
     equation,
+    on_sort,
     tabulate,
     var,
 )
@@ -49,7 +50,7 @@ def _context(a: Algebra, sub: Subspace) -> OpContext:
     n, complement = a.dimension, sub.complement_indices()
     p = reduction(sub)
     return OpContext(
-        {"op:" + name: (op, "A", "A", "A") for name, op in a.operations.items()},
+        on_sort({"op:" + name: op for name, op in a.operations.items()}, "A"),
         {"A": n, "I": sub.dim, "Q": len(complement)},
         {
             "B": (LinearMap(sub.dim, n, [[b[r] for b in sub.basis] for r in range(n)]), "I", "A"),

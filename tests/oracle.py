@@ -25,13 +25,9 @@ def eval_term(term: Term, schema: IdentitySchema, ctx: OpContext, values) -> tup
         if sort != source:
             raise SpecError(f"map {term[1]!r} applied to an argument of the wrong sort")
         return m.apply(value), target
-    op, ls, rs, out = ctx.resolve(term[0])
     left, lsort = eval_term(term[1], schema, ctx, values)
     right, rsort = eval_term(term[2], schema, ctx, values)
-    if (lsort, rsort) != (ls, rs):
-        raise SpecError(
-            f"operation {term[0]!r} applied to arguments of the wrong sort"
-        )
+    op, out = ctx.resolve(term[0], lsort, rsort)
     return evaluate(op, left, right), out
 
 

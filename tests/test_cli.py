@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitalg.cli import _SECTIONS, KIND_ALIASES, RECIPES, main
+from splitalg.cli import _SECTIONS, KIND_ALIASES, RECIPES, _resolve_subject, main
 from splitalg.documents import Document, parse_document, serialize_document, unbounded_digits
 from splitalg.identities import check
 from splitalg.model import (
@@ -558,7 +558,8 @@ def test_search_repeated_grid_value(capsys, sample_doc_path):
 def test_subject_errors_name_the_command_flag(capsys, sample_doc_path, tmp_path, command, flag):
     """An ambiguous subject asks for the command's own flag, counting
     candidates by object: a representation and an action of the same name
-    are two.  A document with no object of the kind's type says so."""
+    are two, and the name picks the first that the kind takes.  A document
+    with no object of the kind's type says so."""
     extra = ["--grid", "0,1"] if command == "search" else ["--map", "m"]
     doc = json.loads(Path(sample_doc_path).read_text())
     doc["maps"]["m"] = {"source": 4, "target": 4, "matrix": [[0] * 4 for _ in range(4)]}
@@ -570,12 +571,16 @@ def test_subject_errors_name_the_command_flag(capsys, sample_doc_path, tmp_path,
 
     d = truncated_polynomial_dendriform(2)
     same = tmp_path / "same.json"
-    same.write_text(serialize_document(Document(algebras={"d": d}, representations={"r": adjoint_representation(d)},
-                                                actions={"r": self_action(d)}, maps={"m": LinearMap.zero(2, 2)})))
+    same_doc = Document(algebras={"d": d}, representations={"r": adjoint_representation(d)},
+                        actions={"r": self_action(d)}, maps={"m": LinearMap.zero(2, 2)})
+    same.write_text(serialize_document(same_doc))
     code, out, err = run(capsys, command, str(same), "--kind", "relative-averaging", *extra)
     assert (code, out) == (2, "")
     assert err == f"error: {flag} is required: 2 candidate object(s) for kind 'relative_averaging'\n"
     assert run(capsys, command, str(same), "--kind", "relative-averaging", *extra, flag, "r")[0] == 0
+    assert run(capsys, command, str(same), "--kind", "homomorphic-relative", *extra, flag, "r")[0] == 0
+    assert type(_resolve_subject(same_doc, "relative_averaging", "r", flag)) is Representation
+    assert type(_resolve_subject(same_doc, "homomorphic_relative", "r", flag)) is Action
 
     zero = BilinearOp.zero(2, 2, 2)
     none = tmp_path / "dual.json"
@@ -592,6 +597,14 @@ def test_subject_of_another_signature(capsys, sample_doc_path, command, extra):
     code, out, err = run(capsys, command, sample_doc_path, "--kind", "rota-baxter", *extra)
     assert (code, out) == (2, "")
     assert err == "error: 'dend' is not an algebra of signature 'associative'\n"
+
+
+def test_catalog_on_sorts_the_object_lacks(capsys, sample_doc_path):
+    """A representation has no operation on V x V, which dend-action reads:
+    one error line naming the operation and its sorts."""
+    code, out, err = run(capsys, "check", sample_doc_path, "--object", "adjoint", "--catalog", "dend-action")
+    assert (code, out) == (2, "")
+    assert err == "error: object supplies no operation 'prec' on V x V\n"
 
 
 def _digits_limit():

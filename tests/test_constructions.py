@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 from splitalg import constructions
 from splitalg.constructions import (
     PreconditionFailure,
+    _blocks,
     _hemisemidirect,
+    _module_blocks,
     _semidirect,
     action_semidirect,
     aguiar_dendriform,
@@ -23,7 +27,7 @@ from splitalg.constructions import (
     sum_collapse_quadri,
     sum_collapse_six,
 )
-from splitalg.identities import IdentitySchema, app, apply_map, check, context_for, expr, tabulate, var
+from splitalg.identities import IdentitySchema, _scan, app, apply_map, catalog, check, context_for, expr, tabulate, var
 from splitalg.linalg import basis_vector, vec_add
 from splitalg.model import (
     Action,
@@ -41,7 +45,8 @@ from splitalg.operators import check_homomorphic_relative, check_relative_averag
 from splitalg.samples import one_dim_dendriform, zero_algebra
 from conftest import shift_map
 from oracle import eval_expr
-from test_engine import actions, algebras, linear_maps, representations
+from test_cli_recipes import _replace, _tensors
+from test_engine import _DUAL_PREC, actions, algebras, linear_maps, representations
 
 
 def test_semidirect_blocks(adjoint, dend):
@@ -299,6 +304,71 @@ def test_action_semidirect_matches_block_formula(act):
             vec_add(evaluate(left, a[:n], b[n:]), evaluate(right, a[n:], b[:n])), evaluate(own, a[n:], b[n:])))
 
 
+def _action_product(act: Action) -> Algebra:
+    """action_semidirect's blocks, built without its check of the input."""
+    n = act.base.dimension
+    shape = (n + act.target.dimension,) * 3
+    return Algebra(shape[0], "dendriform", {
+        op: _blocks(shape, *_module_blocks(act, op), (act.target.op(op), n, n, n)) for op in ("prec", "succ")})
+
+
+def _raised(op: BilinearOp, i: int, j: int, k: int) -> BilinearOp:
+    """op with the k-th component of e_i * e_j raised by 1."""
+    return BilinearOp.build(op.left_dim, op.right_dim, op.out_dim, lambda a, b: tuple(
+        c + ((a, b, m) == (i, j, k)) for m, c in enumerate(op.coeffs[a][b])))
+
+
+def _one_entry_perturbations(obj):
+    """obj, then each copy of it with one structure constant of its base,
+    its actions or its target raised by 1."""
+    yield obj
+    for name, op in _tensors(obj).items():
+        for i, j, k in itertools.product(range(op.left_dim), range(op.right_dim), range(op.out_dim)):
+            yield _replace(obj, name, _raised(op, i, j, k))
+
+
+def _in_product(obj, catalog_name: str, n: int, m: int, moved: bool = False) -> list:
+    """The violations of the catalog on obj as violations of the dendriform
+    axioms on base + module, each (dend id, witness, residual): a slot or
+    output of sort V, or every one if moved, is placed after the n base
+    coordinates, and rep.q or act.q is dend.t for t = q mod 3."""
+    schemas = catalog(catalog_name)
+    sorts = {schema.id: schema.slot_sorts for schema in schemas}
+    placed = []
+    for v in _scan(context_for(obj), [(schema,) for schema in schemas], math.inf).violations:
+        at = [n if moved or sort == "V" else 0 for sort in sorts[v.identity]]
+        out = n if moved or "V" in sorts[v.identity] else 0
+        placed.append((f"dend.{(int(v.identity.split('.')[1]) - 1) % 3 + 1}",
+                       tuple(i + k for i, k in zip(v.witness, at)),
+                       (Fraction(0),) * out + v.residual + (Fraction(0),) * (n + m - out - len(v.residual))))
+    return sorted(placed)
+
+
+@pytest.mark.parametrize("fixture", ["adjoint", "self action", "dual extension"])
+def test_module_axioms_are_the_dendriform_axioms_of_the_product(fixture):
+    """The module axioms are the dendriform axioms on mixed sorts.  On base
+    + module, the dendriform violations of the semidirect product are those
+    of the base and of dend-representation, placed; for an action, those of
+    its product (the target on the module block) also those of dend-action
+    and of the target.  So a base passes dendriform and a representation
+    dend-representation exactly when the semidirect product is dendriform,
+    and an action passes all four catalogs exactly when its product is."""
+    d = _DUAL_PREC
+    subject = {"adjoint": adjoint_representation(d), "self action": self_action(d),
+               "dual extension": dual_extension(d)[0]}[fixture]
+    verdicts = set()
+    for obj in _one_entry_perturbations(subject):
+        n, m = obj.base.dimension, obj.module_dim
+        module = _in_product(obj.base, "dendriform", n, m) + _in_product(obj, "dend-representation", n, m)
+        assert sorted(module) == _in_product(_semidirect(obj), "dendriform", n + m, 0)
+        verdicts.add(not module)
+        if isinstance(obj, Action):
+            action = module + _in_product(obj, "dend-action", n, m) + _in_product(obj.target, "dendriform", n, m, True)
+            assert sorted(action) == _in_product(_action_product(obj), "dendriform", n + m, 0)
+            verdicts.add(not action)
+    assert verdicts == {True, False}
+
+
 @settings(max_examples=30, deadline=None)
 @given(d=algebras("dendriform"))
 def test_dual_extension_matches_block_formulas(d):
@@ -323,15 +393,15 @@ _Tx, _Ty = apply_map("T", _x), apply_map("T", _y)
 # Term tables by slot sorts, for a map T from the module V to the base A.
 TWIST_TABLES = {
     ("V", "V"): {
-        "vdash": app("prec_l", _Tx, _y),
-        "dashv": app("succ_r", _x, _Ty),
+        "vdash": app("prec", _Tx, _y),
+        "dashv": app("succ", _x, _Ty),
         "both": app("prec", _Tx, _Ty),
-        "nested": apply_map("T", app("succ_l", _Tx, _y)),
-        "sum": apply_map("T", expr(app("prec_l", _Tx, _y), app("succ_r", _x, _Ty), app("succ_r", _x, _Ty))),
-        "swap": app("prec_r", _y, _Tx),
+        "nested": apply_map("T", app("succ", _Tx, _y)),
+        "sum": apply_map("T", expr(app("prec", _Tx, _y), app("succ", _x, _Ty), app("succ", _x, _Ty))),
+        "swap": app("prec", _y, _Tx),
     },
     ("A", "V"): {
-        "action": app("prec_l", _x, _y),
+        "action": app("prec", _x, _y),
         "base": app("succ", _x, _Ty),
     },
 }

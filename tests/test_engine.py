@@ -290,7 +290,7 @@ def wide_contexts(draw):
     """Operations p, q on A and maps S, T: A -> A, each with its own
     denominators."""
     n = draw(DIMS)
-    ops = {name: (draw(wide_tensors(n, n, n)), "A", "A", "A") for name in ("p", "q")}
+    ops = {(name, "A", "A"): (draw(wide_tensors(n, n, n)), "A") for name in ("p", "q")}
     maps = {name: (draw(wide_maps(n, n)), "A", "A") for name in ("S", "T")}
     return OpContext(ops, {"A": n}, maps)
 
@@ -416,7 +416,7 @@ def test_wide_tabulate_matches_reference(ctx, table):
 # others, the residuals at the basis tuples give a schema's value at any
 # vectors.
 
-_P = OpContext({name: (truncated_polynomial_algebra(2).op("mul"), "A", "A", "A") for name in ("p", "q")}, {"A": 2},
+_P = OpContext({(name, "A", "A"): (truncated_polynomial_algebra(2).op("mul"), "A") for name in ("p", "q")}, {"A": 2},
                {name: (LinearMap.identity(2), "A", "A") for name in ("S", "T")})
 # e0 * e1 = e0 and every other product 0: x * x vanishes at both basis
 # vectors but not at e0 + e1
@@ -483,9 +483,9 @@ def test_tabulate_keeps_the_shape_of_zero_tables():
     output sort and zero-dimensional slots keep their shapes."""
     a = truncated_polynomial_algebra(2)
     ctx = OpContext(
-        {"mul": (a.op("mul"), "A", "A", "A"), "zero": (BilinearOp.zero(2, 2, 2), "A", "A", "A"),
-         "to_v": (BilinearOp.zero(2, 2, 0), "A", "A", "V"), "act": (BilinearOp.zero(2, 0, 0), "A", "V", "V"),
-         "from_v": (BilinearOp.zero(0, 0, 2), "V", "V", "A")},
+        {("mul", "A", "A"): (a.op("mul"), "A"), ("zero", "A", "A"): (BilinearOp.zero(2, 2, 2), "A"),
+         ("to_v", "A", "A"): (BilinearOp.zero(2, 2, 0), "V"), ("act", "A", "V"): (BilinearOp.zero(2, 0, 0), "V"),
+         ("from_v", "V", "V"): (BilinearOp.zero(0, 0, 2), "A")},
         {"A": 2, "V": 0},
     )
     assert tabulate(ctx, ("A", "A"), {"mul": app("mul", _x, _y), "zero": app("zero", _x, _y),
