@@ -78,7 +78,9 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def cmd_check(args) -> int:
     doc = _load_document(args.file)
-    obj = doc.lookup_object(args.object)
+    # the object of this name that the catalog reads: every other catalog reads an algebra
+    subject = {"dend-action": Action, "dend-representation": Representation}.get(args.catalog, Algebra)
+    obj = doc.lookup_object(args.object, lambda obj: isinstance(obj, subject))
     report = check(obj, args.catalog)
     with unbounded_digits():
         _emit(
@@ -96,14 +98,13 @@ def _resolve_subject(doc: Document, kind: str, name: str | None, flag: str):
     from .operators import _KINDS
 
     spec = _KINDS[kind]
-    sections = (doc.algebras, doc.representations, doc.actions)
-    candidates = [obj for section in sections for key, obj in section.items()
-                  if spec.fits(obj) and name in (None, key)]
     if name is not None:
-        obj = candidates[0] if candidates else doc.lookup_object(name)
+        obj = doc.lookup_object(name, spec.fits)
         if spec.signature and not spec.fits(obj):
             raise UsageError(f"{name!r} is not an algebra of signature {spec.signature!r}")
         return obj
+    sections = (doc.algebras, doc.representations, doc.actions)
+    candidates = [obj for section in sections for obj in section.values() if spec.fits(obj)]
     if not candidates:
         raise UsageError(f"the document has no object for kind {kind!r}")
     if len(candidates) > 1:

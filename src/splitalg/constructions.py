@@ -1,9 +1,10 @@
 """Constructive theorems: products, induced structures and collapses.
 
 Each function builds explicit structure-constant tensors with one of two
-builders: `_blocks` places the input tensors as blocks of a product, and
-`identities.tabulate` evaluates a table of twisted terms such as
-mu(x, Ty) on basis pairs.  Every theorem refuses an input that fails the
+builders: `_blocks` adds tensors as blocks, as a product places the
+object's operations by their sorts (`_product`) and a sum collapse adds two
+halves, and `identities.tabulate` evaluates a table of twisted terms such
+as mu(x, Ty) on basis pairs.  Every theorem refuses an input that fails the
 axioms of its own type (`_require_axioms`) or its operator identity.
 Outputs are not re-verified here; the tests and the CLI re-check them.
 """
@@ -92,31 +93,43 @@ def _require_axioms(obj, *signatures: str) -> None:
 
 
 def _blocks(shape: tuple[int, int, int], *placements) -> BilinearOp:
-    """The operation of this shape made of blocks: each (op, i, j, k) puts
-    the structure constants of op at left offset i, right offset j and
-    output offset k.  Blocks do not overlap; the rest is zero."""
+    """The operation of this shape made of blocks: each (op, i, j, k) adds
+    the non-zero structure constants of op (its integer form) at left offset
+    i, right offset j and output offset k; the rest is zero."""
     left, right, out = shape
-    cells = [[(Fraction(0),) * out] * right for _ in range(left)]
+    zero = Fraction(0)
+    cells = [[[zero] * out for _ in range(right)] for _ in range(left)]
     for op, i, j, k in placements:
-        for a, row in enumerate(op.coeffs):
+        d, rows, _ = op.integer_form
+        for a, row in enumerate(rows):
             cell_row = cells[i + a]
-            for b, v in enumerate(row):
+            for b, entries in row:
                 cell = cell_row[j + b]
-                cell_row[j + b] = cell[:k] + v + cell[k + op.out_dim :]
+                for c, x in entries:
+                    cell[k + c] += Fraction(x, d)
     return BilinearOp(left, right, out, cells)
 
 
-def _module_blocks(rep: Representation, op: str):
-    """The base product and the left and right actions for op, placed on
-    base + module."""
-    n, actions = rep.base.dimension, rep.actions
-    return (rep.base.op(op), 0, 0, 0), (actions[f"{op}_l"], 0, n, n), (actions[f"{op}_r"], n, 0, n)
+def _product(obj, signature: str, patterns) -> Algebra:
+    """The algebra of the signature on A + V, V after A: each operation adds,
+    for each sort pattern (left, right) of patterns(name), the object's
+    operation of its half on those sorts, placed at their offsets.  This is
+    the splitting rule read on a product (Bai-Bellier-Guo-Ni)."""
+    ctx = context_for(obj)
+    offset = {"A": 0, "V": ctx.dims["A"]}
+    total = ctx.dims["A"] + ctx.dims["V"]
+    ops = {}
+    for name in SIGNATURE_OPS[signature]:
+        blocks = []
+        for left, right in patterns(name):
+            op, out = ctx.resolve(half(name), left, right)
+            blocks.append((op, offset[left], offset[right], offset[out]))
+        ops[name] = _blocks((total,) * 3, *blocks)
+    return Algebra(total, signature, ops)
 
 
 def _semidirect(rep: Representation) -> Algebra:
-    shape = (rep.base.dimension + rep.module_dim,) * 3
-    ops = {op: _blocks(shape, *_module_blocks(rep, op)) for op in ("prec", "succ")}
-    return Algebra(shape[0], "dendriform", ops)
+    return _product(rep, "dendriform", lambda name: ("AA", "AV", "VA"))
 
 
 def semidirect(rep: Representation) -> Algebra:
@@ -127,11 +140,7 @@ def semidirect(rep: Representation) -> Algebra:
 
 
 def _hemisemidirect(rep: Representation) -> Algebra:
-    shape = (rep.base.dimension + rep.module_dim,) * 3
-    blocks = {op: _module_blocks(rep, op) for op in ("prec", "succ")}
-    ops = {f"{op}_vdash": _blocks(shape, base, left) for op, (base, left, _) in blocks.items()}
-    ops.update({f"{op}_dashv": _blocks(shape, base, right) for op, (base, _, right) in blocks.items()})
-    return Algebra(shape[0], "quadri", ops)
+    return _product(rep, "quadri", lambda name: ("AA", "AV" if name.endswith("vdash") else "VA"))
 
 
 def hemisemidirect(rep: Representation) -> Algebra:
@@ -147,18 +156,14 @@ def action_semidirect(act: Action) -> Algebra:
     on the module block:
     (x,u) prec (y,v) = (x prec y, x prec_l v + u prec_r y + u prec' v)."""
     _require_axioms(act)
-    n = act.base.dimension
-    shape = (n + act.target.dimension,) * 3
-    ops = {
-        op: _blocks(shape, *_module_blocks(act, op), (act.target.op(op), n, n, n))
-        for op in ("prec", "succ")
-    }
-    return Algebra(shape[0], "dendriform", ops)
+    return _product(act, "dendriform", lambda name: ("AA", "AV", "VA", "VV"))
 
 
 def _sum_collapse(q: Algebra, signature: str) -> Algebra:
     """Each operation of the signature is the sum of its prec and succ halves."""
-    ops = {name: q.op(prec) + q.op(succ) for name in SIGNATURE_OPS[signature] for prec, succ in [split(name)]}
+    n = q.dimension
+    ops = {name: _blocks((n,) * 3, (q.op(prec), 0, 0, 0), (q.op(succ), 0, 0, 0))
+           for name in SIGNATURE_OPS[signature] for prec, succ in [split(name)]}
     return Algebra(q.dimension, signature, ops, q.basis_labels)
 
 
@@ -265,17 +270,13 @@ def dual_extension(d: Algebra) -> tuple[Action, LinearMap]:
     averaging operator."""
     _require_axioms(d, "dendriform")
     n = d.dimension
-    total = 2 * n
-    # (x + x't)(y + y't) = xy + (xy' + x'y)t, as t^2 = 0
-    target = Algebra(total, "dendriform", {
-        op: _blocks((total,) * 3, (d.op(op), 0, 0, 0), (d.op(op), 0, n, n), (d.op(op), n, 0, n))
-        for op in ("prec", "succ")
-    })
-    actions = {f"{op}_l": _blocks((n, total, total), (d.op(op), 0, 0, 0), (d.op(op), 0, n, n))
-               for op in ("prec", "succ")}
-    actions.update({f"{op}_r": _blocks((total, n, total), (d.op(op), 0, 0, 0), (d.op(op), n, 0, n))
-                    for op in ("prec", "succ")})
-    projection = LinearMap(
-        total, n, [[1 if j == i else 0 for j in range(total)] for i in range(n)]
-    )
-    return Action(d, target, actions), projection
+    # (x + x't)(y + y't) = xy + (xy' + x'y)t, as t^2 = 0: the semidirect
+    # product of the adjoint representation, whose first n rows are the
+    # left actions of D on F and whose first n columns the right actions
+    target = _semidirect(adjoint_representation(d))
+    actions = {}
+    for op in ("prec", "succ"):
+        coeffs = target.op(op).coeffs
+        actions[f"{op}_l"] = BilinearOp(n, 2 * n, 2 * n, coeffs[:n])
+        actions[f"{op}_r"] = BilinearOp(2 * n, n, 2 * n, [row[:n] for row in coeffs])
+    return Action(d, target, actions), LinearMap(2 * n, n, LinearMap.identity(2 * n).matrix[:n])

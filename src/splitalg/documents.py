@@ -51,11 +51,13 @@ class Document:
         self.representations = dict(representations or {})
         self.actions = dict(actions or {})
 
-    def lookup_object(self, name: str):
-        for section in (self.algebras, self.representations, self.actions):
-            if name in section:
-                return section[name]
-        raise DocumentError(f"$.{name}", "no algebra, representation or action with this name")
+    def lookup_object(self, name: str, fits=lambda obj: True):
+        """The first object of this name that fits, in the order algebras,
+        representations, actions; if none fits, the first of this name."""
+        found = [section[name] for section in (self.algebras, self.representations, self.actions) if name in section]
+        if not found:
+            raise DocumentError(f"$.{name}", "no algebra, representation or action with this name")
+        return next((obj for obj in found if fits(obj)), found[0])
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")

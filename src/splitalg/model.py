@@ -17,7 +17,6 @@ from .linalg import (
     Subspace,
     Vector,
     frac,
-    vec_add,
     vector,
     zero_vector,
 )
@@ -118,20 +117,6 @@ class BilinearOp:
     def __repr__(self) -> str:
         return f"BilinearOp({self.left_dim}x{self.right_dim}->{self.out_dim})"
 
-    def __add__(self, other: "BilinearOp") -> "BilinearOp":
-        if (self.left_dim, self.right_dim, self.out_dim) != (
-            other.left_dim,
-            other.right_dim,
-            other.out_dim,
-        ):
-            raise DimensionMismatch("cannot add operations of different shapes")
-        return BilinearOp.build(
-            self.left_dim,
-            self.right_dim,
-            self.out_dim,
-            lambda i, j: vec_add(self.coeffs[i][j], other.coeffs[i][j]),
-        )
-
     @cached_property
     def integer_form(self) -> tuple[int, list, list]:
         """(D, rows, columns), computed once: rows[i] lists (j, the non-zero
@@ -220,13 +205,6 @@ class LinearMap:
         """(D, columns), computed once: the non-zero (k, c) of D times each
         column as ints, for D as in _clear."""
         return _clear([self.column(j) for j in range(self.source_dim)])
-
-    def rank(self) -> int:
-        from .linalg import span
-
-        if self.source_dim == 0:
-            return 0
-        return span([self.column(j) for j in range(self.source_dim)], self.target_dim).dim
 
 
 def reduction(sub: Subspace) -> LinearMap:
@@ -338,8 +316,7 @@ def adjoint_representation(d: Algebra) -> Representation:
 
 def self_action(d: Algebra) -> Action:
     """The adjoint representation packaged as an action of d on itself."""
-    rep = adjoint_representation(d)
-    return Action(d, d, rep.actions)
+    return Action(d, d, {name: d.op(half(name)) for name in ACTION_SORTS})
 
 
 def dendriform_to_quadri(d: Algebra) -> Algebra:

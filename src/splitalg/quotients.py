@@ -29,6 +29,7 @@ from .model import (
     Algebra,
     LinearMap,
     Representation,
+    SIGNATURE_OPS,
     SpecError,
     half,
     perp_dendriform_part,
@@ -153,12 +154,12 @@ def quotient_algebra(
     a: Algebra,
     ideal: Ideal,
     collapse: Mapping[str, str],
-    signature: str = "raw",
 ) -> tuple[Algebra, LinearMap]:
     """Quotient of a by the ideal, with operations renamed (and merged)
     through the collapse pairing: every ambient operation in the pairing
     descends to the named quotient operation.  Ambient operations absent
-    from the pairing are dropped.
+    from the pairing are dropped.  The quotient's signature is the one whose
+    operations are exactly the pairing's targets, else raw.
 
     The quotient basis is the cosets of the complement (non-pivot)
     coordinates, which makes the output deterministic.  Both the ideal
@@ -191,6 +192,7 @@ def quotient_algebra(
             (first, other, i, j),
         )
     ops = tabulate(ctx, ("Q", "Q"), {dst: apply_map("Pi", _op(src, _Lx, _Ly)) for dst, src in firsts.items()})
+    signature = next((sig for sig, names in SIGNATURE_OPS.items() if set(names) == set(ops)), "raw")
     return Algebra(ctx.dims["Q"], signature, ops), ctx.maps["Pi"][0]
 
 
@@ -198,7 +200,7 @@ def dendriform_quotient(a: Algebra) -> tuple[Algebra, LinearMap]:
     """The dendriform algebra a / splitting ideal, each split pair merged,
     and the quotient map."""
     _require_axioms(a, "quadri", "six")
-    return quotient_algebra(a, splitting_ideal(a), QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform")
+    return quotient_algebra(a, splitting_ideal(a), QUADRI_TO_DENDRIFORM_COLLAPSE)
 
 
 def _converse(a: Algebra):
@@ -206,7 +208,7 @@ def _converse(a: Algebra):
     original space by coset lifts: xbar prec_l y = x prec_vdash y and
     y prec_r xbar = y prec_dashv x (succ analogues), quotient map)."""
     ideal = splitting_ideal(a)
-    base, projection = quotient_algebra(a, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform")
+    base, projection = quotient_algebra(a, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE)
     ctx = ideal.context
     actions = {
         **tabulate(ctx, ("Q", "A"), {"prec_l": _op("prec_vdash", _Lx, _y), "succ_l": _op("succ_vdash", _Lx, _y)}),

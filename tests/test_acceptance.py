@@ -20,6 +20,7 @@ from splitalg.constructions import (
     sum_collapse_six,
 )
 from splitalg.identities import catalog, check
+from splitalg.linalg import span
 from splitalg.model import (
     LinearMap,
     dendriform_to_quadri,
@@ -139,7 +140,7 @@ def test_criterion_7_embedding(quadri):
         ambient, averaging, inclusion = embed_averaging(quadri)
         assert check_dend_averaging(ambient, averaging).ok
         n = quadri.dimension
-        assert inclusion.rank() == n
+        assert span(inclusion.matrix, n).dim == n
         pairs = {
             "prec_vdash": ("prec", True),
             "succ_vdash": ("succ", True),

@@ -607,6 +607,19 @@ def test_catalog_on_sorts_the_object_lacks(capsys, sample_doc_path):
     assert err == "error: object supplies no operation 'prec' on V x V\n"
 
 
+@pytest.mark.parametrize("catalog", ["dendriform", "dend-representation", "dend-action"])
+def test_check_takes_the_object_its_catalog_reads(capsys, tmp_path, catalog):
+    """An algebra, a representation and an action all named r: each catalog
+    checks the first of that name that it reads."""
+    d = truncated_polynomial_dendriform(2)
+    same = tmp_path / "same.json"
+    same.write_text(serialize_document(Document(
+        algebras={"r": d}, representations={"r": adjoint_representation(d)}, actions={"r": self_action(d)})))
+    code, out, err = run(capsys, "check", str(same), "--object", "r", "--catalog", catalog)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"r against {catalog}:\n")
+
+
 def _digits_limit():
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
 

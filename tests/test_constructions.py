@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from splitalg import constructions
 from splitalg.constructions import (
     PreconditionFailure,
-    _blocks,
     _hemisemidirect,
-    _module_blocks,
     _semidirect,
     action_semidirect,
     aguiar_dendriform,
@@ -110,11 +108,16 @@ def test_induced_quadri_and_collapse(adjoint, quadri, dend):
     di = sum_collapse_quadri(quadri)
     assert check(di, "diassociative").ok
     # collapse really is the sum of the split pair
-    pv, sv = quadri.op("prec_vdash"), quadri.op("succ_vdash")
-    assert di.op("vdash") == pv + sv
+    assert di.op("vdash").coeffs == _entrywise_sum(quadri.op("prec_vdash"), quadri.op("succ_vdash"))
     # each of the three operations of a promoted six collapses to prec + succ
     tri = sum_collapse_six(dendriform_to_six(dend))
-    assert tri.operations == dict.fromkeys(("dashv", "perp", "vdash"), dend.op("prec") + dend.op("succ"))
+    assert {name: op.coeffs for name, op in tri.operations.items()} == dict.fromkeys(
+        ("dashv", "perp", "vdash"), _entrywise_sum(dend.op("prec"), dend.op("succ")))
+
+
+def _entrywise_sum(f: BilinearOp, g: BilinearOp) -> tuple:
+    """The structure constants of f + g, entry by entry."""
+    return tuple(tuple(tuple(a + b for a, b in zip(u, v)) for u, v in zip(r, s)) for r, s in zip(f.coeffs, g.coeffs))
 
 
 def test_induced_quadri_refuses_bad_map(adjoint):
@@ -305,11 +308,9 @@ def test_action_semidirect_matches_block_formula(act):
 
 
 def _action_product(act: Action) -> Algebra:
-    """action_semidirect's blocks, built without its check of the input."""
-    n = act.base.dimension
-    shape = (n + act.target.dimension,) * 3
-    return Algebra(shape[0], "dendriform", {
-        op: _blocks(shape, *_module_blocks(act, op), (act.target.op(op), n, n, n)) for op in ("prec", "succ")})
+    """action_semidirect, built without its check of the input."""
+    with mock.patch.object(constructions, "_require_axioms"):
+        return action_semidirect(act)
 
 
 def _raised(op: BilinearOp, i: int, j: int, k: int) -> BilinearOp:
@@ -386,6 +387,30 @@ def test_dual_extension_matches_block_formulas(d):
         assert_formula(act.actions[f"{op}_r"], lambda a, b: evaluate(mu, a[:n], b) + evaluate(mu, a[n:], b))
     for p in range(2 * n):
         assert proj.column(p) == basis_vector(2 * n, p)[:n]
+
+
+def _assert_semidirect_of_the_adjoint(act: Action, product: Algebra) -> None:
+    """act's target is the product, and its actions are the product's first
+    n rows (left) and first n columns (right), for n the base's dimension."""
+    n = act.base.dimension
+    assert act.target.operations == product.operations
+    for op in ("prec", "succ"):
+        coeffs = product.op(op).coeffs
+        assert act.actions[f"{op}_l"].coeffs == coeffs[:n]
+        assert act.actions[f"{op}_r"].coeffs == tuple(row[:n] for row in coeffs)
+
+
+def test_dual_extension_is_the_semidirect_product_of_the_adjoint(dend):
+    _assert_semidirect_of_the_adjoint(dual_extension(dend)[0], semidirect(adjoint_representation(dend)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=algebras("dendriform"))
+def test_dual_extension_is_the_adjoint_semidirect_on_any_tensors(d):
+    """The same on any algebra of dendriform signature, its axioms unchecked."""
+    with mock.patch.object(constructions, "_require_axioms"):
+        act, _ = dual_extension(d)
+    _assert_semidirect_of_the_adjoint(act, _semidirect(adjoint_representation(d)))
 
 
 _x, _y = var(0), var(1)

@@ -518,7 +518,7 @@ def test_tables_and_quotients_reach_the_engine_through_violations(monkeypatch):
     q = hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(2)))
     ideal = splitting_ideal(q)
     del entered[:]
-    quotient_algebra(q, ideal, identities.QUADRI_TO_DENDRIFORM_COLLAPSE, "dendriform")
+    quotient_algebra(q, ideal, identities.QUADRI_TO_DENDRIFORM_COLLAPSE)
     assert len(entered) == 3  # the closure scan, the collapse agreement and the quotient table
 
 

@@ -76,13 +76,12 @@ def test_splitting_ideal_requires_split_signature(dend):
 def test_quotient_round_trip(quadri):
     ideal = splitting_ideal(quadri)
     assert ideal.closure_witness() is None
-    quotient, proj = quotient_algebra(
-        quadri, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE, signature="dendriform"
-    )
+    quotient, proj = quotient_algebra(quadri, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE)
+    assert quotient.signature == "dendriform"
     assert quotient.dimension == quadri.dimension - ideal.subspace.dim
     assert check(quotient, "dendriform").ok
     # projection is surjective and a homomorphism onto the quotient
-    assert proj.rank() == quotient.dimension
+    assert span(proj.matrix, quadri.dimension).dim == quotient.dimension
 
     rep, proj2 = quadri_to_relative_setup(quadri)
     assert proj2 == proj
@@ -132,14 +131,14 @@ def test_quotient_rejects_non_ideal(poly):
     n = poly.dimension
     bad = Ideal(poly, span([basis_vector(n, 0)], n))
     with pytest.raises(QuotientError):
-        quotient_algebra(poly, bad, {"mul": "mul"}, signature="associative")
+        quotient_algebra(poly, bad, {"mul": "mul"})
 
 
 def test_quotient_rejects_ideal_of_another_dimension(poly):
     """An ideal of an algebra of another dimension is refused as input."""
     other = truncated_polynomial_algebra(3)
     with pytest.raises(SpecError):
-        quotient_algebra(poly, Ideal(other, span([], 3)), {"mul": "mul"}, signature="associative")
+        quotient_algebra(poly, Ideal(other, span([], 3)), {"mul": "mul"})
 
 
 def test_quotient_rejects_ill_defined_collapse(poly):
@@ -152,7 +151,19 @@ def test_quotient_rejects_ill_defined_collapse(poly):
     # works there; quotient by the zero ideal must refuse instead
     zero_ideal = Ideal(two_ops, span([], n))
     with pytest.raises(QuotientError):
-        quotient_algebra(two_ops, zero_ideal, {"a": "m", "b": "m"}, signature="raw")
+        quotient_algebra(two_ops, zero_ideal, {"a": "m", "b": "m"})
+
+
+def test_quotient_signature_is_the_one_of_the_collapse_targets(poly):
+    """The quotient takes the signature whose operations are exactly the
+    collapse's targets, else raw."""
+    n = poly.dimension
+    ideal = ideal_generated(poly, [basis_vector(n, n - 1)])
+    assert quotient_algebra(poly, ideal, {"mul": "mul"})[0].signature == "associative"
+    assert quotient_algebra(poly, ideal, {"mul": "m"})[0].signature == "raw"
+    pair = Algebra(n, "raw", {"a": poly.op("mul"), "b": poly.op("mul")})
+    assert quotient_algebra(pair, ideal_generated(pair, []), {"a": "prec", "b": "succ"})[0].signature == "dendriform"
+    assert quotient_algebra(pair, ideal_generated(pair, []), {"a": "prec"})[0].signature == "raw"
 
 
 def test_embed_averaging(quadri):
@@ -161,7 +172,7 @@ def test_embed_averaging(quadri):
     assert check(ambient, "dendriform").ok
     assert check_dend_averaging(ambient, averaging).ok
     # the inclusion is injective
-    assert inclusion.rank() == n
+    assert span(inclusion.matrix, n).dim == n
     # reproduction of the four operations through the averaging formulas:
     # inc(x op_vdash y) = T(inc x) * inc(y), inc(x op_dashv y) = inc(x) * T(inc y)
     pairs = {
