@@ -1,20 +1,18 @@
 """Constructive theorems: products, induced structures and collapses.
 
-Each function builds explicit structure-constant tensors with one of two
-builders: `_blocks` adds tensors as blocks, as a product places the
-object's operations by their sorts (`_product`) and a sum collapse adds two
-halves, and `identities.tabulate` evaluates a table of twisted terms such
-as mu(x, Ty) on basis pairs.  Every theorem refuses an input that fails the
-axioms of its own type (`_require_axioms`) or its operator identity.
-Outputs are not re-verified here; the tests and the CLI re-check them.
+Every tensor here is built by one builder, `identities.tabulate`, from a
+table of terms on basis pairs: a product places the object's operations by
+the projections and inclusions of its sorts, a sum collapse adds two halves
+and an induced structure twists them, as in mu(x, Ty).  Every theorem
+refuses an input that fails the axioms of its own type (`_require_axioms`)
+or its operator identity; the tests and the CLI re-check the outputs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .identities import (
     DEFAULT_VIOLATION_CAP,
+    OpContext,
     ViolationReport,
     _scan,
     app,
@@ -92,40 +90,27 @@ def _require_axioms(obj, *signatures: str) -> None:
         _require(check(part, catalog_name), message)
 
 
-def _blocks(shape: tuple[int, int, int], *placements) -> BilinearOp:
-    """The operation of this shape made of blocks: each (op, i, j, k) adds
-    the non-zero structure constants of op (its integer form) at left offset
-    i, right offset j and output offset k; the rest is zero."""
-    left, right, out = shape
-    zero = Fraction(0)
-    cells = [[[zero] * out for _ in range(right)] for _ in range(left)]
-    for op, i, j, k in placements:
-        d, rows, _ = op.integer_form
-        for a, row in enumerate(rows):
-            cell_row = cells[i + a]
-            for b, entries in row:
-                cell = cell_row[j + b]
-                for c, x in entries:
-                    cell[k + c] += Fraction(x, d)
-    return BilinearOp(left, right, out, cells)
-
-
 def _product(obj, signature: str, patterns) -> Algebra:
-    """The algebra of the signature on A + V, V after A: each operation adds,
-    for each sort pattern (left, right) of patterns(name), the object's
-    operation of its half on those sorts, placed at their offsets.  This is
-    the splitting rule read on a product (Bai-Bellier-Guo-Ni)."""
+    """The algebra of the signature on S = A + V, V after A: each operation
+    sums in_out(h(pr_left x, pr_right y)) over the patterns (left, right) of
+    patterns(name), h the object's operation of its half on those sorts, out
+    its output sort: the splitting rule on a product (Bai-Bellier-Guo-Ni)."""
     ctx = context_for(obj)
-    offset = {"A": 0, "V": ctx.dims["A"]}
-    total = ctx.dims["A"] + ctx.dims["V"]
-    ops = {}
-    for name in SIGNATURE_OPS[signature]:
-        blocks = []
-        for left, right in patterns(name):
-            op, out = ctx.resolve(half(name), left, right)
-            blocks.append((op, offset[left], offset[right], offset[out]))
-        ops[name] = _blocks((total,) * 3, *blocks)
-    return Algebra(total, signature, ops)
+    a, total = ctx.dims["A"], ctx.dims["A"] + ctx.dims["V"]
+    rows = LinearMap.identity(total).matrix
+    maps = {}
+    for sort, cut in (("A", slice(0, a)), ("V", slice(a, total))):
+        maps["pr" + sort] = (LinearMap(total, ctx.dims[sort], rows[cut]), "S", sort)
+        maps["in" + sort] = (LinearMap(ctx.dims[sort], total, [row[cut] for row in rows]), sort, "S")
+    ctx = OpContext(ctx.ops, {**ctx.dims, "S": total}, maps)
+
+    def block(h: str, left: str, right: str):
+        product = app(h, apply_map("pr" + left, _x), apply_map("pr" + right, _y))
+        return apply_map("in" + ctx.resolve(h, left, right)[1], product)
+
+    table = {name: expr(*(block(half(name), left, right) for left, right in patterns(name)))
+             for name in SIGNATURE_OPS[signature]}
+    return Algebra(total, signature, tabulate(ctx, ("S", "S"), table))
 
 
 def _semidirect(rep: Representation) -> Algebra:
@@ -161,10 +146,9 @@ def action_semidirect(act: Action) -> Algebra:
 
 def _sum_collapse(q: Algebra, signature: str) -> Algebra:
     """Each operation of the signature is the sum of its prec and succ halves."""
-    n = q.dimension
-    ops = {name: _blocks((n,) * 3, (q.op(prec), 0, 0, 0), (q.op(succ), 0, 0, 0))
-           for name in SIGNATURE_OPS[signature] for prec, succ in [split(name)]}
-    return Algebra(q.dimension, signature, ops, q.basis_labels)
+    table = {name: expr(app(prec, _x, _y), app(succ, _x, _y))
+             for name in SIGNATURE_OPS[signature] for prec, succ in [split(name)]}
+    return Algebra(q.dimension, signature, tabulate(context_for(q), ("A", "A"), table), q.basis_labels)
 
 
 def sum_collapse_quadri(q: Algebra) -> Algebra:

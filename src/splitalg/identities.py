@@ -737,17 +737,17 @@ class _Program:
                 views.pop(n, None)
 
 
-def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term]) -> dict[str, BilinearOp]:
-    """Each term of the table, which reads both of two slots of these sorts
-    once, as the bilinear operation of its values on the basis pairs: the
-    residuals of term = 0, one group per term in one program, evaluated as a
-    check evaluates them.  A pair with no residual holds the zero of the
-    term's output sort."""
-    sorts = tuple(sorts)
-    program = _Program(ctx, [(equation(name, sorts, term, ()),) for name, term in table.items()])
+def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term | Expr]) -> dict[str, BilinearOp]:
+    """Each entry of the table, a term or a non-empty expression whose terms
+    read both of two slots of these sorts once, as the bilinear operation of
+    its values on the basis pairs: the residuals of entry = 0, one group per
+    entry in one program, evaluated as a check evaluates them.  A pair with
+    no residual holds the zero of the entry's output sort."""
+    schemas = {name: equation(name, sorts, entry, ()) for name, entry in table.items()}
+    program = _Program(ctx, [(schema,) for schema in schemas.values()])
     dims = tuple(ctx.dims[s] for s in sorts)
-    # compile returns the nodes the program already holds
-    out_dims = {name: ctx.dims[program.compile(term, sorts)[1]] for name, term in table.items()}
+    # compile returns the node the program already holds for an entry's first term
+    out_dims = {name: ctx.dims[program.compile(s.lhs[0][1], s.slot_sorts)[1]] for name, s in schemas.items()}
     rows = {name: [[(Fraction(0),) * d] * dims[1] for _ in range(dims[0])] for name, d in out_dims.items()}
     for name, (i, j), residual, scale in program.violations():
         rows[name][i][j] = tuple(Fraction(a, scale) for a in residual)
@@ -839,8 +839,13 @@ def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) 
 
 def check(obj, catalog_name: str) -> ViolationReport:
     """Evaluate every schema of the catalog on every basis tuple consistent
-    with the slot sorts; collect all nonzero residuals (up to the cap)."""
-    return check_schemas(obj, catalog(catalog_name))
+    with the slot sorts; collect all nonzero residuals (up to the cap).  A
+    catalog that reads only the sort A refuses a representation or action."""
+    schemas = catalog(catalog_name)
+    if isinstance(obj, Representation) and {s for schema in schemas for s in schema.slot_sorts} == {"A"}:
+        kind = "an action" if isinstance(obj, Action) else "a representation"
+        raise SpecError(f"catalog {catalog_name!r} reads an algebra, not {kind}")
+    return check_schemas(obj, schemas)
 
 
 def check_schemas(obj, schemas: Sequence[IdentitySchema]) -> ViolationReport:

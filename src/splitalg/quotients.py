@@ -18,12 +18,13 @@ from .identities import (
     _Program,
     app,
     apply_map,
+    context_for,
     equation,
     on_sort,
     tabulate,
     var,
 )
-from .linalg import Subspace, Vector, span, vec_sub
+from .linalg import Subspace, Vector, span
 from .model import (
     Action,
     Algebra,
@@ -133,21 +134,16 @@ def ideal_generated(a: Algebra, generators: Sequence[Vector]) -> Ideal:
 
 
 def splitting_ideal(q: Algebra) -> Ideal:
-    """Ideal generated by the differences x prec_X y - x prec_Y y and
-    x succ_X y - x succ_Y y: it identifies each split operation with the
-    others of its half, so for a six algebra perp with vdash and dashv too."""
+    """Ideal generated by the residuals of op(x, y) = first(x, y), first the
+    first operation of op's half, each a difference x prec_X y - x prec_Y y
+    or x succ_X y - x succ_Y y times its scale: it identifies each split
+    operation with the others of its half, so for a six algebra perp with
+    vdash and dashv too."""
     if q.signature not in ("quadri", "six"):
         raise SpecError("splitting ideal needs a quadri or six signature")
-    ops = q.operations.items()
-    firsts = {half(name): op.coeffs for name, op in reversed(ops)}  # each half's first wins
-    generators = [
-        vec_sub(cell, first)
-        for name, op in ops
-        for row, first_row in zip(op.coeffs, firsts[half(name)])
-        for cell, first in zip(row, first_row)
-        if cell != first
-    ]
-    return ideal_generated(q, generators)
+    firsts = {half(name): name for name in reversed(q.operations)}  # each half's first wins
+    groups = [[(name, app(name, _x, _y), app(firsts[half(name)], _x, _y))] for name in q.operations]
+    return ideal_generated(q, [residual for _, _, residual, _ in _failures(context_for(q), ("A", "A"), groups)])
 
 
 def quotient_algebra(

@@ -620,6 +620,19 @@ def test_check_takes_the_object_its_catalog_reads(capsys, tmp_path, catalog):
     assert out.startswith(f"r against {catalog}:\n")
 
 
+@pytest.mark.parametrize("section, kind", [("representations", "a representation"), ("actions", "an action")])
+def test_check_refuses_a_module_under_an_algebra_catalog(capsys, tmp_path, section, kind):
+    """dendriform reads only the sort A: on a representation or an action
+    of that name it once checked the base algebra and exited 0.  Now it
+    prints one error line and exits 2."""
+    d = truncated_polynomial_dendriform(2)
+    module = {"representations": adjoint_representation, "actions": self_action}[section](d)
+    doc = tmp_path / "doc.json"
+    doc.write_text(serialize_document(Document(algebras={"d": d}, **{section: {"m": module}})))
+    assert run(capsys, "check", str(doc), "--object", "m", "--catalog", "dendriform") == (
+        2, "", f"error: catalog 'dendriform' reads an algebra, not {kind}\n")
+
+
 def _digits_limit():
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
 

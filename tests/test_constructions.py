@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitalg import constructions
@@ -28,6 +28,7 @@ from splitalg.constructions import (
 from splitalg.identities import IdentitySchema, _scan, app, apply_map, catalog, check, context_for, expr, tabulate, var
 from splitalg.linalg import basis_vector, vec_add
 from splitalg.model import (
+    ACTION_SORTS,
     Action,
     Algebra,
     BilinearOp,
@@ -40,7 +41,7 @@ from splitalg.model import (
     self_action,
 )
 from splitalg.operators import check_homomorphic_relative, check_relative_averaging, check_rota_baxter
-from splitalg.samples import one_dim_dendriform, zero_algebra
+from splitalg.samples import one_dim_dendriform, truncated_polynomial_dendriform, zero_algebra
 from conftest import shift_map
 from oracle import eval_expr
 from test_cli_recipes import _replace, _tensors
@@ -275,8 +276,23 @@ def assert_formula(op, formula):
             assert op.coeffs[p][q] == formula(basis_vector(op.left_dim, p), basis_vector(op.right_dim, q))
 
 
+def _empty_block(base: Algebra, target: Algebra, module: type = Representation):
+    """base acting on the module of target's dimension with zero actions:
+    each action is empty when the base or the module has dimension 0."""
+    dims = {"A": base.dimension, "V": target.dimension}
+    acts = {name: BilinearOp.zero(*(dims[s] for s in sorts)) for name, sorts in ACTION_SORTS.items()}
+    return Action(base, target, acts) if module is Action else Representation(base, target.dimension, acts)
+
+
+# DIMS draws 1 to 3: the empty projections and inclusions of a product
+# with a block of dimension 0 are given as examples
+_DEND2, _DEND0 = truncated_polynomial_dendriform(2), zero_algebra(0, "dendriform")
+
+
 @settings(max_examples=30, deadline=None)
 @given(rep=representations())
+@example(rep=_empty_block(_DEND2, _DEND0))
+@example(rep=_empty_block(_DEND0, _DEND2))
 def test_module_products_match_block_formulas(rep):
     """(x,u) * (y,v) = (x * y, x *_l v + u *_r y) for semidirect; the
     hemisemidirect products keep one action each."""
@@ -294,6 +310,8 @@ def test_module_products_match_block_formulas(rep):
 
 @settings(max_examples=30, deadline=None)
 @given(act=actions())
+@example(act=_empty_block(_DEND2, _DEND0, Action))
+@example(act=_empty_block(_DEND0, _DEND2, Action))
 def test_action_semidirect_matches_block_formula(act):
     """The block formula holds on any action-shaped input, so the input's
     axioms are not checked here."""

@@ -178,6 +178,16 @@ def test_missing_operation_is_named_with_its_sorts(dend, obj, name, sorts):
     assert str(refused.value) == f"object supplies no operation 'prec' on {sorts}"
 
 
+@pytest.mark.parametrize("name", [name for name in CATALOG_NAMES if not name.startswith("dend-")])
+@pytest.mark.parametrize("module, kind", [(adjoint_representation, "a representation"), (self_action, "an action")])
+def test_algebra_catalog_refuses_a_module(dend, name, module, kind):
+    """A catalog that reads only the sort A would check a module's base
+    algebra and say nothing of its actions: it refuses the module."""
+    with pytest.raises(SpecError) as refused:
+        check(module(dend), name)
+    assert str(refused.value) == f"catalog {name!r} reads an algebra, not {kind}"
+
+
 # e0 prec_vdash e0 = e0 prec_vdash e1 = e1, every other product 0: it
 # satisfies the six compatibility axioms, but its quadri part does not
 # satisfy quadri.1b

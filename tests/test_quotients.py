@@ -16,6 +16,7 @@ from splitalg.model import (
     dendriform_to_quadri,
     dendriform_to_six,
     evaluate,
+    half,
     perp_dendriform_part,
 )
 from splitalg.operators import (
@@ -38,7 +39,7 @@ from splitalg.samples import truncated_polynomial_algebra
 
 from conftest import random_quadri
 from oracle import project
-from test_engine import DIMS, SCALARS, tensors
+from test_engine import DIMS, SCALARS, algebras, tensors
 
 
 def test_ideal_generated_saturates(poly):
@@ -343,16 +344,22 @@ def reference_quotient(a, sub, collapse, signature):
 OP_NAMES = st.lists(st.sampled_from(["mul", "var", "map", "b"]), min_size=1, max_size=2, unique=True)
 
 
+def _graded(op):
+    """op cut so that e_i * e_j lies in the span of the e_k with k > max(i, j):
+    proper non-zero ideals are then common."""
+    return BilinearOp(op.left_dim, op.right_dim, op.out_dim,
+                      [[[c if k > max(i, j) else 0 for k, c in enumerate(v)]
+                        for j, v in enumerate(row)] for i, row in enumerate(op.coeffs)])
+
+
 @st.composite
 def raw_algebras(draw):
-    """Half of them graded: e_i * e_j lies in the span of the e_k with
-    k > max(i, j), so that proper non-zero ideals are common."""
+    """Half of them graded (_graded)."""
     n, graded = draw(DIMS), draw(st.booleans())
     ops = {}
     for name in draw(OP_NAMES):
-        coeffs = draw(tensors(n, n, n)).coeffs
-        ops[name] = BilinearOp(n, n, n, [[[c if k > max(i, j) or not graded else 0 for k, c in enumerate(v)]
-                                          for j, v in enumerate(row)] for i, row in enumerate(coeffs)])
+        op = draw(tensors(n, n, n))
+        ops[name] = _graded(op) if graded else op
     return Algebra(n, "raw", ops)
 
 
@@ -377,6 +384,38 @@ def test_closure_and_ideal_match_reference(data, a):
     ideal = ideal_generated(a, vectors)
     assert ideal.subspace == reference_ideal_generated(a, vectors)
     assert ideal.closure_witness() is None
+
+
+def _firsts(q):
+    """{half: the tensor of the first operation of that half}."""
+    firsts = {}
+    for name, op in q.operations.items():
+        firsts.setdefault(half(name), op)
+    return firsts
+
+
+def reference_splitting_generators(q):
+    """The differences op(e_i, e_j) - first(e_i, e_j), cell by cell, for each
+    operation op and the first operation first of its half."""
+    firsts = _firsts(q)
+    return [vec_sub(cell, first_cell)
+            for name, op in q.operations.items()
+            for row, first_row in zip(op.coeffs, firsts[half(name)].coeffs)
+            for cell, first_cell in zip(row, first_row) if cell != first_cell]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), signature=st.sampled_from(["quadri", "six"]))
+def test_splitting_ideal_matches_reference(data, signature):
+    """The splitting ideal is the one the dense-cell differences generate.
+    Each operation may copy the first of its half, and half the algebras
+    are graded, so that the zero ideal and proper ideals are common."""
+    q, graded = data.draw(algebras(signature)), data.draw(st.booleans())
+    copies = data.draw(st.lists(st.booleans(), min_size=len(q.operations), max_size=len(q.operations)))
+    firsts = _firsts(q)
+    ops = {name: firsts[half(name)] if copy else op for copy, (name, op) in zip(copies, q.operations.items())}
+    q = Algebra(q.dimension, signature, {name: _graded(op) if graded else op for name, op in ops.items()})
+    assert splitting_ideal(q).subspace == reference_ideal_generated(q, reference_splitting_generators(q))
 
 
 def outcome(build):
