@@ -69,7 +69,8 @@ def _write(text: str, stream=None) -> None:
             print(text.encode(stream.encoding, "backslashreplace").decode(stream.encoding), file=stream, flush=True)
     except BrokenPipeError:
         # so the interpreter's last flush of the unwritten rest goes nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -93,16 +94,13 @@ def cmd_check(args) -> int:
 
 def _resolve_subject(doc: Document, kind: str, name: str | None, flag: str):
     """The first object of the flag's name that the kind takes (algebras,
-    representations, actions), or the kind's refusal of the object of that
-    name; with no name, the document's one object that the kind takes."""
+    representations, actions), else the first of that name, which the kind
+    then refuses; with no name, the document's one object that the kind takes."""
     from .operators import _KINDS
 
     spec = _KINDS[kind]
     if name is not None:
-        obj = doc.lookup_object(name, spec.fits)
-        if spec.signature and not spec.fits(obj):
-            raise UsageError(f"{name!r} is not an algebra of signature {spec.signature!r}")
-        return obj
+        return doc.lookup_object(name, spec.fits)
     sections = (doc.algebras, doc.representations, doc.actions)
     candidates = [obj for section in sections for obj in section.values() if spec.fits(obj)]
     if not candidates:

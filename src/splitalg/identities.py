@@ -47,7 +47,8 @@ from .model import (
 
 # A term is a variable leaf ("var", slot), a bilinear operation applied to
 # two terms (op_name, left_term, right_term), or a linear map applied to a
-# linear combination of terms ("map", map_name, expr).
+# linear combination of terms ("map", map_name, expr).  The evaluator tells
+# them apart by shape, so no operation or map name is reserved.
 Term = Union[tuple[str, int], tuple[str, "Term", "Term"], tuple[str, str, "Expr"]]
 # An expression is a linear combination of terms; the empty one is zero.
 Expr = tuple[tuple[Fraction, Term], ...]
@@ -457,10 +458,9 @@ def context_for(obj, maps: Mapping[str, tuple] | None = None) -> OpContext:
 # one output, violations(): it evaluates each node on the context's current
 # tensors to its table, {rank: value}, over the basis tuples of the slots it
 # reads where the value can be non-zero:
-# the rank counts tuples in lexicographic order, and a value is the list of
-# its components.  Operations and maps read their arguments through the
-# non-zero (component, coefficient) pairs of each value (_pairs), made once
-# per table.
+# the rank counts tuples in lexicographic order, and a value is the dense
+# list of its components.  Sums, operations and maps all read a value's
+# non-zero components in place, with compress(enumerate(v), v).
 #
 # Every term is multilinear: it reads each slot of its group exactly once.
 # The program refuses any other at compile time, since on a term that
@@ -513,13 +513,8 @@ def _sum(parts) -> dict:
     return out
 
 
-def _pairs(table: dict) -> dict:
-    """{rank: the non-zero (k, value) pairs of the value}."""
-    return {rank: [(k, a) for k, a in enumerate(v) if a] for rank, v in table.items()}
-
-
 def _join(rows, cols, left, lplace, right, rplace, out_dim: int) -> dict:
-    """The table of x * y from the pairs of x and y, which read disjoint
+    """The table of x * y from the tables of x and y, which read disjoint
     slots, and the non-zero structure constants, rows[i] = [(j, [(k, c)])]
     and cols[j] = [(i, the same)]: the rank of a pair is lplace[x's rank] +
     rplace[y's rank].  The larger table is walked and the smaller indexed by
@@ -529,14 +524,14 @@ def _join(rows, cols, left, lplace, right, rplace, out_dim: int) -> dict:
     index: dict = {}  # component j -> [(rank part, value_j)] of the smaller
     for rank, v in right.items():
         part = rplace[rank]
-        for j, b in v:
+        for j, b in compress(enumerate(v), v):
             index.setdefault(j, []).append((part, b))
     lines: dict = {}  # component i -> [(rank part, [(k, value_j * c_ij)])]
     out: dict = {}
     get = out.get
     for rank, v in left.items():
         base = lplace[rank]
-        for i, a in v:
+        for i, a in compress(enumerate(v), v):
             line = lines.get(i)
             if line is None:
                 line = lines[i] = [
@@ -581,15 +576,12 @@ class _Program:
 
     def __init__(self, ctx: OpContext, groups):
         self.ctx = ctx
-        # per node: its binder (tables, scales, pairs) -> (table, scale),
-        # and the nodes it reads
+        # per node: its binder (tables, scales) -> (table, scale), and the
+        # nodes it reads
         self.binders: list = []
         self.reads: list = []
         self._memo: dict = {}
         self._ranked: dict = {}  # _ranks, computed once
-        # the nodes whose tables are summed (equation terms, map arguments):
-        # the others are read only through their _pairs
-        self.summed: set[int] = set()
         # (slot sorts, nodes evaluated before the group runs,
         # [(equation id, [(coefficient, node)])])
         self.groups = [self._group(group) for group in groups]
@@ -626,7 +618,6 @@ class _Program:
             if any(r != slots for r in read.values()):
                 raise SpecError(f"schema {schema.id!r} has a term that does not read all its slots (not multilinear)")
             terms = [(c, node) for node, c in coefs.items() if c]
-            self.summed.update(node for _, node in terms)
             equations.append((schema.id, terms))
         return sorts, len(self.binders), equations
 
@@ -642,14 +633,15 @@ class _Program:
         return self._memo[key]
 
     def _compile(self, term: Term, sorts: tuple[str, ...]):
-        """(binder, nodes read, output sort, slots read) of a new node."""
+        """(binder, nodes read, output sort, slots read) of a new node.  A pair
+        is a variable, a name in second place a map, two terms an operation."""
         ctx = self.ctx
         dims = tuple(ctx.dims[s] for s in sorts)
-        if term[0] == "var":
+        if len(term) == 2:
             s = term[1]
             basis = {i: tuple(int(i == j) for j in range(dims[s])) for i in range(dims[s])}
-            return (lambda tables, scales, pairs: (basis, 1)), (), sorts[s], (s,)
-        if term[0] == "map":
+            return (lambda tables, scales: (basis, 1)), (), sorts[s], (s,)
+        if isinstance(term[1], str):
             name = term[1]
             _, source, out_sort = ctx.resolve_map(name)
             children = [self.compile(t, sorts) for _, t in term[2]]
@@ -660,10 +652,9 @@ class _Program:
                 raise SpecError(f"map {name!r} applied to terms that read different slots (not multilinear)")
             slots = reads.pop() if reads else ()
             argument = [(c, node) for (c, _), (node, _, _) in zip(term[2], children)]
-            self.summed.update(node for _, node in argument)
             out_dim = ctx.dims[out_sort]
 
-            def bind(tables, scales, pairs):
+            def bind(tables, scales):
                 d, columns = ctx.maps[name][0].integer_form
                 scale, ints = _common_scale([(c, scales[n]) for c, n in argument])
                 image = {}
@@ -686,9 +677,9 @@ class _Program:
         lplace, rplace = self._ranks(lslots, slots, dims), self._ranks(rslots, slots, dims)
         out_dim = ctx.dims[out_sort]
 
-        def bind(tables, scales, pairs):
+        def bind(tables, scales):
             d, rows, cols = ctx.ops[name, lsort, rsort][0].integer_form
-            table = _join(rows, cols, pairs(left), lplace, pairs(right), rplace, out_dim)
+            table = _join(rows, cols, tables[left], lplace, tables[right], rplace, out_dim)
             return table, d * scales[left] * scales[right]
 
         return bind, (left, right), out_sort, slots
@@ -712,21 +703,12 @@ class _Program:
         residual in scan order, group by group, on the context's current
         tensors: a caller that needs only the first binds no further group.
         tables[n] and scales[n] are node n's table (its values times its
-        scale, in ints) and its scale; views holds the _pairs of the tables
-        operations have read, and a table no sum reads is dropped once its
-        pairs are made."""
-        tables, scales, views = [], [], {}
-
-        def pairs(n):
-            if n not in views:
-                views[n] = _pairs(tables[n])
-                if n not in self.summed:
-                    tables[n] = None
-            return views[n]
-
+        scale, in ints) and its scale; after each group, the tables no later
+        group reads are dropped."""
+        tables, scales = [], []
         for released, (sorts, end, equations) in zip(self.released, self.groups):
             for binder in self.binders[len(tables):end]:
-                table, scale = binder(tables, scales, pairs)
+                table, scale = binder(tables, scales)
                 tables.append(table)
                 scales.append(scale)
             reversed_dims = [self.ctx.dims[s] for s in reversed(sorts)]
@@ -734,7 +716,6 @@ class _Program:
                 yield eqid, _unrank(rank, reversed_dims), residual, scale
             for n in released:
                 tables[n] = None
-                views.pop(n, None)
 
 
 def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term | Expr]) -> dict[str, BilinearOp]:
@@ -748,9 +729,10 @@ def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term | Ex
     dims = tuple(ctx.dims[s] for s in sorts)
     # compile returns the node the program already holds for an entry's first term
     out_dims = {name: ctx.dims[program.compile(s.lhs[0][1], s.slot_sorts)[1]] for name, s in schemas.items()}
-    rows = {name: [[(Fraction(0),) * d] * dims[1] for _ in range(dims[0])] for name, d in out_dims.items()}
+    zero = Fraction(0)  # shared by every zero component
+    rows = {name: [[(zero,) * d] * dims[1] for _ in range(dims[0])] for name, d in out_dims.items()}
     for name, (i, j), residual, scale in program.violations():
-        rows[name][i][j] = tuple(Fraction(a, scale) for a in residual)
+        rows[name][i][j] = tuple(Fraction(a, scale) if a else zero for a in residual)
     return {name: BilinearOp(*dims, d, rows[name]) for name, d in out_dims.items()}
 
 

@@ -171,9 +171,9 @@ class LinearMap:
 
     @classmethod
     def scalar(cls, dim: int, k) -> "LinearMap":
-        k = frac(k)
+        k, zero = frac(k), Fraction(0)  # so vector() takes the rows as they are
         return cls(
-            dim, dim, [[k if i == j else 0 for j in range(dim)] for i in range(dim)]
+            dim, dim, [[k if i == j else zero for j in range(dim)] for i in range(dim)]
         )
 
     @classmethod

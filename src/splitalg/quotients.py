@@ -47,12 +47,12 @@ class QuotientError(SpecError):
 
 
 def _context(a: Algebra, sub: Subspace) -> OpContext:
-    """a's operations as "op:<name>" (no raw name clashes with the term
-    syntax) and the maps B, P, L and Pi of I (sort I) and Q (sort Q)."""
+    """a's operations on the sort A under their own names, "var" and "map"
+    too, and the maps B, P, L and Pi of I (sort I) and Q (sort Q)."""
     n, complement = a.dimension, sub.complement_indices()
     p = reduction(sub)
     return OpContext(
-        on_sort({"op:" + name: op for name, op in a.operations.items()}, "A"),
+        on_sort(a.operations, "A"),
         {"A": n, "I": sub.dim, "Q": len(complement)},
         {
             "B": (LinearMap(sub.dim, n, [[b[r] for b in sub.basis] for r in range(n)]), "I", "A"),
@@ -67,14 +67,10 @@ _x, _y = var(0), var(1)
 _Bx, _Lx, _Ly = apply_map("B", _x), apply_map("L", _x), apply_map("L", _y)
 
 
-def _op(name: str, left, right):
-    return app("op:" + name, left, right)
-
-
 def _sides(name: str):
     """(side, term) in slots (I, A): the subspace basis element times the
     basis element ("left") before the basis element times it ("right")."""
-    return ("left", _op(name, _Bx, _y)), ("right", _op(name, _y, _Bx))
+    return ("left", app(name, _Bx, _y)), ("right", app(name, _y, _Bx))
 
 
 def _failures(ctx: OpContext, sorts, groups):
@@ -179,7 +175,7 @@ def quotient_algebra(
     ctx = ideal.context
 
     # Merged operations must agree modulo the ideal: P(first(x, y)) = P(other(x, y)).
-    groups = [[((first, other), apply_map("P", _op(first, _x, _y)), apply_map("P", _op(other, _x, _y)))]
+    groups = [[((first, other), apply_map("P", app(first, _x, _y)), apply_map("P", app(other, _x, _y)))]
               for dst, first in sorted(firsts.items()) for other in sorted(preimages[dst])[1:]]
     for (first, other), (i, j), _, _ in _failures(ctx, ("A", "A"), groups):
         raise QuotientError(
@@ -187,7 +183,7 @@ def quotient_algebra(
             f"disagree modulo the ideal at basis pair ({i}, {j})",
             (first, other, i, j),
         )
-    ops = tabulate(ctx, ("Q", "Q"), {dst: apply_map("Pi", _op(src, _Lx, _Ly)) for dst, src in firsts.items()})
+    ops = tabulate(ctx, ("Q", "Q"), {dst: apply_map("Pi", app(src, _Lx, _Ly)) for dst, src in firsts.items()})
     signature = next((sig for sig, names in SIGNATURE_OPS.items() if set(names) == set(ops)), "raw")
     return Algebra(ctx.dims["Q"], signature, ops), ctx.maps["Pi"][0]
 
@@ -207,8 +203,8 @@ def _converse(a: Algebra):
     base, projection = quotient_algebra(a, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE)
     ctx = ideal.context
     actions = {
-        **tabulate(ctx, ("Q", "A"), {"prec_l": _op("prec_vdash", _Lx, _y), "succ_l": _op("succ_vdash", _Lx, _y)}),
-        **tabulate(ctx, ("A", "Q"), {"prec_r": _op("prec_dashv", _x, _Ly), "succ_r": _op("succ_dashv", _x, _Ly)}),
+        **tabulate(ctx, ("Q", "A"), {"prec_l": app("prec_vdash", _Lx, _y), "succ_l": app("succ_vdash", _Lx, _y)}),
+        **tabulate(ctx, ("A", "Q"), {"prec_r": app("prec_dashv", _x, _Ly), "succ_r": app("succ_dashv", _x, _Ly)}),
     }
     return base, actions, projection
 

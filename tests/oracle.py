@@ -16,10 +16,12 @@ from splitalg.model import SpecError, evaluate
 
 
 def eval_term(term: Term, schema: IdentitySchema, ctx: OpContext, values) -> tuple[Vector, str]:
-    """(value, sort) of a term at the slot values."""
-    if term[0] == "var":
+    """(value, sort) of a term at the slot values.  As in the library, a
+    term's kind is its shape: a variable is a pair, a map application holds
+    the map's name in second place, and an operation two terms."""
+    if len(term) == 2:
         return values[term[1]], schema.slot_sorts[term[1]]
-    if term[0] == "map":
+    if isinstance(term[1], str):
         m, source, target = ctx.resolve_map(term[1])
         value, sort = eval_expr(term[2], schema, ctx, values)
         if sort != source:
@@ -65,13 +67,13 @@ def project(sub: Subspace, v: Vector) -> Vector:
 
 
 def _slots(term: Term) -> set:
-    return {term[1]} if term[0] == "var" else _slots(term[1]) | _slots(term[2])
+    return {term[1]} if len(term) == 2 else _slots(term[1]) | _slots(term[2])
 
 
 def split_term(term: Term, slot: int | None) -> list[Term]:
     """The terms whose sum is `term` split at `slot`; at a slot the term does
     not read (None), the sum over both parts of every operation."""
-    if term[0] == "var":
+    if len(term) == 2:
         return [term]
     op, left, right = term
     sides = ("prec",) if slot in _slots(left) else ("succ",) if slot in _slots(right) else ("prec", "succ")
@@ -92,7 +94,7 @@ def successor(schemas: Sequence[IdentitySchema]) -> list[IdentitySchema]:
 def rename(schemas: Sequence[IdentitySchema], names: dict) -> list[IdentitySchema]:
     """The schemas with each operation op read as names.get(op, op)."""
     def term(t: Term) -> Term:
-        return t if t[0] == "var" else app(names.get(t[0], t[0]), term(t[1]), term(t[2]))
+        return t if len(t) == 2 else app(names.get(t[0], t[0]), term(t[1]), term(t[2]))
 
     return [IdentitySchema(s.id, s.slot_sorts, tuple((c, term(t)) for c, t in s.lhs),
                            tuple((c, term(t)) for c, t in s.rhs)) for s in schemas]
@@ -108,7 +110,7 @@ def degree3_vector(schema: IdentitySchema, ops: Sequence[str]) -> Vector:
     x, y, z = ("var", 0), ("var", 1), ("var", 2)
     for sign, e in ((1, schema.lhs), (-1, schema.rhs)):
         for c, (outer, left, right) in e:
-            if left[0] != "var":
+            if len(left) == 3:
                 shape, inner, args = 0, left[0], (left[1], left[2], right)
             else:
                 shape, inner, args = 1, right[0], (left, right[1], right[2])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from splitalg.identities import (
     context_for,
 )
 from splitalg.constructions import PreconditionFailure, _require_axioms
-from splitalg.linalg import vector
+from splitalg.linalg import basis_vector, vector
 from splitalg.model import (
     SIGNATURE_OPS,
     Algebra,
@@ -24,6 +25,7 @@ from splitalg.model import (
     adjoint_representation,
     dendriform_to_quadri,
     dendriform_to_six,
+    evaluate,
     quadri_part,
     self_action,
 )
@@ -152,6 +154,44 @@ def test_morphism_check(dend):
     assert check_morphism(LinearMap.identity(n), dend, dend, pairing).ok
     assert check_morphism(LinearMap.zero(n, n), dend, dend, pairing).ok
     assert not check_morphism(LinearMap.scalar(n, 2), dend, dend, pairing).ok
+
+
+def _morphism_residuals(f, source, target, pairing):
+    """(id, witness, residual) of each non-zero f(e_i * e_j) - f(e_i) *' f(e_j),
+    in Fraction arithmetic, in the order check_morphism reports them."""
+    n = source.dimension
+    found = []
+    for src, tgt in sorted(pairing.items()):
+        for i, j in itertools.product(range(n), repeat=2):
+            x, y = basis_vector(n, i), basis_vector(n, j)
+            lhs = f.apply(evaluate(source.op(src), x, y))
+            rhs = evaluate(target.op(tgt), f.apply(x), f.apply(y))
+            residual = tuple(a - b for a, b in zip(lhs, rhs))
+            if any(residual):
+                found.append((f"morphism:{src}->{tgt}", (i, j), residual))
+    return found
+
+
+@pytest.mark.parametrize("pairing", [{"var": "var"}, {"map": "map"}, {"var": "map"},
+                                     {"var": "map", "map": "var"}], ids=str)
+def test_morphism_check_takes_any_operation_name(pairing):
+    """Operations named "var" or "map", like the leaves of the term syntax,
+    are checked as any other: the identity onto the same tensors under the
+    paired names passes, and a map that is not a morphism fails with the
+    residuals of the Fraction reference."""
+    rng = random.Random(11)
+    n = 3
+    source = Algebra(n, "raw", {name: BilinearOp(n, n, n, [[[rng.randint(-2, 2) for _ in range(n)]
+                                                             for _ in range(n)] for _ in range(n)])
+                                for name in pairing})
+    target = Algebra(n, "raw", {tgt: source.op(src) for src, tgt in pairing.items()})
+    skew = LinearMap(n, n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+    for f, passes in ((LinearMap.identity(n), True), (skew, False)):
+        report = check_morphism(f, source, target, pairing)
+        assert report.checked == len(pairing) * n * n
+        assert report.ok is passes
+        assert [(v.identity, v.witness, v.residual) for v in report.violations] == \
+            _morphism_residuals(f, source, target, pairing)
 
 
 def test_truncated_report_is_not_ok():
