@@ -11,15 +11,12 @@ or its operator identity; the tests and the CLI re-check the outputs.
 from __future__ import annotations
 
 from .identities import (
-    DEFAULT_VIOLATION_CAP,
     OpContext,
     ViolationReport,
-    _scan,
     app,
     apply_map,
     check,
     context_for,
-    equation,
     expr,
     tabulate,
     var,
@@ -38,12 +35,7 @@ from .model import (
     quadri_part,
     split,
 )
-from .operators import (
-    check_assoc_averaging,
-    check_homomorphic_relative,
-    check_relative_averaging,
-    check_rota_baxter,
-)
+from .operators import _KINDS, _context, check_operator
 
 _x, _y = var(0), var(1)
 _Tx, _Ty = apply_map("T", _x), apply_map("T", _y)
@@ -165,18 +157,21 @@ def sum_collapse_six(s: Algebra) -> Algebra:
     return _sum_collapse(s, "triassociative")
 
 
-def _twisted(subject, t: LinearMap, source: str, table) -> dict[str, BilinearOp]:
-    """The subject's term table on the basis pairs of the sort `source`,
-    with t as the map T from that sort to the base algebra A."""
-    return tabulate(context_for(subject, {"T": (t, source, "A")}), (source, source), table)
+def _twisted(subject, kind: str, t: LinearMap, table, message: str) -> dict[str, BilinearOp]:
+    """The subject's term table on the basis pairs of T's source sort, with t
+    as the map T of the operator kind; a t that fails the kind is refused
+    with the message and its verdict."""
+    _require(check_operator(subject, kind, t), message)
+    source = _KINDS[kind].map_sorts[0]
+    return tabulate(_context(subject, kind, t), (source, source), table)
 
 
 def aguiar_dendriform(assoc: Algebra, r: LinearMap) -> Algebra:
     """Dendriform structure from a Rota-Baxter operator:
     a prec b = mu(a, Rb), a succ b = mu(Ra, b)."""
     _require_axioms(assoc, "associative")
-    _require(check_rota_baxter(assoc, r), "map is not a Rota-Baxter operator")
-    ops = _twisted(assoc, r, "A", {"prec": app("mul", _x, _Ty), "succ": app("mul", _Tx, _y)})
+    ops = _twisted(assoc, "rota_baxter", r, {"prec": app("mul", _x, _Ty), "succ": app("mul", _Tx, _y)},
+                   "map is not a Rota-Baxter operator")
     return Algebra(assoc.dimension, "dendriform", ops, assoc.basis_labels)
 
 
@@ -184,14 +179,15 @@ def aguiar_diassociative(assoc: Algebra, h: LinearMap) -> Algebra:
     """Di-associative structure from an averaging operator:
     a dashv b = mu(a, Hb), a vdash b = mu(Ha, b)."""
     _require_axioms(assoc, "associative")
-    _require(check_assoc_averaging(assoc, h), "map is not an averaging operator")
-    ops = _twisted(assoc, h, "A", {"dashv": app("mul", _x, _Ty), "vdash": app("mul", _Tx, _y)})
+    ops = _twisted(assoc, "assoc_averaging", h, {"dashv": app("mul", _x, _Ty), "vdash": app("mul", _Tx, _y)},
+                   "map is not an averaging operator")
     return Algebra(assoc.dimension, "diassociative", ops, assoc.basis_labels)
 
 
 # u prec_vdash v = Tu prec_l v, u prec_dashv v = u prec_r Tv, and the succ
 # analogues, for a map T from a module to its base: on the sorts A x V and
-# V x A, the operation of a half is that action.
+# V x A, the operation of a half is that action.  On an algebra, T maps A to
+# itself and the halves are its own operations.
 _QUADRI_TWIST = {
     **{f"{op}_vdash": app(op, _Tx, _y) for op in ("prec", "succ")},
     **{f"{op}_dashv": app(op, _x, _Ty) for op in ("prec", "succ")},
@@ -203,8 +199,8 @@ def induced_quadri(rep: Representation, t: LinearMap) -> Algebra:
     operator: u prec_vdash v = Tu prec_l v, u prec_dashv v = u prec_r Tv,
     and the succ analogues."""
     _require_axioms(rep)
-    _require(check_relative_averaging(rep, t), "map is not a relative averaging operator")
-    return Algebra(rep.module_dim, "quadri", _twisted(rep, t, "V", _QUADRI_TWIST))
+    ops = _twisted(rep, "relative_averaging", t, _QUADRI_TWIST, "map is not a relative averaging operator")
+    return Algebra(rep.module_dim, "quadri", ops)
 
 
 def averaging_quadri(d: Algebra, t: LinearMap) -> Algebra:
@@ -218,33 +214,23 @@ def induced_six(act: Action, t: LinearMap) -> Algebra:
     averaging operator: the perp pair copies the target's own products and
     the quadri quadruple is T-twisted as in induced_quadri."""
     _require_axioms(act)
-    _require(check_homomorphic_relative(act, t), "map is not a homomorphic relative averaging operator")
-    ops = _twisted(act, t, "V", _QUADRI_TWIST)
+    ops = _twisted(act, "homomorphic_relative", t, _QUADRI_TWIST,
+                   "map is not a homomorphic relative averaging operator")
     ops.update((name, act.target.op(half(name))) for name in split("perp"))
     return Algebra(act.target.dimension, "six", ops, act.target.basis_labels)
-
-
-# d(d(x)) = 0, and the Leibniz rule d(x * y) = dx * y + x * dy for both
-# operations.
-_DIFFERENTIAL = ((equation("d2=0", ("A",), apply_map("d", apply_map("d", _x)), ()),),) + tuple(
-    (equation(f"leibniz:{op}", ("A", "A"), apply_map("d", app(op, _x, _y)),
-              expr(app(op, apply_map("d", _x), _y), app(op, _x, apply_map("d", _y)))),)
-    for op in ("prec", "succ")
-)
 
 
 def check_differential(d: Algebra, diff: LinearMap) -> ViolationReport:
     """d^2 = 0 on basis vectors and the Leibniz rule for both operations on
     basis pairs."""
-    return _scan(context_for(d, {"d": (diff, "A", "A")}), _DIFFERENTIAL, DEFAULT_VIOLATION_CAP, "differential")
+    return check_operator(d, "differential", diff)
 
 
 def differential_quadri(d: Algebra, diff: LinearMap) -> Algebra:
     """Quadri structure of a differential dendriform algebra:
     x prec_vdash y = d(x) prec y, x prec_dashv y = x prec d(y), etc."""
     _require_axioms(d, "dendriform")
-    _require(check_differential(d, diff), "map is not a differential")
-    return Algebra(d.dimension, "quadri", _twisted(adjoint_representation(d), diff, "V", _QUADRI_TWIST))
+    return Algebra(d.dimension, "quadri", _twisted(d, "differential", diff, _QUADRI_TWIST, "map is not a differential"))
 
 
 def dual_extension(d: Algebra) -> tuple[Action, LinearMap]:

@@ -802,7 +802,7 @@ def residual_polynomials(ctx: OpContext, groups) -> list[dict]:
     return [p for p in polys if p]
 
 
-def _scan(ctx: OpContext, groups, max_violations: int, kind: str | None = None) -> ViolationReport:
+def _scan(ctx: OpContext, groups, max_violations=DEFAULT_VIOLATION_CAP, kind: str | None = None) -> ViolationReport:
     """Evaluate every equation of every group on every basis tuple of its
     slot sorts; collect the non-zero residuals up to the cap, and stop at
     the first one past it.  The schemas of a group share their slot sorts."""
@@ -832,7 +832,7 @@ def check(obj, catalog_name: str) -> ViolationReport:
 
 def check_schemas(obj, schemas: Sequence[IdentitySchema]) -> ViolationReport:
     """Each schema is its own group, so witnesses come schema by schema."""
-    return _scan(context_for(obj), [(schema,) for schema in schemas], DEFAULT_VIOLATION_CAP)
+    return _scan(context_for(obj), [(schema,) for schema in schemas])
 
 
 def check_morphism(
@@ -851,7 +851,7 @@ def check_morphism(
         rhs = app(tgt, apply_map("f", var(0)), apply_map("f", var(1)))
         groups.append((equation(f"morphism:{src}->{tgt}", ("A", "A"), lhs, rhs),))
     ctx = OpContext(ops, {"A": source.dimension, "B": target.dimension}, {"f": (f, "A", "B")})
-    return _scan(ctx, groups, DEFAULT_VIOLATION_CAP)
+    return _scan(ctx, groups)
 
 
 QUADRI_TO_DENDRIFORM_COLLAPSE = {name: half(name) for name in SIGNATURE_OPS["quadri"]}

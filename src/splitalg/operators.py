@@ -1,5 +1,6 @@
-"""Checks for Rota-Baxter, averaging and relative averaging operators,
-the graph-subalgebra characterization, and brute-force operator search.
+"""Checks for Rota-Baxter, averaging, relative averaging and differential
+operators, the graph-subalgebra characterization, and brute-force operator
+search.
 
 Each operator kind is a list of schema groups in the map T, run by the
 identity engine of `splitalg.identities`."""
@@ -11,7 +12,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .identities import (
-    DEFAULT_VIOLATION_CAP,
     IdentitySchema,
     OpContext,
     VariableMap,
@@ -81,6 +81,13 @@ _HOMOMORPHIC_RELATIVE = _RELATIVE_AVERAGING + tuple(
     for op in ("prec", "succ")
 )
 
+# T(T(x)) = 0, and the Leibniz rule T(x * y) = Tx * y + x * Ty for both
+# operations.
+_DIFFERENTIAL = ((equation("d2=0", ("A",), apply_map("T", _Tx), ()),),) + tuple(
+    (equation(f"leibniz:{op}", _AA, apply_map("T", app(op, _x, _y)), expr(app(op, _Tx, _y), app(op, _x, _Ty))),)
+    for op in ("prec", "succ")
+)
+
 
 class _Kind(_Record):
     __slots__ = ("subject", "signature", "map_sorts", "groups")
@@ -107,6 +114,7 @@ _KINDS = {
     "dend_averaging": _Kind(Algebra, "dendriform", _AA, _DEND_AVERAGING),
     "relative_averaging": _Kind(Representation, None, ("V", "A"), _RELATIVE_AVERAGING),
     "homomorphic_relative": _Kind(Action, None, ("V", "A"), _HOMOMORPHIC_RELATIVE),
+    "differential": _Kind(Algebra, "dendriform", _AA, _DIFFERENTIAL),
 }
 
 OPERATOR_KINDS = tuple(_KINDS)
@@ -127,7 +135,7 @@ def _context(subject, kind: str, t: LinearMap | None = None) -> OpContext:
 
 def check_operator(subject, kind: str, t: LinearMap) -> ViolationReport:
     """Check that t is an operator of the given kind on the subject."""
-    return _scan(_context(subject, kind, t), _KINDS[kind].groups, DEFAULT_VIOLATION_CAP, kind)
+    return _scan(_context(subject, kind, t), _KINDS[kind].groups, kind=kind)
 
 
 def check_rota_baxter(a: Algebra, r: LinearMap) -> ViolationReport:
@@ -183,7 +191,7 @@ def graph_subalgebra_check(rep: Representation, t: LinearMap) -> ViolationReport
         {"V": m, "H": n + m},
         {"G": (g, "V", "H"), "P": (p, "H", "H")},
     )
-    return _scan(ctx, _GRAPH_CLOSURE, DEFAULT_VIOLATION_CAP, "relative_averaging")
+    return _scan(ctx, _GRAPH_CLOSURE, kind="relative_averaging")
 
 
 def operator_map_shape(subject, kind: str) -> tuple[int, int]:

@@ -47,8 +47,8 @@ class QuotientError(SpecError):
 
 
 def _context(a: Algebra, sub: Subspace) -> OpContext:
-    """a's operations on the sort A under their own names, "var" and "map"
-    too, and the maps B, P, L and Pi of I (sort I) and Q (sort Q)."""
+    """a's operations on the sort A under their own names, and the maps B,
+    P, L and Pi of I (sort I) and Q (sort Q)."""
     n, complement = a.dimension, sub.complement_indices()
     p = reduction(sub)
     return OpContext(

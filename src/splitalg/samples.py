@@ -12,12 +12,10 @@ from fractions import Fraction
 
 from .constructions import aguiar_dendriform
 from .linalg import basis_vector, zero_vector
-from .model import Algebra, BilinearOp, LinearMap
+from .model import Algebra, BilinearOp, LinearMap, SIGNATURE_OPS
 
 
 def zero_algebra(dimension: int, signature: str) -> Algebra:
-    from .model import SIGNATURE_OPS
-
     z = BilinearOp.zero(dimension, dimension, dimension)
     return Algebra(dimension, signature, {name: z for name in SIGNATURE_OPS[signature]})
 

@@ -40,7 +40,7 @@ from splitalg.model import (
     evaluate,
     self_action,
 )
-from splitalg.operators import check_homomorphic_relative, check_relative_averaging, check_rota_baxter
+from splitalg.operators import check_homomorphic_relative, check_relative_averaging, check_rota_baxter, search_operators
 from splitalg.samples import one_dim_dendriform, truncated_polynomial_dendriform, zero_algebra
 from conftest import shift_map
 from oracle import eval_expr
@@ -172,6 +172,45 @@ def test_differential_quadri(dend):
     assert not verdict.ok
     with pytest.raises(PreconditionFailure):
         differential_quadri(dend, LinearMap.identity(n))
+
+
+def upper_triangular() -> Algebra:
+    """The upper-triangular 2x2 matrices on E11, E12, E22, with prec the
+    matrix product and succ zero: dendriform, as prec is associative."""
+    units = [(0, 0), (0, 1), (1, 1)]
+
+    def product(i, j):
+        (r, s), (t, u) = units[i], units[j]
+        return basis_vector(3, units.index((r, u))) if s == t else (0, 0, 0)
+
+    return Algebra(3, "dendriform", {"prec": BilinearOp.build(3, 3, 3, product), "succ": BilinearOp.zero(3, 3, 3)},
+                   ["E11", "E12", "E22"])
+
+
+# ad(E12): E11 -> -E12, E22 -> E12, E12 -> 0, and its negative
+AD_E12 = LinearMap(3, 3, [[0, 0, 0], [-1, 0, 1], [0, 0, 0]])
+MINUS_AD_E12 = LinearMap(3, 3, [[0, 0, 0], [1, 0, -1], [0, 0, 0]])
+
+
+def test_differential_quadri_twists_the_algebra_itself():
+    """On the upper-triangular matrices the grid -1, 0, 1 holds three
+    differentials: ad(E12), its negative and zero.  The two non-zero ones
+    give non-zero quadri algebras, the adjoint representation's twist."""
+    d = upper_triangular()
+    assert check(d, "dendriform").ok
+    assert search_operators(d, "differential", [-1, 0, 1]) == [AD_E12, LinearMap.zero(3, 3), MINUS_AD_E12]
+    for diff in (AD_E12, MINUS_AD_E12):
+        dq = differential_quadri(d, diff)
+        assert any(any(any(v) for v in row) for op in dq.operations.values() for row in op.coeffs)
+        assert dq.operations == tabulate(
+            context_for(adjoint_representation(d), {"T": (diff, "V", "A")}), ("V", "V"), constructions._QUADRI_TWIST)
+        assert check(dq, "quadri").ok
+
+
+def test_differential_needs_a_dendriform_algebra(poly):
+    with pytest.raises(SpecError) as refused:
+        check_differential(poly, LinearMap.zero(poly.dimension, poly.dimension))
+    assert str(refused.value) == "kind 'differential' needs a dendriform algebra"
 
 
 def test_differential_on_zero_algebra():

@@ -157,6 +157,7 @@ KIND_SUBJECTS = {
     "rota_baxter": algebras("associative"),
     "assoc_averaging": algebras("associative"),
     "dend_averaging": algebras("dendriform"),
+    "differential": algebras("dendriform"),
     "relative_averaging": st.one_of(representations(), actions()),
     "homomorphic_relative": actions(),
 }
@@ -281,8 +282,7 @@ def wide_subjects(name):
             wide_representations(), wide_actions())
     if name in ("dend-action", "homomorphic_relative"):
         return wide_actions()
-    return wide_algebras({"rota_baxter": "associative", "assoc_averaging": "associative",
-                          "dend_averaging": "dendriform"}.get(name, name))
+    return wide_algebras(_KINDS[name].signature if name in _KINDS else name)
 
 
 @st.composite
@@ -572,7 +572,7 @@ def small_subjects(draw, kind):
     if kind in ("rota_baxter", "assoc_averaging"):
         return draw(algebras("associative", n))
     base = draw(algebras("dendriform", n))
-    if kind == "dend_averaging":
+    if kind in ("dend_averaging", "differential"):
         return base
     tensors = draw(action_tensors(n, m))
     if kind == "relative_averaging" and draw(st.booleans()):
@@ -691,6 +691,7 @@ def test_search_binds_the_engine_once(monkeypatch):
         (_DUAL_PREC, "dend_averaging"),
         (model.adjoint_representation(_DUAL_PREC), "relative_averaging"),
         (model.self_action(_DUAL_PREC), "homomorphic_relative"),
+        (_DUAL_PREC, "differential"),
     ]
     grids = [[Fraction(0)], [Fraction(-1), Fraction(0), Fraction(1)]]
     monkeypatch.setattr(identities._Program, "violations", counting)

@@ -197,7 +197,7 @@ def test_map_of_the_wrong_shape_is_refused_by_its_sorts(entry, poly, dend, adjoi
     call, name, sorts = {
         "rota_baxter": (lambda: check_operator(poly, "rota_baxter", skew), "T", "A->A"),
         "relative_averaging": (lambda: check_operator(adjoint, "relative_averaging", skew), "T", "V->A"),
-        "differential": (lambda: check_differential(dend, skew), "d", "A->A"),
+        "differential": (lambda: check_differential(dend, skew), "T", "A->A"),
         "morphism": (lambda: check_morphism(skew, dend, dend, {"prec": "prec", "succ": "succ"}), "f", "A->B"),
         "aguiar_dendriform": (lambda: aguiar_dendriform(poly, skew), "T", "A->A"),
         "graph_subalgebra": (lambda: graph_subalgebra_check(adjoint, skew), "T", "V->A"),

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from splitalg.constructions import _DIFFERENTIAL, check_differential
+from splitalg.constructions import check_differential
 from splitalg.identities import (
     DEFAULT_VIOLATION_CAP,
     ViolationReport,
@@ -22,6 +22,7 @@ from splitalg.identities import (
 )
 from splitalg.model import LinearMap, adjoint_representation, self_action
 from splitalg.operators import (
+    _KINDS,
     check_assoc_averaging,
     check_dend_averaging,
     check_homomorphic_relative,
@@ -148,13 +149,13 @@ def test_public_checks_take_no_cap(fn):
 def test_differential_respects_the_cap():
     """d^2 = 0 witnesses count against the cap like every other witness."""
     d = truncated_polynomial_dendriform(3)
-    ctx = context_for(d, {"d": (LinearMap.identity(3), "A", "A")})
-    report = _scan(ctx, _DIFFERENTIAL, 1, "differential")
+    ctx, groups = context_for(d, {"T": (LinearMap.identity(3), "A", "A")}), _KINDS["differential"].groups
+    report = _scan(ctx, groups, 1, "differential")
     assert len(report.violations) == 1
     assert report.truncated
     assert report.violations[0].identity == "d2=0"
-    assert _scan(ctx, _DIFFERENTIAL, 0, "differential").truncated
-    assert check_differential(d, LinearMap.identity(3)) == _scan(ctx, _DIFFERENTIAL, DEFAULT_VIOLATION_CAP, "differential")
+    assert _scan(ctx, groups, 0, "differential").truncated
+    assert check_differential(d, LinearMap.identity(3)) == _scan(ctx, groups, DEFAULT_VIOLATION_CAP, "differential")
 
 
 # Failing quadri checks on seeded random algebras, each capped at the
