@@ -4,8 +4,10 @@ Every tensor here is built by one builder, `identities.tabulate`, from a
 table of terms on basis pairs: a product places the object's operations by
 the projections and inclusions of its sorts, a sum collapse adds two halves
 and an induced structure twists them, as in mu(x, Ty).  Every theorem
-refuses an input that fails the axioms of its own type (`_require_axioms`)
-or its operator identity; the tests and the CLI re-check the outputs.
+refuses an input of another type with one line, then one that fails the
+axioms of its type (`_require_axioms`) or its operator identity with the
+failing verdict; a twisted theorem does all three through its operator
+kind's row (`_twisted`).  The tests and the CLI re-check the outputs.
 """
 
 from __future__ import annotations
@@ -55,20 +57,22 @@ def _require(report: ViolationReport, message: str) -> None:
         raise PreconditionFailure(message, report)
 
 
-def _require_axioms(obj, *signatures: str) -> None:
-    """Refuse a theorem's input that fails the axioms of its own type, with
-    the first failing verdict.  A representation needs a dendriform base and
-    the module axioms; an action also a dendriform target and the action
-    axioms.  An algebra needs one of the signatures and its catalog; a six
-    algebra also needs its perp pair and its quadri part."""
+def _require_axioms(obj, *signatures: str | None) -> None:
+    """Refuse an input of another type than the signatures name (a module if
+    none does) with one line, then one that fails the axioms of its type with
+    the first failing verdict: a module's dendriform base, an action's target,
+    the action and module axioms; an algebra's catalog, and a six algebra's
+    perp pair and quadri part."""
+    got = type(obj).__name__.lower() if isinstance(obj, Representation) else getattr(obj, "signature", None)
+    wanted = tuple(filter(None, signatures)) or ("representation", "action")
+    if got not in wanted:
+        raise SpecError(f"expected {' or '.join(wanted)}, got {got}")
     if isinstance(obj, Representation):
         parts = [(obj.base, "dendriform", "base algebra is not dendriform")]
         if isinstance(obj, Action):
             parts += [(obj.target, "dendriform", "target algebra is not dendriform"),
                       (obj, "dend-action", "input is not an action")]
         parts.append((obj, "dend-representation", "input is not a representation"))
-    elif obj.signature not in signatures:
-        raise SpecError(f"expected signature in {signatures}, got {obj.signature!r}")
     elif obj.signature == "six":
         parts = [
             (perp_dendriform_part(obj), "dendriform", "target not dendriform: the perp pair fails the dendriform axioms"),
@@ -136,8 +140,10 @@ def action_semidirect(act: Action) -> Algebra:
     return _product(act, "dendriform", lambda name: ("AA", "AV", "VA", "VV"))
 
 
-def _sum_collapse(q: Algebra, signature: str) -> Algebra:
-    """Each operation of the signature is the sum of its prec and succ halves."""
+def _sum_collapse(q: Algebra, signature: str, *inputs: str) -> Algebra:
+    """Each operation of the signature is the sum of its prec and succ
+    halves, on an algebra of one of the input signatures."""
+    _require_axioms(q, *inputs)
     table = {name: expr(app(prec, _x, _y), app(succ, _x, _y))
              for name in SIGNATURE_OPS[signature] for prec, succ in [split(name)]}
     return Algebra(q.dimension, signature, tabulate(context_for(q), ("A", "A"), table), q.basis_labels)
@@ -146,42 +152,42 @@ def _sum_collapse(q: Algebra, signature: str) -> Algebra:
 def sum_collapse_quadri(q: Algebra) -> Algebra:
     """Di-associative collapse: vdash = prec_vdash + succ_vdash,
     dashv = prec_dashv + succ_dashv."""
-    _require_axioms(q, "quadri", "six")
-    return _sum_collapse(q, "diassociative")
+    return _sum_collapse(q, "diassociative", "quadri", "six")
 
 
 def sum_collapse_six(s: Algebra) -> Algebra:
     """Tri-associative collapse: the di-associative pair plus
     perp = prec_perp + succ_perp."""
-    _require_axioms(s, "six")
-    return _sum_collapse(s, "triassociative")
+    return _sum_collapse(s, "triassociative", "six")
 
 
-def _twisted(subject, kind: str, t: LinearMap, table, message: str) -> dict[str, BilinearOp]:
-    """The subject's term table on the basis pairs of T's source sort, with t
-    as the map T of the operator kind; a t that fails the kind is refused
-    with the message and its verdict."""
+def _twisted(subject, kind: str, t: LinearMap, signature: str, table, message: str) -> Algebra:
+    """The algebra of the signature that t, an operator of the kind, twists:
+    the table on the basis pairs of T's source sort, labelled as the algebra
+    on that sort (the subject, an action's target, none on a representation).
+    The kind's row refuses a subject it does not take and a t of the wrong
+    shape with one line; the subject's axioms, then the kind's equations on t
+    (with the message), refuse with the failing verdict."""
+    ctx, row = _context(subject, kind, t), _KINDS[kind]
+    _require_axioms(subject, row.signature)
     _require(check_operator(subject, kind, t), message)
-    source = _KINDS[kind].map_sorts[0]
-    return tabulate(_context(subject, kind, t), (source, source), table)
+    source = row.map_sorts[0]
+    labels = getattr(getattr(subject, "target", subject), "basis_labels", None)
+    return Algebra(ctx.dims[source], signature, tabulate(ctx, (source, source), table), labels)
 
 
 def aguiar_dendriform(assoc: Algebra, r: LinearMap) -> Algebra:
     """Dendriform structure from a Rota-Baxter operator:
     a prec b = mu(a, Rb), a succ b = mu(Ra, b)."""
-    _require_axioms(assoc, "associative")
-    ops = _twisted(assoc, "rota_baxter", r, {"prec": app("mul", _x, _Ty), "succ": app("mul", _Tx, _y)},
-                   "map is not a Rota-Baxter operator")
-    return Algebra(assoc.dimension, "dendriform", ops, assoc.basis_labels)
+    return _twisted(assoc, "rota_baxter", r, "dendriform", {"prec": app("mul", _x, _Ty), "succ": app("mul", _Tx, _y)},
+                    "map is not a Rota-Baxter operator")
 
 
 def aguiar_diassociative(assoc: Algebra, h: LinearMap) -> Algebra:
     """Di-associative structure from an averaging operator:
     a dashv b = mu(a, Hb), a vdash b = mu(Ha, b)."""
-    _require_axioms(assoc, "associative")
-    ops = _twisted(assoc, "assoc_averaging", h, {"dashv": app("mul", _x, _Ty), "vdash": app("mul", _Tx, _y)},
-                   "map is not an averaging operator")
-    return Algebra(assoc.dimension, "diassociative", ops, assoc.basis_labels)
+    return _twisted(assoc, "assoc_averaging", h, "diassociative",
+                    {"dashv": app("mul", _x, _Ty), "vdash": app("mul", _Tx, _y)}, "map is not an averaging operator")
 
 
 # u prec_vdash v = Tu prec_l v, u prec_dashv v = u prec_r Tv, and the succ
@@ -198,26 +204,22 @@ def induced_quadri(rep: Representation, t: LinearMap) -> Algebra:
     """Quadri-dendriform structure on the module of a relative averaging
     operator: u prec_vdash v = Tu prec_l v, u prec_dashv v = u prec_r Tv,
     and the succ analogues."""
-    _require_axioms(rep)
-    ops = _twisted(rep, "relative_averaging", t, _QUADRI_TWIST, "map is not a relative averaging operator")
-    return Algebra(rep.module_dim, "quadri", ops)
+    return _twisted(rep, "relative_averaging", t, "quadri", _QUADRI_TWIST, "map is not a relative averaging operator")
 
 
 def averaging_quadri(d: Algebra, t: LinearMap) -> Algebra:
     """Quadri structure induced by an averaging operator on the algebra
     itself: x prec_vdash y = Tx prec y, x prec_dashv y = x prec Ty, etc."""
-    return induced_quadri(adjoint_representation(d), t)
+    return _twisted(d, "dend_averaging", t, "quadri", _QUADRI_TWIST, "map is not an averaging operator")
 
 
 def induced_six(act: Action, t: LinearMap) -> Algebra:
     """Six-dendriform structure on the target of a homomorphic relative
-    averaging operator: the perp pair copies the target's own products and
-    the quadri quadruple is T-twisted as in induced_quadri."""
-    _require_axioms(act)
-    ops = _twisted(act, "homomorphic_relative", t, _QUADRI_TWIST,
-                   "map is not a homomorphic relative averaging operator")
-    ops.update((name, act.target.op(half(name))) for name in split("perp"))
-    return Algebra(act.target.dimension, "six", ops, act.target.basis_labels)
+    averaging operator: the quadri quadruple is T-twisted as in
+    induced_quadri, and the perp pair is the target's own prec and succ."""
+    return _twisted(act, "homomorphic_relative", t, "six",
+                    {**_QUADRI_TWIST, **{name: app(half(name), _x, _y) for name in split("perp")}},
+                    "map is not a homomorphic relative averaging operator")
 
 
 def check_differential(d: Algebra, diff: LinearMap) -> ViolationReport:
@@ -229,8 +231,7 @@ def check_differential(d: Algebra, diff: LinearMap) -> ViolationReport:
 def differential_quadri(d: Algebra, diff: LinearMap) -> Algebra:
     """Quadri structure of a differential dendriform algebra:
     x prec_vdash y = d(x) prec y, x prec_dashv y = x prec d(y), etc."""
-    _require_axioms(d, "dendriform")
-    return Algebra(d.dimension, "quadri", _twisted(d, "differential", diff, _QUADRI_TWIST, "map is not a differential"))
+    return _twisted(d, "differential", diff, "quadri", _QUADRI_TWIST, "map is not a differential")
 
 
 def dual_extension(d: Algebra) -> tuple[Action, LinearMap]:

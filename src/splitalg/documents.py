@@ -196,12 +196,12 @@ def _parse_map(raw, algebras, path: str, tokens: dict) -> LinearMap:
     return LinearMap(source, target, rows)
 
 
-def _require_algebra(ref, algebras, path: str, signature: str | None = None) -> Algebra:
+def _require_algebra(ref, algebras, path: str) -> Algebra:
     if not isinstance(ref, str) or ref not in algebras:
         raise DocumentError(path, f"unknown algebra {ref!r}")
     alg = algebras[ref]
-    if signature and alg.signature != signature:
-        raise DocumentError(path, f"algebra {ref!r} must have signature {signature!r}")
+    if alg.signature != "dendriform":
+        raise DocumentError(path, f"algebra {ref!r} must have signature 'dendriform'")
     return alg
 
 
@@ -214,9 +214,9 @@ def _parse_module(section: str, raw, path: str, algebras, tokens: dict):
     cls, key = _MODULES[section]
     if not isinstance(raw, dict):
         raise DocumentError(path, f"{section[:-1]} must be an object")
-    base = _require_algebra(raw.get("base"), algebras, f"{path}.base", "dendriform")
+    base = _require_algebra(raw.get("base"), algebras, f"{path}.base")
     if key == "target":
-        module = _require_algebra(raw.get(key), algebras, f"{path}.{key}", "dendriform")
+        module = _require_algebra(raw.get(key), algebras, f"{path}.{key}")
         m = module.dimension
     else:
         module = m = raw.get(key)

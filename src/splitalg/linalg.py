@@ -129,13 +129,9 @@ class Subspace:
         pivot_set = set(self.pivots)
         return tuple(c for c in range(self.ambient_dim) if c not in pivot_set)
 
-def span(vectors: Sequence[Vector], ambient_dim: int | None = None) -> Subspace:
+def span(vectors: Sequence[Vector], ambient_dim: int) -> Subspace:
     """Canonical RREF basis of the linear span of the given vectors."""
     vectors = [vector(v) for v in vectors]
-    if ambient_dim is None:
-        if not vectors:
-            raise DimensionMismatch("ambient dimension required for an empty span")
-        ambient_dim = len(vectors[0])
     for v in vectors:
         if len(v) != ambient_dim:
             raise DimensionMismatch(

@@ -15,6 +15,7 @@ from splitalg.constructions import (
     action_semidirect,
     aguiar_dendriform,
     aguiar_diassociative,
+    averaging_quadri,
     check_differential,
     differential_quadri,
     dual_extension,
@@ -40,7 +41,15 @@ from splitalg.model import (
     evaluate,
     self_action,
 )
-from splitalg.operators import check_homomorphic_relative, check_relative_averaging, check_rota_baxter, search_operators
+from splitalg.operators import (
+    _KINDS,
+    check_homomorphic_relative,
+    check_operator,
+    check_relative_averaging,
+    check_rota_baxter,
+    search_operators,
+)
+from splitalg.quotients import dendriform_quotient, embed_averaging, quadri_to_relative_setup, six_to_homomorphic_setup
 from splitalg.samples import one_dim_dendriform, truncated_polynomial_dendriform, zero_algebra
 from conftest import shift_map
 from oracle import eval_expr
@@ -139,6 +148,9 @@ def test_dual_extension_and_six(dend, six):
     for i in range(n):
         assert proj.apply(basis_vector(2 * n, i)) == basis_vector(n, i)
         assert proj.apply(basis_vector(2 * n, n + i)) == zero
+    # the perp pair is the target's own products, with its labels
+    assert (six.op("prec_perp"), six.op("succ_perp")) == (act.target.op("prec"), act.target.op("succ"))
+    assert six.basis_labels == act.target.basis_labels
     report = check(six, "six")
     assert report.ok
     assert report.checked == 25 * (2 * n) ** 3
@@ -223,11 +235,15 @@ def test_differential_on_zero_algebra():
     assert check(dq, "quadri").ok
 
 
-def test_sum_collapse_requires_signature(dend):
-    with pytest.raises(SpecError):
-        sum_collapse_quadri(dend)
-    with pytest.raises(SpecError):
-        sum_collapse_six(dend)
+def test_sum_collapse_requires_signature(dend, quadri):
+    """One line, and no verdict: the input is of another type."""
+    for build, arg, message in ((sum_collapse_quadri, dend, "expected quadri or six, got dendriform"),
+                                (sum_collapse_six, dend, "expected six, got dendriform"),
+                                (sum_collapse_six, quadri, "expected six, got quadri")):
+        with pytest.raises(SpecError) as exc:
+            build(arg)
+        assert not isinstance(exc.value, PreconditionFailure)
+        assert str(exc.value) == message
 
 
 def test_semidirect_verifies_by_default():
@@ -507,3 +523,88 @@ def test_tabulate_matches_reference(data):
                     value, sort = eval_expr(expr(term), schema, ctx, values)
                     assert op.coeffs[i][j] == value
                     assert op.out_dim == ctx.dims[sort]
+
+
+# ----------------------------------------------------------------------
+# One input rule.  A twisted theorem refuses a subject its kind's row does
+# not take with the row's one line, before the shape of T or any axiom is
+# looked at; every other theorem refuses an input of the other type (a
+# module for an algebra, an algebra for a module) with one line too.  None
+# of these is a PreconditionFailure: there is no verdict to carry.
+
+TWISTED = {
+    aguiar_dendriform: "rota_baxter",
+    aguiar_diassociative: "assoc_averaging",
+    induced_quadri: "relative_averaging",
+    induced_six: "homomorphic_relative",
+    differential_quadri: "differential",
+    averaging_quadri: "dend_averaging",
+}
+
+
+def _misfits(poly, dend):
+    """An associative algebra, a dendriform algebra, a representation and an
+    action, by name."""
+    return {"associative": poly, "dendriform": dend, "representation": adjoint_representation(dend),
+            "action": self_action(dend)}
+
+
+@pytest.mark.parametrize("theorem", TWISTED, ids=lambda f: f.__name__)
+def test_twisted_theorem_refuses_a_subject_its_row_does_not_take(theorem, poly, dend):
+    row = _KINDS[TWISTED[theorem]]
+    refused = [subject for subject in _misfits(poly, dend).values() if not row.fits(subject)]
+    assert len(refused) >= 2
+    for subject in refused:
+        # a 1x1 map fits none of these subjects: the row refuses first
+        with pytest.raises(SpecError) as exc:
+            theorem(subject, LinearMap.zero(1, 1))
+        assert not isinstance(exc.value, PreconditionFailure)
+        assert str(exc.value) == f"kind {TWISTED[theorem]!r} needs {row.needs}"
+
+
+ALGEBRA_THEOREMS = [sum_collapse_quadri, sum_collapse_six, dual_extension, dendriform_quotient,
+                    quadri_to_relative_setup, six_to_homomorphic_setup, embed_averaging]
+
+
+@pytest.mark.parametrize("theorem", ALGEBRA_THEOREMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("module", ["representation", "action"])
+def test_algebra_theorem_refuses_a_module(theorem, module, poly, dend):
+    with pytest.raises(SpecError) as exc:
+        theorem(_misfits(poly, dend)[module])
+    assert not isinstance(exc.value, PreconditionFailure)
+    assert str(exc.value).endswith(f", got {module}")
+
+
+@pytest.mark.parametrize("theorem", [semidirect, hemisemidirect, action_semidirect], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("signature", ["associative", "dendriform"])
+def test_module_theorem_refuses_an_algebra(theorem, signature, poly, dend):
+    with pytest.raises(SpecError) as exc:
+        theorem(_misfits(poly, dend)[signature])
+    assert not isinstance(exc.value, PreconditionFailure)
+    assert str(exc.value) == f"expected representation or action, got {signature}"
+
+
+def test_averaging_quadri_is_the_adjoint_twist(dend):
+    """On the fixture with the identity and the zero map, and on every hit of
+    a grid search, the twist of d itself is the twist of its adjoint
+    representation, and keeps d's labels."""
+    d2 = truncated_polynomial_dendriform(2)
+    hits = search_operators(d2, "dend_averaging", [-1, 0, 1])
+    n = dend.dimension
+    cases = [(dend, LinearMap.identity(n)), (dend, LinearMap.zero(n, n)), *((d2, t) for t in hits)]
+    assert hits and dend.basis_labels is not None
+    for d, t in cases:
+        q = averaging_quadri(d, t)
+        assert q.operations == induced_quadri(adjoint_representation(d), t).operations
+        assert q.basis_labels == d.basis_labels
+
+
+def test_averaging_quadri_refuses_with_the_dend_averaging_verdict(dend):
+    n = dend.dimension
+    bad = LinearMap(n, n, [[1 if (i, j) == (0, 1) else 0 for j in range(n)] for i in range(n)])
+    with pytest.raises(PreconditionFailure) as exc:
+        averaging_quadri(dend, bad)
+    assert str(exc.value) == "map is not an averaging operator"
+    verdict = exc.value.verdict
+    assert verdict == check_operator(dend, "dend_averaging", bad) and not verdict.ok
+    assert all(v.identity.startswith(("Tprec:", "Tsucc:")) for v in verdict.violations)

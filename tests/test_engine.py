@@ -112,14 +112,14 @@ def action_tensors(draw, n, m):
 
 
 @st.composite
-def representations(draw):
-    base, m = draw(algebras("dendriform")), draw(DIMS)
+def representations(draw, n=None, m=None):
+    base, m = draw(algebras("dendriform", n)), m or draw(DIMS)
     return Representation(base, m, draw(action_tensors(base.dimension, m)))
 
 
 @st.composite
-def actions(draw):
-    base, target = draw(algebras("dendriform")), draw(algebras("dendriform"))
+def actions(draw, n=None, m=None):
+    base, target = draw(algebras("dendriform", n)), draw(algebras("dendriform", m))
     return Action(base, target, draw(action_tensors(base.dimension, target.dimension)))
 
 
@@ -153,14 +153,17 @@ def operator_scan(subject, kind, t, cap):
     return _scan(ctx(), _KINDS[kind].groups, cap, kind)
 
 
-KIND_SUBJECTS = {
-    "rota_baxter": algebras("associative"),
-    "assoc_averaging": algebras("associative"),
-    "dend_averaging": algebras("dendriform"),
-    "differential": algebras("dendriform"),
-    "relative_averaging": st.one_of(representations(), actions()),
-    "homomorphic_relative": actions(),
-}
+def row_subjects(kind, algebras_of, representations, actions):
+    """The subjects the kind's `_KINDS` row takes: an algebra of its
+    signature; for `Representation`, a representation or an action; for
+    `Action`, an action."""
+    row = _KINDS[kind]
+    if row.subject is Algebra:
+        return algebras_of(row.signature)
+    return actions if row.subject is Action else st.one_of(representations, actions)
+
+
+KIND_SUBJECTS = {kind: row_subjects(kind, algebras, representations(), actions()) for kind in OPERATOR_KINDS}
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,12 +280,12 @@ def wide_actions(draw):
 
 
 def wide_subjects(name):
-    if name in ("dend-representation", "relative_averaging"):
-        return wide_representations() if name == "dend-representation" else st.one_of(
-            wide_representations(), wide_actions())
-    if name in ("dend-action", "homomorphic_relative"):
-        return wide_actions()
-    return wide_algebras(_KINDS[name].signature if name in _KINDS else name)
+    """The subjects of a catalog, or of an operator kind as its row reads them."""
+    if name in _KINDS:
+        return row_subjects(name, wide_algebras, wide_representations(), wide_actions())
+    if name == "dend-representation":
+        return wide_representations()
+    return wide_actions() if name == "dend-action" else wide_algebras(name)
 
 
 @st.composite
@@ -569,15 +572,7 @@ SMALL = st.integers(1, 2)
 @st.composite
 def small_subjects(draw, kind):
     n, m = draw(SMALL), draw(SMALL)
-    if kind in ("rota_baxter", "assoc_averaging"):
-        return draw(algebras("associative", n))
-    base = draw(algebras("dendriform", n))
-    if kind in ("dend_averaging", "differential"):
-        return base
-    tensors = draw(action_tensors(n, m))
-    if kind == "relative_averaging" and draw(st.booleans()):
-        return Representation(base, m, tensors)
-    return Action(base, draw(algebras("dendriform", m)), tensors)
+    return draw(row_subjects(kind, lambda signature: algebras(signature, n), representations(n, m), actions(n, m)))
 
 
 def reference_search(subject, kind, grid):
