@@ -27,7 +27,7 @@ from .documents import (
     short_repr,
     unbounded_digits,
 )
-from .identities import CATALOG_NAMES, ViolationReport, check
+from .identities import CATALOG_NAMES, ViolationReport, check, fits
 from .model import Action, Algebra, LinearMap, Representation, SpecError
 
 EXIT_OK = 0
@@ -79,9 +79,7 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def cmd_check(args) -> int:
     doc = _load_document(args.file)
-    # the object of this name that the catalog reads: every other catalog reads an algebra
-    subject = {"dend-action": Action, "dend-representation": Representation}.get(args.catalog, Algebra)
-    obj = doc.lookup_object(args.object, lambda obj: isinstance(obj, subject))
+    obj = doc.lookup_object(args.object, lambda obj: fits(obj, args.catalog))
     report = check(obj, args.catalog)
     with unbounded_digits():
         _emit(
@@ -98,11 +96,11 @@ def _resolve_subject(doc: Document, kind: str, name: str | None, flag: str):
     then refuses; with no name, the document's one object that the kind takes."""
     from .operators import _KINDS
 
-    spec = _KINDS[kind]
+    takes = lambda obj: fits(obj, _KINDS[kind].catalog)
     if name is not None:
-        return doc.lookup_object(name, spec.fits)
+        return doc.lookup_object(name, takes)
     sections = (doc.algebras, doc.representations, doc.actions)
-    candidates = [obj for section in sections for obj in section.values() if spec.fits(obj)]
+    candidates = [obj for section in sections for obj in section.values() if takes(obj)]
     if not candidates:
         raise UsageError(f"the document has no object for kind {kind!r}")
     if len(candidates) > 1:

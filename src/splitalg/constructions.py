@@ -4,11 +4,11 @@ Every tensor here is built by one builder, `identities.tabulate`, from a
 table of terms on basis pairs: a product places the object's operations by
 the projections and inclusions of its sorts, a sum collapse adds two halves
 and an induced structure twists them, as in mu(x, Ty).  Every theorem
-refuses an input of another type with one line, then one that fails the
-axioms of its type (`_require_axioms`) or its operator identity with the
-failing verdict; a twisted theorem does all three through its operator
-kind's row (`_twisted`).  The tests and the CLI re-check the outputs.
-"""
+names its input type by catalogs and refuses an input that fits none
+(`identities.fits`) with one line, then one that fails the axioms of its
+type (`_require_axioms`) or its operator identity with the failing verdict;
+a twisted theorem takes its type from its operator kind's row (`_twisted`).
+The tests and the CLI re-check the outputs."""
 
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ from .identities import (
     check,
     context_for,
     expr,
+    fits,
+    needs,
     tabulate,
     var,
 )
@@ -57,16 +59,13 @@ def _require(report: ViolationReport, message: str) -> None:
         raise PreconditionFailure(message, report)
 
 
-def _require_axioms(obj, *signatures: str | None) -> None:
-    """Refuse an input of another type than the signatures name (a module if
-    none does) with one line, then one that fails the axioms of its type with
-    the first failing verdict: a module's dendriform base, an action's target,
-    the action and module axioms; an algebra's catalog, and a six algebra's
-    perp pair and quadri part."""
-    got = type(obj).__name__.lower() if isinstance(obj, Representation) else getattr(obj, "signature", None)
-    wanted = tuple(filter(None, signatures)) or ("representation", "action")
-    if got not in wanted:
-        raise SpecError(f"expected {' or '.join(wanted)}, got {got}")
+def _require_axioms(obj, *catalogs: str) -> None:
+    """Refuse an input no catalog reads (`identities.fits`) with one line, then
+    one that fails the axioms of its type with the first failing verdict: a
+    module's dendriform base, an action's target, the action and module
+    axioms; an algebra's catalog, and a six algebra's perp pair and quadri part."""
+    if not any(fits(obj, name) for name in catalogs):
+        raise SpecError(f"expected {needs(*catalogs)}")
     if isinstance(obj, Representation):
         parts = [(obj.base, "dendriform", "base algebra is not dendriform")]
         if isinstance(obj, Action):
@@ -116,7 +115,7 @@ def _semidirect(rep: Representation) -> Algebra:
 def semidirect(rep: Representation) -> Algebra:
     """Dendriform structure on base + module:
     (x,u) prec (y,v) = (x prec y, x prec_l v + u prec_r y), same shape for succ."""
-    _require_axioms(rep)
+    _require_axioms(rep, "dend-representation")
     return _semidirect(rep)
 
 
@@ -128,7 +127,7 @@ def hemisemidirect(rep: Representation) -> Algebra:
     """Quadri-dendriform structure on base + module; each split operation
     keeps the base product and only a one-sided action:
     (x,u) prec_vdash (y,v) = (x prec y, x prec_l v), and so on."""
-    _require_axioms(rep)
+    _require_axioms(rep, "dend-representation")
     return _hemisemidirect(rep)
 
 
@@ -136,7 +135,7 @@ def action_semidirect(act: Action) -> Algebra:
     """Dendriform structure on base + target with the target's own products
     on the module block:
     (x,u) prec (y,v) = (x prec y, x prec_l v + u prec_r y + u prec' v)."""
-    _require_axioms(act)
+    _require_axioms(act, "dend-action")
     return _product(act, "dendriform", lambda name: ("AA", "AV", "VA", "VV"))
 
 
@@ -169,7 +168,7 @@ def _twisted(subject, kind: str, t: LinearMap, signature: str, table, message: s
     shape with one line; the subject's axioms, then the kind's equations on t
     (with the message), refuse with the failing verdict."""
     ctx, row = _context(subject, kind, t), _KINDS[kind]
-    _require_axioms(subject, row.signature)
+    _require_axioms(subject, row.catalog)
     _require(check_operator(subject, kind, t), message)
     source = row.map_sorts[0]
     labels = getattr(getattr(subject, "target", subject), "basis_labels", None)

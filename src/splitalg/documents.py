@@ -199,10 +199,7 @@ def _parse_map(raw, algebras, path: str, tokens: dict) -> LinearMap:
 def _require_algebra(ref, algebras, path: str) -> Algebra:
     if not isinstance(ref, str) or ref not in algebras:
         raise DocumentError(path, f"unknown algebra {ref!r}")
-    alg = algebras[ref]
-    if alg.signature != "dendriform":
-        raise DocumentError(path, f"algebra {ref!r} must have signature 'dendriform'")
-    return alg
+    return algebras[ref]
 
 
 # section -> (class, the key beside "base" that gives the module): a

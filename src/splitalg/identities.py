@@ -382,6 +382,22 @@ _CATALOGS = {
 
 CATALOG_NAMES = tuple(sorted(_CATALOGS))
 
+_MODULE_TYPES = {"dend-representation": Representation, "dend-action": Action}
+
+
+def fits(obj, catalog_name: str) -> bool:
+    """Is obj of the type the catalog reads: a module catalog's type (an
+    action is a representation), any other's an algebra of its name?"""
+    module = _MODULE_TYPES.get(catalog_name)
+    return isinstance(obj, module) if module else isinstance(obj, Algebra) and obj.signature == catalog_name
+
+
+def needs(*catalog_names: str) -> str:
+    """That type as a noun: "an action", "a quadri or six algebra"."""
+    modules = [_MODULE_TYPES[name].__name__.lower() for name in catalog_names if name in _MODULE_TYPES]
+    noun = " or ".join(modules or catalog_names) + ("" if modules else " algebra")
+    return ("an " if noun[0] in "aeiou" else "a ") + noun
+
 
 def catalog(name: str) -> list[IdentitySchema]:
     try:
@@ -821,12 +837,11 @@ def _scan(ctx: OpContext, groups, max_violations=DEFAULT_VIOLATION_CAP, kind: st
 
 def check(obj, catalog_name: str) -> ViolationReport:
     """Evaluate every schema of the catalog on every basis tuple consistent
-    with the slot sorts; collect all nonzero residuals (up to the cap).  A
-    catalog that reads only the sort A refuses a representation or action."""
+    with the slot sorts; collect all nonzero residuals (up to the cap).  An
+    object the catalog does not read (`fits`) is refused first, in one line."""
     schemas = catalog(catalog_name)
-    if isinstance(obj, Representation) and {s for schema in schemas for s in schema.slot_sorts} == {"A"}:
-        kind = "an action" if isinstance(obj, Action) else "a representation"
-        raise SpecError(f"catalog {catalog_name!r} reads an algebra, not {kind}")
+    if not fits(obj, catalog_name):
+        raise SpecError(f"catalog {catalog_name!r} needs {needs(catalog_name)}")
     return check_schemas(obj, schemas)
 
 

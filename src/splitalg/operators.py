@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .identities import (
-    IdentitySchema,
     OpContext,
     VariableMap,
     ViolationReport,
@@ -23,6 +22,8 @@ from .identities import (
     context_for,
     equation,
     expr,
+    fits,
+    needs,
     on_sort,
     residual_polynomials,
     var,
@@ -90,31 +91,19 @@ _DIFFERENTIAL = ((equation("d2=0", ("A",), apply_map("T", _Tx), ()),),) + tuple(
 
 
 class _Kind(_Record):
-    __slots__ = ("subject", "signature", "map_sorts", "groups")
+    __slots__ = ("catalog", "map_sorts", "groups")  # the subject fits the catalog; T: map_sorts[0] -> [1]
 
-    def __init__(self, subject: type, signature: str | None, map_sorts: tuple[str, str], groups):
-        self.subject = subject
-        self.signature = signature  # of an algebra subject; None for a module
-        self.map_sorts = map_sorts  # T maps the first sort to the second
-        self.groups: tuple[tuple[IdentitySchema, ...], ...] = groups
-
-    def fits(self, obj) -> bool:
-        return isinstance(obj, self.subject) and (self.signature is None or obj.signature == self.signature)
-
-    @property
-    def needs(self) -> str:
-        """The subject, as in "an associative algebra"."""
-        noun = f"{self.signature or ''} {self.subject.__name__.lower()}".lstrip()
-        return ("an " if noun[0] in "aeiou" else "a ") + noun
+    def __init__(self, catalog: str, map_sorts: tuple[str, str], groups):
+        self.catalog, self.map_sorts, self.groups = catalog, map_sorts, groups
 
 
 _KINDS = {
-    "rota_baxter": _Kind(Algebra, "associative", _AA, _ROTA_BAXTER),
-    "assoc_averaging": _Kind(Algebra, "associative", _AA, _ASSOC_AVERAGING),
-    "dend_averaging": _Kind(Algebra, "dendriform", _AA, _DEND_AVERAGING),
-    "relative_averaging": _Kind(Representation, None, ("V", "A"), _RELATIVE_AVERAGING),
-    "homomorphic_relative": _Kind(Action, None, ("V", "A"), _HOMOMORPHIC_RELATIVE),
-    "differential": _Kind(Algebra, "dendriform", _AA, _DIFFERENTIAL),
+    "rota_baxter": _Kind("associative", _AA, _ROTA_BAXTER),
+    "assoc_averaging": _Kind("associative", _AA, _ASSOC_AVERAGING),
+    "dend_averaging": _Kind("dendriform", _AA, _DEND_AVERAGING),
+    "relative_averaging": _Kind("dend-representation", ("V", "A"), _RELATIVE_AVERAGING),
+    "homomorphic_relative": _Kind("dend-action", ("V", "A"), _HOMOMORPHIC_RELATIVE),
+    "differential": _Kind("dendriform", _AA, _DIFFERENTIAL),
 }
 
 OPERATOR_KINDS = tuple(_KINDS)
@@ -128,8 +117,8 @@ def _context(subject, kind: str, t: LinearMap | None = None) -> OpContext:
         raise SpecError(
             f"unknown operator kind {kind!r}; known: {', '.join(OPERATOR_KINDS)}"
         ) from None
-    if not spec.fits(subject):
-        raise SpecError(f"kind {kind!r} needs {spec.needs}")
+    if not fits(subject, spec.catalog):
+        raise SpecError(f"kind {kind!r} needs {needs(spec.catalog)}")
     return context_for(subject, None if t is None else {"T": (t, *spec.map_sorts)})
 
 

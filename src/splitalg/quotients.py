@@ -20,6 +20,8 @@ from .identities import (
     apply_map,
     context_for,
     equation,
+    fits,
+    needs,
     on_sort,
     tabulate,
     var,
@@ -135,8 +137,8 @@ def splitting_ideal(q: Algebra) -> Ideal:
     or x succ_X y - x succ_Y y times its scale: it identifies each split
     operation with the others of its half, so for a six algebra perp with
     vdash and dashv too."""
-    if q.signature not in ("quadri", "six"):
-        raise SpecError("splitting ideal needs a quadri or six signature")
+    if not (fits(q, "quadri") or fits(q, "six")):
+        raise SpecError(f"splitting ideal needs {needs('quadri', 'six')}")
     firsts = {half(name): name for name in reversed(q.operations)}  # each half's first wins
     groups = [[(name, app(name, _x, _y), app(firsts[half(name)], _x, _y))] for name in q.operations]
     return ideal_generated(q, [residual for _, _, residual, _ in _failures(context_for(q), ("A", "A"), groups)])

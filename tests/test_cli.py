@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,18 @@ from hypothesis import strategies as st
 
 from splitalg.cli import _SECTIONS, KIND_ALIASES, RECIPES, _resolve_subject, main
 from splitalg.documents import Document, parse_document, serialize_document, unbounded_digits
-from splitalg.identities import check
+from splitalg import identities
+from splitalg.identities import CATALOG_NAMES, check, fits
 from splitalg.model import (
-    Action, Algebra, BilinearOp, LinearMap, Representation, SpecError, adjoint_representation, perp_dendriform_part,
-    self_action,
+    SIGNATURE_OPS, Action, Algebra, BilinearOp, LinearMap, Representation, SpecError, adjoint_representation,
+    perp_dendriform_part, self_action,
 )
-from splitalg.operators import check_rota_baxter
-from splitalg.samples import integration_map, one_dim_dendriform, truncated_polynomial_algebra, truncated_polynomial_dendriform
+from splitalg.operators import (
+    OPERATOR_KINDS, _KINDS, check_operator, check_rota_baxter, operator_map_shape, search_operators,
+)
+from splitalg.samples import (
+    integration_map, one_dim_dendriform, truncated_polynomial_algebra, truncated_polynomial_dendriform, zero_algebra,
+)
 
 from conftest import random_quadri
 from test_constructions import COUNTEREXAMPLES
@@ -620,14 +626,6 @@ def test_subject_of_another_signature(capsys, sample_doc_path, command, extra):
     assert err == "error: kind 'rota_baxter' needs an associative algebra\n"
 
 
-def test_catalog_on_sorts_the_object_lacks(capsys, sample_doc_path):
-    """A representation has no operation on V x V, which dend-action reads:
-    one error line naming the operation and its sorts."""
-    code, out, err = run(capsys, "check", sample_doc_path, "--object", "adjoint", "--catalog", "dend-action")
-    assert (code, out) == (2, "")
-    assert err == "error: object supplies no operation 'prec' on V x V\n"
-
-
 @pytest.mark.parametrize("catalog", ["dendriform", "dend-representation", "dend-action"])
 def test_check_takes_the_object_its_catalog_reads(capsys, tmp_path, catalog):
     """An algebra, a representation and an action all named r: each catalog
@@ -641,17 +639,98 @@ def test_check_takes_the_object_its_catalog_reads(capsys, tmp_path, catalog):
     assert out.startswith(f"r against {catalog}:\n")
 
 
-@pytest.mark.parametrize("section, kind", [("representations", "a representation"), ("actions", "an action")])
-def test_check_refuses_a_module_under_an_algebra_catalog(capsys, tmp_path, section, kind):
-    """dendriform reads only the sort A: on a representation or an action
-    of that name it once checked the base algebra and exited 0.  Now it
-    prints one error line and exits 2."""
+# One type rule.  The type each catalog reads, and each operator kind
+# through its row's catalog, is `identities.fits`; a misfit is refused with
+# one line before any scan, by the library and by every command.
+NEEDS = {
+    "associative": "an associative algebra", "dendriform": "a dendriform algebra",
+    "diassociative": "a diassociative algebra", "triassociative": "a triassociative algebra",
+    "quadri": "a quadri algebra", "six": "a six algebra",
+    "dend-representation": "a representation", "dend-action": "an action",
+}
+KIND_LINES = {
+    "rota_baxter": "kind 'rota_baxter' needs an associative algebra",
+    "assoc_averaging": "kind 'assoc_averaging' needs an associative algebra",
+    "dend_averaging": "kind 'dend_averaging' needs a dendriform algebra",
+    "relative_averaging": "kind 'relative_averaging' needs a representation",
+    "homomorphic_relative": "kind 'homomorphic_relative' needs an action",
+    "differential": "kind 'differential' needs a dendriform algebra",
+}
+CLI_KIND = {kind: alias for alias, kind in KIND_ALIASES.items()}  # differential has no alias
+
+
+def type_zoo():
+    """An algebra of each signature (the raw one, what a document without a
+    signature gives, with the dendriform products), a representation and an
+    action, by name; d is the base and target of the modules."""
     d = truncated_polynomial_dendriform(2)
-    module = {"representations": adjoint_representation, "actions": self_action}[section](d)
-    doc = tmp_path / "doc.json"
-    doc.write_text(serialize_document(Document(algebras={"d": d}, **{section: {"m": module}})))
-    assert run(capsys, "check", str(doc), "--object", "m", "--catalog", "dendriform") == (
-        2, "", f"error: catalog 'dendriform' reads an algebra, not {kind}\n")
+    zoo = {signature: zero_algebra(2, signature) for signature in SIGNATURE_OPS}
+    zoo["raw"] = Algebra(2, "raw", d.operations)
+    return d, {**zoo, "representation": adjoint_representation(d), "action": self_action(d)}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + OPERATOR_KINDS)
+def test_one_type_rule(capsys, tmp_path, name):
+    """Every subject of the zoo that `fits` the name's catalog is checked;
+    every other is refused with the one line, by the library and by each
+    command that takes the name, with no program compiled first."""
+    assert set(NEEDS) == set(CATALOG_NAMES) and set(KIND_LINES) == set(OPERATOR_KINDS)
+    kind = name in _KINDS
+    line = KIND_LINES[name] if kind else f"catalog {name!r} needs {NEEDS[name]}"
+    doc = str(tmp_path / "doc.json")
+    if not kind:
+        commands = [["check", doc, "--object", "o", "--catalog", name]]
+    elif name in CLI_KIND:
+        commands = [["check-operator", doc, "--kind", CLI_KIND[name], "--on", "o", "--map", "t"],
+                    ["search", doc, "--kind", CLI_KIND[name], "--object", "o", "--grid", "0"]]
+    else:
+        commands = []
+    d, zoo = type_zoo()
+    refused = 0
+    for obj in zoo.values():
+        fit = fits(obj, _KINDS[name].catalog if kind else name)
+        t = LinearMap.zero(*operator_map_shape(obj, name)) if kind and fit else LinearMap.zero(1, 1)
+        sections = {"algebras": {"d": d}, "representations": {}, "actions": {}}
+        sections[{Action: "actions", Representation: "representations"}.get(type(obj), "algebras")]["o"] = obj
+        Path(doc).write_text(serialize_document(Document(maps={"t": t}, **sections)))
+        calls = ([lambda: check_operator(obj, name, t), lambda: search_operators(obj, name, [0])] if kind
+                 else [lambda: check(obj, name)])
+        if fit:
+            for call in calls:
+                call()
+            assert all(run(capsys, *argv)[0] != 2 for argv in commands)
+            continue
+        refused += 1
+        with mock.patch.object(identities, "_Program", side_effect=AssertionError("a program was compiled")):
+            for call in calls:
+                with pytest.raises(SpecError) as exc:
+                    call()
+                assert str(exc.value) == line
+            for argv in commands:
+                assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+    assert refused >= len(zoo) - 2
+
+
+def test_check_refuses_a_six_algebra_under_quadri(capsys, tmp_path):
+    """A six algebra holds the quadri operations, and `check --catalog
+    quadri` once checked them; the catalog reads a quadri algebra, so the
+    six algebra is refused (its quadri part is `model.quadri_part`)."""
+    six = tmp_path / "six.json"
+    six.write_text(serialize_document(Document(algebras={"s": zero_algebra(2, "six")})))
+    assert run(capsys, "check", str(six), "--object", "s", "--catalog", "quadri") == (
+        2, "", "error: catalog 'quadri' needs a quadri algebra\n")
+
+
+def test_check_refuses_an_algebra_without_a_signature(capsys, tmp_path):
+    """A document algebra without "signature" is raw: no catalog reads it,
+    though its products are dendriform."""
+    d = truncated_polynomial_dendriform(2)
+    doc = json.loads(serialize_document(Document(algebras={"d": d})))
+    del doc["algebras"]["d"]["signature"]
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "check", str(path), "--object", "d", "--catalog", "dendriform") == (
+        2, "", "error: catalog 'dendriform' needs a dendriform algebra\n")
 
 
 def _digits_limit():

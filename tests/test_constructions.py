@@ -26,7 +26,9 @@ from splitalg.constructions import (
     sum_collapse_quadri,
     sum_collapse_six,
 )
-from splitalg.identities import IdentitySchema, _scan, app, apply_map, catalog, check, context_for, expr, tabulate, var
+from splitalg.identities import (
+    IdentitySchema, _scan, app, apply_map, catalog, check, context_for, expr, fits, needs, tabulate, var,
+)
 from splitalg.linalg import basis_vector, vec_add
 from splitalg.model import (
     ACTION_SORTS,
@@ -237,9 +239,9 @@ def test_differential_on_zero_algebra():
 
 def test_sum_collapse_requires_signature(dend, quadri):
     """One line, and no verdict: the input is of another type."""
-    for build, arg, message in ((sum_collapse_quadri, dend, "expected quadri or six, got dendriform"),
-                                (sum_collapse_six, dend, "expected six, got dendriform"),
-                                (sum_collapse_six, quadri, "expected six, got quadri")):
+    for build, arg, message in ((sum_collapse_quadri, dend, "expected a quadri or six algebra"),
+                                (sum_collapse_six, dend, "expected a six algebra"),
+                                (sum_collapse_six, quadri, "expected a six algebra")):
         with pytest.raises(SpecError) as exc:
             build(arg)
         assert not isinstance(exc.value, PreconditionFailure)
@@ -552,18 +554,22 @@ def _misfits(poly, dend):
 @pytest.mark.parametrize("theorem", TWISTED, ids=lambda f: f.__name__)
 def test_twisted_theorem_refuses_a_subject_its_row_does_not_take(theorem, poly, dend):
     row = _KINDS[TWISTED[theorem]]
-    refused = [subject for subject in _misfits(poly, dend).values() if not row.fits(subject)]
+    refused = [subject for subject in _misfits(poly, dend).values() if not fits(subject, row.catalog)]
     assert len(refused) >= 2
     for subject in refused:
         # a 1x1 map fits none of these subjects: the row refuses first
         with pytest.raises(SpecError) as exc:
             theorem(subject, LinearMap.zero(1, 1))
         assert not isinstance(exc.value, PreconditionFailure)
-        assert str(exc.value) == f"kind {TWISTED[theorem]!r} needs {row.needs}"
+        assert str(exc.value) == f"kind {TWISTED[theorem]!r} needs {needs(row.catalog)}"
 
 
-ALGEBRA_THEOREMS = [sum_collapse_quadri, sum_collapse_six, dual_extension, dendriform_quotient,
-                    quadri_to_relative_setup, six_to_homomorphic_setup, embed_averaging]
+ALGEBRA_THEOREMS = {
+    sum_collapse_quadri: "a quadri or six algebra", sum_collapse_six: "a six algebra",
+    dual_extension: "a dendriform algebra", dendriform_quotient: "a quadri or six algebra",
+    quadri_to_relative_setup: "a quadri algebra", six_to_homomorphic_setup: "a six algebra",
+    embed_averaging: "a quadri algebra",
+}
 
 
 @pytest.mark.parametrize("theorem", ALGEBRA_THEOREMS, ids=lambda f: f.__name__)
@@ -572,16 +578,29 @@ def test_algebra_theorem_refuses_a_module(theorem, module, poly, dend):
     with pytest.raises(SpecError) as exc:
         theorem(_misfits(poly, dend)[module])
     assert not isinstance(exc.value, PreconditionFailure)
-    assert str(exc.value).endswith(f", got {module}")
+    assert str(exc.value) == f"expected {ALGEBRA_THEOREMS[theorem]}"
 
 
-@pytest.mark.parametrize("theorem", [semidirect, hemisemidirect, action_semidirect], ids=lambda f: f.__name__)
+MODULE_THEOREMS = {semidirect: "a representation", hemisemidirect: "a representation", action_semidirect: "an action"}
+
+
+@pytest.mark.parametrize("theorem", MODULE_THEOREMS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("signature", ["associative", "dendriform"])
 def test_module_theorem_refuses_an_algebra(theorem, signature, poly, dend):
     with pytest.raises(SpecError) as exc:
         theorem(_misfits(poly, dend)[signature])
     assert not isinstance(exc.value, PreconditionFailure)
-    assert str(exc.value) == f"expected representation or action, got {signature}"
+    assert str(exc.value) == f"expected {MODULE_THEOREMS[theorem]}"
+
+
+def test_action_semidirect_refuses_a_representation_before_any_scan(dend):
+    """A representation is not an action: one line, no verdict, and no
+    catalog scan of its axioms first."""
+    with mock.patch.object(constructions, "check", side_effect=AssertionError("a catalog was scanned")):
+        with pytest.raises(SpecError) as exc:
+            action_semidirect(adjoint_representation(dend))
+    assert not isinstance(exc.value, PreconditionFailure)
+    assert str(exc.value) == "expected an action"
 
 
 def test_averaging_quadri_is_the_adjoint_twist(dend):

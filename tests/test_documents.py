@@ -140,6 +140,25 @@ def test_representation_references_validated():
         parse_document(text)
 
 
+@pytest.mark.parametrize("section, ref, message", [
+    ("representations", "base", "representation base must be a dendriform algebra"),
+    ("actions", "target", "action target must be a dendriform algebra"),
+])
+def test_module_algebras_must_be_dendriform(section, ref, message):
+    """The module's own constructor refuses an algebra of another signature,
+    with the module's path."""
+    zero = [[[0]]]
+    actions = {name: zero for name in ("prec_l", "succ_l", "prec_r", "succ_r")}
+    module = {"base": "d", "target": "d", "actions": actions} if section == "actions" else {
+        "base": "d", "module_dim": 1, "actions": actions}
+    module[ref] = "p"
+    algebras = {"d": {"dimension": 1, "signature": "dendriform", "operations": {"prec": zero, "succ": zero}},
+                "p": {"dimension": 1, "signature": "associative", "operations": {"mul": zero}}}
+    with pytest.raises(DocumentError) as exc:
+        parse_document(json.dumps({"algebras": algebras, section: {"m": module}}))
+    assert str(exc.value) == f"{message} at $.{section}.m"
+
+
 def test_lookup_object(sample_doc_path):
     doc = parse_document(Path(sample_doc_path).read_text())
     assert doc.lookup_object("poly").signature == "associative"

@@ -30,6 +30,7 @@ from splitalg.identities import (
     context_for,
     equation,
     expr,
+    fits,
     tabulate,
     var,
 )
@@ -46,6 +47,7 @@ from splitalg.model import (
     Representation,
     SpecError,
     adjoint_representation,
+    self_action,
 )
 from splitalg.operators import OPERATOR_KINDS, _KINDS, check_operator, operator_map_shape, search_operators
 from splitalg.quotients import quadri_to_relative_setup
@@ -54,6 +56,7 @@ from splitalg.samples import (
     one_dim_dendriform,
     truncated_polynomial_algebra,
     truncated_polynomial_dendriform,
+    zero_algebra,
 )
 
 from conftest import random_quadri, shift_map, transport
@@ -129,12 +132,18 @@ def linear_maps(draw, source, target):
                                                    min_size=target, max_size=target)))
 
 
+def fitting(catalog_name, algebras_of, representations, actions):
+    """The subjects of the type the catalog reads: each strategy of an
+    algebra of each signature, of representations and of actions whose
+    example object `fits` the catalog."""
+    d = zero_algebra(1, "dendriform")
+    zoo = [*((zero_algebra(1, s), algebras_of(s)) for s in SIGNATURE_OPS),
+           (adjoint_representation(d), representations), (self_action(d), actions)]
+    return st.one_of(*(strategy for example, strategy in zoo if fits(example, catalog_name)))
+
+
 def catalog_subjects(name):
-    if name == "dend-representation":
-        return representations()
-    if name == "dend-action":
-        return actions()
-    return algebras(name)
+    return fitting(name, algebras, representations(), actions())
 
 
 def catalog_scan(obj, name, cap):
@@ -154,13 +163,8 @@ def operator_scan(subject, kind, t, cap):
 
 
 def row_subjects(kind, algebras_of, representations, actions):
-    """The subjects the kind's `_KINDS` row takes: an algebra of its
-    signature; for `Representation`, a representation or an action; for
-    `Action`, an action."""
-    row = _KINDS[kind]
-    if row.subject is Algebra:
-        return algebras_of(row.signature)
-    return actions if row.subject is Action else st.one_of(representations, actions)
+    """The subjects the kind's `_KINDS` row takes: those of its catalog."""
+    return fitting(_KINDS[kind].catalog, algebras_of, representations, actions)
 
 
 KIND_SUBJECTS = {kind: row_subjects(kind, algebras, representations(), actions()) for kind in OPERATOR_KINDS}
@@ -281,11 +285,8 @@ def wide_actions(draw):
 
 def wide_subjects(name):
     """The subjects of a catalog, or of an operator kind as its row reads them."""
-    if name in _KINDS:
-        return row_subjects(name, wide_algebras, wide_representations(), wide_actions())
-    if name == "dend-representation":
-        return wide_representations()
-    return wide_actions() if name == "dend-action" else wide_algebras(name)
+    catalog_name = _KINDS[name].catalog if name in _KINDS else name
+    return fitting(catalog_name, wide_algebras, wide_representations(), wide_actions())
 
 
 @st.composite

@@ -12,6 +12,7 @@ from splitalg.identities import (
     catalog,
     check,
     check_morphism,
+    check_schemas,
     context_for,
 )
 from splitalg.constructions import PreconditionFailure, _require_axioms
@@ -210,22 +211,13 @@ def test_truncated_report_is_not_ok():
 @pytest.mark.parametrize("obj, name, sorts", [("algebra", "dend-representation", "A x V"),
                                               ("representation", "dend-action", "V x V")])
 def test_missing_operation_is_named_with_its_sorts(dend, obj, name, sorts):
-    """An operation is resolved by its half and its arguments' sorts: an
+    """Schemas that come from no catalog have no type to refuse by: an
+    operation is resolved by its half and its arguments' sorts, and an
     algebra has none on A x V, a representation none on V x V."""
     subject = {"algebra": dend, "representation": adjoint_representation(dend)}[obj]
     with pytest.raises(SpecError) as refused:
-        check(subject, name)
+        check_schemas(subject, catalog(name))
     assert str(refused.value) == f"object supplies no operation 'prec' on {sorts}"
-
-
-@pytest.mark.parametrize("name", [name for name in CATALOG_NAMES if not name.startswith("dend-")])
-@pytest.mark.parametrize("module, kind", [(adjoint_representation, "a representation"), (self_action, "an action")])
-def test_algebra_catalog_refuses_a_module(dend, name, module, kind):
-    """A catalog that reads only the sort A would check a module's base
-    algebra and say nothing of its actions: it refuses the module."""
-    with pytest.raises(SpecError) as refused:
-        check(module(dend), name)
-    assert str(refused.value) == f"catalog {name!r} reads an algebra, not {kind}"
 
 
 # e0 prec_vdash e0 = e0 prec_vdash e1 = e1, every other product 0: it

@@ -13,6 +13,7 @@ from splitalg.model import (
     BilinearOp,
     LinearMap,
     SpecError,
+    adjoint_representation,
     dendriform_to_quadri,
     dendriform_to_six,
     evaluate,
@@ -70,8 +71,12 @@ def test_splitting_ideal_zero_on_promoted(dend):
 
 
 def test_splitting_ideal_requires_split_signature(dend):
-    with pytest.raises(SpecError):
-        splitting_ideal(dend)
+    """One line for an algebra of another signature and for a module, which
+    has no signature to compare."""
+    for obj in (dend, adjoint_representation(dend)):
+        with pytest.raises(SpecError) as exc:
+            splitting_ideal(obj)
+        assert str(exc.value) == "splitting ideal needs a quadri or six algebra"
 
 
 def test_quotient_round_trip(quadri):

@@ -17,7 +17,6 @@ import pytest
 import splitalg
 from splitalg.cli import main
 from splitalg.identities import IdentitySchema, Violation, ViolationReport
-from splitalg.model import Algebra, Representation
 from splitalg.operators import _Kind
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -168,15 +167,11 @@ def test_records_keep_repr_equality_and_hash():
     with pytest.raises(TypeError, match="unhashable type: 'ViolationReport'"):
         hash(report)
 
-    kind = _Kind(Algebra, "associative", ("A", "A"), ())
-    assert repr(kind) == (
-        "_Kind(subject=<class 'splitalg.model.Algebra'>, signature='associative', map_sorts=('A', 'A'), groups=())"
-    )
-    assert kind == _Kind(Algebra, "associative", ("A", "A"), ())
-    assert kind != _Kind(Algebra, "dendriform", ("A", "A"), ())
-    assert hash(kind) == hash((Algebra, "associative", ("A", "A"), ()))
-    assert kind.needs == "an associative algebra"
-    assert _Kind(Representation, None, ("V", "A"), ()).needs == "a representation"
+    kind = _Kind("associative", ("A", "A"), ())
+    assert repr(kind) == "_Kind(catalog='associative', map_sorts=('A', 'A'), groups=())"
+    assert kind == _Kind("associative", ("A", "A"), ())
+    assert kind != _Kind("dendriform", ("A", "A"), ())
+    assert hash(kind) == hash(("associative", ("A", "A"), ()))
 
 
 def test_cli_freezes_the_heap_before_finalisation(sample_doc_path):
