@@ -626,6 +626,15 @@ def test_subject_of_another_signature(capsys, sample_doc_path, command, extra):
     assert err == "error: kind 'rota_baxter' needs an associative algebra\n"
 
 
+def test_catalog_on_sorts_the_object_lacks(capsys, sample_doc_path):
+    """A representation has no operation on V x V, which dend-action reads:
+    it is refused by the type the catalog reads, before any operation is
+    looked up."""
+    code, out, err = run(capsys, "check", sample_doc_path, "--object", "adjoint", "--catalog", "dend-action")
+    assert (code, out) == (2, "")
+    assert err == "error: catalog 'dend-action' needs an action\n"
+
+
 @pytest.mark.parametrize("catalog", ["dendriform", "dend-representation", "dend-action"])
 def test_check_takes_the_object_its_catalog_reads(capsys, tmp_path, catalog):
     """An algebra, a representation and an action all named r: each catalog
@@ -637,6 +646,19 @@ def test_check_takes_the_object_its_catalog_reads(capsys, tmp_path, catalog):
     code, out, err = run(capsys, "check", str(same), "--object", "r", "--catalog", catalog)
     assert (code, err) == (0, "")
     assert out.startswith(f"r against {catalog}:\n")
+
+
+@pytest.mark.parametrize("section, kind", [("representations", "a representation"), ("actions", "an action")])
+def test_check_refuses_a_module_under_an_algebra_catalog(capsys, tmp_path, section, kind):
+    """dendriform reads only the sort A: on a representation or an action
+    of that name it once checked the base algebra and exited 0.  Now it
+    prints one error line, naming the type the catalog reads, and exits 2."""
+    d = truncated_polynomial_dendriform(2)
+    module = {"representations": adjoint_representation, "actions": self_action}[section](d)
+    doc = tmp_path / "doc.json"
+    doc.write_text(serialize_document(Document(algebras={"d": d}, **{section: {"m": module}})))
+    assert run(capsys, "check", str(doc), "--object", "m", "--catalog", "dendriform") == (
+        2, "", "error: catalog 'dendriform' needs a dendriform algebra\n")
 
 
 # One type rule.  The type each catalog reads, and each operator kind
