@@ -15,6 +15,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
 from .model import (
@@ -136,9 +137,8 @@ def _parse_tensor(raw, left, right, out, path: str, tokens: dict) -> BilinearOp:
 
 
 def _tensor_to_json(op: BilinearOp):
-    return [
-        [[scalar_to_json(e) for e in vec] for vec in row] for row in op.coeffs
-    ]
+    # most entries are zero: the test spares them the conversion
+    return [[[scalar_to_json(e) if e else 0 for e in vec] for vec in row] for row in op.coeffs]
 
 
 def _parse_algebra(name: str, raw, path: str, tokens: dict) -> Algebra:
@@ -292,11 +292,12 @@ def _module_to_json(section: str, name: str, obj, names: Mapping[int, str]):
 
 def serialize_document(doc: Document) -> str:
     """Deterministic canonical text for a document (sorted keys, reduced
-    rationals, trailing newline).  A scalar past the interpreter's int-to-text
-    bound, which parse_document keeps too, is refused with a SpecError, so a
-    document is written only if it can be read back."""
+    rationals, trailing newline): json.dumps(raw, sort_keys=True, indent=1)
+    of its JSON value, written by dumps.  A scalar past the interpreter's
+    int-to-text bound, which parse_document keeps too, is refused with a
+    SpecError, so a document is written only if it can be read back."""
     try:
-        return _serialize(doc)
+        return dumps(_raw(doc)) + "\n"
     except SpecError:
         raise
     except ValueError:  # an int past the bound
@@ -304,7 +305,47 @@ def serialize_document(doc: Document) -> str:
                         "more than a document is read with") from None
 
 
-def _serialize(doc: Document) -> str:
+def dumps(value) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=1), byte for
+    byte.  With an indent, json runs its pure-Python encoder; this joins the
+    same text from json's own ASCII string escaper, int.__repr__ (so an int
+    past the int-to-text bound raises the same ValueError) and keys sorted
+    as json sorts them, and writes each distinct list of ints and strings
+    once per depth.  Any other value, or a dict with a key that is not a
+    str, is left to json.dumps, indented to its depth."""
+    return _dumps(value, "\n", {})
+
+
+def _dumps(value, indent: str, lists: dict) -> str:
+    """value at the depth of indent, a newline and one space per level;
+    lists maps (indent, *items) to the text of a list of ints and strings."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if (kind is list or kind is dict) and not value:
+        return "[]" if kind is list else "{}"
+    inner = indent + " "
+    if kind is list:
+        # keyed by its items: only ints and strs, since True == 1 == 1.0 are written apart
+        if set(map(type, value)) <= {int, str}:
+            key = (indent, *value)
+            text = lists.get(key)
+            if text is None:
+                items = [int.__repr__(v) if type(v) is int else encode_basestring_ascii(v) for v in value]
+                text = lists[key] = "[" + inner + ("," + inner).join(items) + indent + "]"
+            return text
+        return "[" + inner + ("," + inner).join([_dumps(v, inner, lists) for v in value]) + indent + "]"
+    if kind is dict and all(type(k) is str for k in value):
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner, lists) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    # ensure_ascii escapes every newline inside a string, so each "\n" is a line break
+    return json.dumps(value, sort_keys=True, indent=1).replace("\n", indent)
+
+
+def _raw(doc: Document) -> dict:
+    """The document as the JSON value serialize_document writes."""
     raw: dict[str, Any] = {}
     if doc.algebras:
         raw["algebras"] = {n: _algebra_to_json(a) for n, a in doc.algebras.items()}
@@ -324,4 +365,4 @@ def _serialize(doc: Document) -> str:
         objs = getattr(doc, section)
         if objs:
             raw[section] = {n: _module_to_json(section, n, obj, names) for n, obj in objs.items()}
-    return json.dumps(raw, sort_keys=True, indent=1) + "\n"
+    return raw

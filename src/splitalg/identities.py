@@ -28,6 +28,7 @@ with the entries of its map as the variables of polynomials
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import compress
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -399,14 +400,22 @@ def needs(*catalog_names: str) -> str:
     return ("an " if noun[0] in "aeiou" else "a ") + noun
 
 
+_BUILT: dict[str, tuple[IdentitySchema, ...]] = {}  # each catalog, built once
+
+
 def catalog(name: str) -> list[IdentitySchema]:
-    try:
-        builder = _CATALOGS[name]
-    except KeyError:
-        raise UnknownCatalog(
-            f"unknown catalog {name!r}; known: {', '.join(CATALOG_NAMES)}"
-        ) from None
-    return builder()
+    """The catalog's schemas, built on the first call: each call returns a
+    list of its own, so a caller that changes it leaves the next call's alone."""
+    schemas = _BUILT.get(name)
+    if schemas is None:
+        try:
+            builder = _CATALOGS[name]
+        except KeyError:
+            raise UnknownCatalog(
+                f"unknown catalog {name!r}; known: {', '.join(CATALOG_NAMES)}"
+            ) from None
+        schemas = _BUILT[name] = tuple(builder())
+    return list(schemas)
 
 
 # ----------------------------------------------------------------------
@@ -576,6 +585,13 @@ def _residuals(equations, tables: list, scales: list) -> list:
     return found
 
 
+@cache
+def _basis(n: int) -> dict:
+    """The table of a variable on a sort of dimension n, e_i at rank i; one
+    per dimension, shared by every program, which only read it."""
+    return {i: tuple(int(i == j) for j in range(n)) for i in range(n)}
+
+
 def _unrank(rank: int, reversed_dims) -> tuple[int, ...]:
     """The basis tuple of a rank in the lexicographic order, for the slot
     dimensions in reverse."""
@@ -641,21 +657,21 @@ class _Program:
         """(node, output sort, slots read) for a term in a group with these
         slot sorts."""
         key = (term, sorts)
-        if key not in self._memo:
+        found = self._memo.get(key)  # one lookup: hashing a term walks its whole tree
+        if found is None:
             binder, reads, *compiled = self._compile(term, sorts)
             self.binders.append(binder)
             self.reads.append(reads)
-            self._memo[key] = (len(self.binders) - 1, *compiled)
-        return self._memo[key]
+            found = self._memo[key] = (len(self.binders) - 1, *compiled)
+        return found
 
     def _compile(self, term: Term, sorts: tuple[str, ...]):
         """(binder, nodes read, output sort, slots read) of a new node.  A pair
         is a variable, a name in second place a map, two terms an operation."""
         ctx = self.ctx
-        dims = tuple(ctx.dims[s] for s in sorts)
         if len(term) == 2:
             s = term[1]
-            basis = {i: tuple(int(i == j) for j in range(dims[s])) for i in range(dims[s])}
+            basis = _basis(ctx.dims[sorts[s]])
             return (lambda tables, scales: (basis, 1)), (), sorts[s], (s,)
         if isinstance(term[1], str):
             name = term[1]
@@ -690,6 +706,7 @@ class _Program:
             raise SpecError(f"operation {name!r} applied to arguments that read a common slot (not multilinear)")
         # the arguments may read their slots out of order, as op(y, x) does
         slots = tuple(sorted(lslots + rslots))
+        dims = tuple(ctx.dims[s] for s in sorts)
         lplace, rplace = self._ranks(lslots, slots, dims), self._ranks(rslots, slots, dims)
         out_dim = ctx.dims[out_sort]
 
@@ -739,17 +756,17 @@ def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term | Ex
     read both of two slots of these sorts once, as the bilinear operation of
     its values on the basis pairs: the residuals of entry = 0, one group per
     entry in one program, evaluated as a check evaluates them.  A pair with
-    no residual holds the zero of the entry's output sort."""
+    no residual holds the zero of the entry's output sort.  Each operation
+    keeps the residuals' ints as its integer form (BilinearOp.from_integers)."""
     schemas = {name: equation(name, sorts, entry, ()) for name, entry in table.items()}
     program = _Program(ctx, [(schema,) for schema in schemas.values()])
     dims = tuple(ctx.dims[s] for s in sorts)
     # compile returns the node the program already holds for an entry's first term
     out_dims = {name: ctx.dims[program.compile(s.lhs[0][1], s.slot_sorts)[1]] for name, s in schemas.items()}
-    zero = Fraction(0)  # shared by every zero component
-    rows = {name: [[(zero,) * d] * dims[1] for _ in range(dims[0])] for name, d in out_dims.items()}
-    for name, (i, j), residual, scale in program.violations():
-        rows[name][i][j] = tuple(Fraction(a, scale) if a else zero for a in residual)
-    return {name: BilinearOp(*dims, d, rows[name]) for name, d in out_dims.items()}
+    cells: dict = {name: {} for name in schemas}
+    for name, pair, residual, scale in program.violations():
+        cells[name][pair] = residual, scale
+    return {name: BilinearOp.from_integers(*dims, d, cells[name]) for name, d in out_dims.items()}
 
 
 # ----------------------------------------------------------------------

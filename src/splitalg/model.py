@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -70,6 +71,18 @@ def _clear(vectors) -> tuple[int, list[list[tuple[int, int]]]]:
     return d, [[(k, c.numerator * (d // c.denominator)) for k, c in enumerate(v) if c] for v in vectors]
 
 
+def _lines(left_dim: int, right_dim: int, d: int, cells) -> tuple[int, list, list]:
+    """(D, rows, columns) from the ((i, j), the non-zero (k, c) of the pair)
+    of the pairs in sorted order: rows[i] lists (j, its (k, c)) for each j
+    where there are any, and columns[j] the same (i, its (k, c)) for each i."""
+    rows, columns = [[] for _ in range(left_dim)], [[] for _ in range(right_dim)]
+    for (i, j), line in cells:
+        if line:
+            rows[i].append((j, line))
+            columns[j].append((i, line))
+    return d, rows, columns
+
+
 class BilinearOp:
     """Structure constants of one bilinear operation between (possibly
     distinct) spaces."""
@@ -117,15 +130,30 @@ class BilinearOp:
     def __repr__(self) -> str:
         return f"BilinearOp({self.left_dim}x{self.right_dim}->{self.out_dim})"
 
+    @classmethod
+    def from_integers(cls, left_dim: int, right_dim: int, out_dim: int, cells) -> "BilinearOp":
+        """The operation whose e_i * e_j is v / s for each (i, j): (v, s) of
+        cells, v a vector of ints and s > 0, and zero on every other pair.
+        Its integer form is made from those ints, equal to the one its
+        Fractions would give, so it never passes over them."""
+        # the lcm of the denominators of the entries in lowest terms
+        d = math.lcm(*(s // math.gcd(s, *v) for v, s in cells.values()))
+        zero = Fraction(0)  # shared by every zero component
+        coeffs = [[(zero,) * out_dim] * right_dim for _ in range(left_dim)]
+        for (i, j), (v, s) in cells.items():
+            coeffs[i][j] = tuple(Fraction(a, s) if a else zero for a in v)
+        op = cls(left_dim, right_dim, out_dim, coeffs)
+        op.__dict__["integer_form"] = _lines(left_dim, right_dim, d, sorted(
+            (pair, [(k, a * d // s) for k, a in enumerate(v) if a]) for pair, (v, s) in cells.items()))
+        return op
+
     @cached_property
     def integer_form(self) -> tuple[int, list, list]:
         """(D, rows, columns), computed once: rows[i] lists (j, the non-zero
         (k, c) of D * (e_i * e_j) as ints) for each j where e_i * e_j is not
         zero, and columns[j] the same (i, (k, c)) for each i; D as in _clear."""
         d, cells = _clear([v for row in self.coeffs for v in row])
-        n = self.right_dim
-        rows = [[(j, c) for j, c in enumerate(cells[i * n:(i + 1) * n]) if c] for i in range(self.left_dim)]
-        return d, rows, [[(i, cells[i * n + j]) for i in range(self.left_dim) if cells[i * n + j]] for j in range(n)]
+        return _lines(self.left_dim, self.right_dim, d, zip(product(range(self.left_dim), range(self.right_dim)), cells))
 
 
 def evaluate(op: BilinearOp, x: Vector, y: Vector) -> Vector:

@@ -98,18 +98,21 @@ class Ideal:
         """The ambient's operations and the maps of the subspace, built once."""
         return _context(self.ambient, self.subspace)
 
-    def _escapes(self):
+    @cached_property
+    def escapes(self) -> list:
         """The failures of P(op(Bx, y)) = 0 and P(op(y, Bx)) = 0, labelled
-        (op, side), operation by operation in sorted order: each residual is
-        a product that escapes the subspace, reduced modulo it."""
+        (op, side), operation by operation in sorted order, scanned once:
+        each residual is a product that escapes the subspace, reduced modulo
+        it.  The saturation round that finds none leaves its ideal's verdict
+        here for quotient_algebra."""
         groups = [[((name, side), apply_map("P", term), ()) for side, term in _sides(name)]
                   for name in sorted(self.ambient.operations)]
-        return _failures(self.context, ("I", "A"), groups)
+        return list(_failures(self.context, ("I", "A"), groups))
 
     def closure_witness(self):
         """First (op, ideal basis index, ambient basis index, side) whose
         product escapes the subspace, or None if closed."""
-        return next(((name, *witness, side) for (name, side), witness, _, _ in self._escapes()), None)
+        return next(((name, *witness, side) for (name, side), witness, _, _ in self.escapes), None)
 
 def ideal_generated(a: Algebra, generators: Sequence[Vector]) -> Ideal:
     """Least subspace containing the generators and closed under left and
@@ -125,7 +128,7 @@ def ideal_generated(a: Algebra, generators: Sequence[Vector]) -> Ideal:
     ideal = Ideal(a, span(list(generators), n))
     while True:
         # a residual is the reduced product times its scale: the same span
-        escaped = [residual for _, _, residual, _ in ideal._escapes()]
+        escaped = [residual for _, _, residual, _ in ideal.escapes]
         if not escaped:
             return ideal
         ideal = Ideal(a, span([*ideal.subspace.basis, *escaped], n))
@@ -158,7 +161,8 @@ def quotient_algebra(
     The quotient basis is the cosets of the complement (non-pivot)
     coordinates, which makes the output deterministic.  Both the ideal
     closure and the agreement of merged operations modulo the ideal are
-    checked, not assumed.
+    checked, not assumed; the closure scan of an ideal that ideal_generated
+    returns is the one its last round ran (Ideal.escapes).
     """
     if ideal.ambient is not a:
         ideal = Ideal(a, ideal.subspace)

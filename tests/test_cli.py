@@ -755,6 +755,25 @@ def test_check_refuses_an_algebra_without_a_signature(capsys, tmp_path):
         2, "", "error: catalog 'dendriform' needs a dendriform algebra\n")
 
 
+@pytest.mark.parametrize("recipe", ["sum-diass", "quotient-dend"])
+def test_construct_writes_the_bytes_json_writes(capsys, tmp_path, recipe):
+    """The file construct writes is json.dumps(json.load(f), sort_keys=True,
+    indent=1) plus a newline, byte for byte, for an input whose name and
+    basis labels hold a non-ASCII letter, a quote and a backslash."""
+    d = truncated_polynomial_dendriform(3)
+    name = 'q"\u00e9\\'
+    q = Algebra(3, "quadri", {op: d.op(op.partition("_")[0]) for op in SIGNATURE_OPS["quadri"]},
+                ["\u00e9", '"', "\\"])
+    source, out = tmp_path / "in.json", tmp_path / "out.json"
+    source.write_text(serialize_document(Document(algebras={name: q})), encoding="utf-8")
+    assert run(capsys, "construct", str(source), "--recipe", recipe, "--algebra", name, "--out", str(out))[0] == 0
+    for path in (source, out):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+    if recipe == "sum-diass":  # the collapse keeps the input's basis labels
+        assert json.loads(out.read_text(encoding="utf-8"))["algebras"]["sum_diass"]["basis"] == ["\u00e9", '"', "\\"]
+
+
 def _digits_limit():
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
 

@@ -1,18 +1,23 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from splitalg import documents
 from splitalg.documents import (
     Document,
     DocumentError,
+    dumps,
     parse_document,
     parse_scalar,
     scalar_to_json,
     serialize_document,
 )
-from splitalg.model import self_action
+from splitalg.model import Algebra, BilinearOp, LinearMap, SpecError, adjoint_representation, self_action
 
 
 def test_scalar_round_trip():
@@ -165,3 +170,113 @@ def test_lookup_object(sample_doc_path):
     assert doc.lookup_object("adjoint").module_dim == 4
     with pytest.raises(DocumentError):
         doc.lookup_object("nope")
+
+
+# ----------------------------------------------------------------------
+# The writer: serialize_document's text is json.dumps(raw, sort_keys=True,
+# indent=1) of the document's JSON value, byte for byte, with json.dumps as
+# the reference.
+
+# names and labels: non-ASCII, quotes, backslashes and control characters
+NAMES = st.text(st.sampled_from('ab\u00e9\u2603"\\\n\t\x00\x1f/ ') | st.characters(), max_size=5)
+# mostly zero; negative and multi-digit numerators and denominators
+RATIONALS = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10 ** 25).map(lambda f: f * 10 ** 20),
+                      st.integers(-10 ** 30, 10 ** 30).map(Fraction))
+
+
+@st.composite
+def tensors(draw, left, right, out):
+    return BilinearOp(left, right, out, [[[draw(RATIONALS) for _ in range(out)] for _ in range(right)]
+                                         for _ in range(left)])
+
+
+@st.composite
+def raw_algebras(draw, dim=None, signature="raw"):
+    """Under the raw signature any operation names, none at all included;
+    dimension 0 included."""
+    n = draw(st.integers(0, 3)) if dim is None else dim
+    names = draw(st.lists(NAMES, max_size=3, unique=True)) if signature == "raw" else ("prec", "succ")
+    labels = draw(st.none() | st.lists(NAMES, min_size=n, max_size=n))
+    return Algebra(n, signature, {name: draw(tensors(n, n, n)) for name in names}, labels)
+
+
+@st.composite
+def documents_of_every_section(draw):
+    """Each section empty or not: algebras, maps, and a representation and
+    an action on a dendriform algebra that the document holds."""
+    algebras = draw(st.dictionaries(NAMES, raw_algebras(), max_size=3))
+    maps = {}
+    for name in draw(st.lists(NAMES, max_size=2, unique=True)):
+        m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        maps[name] = LinearMap(m, n, [[draw(RATIONALS) for _ in range(m)] for _ in range(n)])
+    representations, actions = {}, {}
+    if draw(st.booleans()):
+        d = draw(raw_algebras(draw(st.integers(0, 2)), "dendriform"))
+        algebras[draw(NAMES)] = d
+        representations = {draw(NAMES): adjoint_representation(d)}
+        actions = {draw(NAMES): self_action(d)}
+    return Document(algebras, maps, representations, actions)
+
+
+def _reference(doc: Document) -> str:
+    return json.dumps(documents._raw(doc), sort_keys=True, indent=1) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=documents_of_every_section())
+@example(doc=Document())
+@example(doc=Document(algebras={"": Algebra(0, "raw", {})}))
+@example(doc=Document(algebras={'d\u00e9"\\\x01': Algebra(1, "raw", {"\u00e9": BilinearOp(1, 1, 1, [[[Fraction(-123456789, 1000000007)]]])},
+                                                          ["\"\\\n"])}))
+def test_writer_writes_the_bytes_of_json_dumps(doc):
+    """serialize_document's text is json.dumps' of the document's value,
+    and reading it back writes the same text."""
+    text = serialize_document(doc)
+    assert text == _reference(doc)
+    assert serialize_document(parse_document(text)) == text
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | st.floats() | NAMES,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(NAMES, inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=JSON)
+@example(value=[[0, 0], [0, True], [0, 0.0], [0, "0"]])
+@example(value={"a": [], "b": {}, "c": [[]], "d": [{}]})
+def test_dumps_is_json_dumps_on_any_value(value):
+    """Lists and str-keyed dicts of ints and strings are written by the
+    writer; bools, floats, None, tuples and int keys are handed to json, and
+    a list is never taken for an equal one written otherwise (True == 1)."""
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+def test_serialize_document_leaves_nothing_to_json(monkeypatch, dend, adjoint, integ):
+    """A document's value is ints, strings, lists and str-keyed dicts: the
+    writer takes all of it, and json's indenting encoder is not run."""
+    doc = Document(algebras={"d": dend, "empty": Algebra(0, "raw", {})}, maps={"i": integ},
+                   representations={"r": adjoint}, actions={"a": self_action(dend)})
+    expected = _reference(doc)
+    monkeypatch.setattr(documents.json, "dumps", None)
+    assert serialize_document(doc) == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text bound")
+@pytest.mark.parametrize("value", [10 ** 5000, Fraction(1, 10 ** 5000), Fraction(10 ** 5000 + 1, 7)],
+                         ids=["int", "denominator", "numerator"])
+def test_writer_refuses_a_scalar_past_the_digit_bound(value):
+    """json.dumps refuses the document's value with a ValueError, and
+    serialize_document with a SpecError naming the bound."""
+    limit = sys.get_int_max_str_digits()
+    for doc in (Document(algebras={"a": Algebra(1, "raw", {"mul": BilinearOp(1, 1, 1, [[[value]]])})}),
+                Document(maps={"m": LinearMap(1, 1, [[value]])})):
+        with pytest.raises(ValueError):
+            _reference(doc)
+        with pytest.raises(SpecError, match=f"cannot write a scalar of over {limit} digits"):
+            serialize_document(doc)
+    with pytest.raises(ValueError):
+        dumps([[0, 10 ** 5000]])

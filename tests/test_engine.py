@@ -9,6 +9,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from splitalg.identities import (
     tabulate,
     var,
 )
-from splitalg import model, operators
+from splitalg import constructions, model, operators, quotients
 from splitalg.constructions import dual_extension, hemisemidirect, induced_six, sum_collapse_quadri, sum_collapse_six
 from splitalg.linalg import basis_vector, rref
 from splitalg.model import (
@@ -523,7 +524,9 @@ def test_tables_and_quotients_reach_the_engine_through_violations(monkeypatch):
     ideal = splitting_ideal(q)
     del entered[:]
     quotient_algebra(q, ideal, identities.QUADRI_TO_DENDRIFORM_COLLAPSE)
-    assert len(entered) == 3  # the closure scan, the collapse agreement and the quotient table
+    # the collapse agreement and the quotient table: the closure scan is the
+    # one splitting_ideal's last saturation round ran (Ideal.escapes)
+    assert len(entered) == 2
 
 
 def test_full_cap_binds_no_further_group(monkeypatch):
@@ -765,6 +768,33 @@ def test_each_tensor_is_cleared_once(monkeypatch):
     assert len(cleared) == len(a.operations)
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tabulated_tensors_carry_their_integer_form(data):
+    """Every tensor tabulate builds carries, made from its residuals, the
+    integer form that _clear gives of its Fractions: products, sum
+    collapses, twists and quotient tables, on generated inputs whose
+    tensors and maps have different denominators."""
+    rep, act = data.draw(wide_representations()), data.draw(wide_actions())
+    q, s = data.draw(wide_algebras("quadri")), data.draw(wide_algebras("six"))
+    t = data.draw(wide_maps(rep.module_dim, rep.base.dimension))
+    built = [
+        *constructions._semidirect(rep).operations.values(),
+        *constructions._hemisemidirect(rep).operations.values(),
+        *constructions._product(act, "dendriform", lambda name: ("AA", "AV", "VA", "VV")).operations.values(),
+        *tabulate(context_for(rep, {"T": (t, "V", "A")}), ("V", "V"), constructions._QUADRI_TWIST).values(),
+    ]
+    with mock.patch.object(constructions, "_require_axioms"):
+        built += [*sum_collapse_quadri(q).operations.values(), *sum_collapse_six(s).operations.values()]
+    for algebra in (q, s):
+        base, actions, _ = quotients._converse(algebra)
+        built += [*base.operations.values(), *actions.values()]
+    for op in built:
+        carried = op.__dict__["integer_form"]  # set when built, not computed on reading
+        assert carried == BilinearOp.integer_form.func(op)
+        assert carried[0] == model._clear([v for row in op.coeffs for v in row])[0]
+
+
 # ----------------------------------------------------------------------
 # Depth-2 products.  Every catalog term is op2(op1(x_a, x_b), x_c) or
 # op2(x_c, op1(x_a, x_b)) for its three slots, joined from the table of op1
@@ -887,6 +917,19 @@ def test_tables_are_released():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_variable_tables_are_shared_and_left_unchanged():
+    """Every program's variables read one basis table per dimension; after
+    checks, tabulations, ideals, quotients and a search, each is still the
+    basis."""
+    q = hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(3)))
+    assert check(q, "quadri").ok
+    quadri_to_relative_setup(q)
+    dual_extension(truncated_polynomial_dendriform(2))
+    search_operators(truncated_polynomial_algebra(2), "rota_baxter", [Fraction(-1), Fraction(0), Fraction(1)])
+    for n in range(7):
+        assert identities._basis(n) == {i: tuple(int(i == j) for j in range(n)) for i in range(n)}
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,26 @@ def test_unknown_catalog():
         catalog("pentagram")
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_each_catalog_is_built_once_and_each_call_gets_its_own_list(monkeypatch, name):
+    """The first call builds the catalog; later calls return its schemas in
+    a new list, so a caller that changes its list leaves the next call's alone."""
+    from splitalg import identities
+
+    built = []
+    builder = identities._CATALOGS[name]
+    monkeypatch.setattr(identities, "_BUILT", {})
+    monkeypatch.setitem(identities._CATALOGS, name, lambda: built.append(name) or builder())
+    first = catalog(name)
+    expected = list(first)
+    first.append(first[0])
+    first.reverse()
+    second = catalog(name)
+    assert second == expected and second is not first
+    assert all(a is b for a, b in zip(second, catalog(name)))
+    assert built == [name]
+
+
 def test_schema_ids_unique():
     for name in CATALOG_NAMES:
         ids = [s.id for s in catalog(name)]

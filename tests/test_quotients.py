@@ -140,6 +140,43 @@ def test_quotient_rejects_non_ideal(poly):
         quotient_algebra(poly, bad, {"mul": "mul"})
 
 
+def test_a_saturated_ideal_is_scanned_for_closure_once(monkeypatch):
+    """The closure scan of the ideal splitting_ideal returns is its last
+    saturation round: quotient_algebra runs no scan of its own on it, and
+    one on a new Ideal of the same subspace."""
+    from splitalg import quotients
+    from splitalg.constructions import hemisemidirect
+    from splitalg.model import adjoint_representation
+    from splitalg.samples import truncated_polynomial_dendriform
+
+    scans = []
+    failures = quotients._failures
+    monkeypatch.setattr(quotients, "_failures", lambda ctx, sorts, groups: scans.append(sorts) or failures(ctx, sorts, groups))
+    q = hemisemidirect(adjoint_representation(truncated_polynomial_dendriform(2)))
+    ideal = splitting_ideal(q)
+    rounds = scans.count(("I", "A"))
+    assert rounds >= 1
+    base, projection = quotient_algebra(q, ideal, QUADRI_TO_DENDRIFORM_COLLAPSE)
+    assert scans.count(("I", "A")) == rounds
+    again, again_projection = quotient_algebra(q, Ideal(q, ideal.subspace), QUADRI_TO_DENDRIFORM_COLLAPSE)
+    assert scans.count(("I", "A")) == rounds + 1
+    assert (again.operations, again_projection) == (base.operations, projection)
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "escapes read"])
+def test_quotient_refuses_an_unsaturated_ideal_with_its_witness(poly, read_first):
+    """An Ideal that is not closed is refused with its first escape, whether
+    or not its escapes were read before: the scan is kept, not skipped."""
+    n = poly.dimension
+    bad = Ideal(poly, span([basis_vector(n, 0)], n))
+    if read_first:
+        assert bad.escapes
+    with pytest.raises(QuotientError) as exc:
+        quotient_algebra(poly, bad, {"mul": "mul"})
+    assert exc.value.witness == bad.closure_witness() == ("mul", 0, 0, "left")
+    assert str(exc.value) == "not an ideal: operation 'mul' escapes the subspace at ideal basis 0, ambient basis 0 (left)"
+
+
 def test_quotient_rejects_ideal_of_another_dimension(poly):
     """An ideal of an algebra of another dimension is refused as input."""
     other = truncated_polynomial_algebra(3)
@@ -446,3 +483,20 @@ def test_quotient_matches_reference(data, a, saturate):
         collapse.pop(names[-1])
     got = outcome(lambda: quotient_algebra(a, Ideal(a, sub), collapse))
     assert got == outcome(lambda: reference_quotient(a, sub, collapse, "raw"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), a=raw_algebras())
+def test_quotient_by_an_ideal_whose_closure_was_scanned_matches_reference(data, a):
+    """The ideal ideal_generated returns, and an Ideal of a drawn span whose
+    escapes were read first, give the reference's quotient or refusal: the
+    closure verdict quotient_algebra reuses is the one it would compute."""
+    vectors = data.draw(subspaces(a.dimension))
+    collapse = {name: "m" for name in a.operations}
+    ideal = ideal_generated(a, vectors)
+    assert outcome(lambda: quotient_algebra(a, ideal, collapse)) == outcome(
+        lambda: reference_quotient(a, ideal.subspace, collapse, "raw"))
+    drawn = Ideal(a, span(vectors, a.dimension))
+    drawn.escapes
+    assert outcome(lambda: quotient_algebra(a, drawn, collapse)) == outcome(
+        lambda: reference_quotient(a, drawn.subspace, collapse, "raw"))
