@@ -27,7 +27,7 @@ from .documents import (
     short_repr,
     unbounded_digits,
 )
-from .identities import CATALOG_NAMES, ViolationReport, check, fits
+from .identities import CATALOG_NAMES, ViolationReport, catalog_of, check, fits
 from .model import Action, Algebra, LinearMap, Representation, SpecError
 
 EXIT_OK = 0
@@ -140,46 +140,32 @@ def cmd_check_operator(args) -> int:
 # recipe -> (object flags, construction, output names, verifications).  The
 # construction, "module.function" here, is looked up when the recipe runs and
 # called with the flagged objects; the names pair with `_outputs` of its
-# result.  A verification (label, catalog or operator kind, output checked,
-# output map or None) re-checks them.
+# result.  A verification re-checks them (`_verifications`): an output's name,
+# or (output map, operator kind, output it acts on).
 RECIPES = {
-    "semidirect": (("rep",), "constructions.semidirect", ("semidirect",), [
-        ("semidirect:dendriform", "dendriform", "semidirect", None)]),
-    "hemisemidirect": (("rep",), "constructions.hemisemidirect", ("hemisemidirect",), [
-        ("hemisemidirect:quadri", "quadri", "hemisemidirect", None)]),
-    "action-semidirect": (("action",), "constructions.action_semidirect", ("action_semidirect",), [
-        ("action_semidirect:dendriform", "dendriform", "action_semidirect", None)]),
-    "aguiar-dendriform": (("algebra", "map"), "constructions.aguiar_dendriform", ("dendriform",), [
-        ("dendriform", "dendriform", "dendriform", None)]),
-    "aguiar-diass": (("algebra", "map"), "constructions.aguiar_diassociative", ("diassociative",), [
-        ("diassociative", "diassociative", "diassociative", None)]),
-    "induced-quadri": (("rep", "map"), "constructions.induced_quadri", ("induced_quadri",), [
-        ("induced_quadri:quadri", "quadri", "induced_quadri", None)]),
-    "induced-six": (("action", "map"), "constructions.induced_six", ("induced_six",), [
-        ("induced_six:six", "six", "induced_six", None)]),
-    "differential-quadri": (("algebra", "map"), "constructions.differential_quadri", ("differential_quadri",), [
-        ("differential_quadri:quadri", "quadri", "differential_quadri", None)]),
+    "semidirect": (("rep",), "constructions.semidirect", ("semidirect",), ["semidirect"]),
+    "hemisemidirect": (("rep",), "constructions.hemisemidirect", ("hemisemidirect",), ["hemisemidirect"]),
+    "action-semidirect": (("action",), "constructions.action_semidirect", ("action_semidirect",), ["action_semidirect"]),
+    "aguiar-dendriform": (("algebra", "map"), "constructions.aguiar_dendriform", ("dendriform",), ["dendriform"]),
+    "aguiar-diass": (("algebra", "map"), "constructions.aguiar_diassociative", ("diassociative",), ["diassociative"]),
+    "induced-quadri": (("rep", "map"), "constructions.induced_quadri", ("induced_quadri",), ["induced_quadri"]),
+    "induced-six": (("action", "map"), "constructions.induced_six", ("induced_six",), ["induced_six"]),
+    "differential-quadri": (("algebra", "map"), "constructions.differential_quadri", ("differential_quadri",),
+                            ["differential_quadri"]),
     "dual-extension": (("algebra",), "constructions.dual_extension",
-                       ("base", "extension", "dual_extension", "projection"), [
-        ("dual_extension:dend-action", "dend-action", "dual_extension", None),
-        ("projection:homomorphic_relative", "homomorphic_relative", "dual_extension", "projection")]),
-    "sum-diass": (("algebra",), "constructions.sum_collapse_quadri", ("sum_diass",), [
-        ("sum_diass:diassociative", "diassociative", "sum_diass", None)]),
-    "sum-triass": (("algebra",), "constructions.sum_collapse_six", ("sum_triass",), [
-        ("sum_triass:triassociative", "triassociative", "sum_triass", None)]),
-    "quotient-dend": (("algebra",), "quotients.dendriform_quotient", ("quotient", "quotient_map"), [
-        ("quotient:dendriform", "dendriform", "quotient", None)]),
+                       ("base", "extension", "dual_extension", "projection"),
+                       ["dual_extension", ("projection", "homomorphic_relative", "dual_extension")]),
+    "sum-diass": (("algebra",), "constructions.sum_collapse_quadri", ("sum_diass",), ["sum_diass"]),
+    "sum-triass": (("algebra",), "constructions.sum_collapse_six", ("sum_triass",), ["sum_triass"]),
+    "quotient-dend": (("algebra",), "quotients.dendriform_quotient", ("quotient", "quotient_map"), ["quotient"]),
     "embed-averaging": (("algebra",), "quotients.embed_averaging", ("ambient", "averaging", "inclusion"), [
-        ("ambient:dendriform", "dendriform", "ambient", None),
-        ("averaging:dend_averaging", "dend_averaging", "ambient", "averaging")]),
+        "ambient", ("averaging", "dend_averaging", "ambient")]),
     "quadri-to-relative": (("algebra",), "quotients.quadri_to_relative_setup",
-                           ("quotient", "representation", "quotient_map"), [
-        ("representation:dend-representation", "dend-representation", "representation", None),
-        ("quotient_map:relative_averaging", "relative_averaging", "representation", "quotient_map")]),
+                           ("quotient", "representation", "quotient_map"),
+                           ["representation", ("quotient_map", "relative_averaging", "representation")]),
     "six-to-homomorphic": (("algebra",), "quotients.six_to_homomorphic_setup",
-                           ("quotient", "perp", "action", "quotient_map"), [
-        ("action:dend-action", "dend-action", "action", None),
-        ("quotient_map:homomorphic_relative", "homomorphic_relative", "action", "quotient_map")]),
+                           ("quotient", "perp", "action", "quotient_map"),
+                           ["action", ("quotient_map", "homomorphic_relative", "action")]),
 }
 # where each object flag's name is looked up, and where each output goes
 _SECTIONS = {"algebra": "algebras", "rep": "representations", "action": "actions", "map": "maps"}
@@ -196,6 +182,18 @@ def _outputs(result):
             if isinstance(obj, Action):
                 yield obj.target
         yield obj
+
+
+def _verifications(entries, outputs: dict):
+    """(label, catalog or operator kind, output checked, output map or None)
+    of each verification of a recipe run: an output's name checks it against
+    the catalog of its type (`identities.catalog_of`), and (map, kind,
+    subject) checks the map as an operator of the kind on that output.  The
+    label is the name, and ":" and what checks it when the two differ."""
+    for entry in entries:
+        obj = isinstance(entry, str)
+        name, what, subject = (entry, catalog_of(outputs[entry]), entry) if obj else entry
+        yield (name if name == what else f"{name}:{what}", what, subject, None if obj else name)
 
 
 def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, ViolationReport]]]:
@@ -217,12 +215,9 @@ def _run_recipe(args, doc: Document) -> tuple[Document, list[tuple[str, Violatio
     sections: dict[str, dict] = {}
     for name, obj in outputs.items():
         sections.setdefault(_OUTPUT_SECTIONS[type(obj)], {})[name] = obj
-    checks = []
-    for label, what, subject, map_name in verifications:
-        if map_name is None:
-            checks.append((label, check(outputs[subject], what)))
-        else:
-            checks.append((label, check_operator(outputs[subject], what, outputs[map_name])))
+    checks = [(label, check(outputs[subject], what) if map_name is None
+               else check_operator(outputs[subject], what, outputs[map_name]))
+              for label, what, subject, map_name in _verifications(verifications, outputs)]
     return Document(**sections), checks
 
 

@@ -13,6 +13,7 @@ The tests and the CLI re-check the outputs."""
 from __future__ import annotations
 
 from .identities import (
+    CATALOG_NAMES,
     OpContext,
     ViolationReport,
     app,
@@ -37,6 +38,7 @@ from .model import (
     half,
     perp_dendriform_part,
     quadri_part,
+    signature_of,
     split,
 )
 from .operators import _KINDS, _context, check_operator
@@ -62,25 +64,17 @@ def _require(report: ViolationReport, message: str) -> None:
 def _require_axioms(obj, *catalogs: str) -> None:
     """Refuse an input no catalog reads (`identities.fits`) with one line, then
     one that fails the axioms of its type with the first failing verdict: a
-    module's dendriform base, an action's target, the action and module
-    axioms; an algebra's catalog, and a six algebra's perp pair and quadri part."""
+    module's dendriform base and an action's target, then each catalog the
+    input fits (an action's before a representation's), as not what that
+    catalog `needs`; a six algebra's perp pair first and quadri part last."""
     if not any(fits(obj, name) for name in catalogs):
         raise SpecError(f"expected {needs(*catalogs)}")
-    if isinstance(obj, Representation):
-        parts = [(obj.base, "dendriform", "base algebra is not dendriform")]
-        if isinstance(obj, Action):
-            parts += [(obj.target, "dendriform", "target algebra is not dendriform"),
-                      (obj, "dend-action", "input is not an action")]
-        parts.append((obj, "dend-representation", "input is not a representation"))
-    elif obj.signature == "six":
-        parts = [
-            (perp_dendriform_part(obj), "dendriform", "target not dendriform: the perp pair fails the dendriform axioms"),
-            (obj, "six", "input is not a six-dendriform algebra"),
-            (quadri_part(obj), "quadri", "the quadri part is not a quadri-dendriform algebra"),
-        ]
-    else:
-        name = {"associative": "an associative", "quadri": "a quadri-dendriform"}.get(obj.signature, "a " + obj.signature)
-        parts = [(obj, obj.signature, f"input is not {name} algebra")]
+    parts = [(getattr(obj, side), "dendriform", f"{side} algebra is not dendriform")
+             for side in ("base", "target") if hasattr(obj, side)]
+    parts += [(obj, name, f"input is not {needs(name)}") for name in CATALOG_NAMES if fits(obj, name)]
+    if fits(obj, "six"):
+        perp = (perp_dendriform_part(obj), "dendriform", "target not dendriform: the perp pair fails the dendriform axioms")
+        parts = [perp, *parts, (quadri_part(obj), "quadri", "the quadri part is not a quadri-dendriform algebra")]
     for part, catalog_name, message in parts:
         _require(check(part, catalog_name), message)
 
@@ -160,9 +154,10 @@ def sum_collapse_six(s: Algebra) -> Algebra:
     return _sum_collapse(s, "triassociative", "six")
 
 
-def _twisted(subject, kind: str, t: LinearMap, signature: str, table, message: str) -> Algebra:
-    """The algebra of the signature that t, an operator of the kind, twists:
-    the table on the basis pairs of T's source sort, labelled as the algebra
+def _twisted(subject, kind: str, t: LinearMap, table, message: str) -> Algebra:
+    """The algebra that t, an operator of the kind, twists, of the signature
+    whose operations are the table's keys (`model.signature_of`): the table
+    on the basis pairs of T's source sort, labelled as the algebra
     on that sort (the subject, an action's target, none on a representation).
     The kind's row refuses a subject it does not take and a t of the wrong
     shape with one line; the subject's axioms, then the kind's equations on t
@@ -172,21 +167,21 @@ def _twisted(subject, kind: str, t: LinearMap, signature: str, table, message: s
     _require(check_operator(subject, kind, t), message)
     source = row.map_sorts[0]
     labels = getattr(getattr(subject, "target", subject), "basis_labels", None)
-    return Algebra(ctx.dims[source], signature, tabulate(ctx, (source, source), table), labels)
+    return Algebra(ctx.dims[source], signature_of(table), tabulate(ctx, (source, source), table), labels)
 
 
 def aguiar_dendriform(assoc: Algebra, r: LinearMap) -> Algebra:
     """Dendriform structure from a Rota-Baxter operator:
     a prec b = mu(a, Rb), a succ b = mu(Ra, b)."""
-    return _twisted(assoc, "rota_baxter", r, "dendriform", {"prec": app("mul", _x, _Ty), "succ": app("mul", _Tx, _y)},
+    return _twisted(assoc, "rota_baxter", r, {"prec": app("mul", _x, _Ty), "succ": app("mul", _Tx, _y)},
                     "map is not a Rota-Baxter operator")
 
 
 def aguiar_diassociative(assoc: Algebra, h: LinearMap) -> Algebra:
     """Di-associative structure from an averaging operator:
     a dashv b = mu(a, Hb), a vdash b = mu(Ha, b)."""
-    return _twisted(assoc, "assoc_averaging", h, "diassociative",
-                    {"dashv": app("mul", _x, _Ty), "vdash": app("mul", _Tx, _y)}, "map is not an averaging operator")
+    return _twisted(assoc, "assoc_averaging", h, {"dashv": app("mul", _x, _Ty), "vdash": app("mul", _Tx, _y)},
+                    "map is not an averaging operator")
 
 
 # u prec_vdash v = Tu prec_l v, u prec_dashv v = u prec_r Tv, and the succ
@@ -203,20 +198,20 @@ def induced_quadri(rep: Representation, t: LinearMap) -> Algebra:
     """Quadri-dendriform structure on the module of a relative averaging
     operator: u prec_vdash v = Tu prec_l v, u prec_dashv v = u prec_r Tv,
     and the succ analogues."""
-    return _twisted(rep, "relative_averaging", t, "quadri", _QUADRI_TWIST, "map is not a relative averaging operator")
+    return _twisted(rep, "relative_averaging", t, _QUADRI_TWIST, "map is not a relative averaging operator")
 
 
 def averaging_quadri(d: Algebra, t: LinearMap) -> Algebra:
     """Quadri structure induced by an averaging operator on the algebra
     itself: x prec_vdash y = Tx prec y, x prec_dashv y = x prec Ty, etc."""
-    return _twisted(d, "dend_averaging", t, "quadri", _QUADRI_TWIST, "map is not an averaging operator")
+    return _twisted(d, "dend_averaging", t, _QUADRI_TWIST, "map is not an averaging operator")
 
 
 def induced_six(act: Action, t: LinearMap) -> Algebra:
     """Six-dendriform structure on the target of a homomorphic relative
     averaging operator: the quadri quadruple is T-twisted as in
     induced_quadri, and the perp pair is the target's own prec and succ."""
-    return _twisted(act, "homomorphic_relative", t, "six",
+    return _twisted(act, "homomorphic_relative", t,
                     {**_QUADRI_TWIST, **{name: app(half(name), _x, _y) for name in split("perp")}},
                     "map is not a homomorphic relative averaging operator")
 
@@ -230,7 +225,7 @@ def check_differential(d: Algebra, diff: LinearMap) -> ViolationReport:
 def differential_quadri(d: Algebra, diff: LinearMap) -> Algebra:
     """Quadri structure of a differential dendriform algebra:
     x prec_vdash y = d(x) prec y, x prec_dashv y = x prec d(y), etc."""
-    return _twisted(d, "differential", diff, "quadri", _QUADRI_TWIST, "map is not a differential")
+    return _twisted(d, "differential", diff, _QUADRI_TWIST, "map is not a differential")
 
 
 def dual_extension(d: Algebra) -> tuple[Action, LinearMap]:

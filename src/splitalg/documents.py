@@ -141,9 +141,17 @@ def _tensor_to_json(op: BilinearOp):
     return [[[scalar_to_json(e) if e else 0 for e in vec] for vec in row] for row in op.coeffs]
 
 
+def _known_keys(raw: dict, path: str, *keys: str) -> None:
+    """Refuse a key of the object raw, found at path, that is not one of keys."""
+    for key in raw:
+        if key not in keys:
+            raise DocumentError(f"{path}.{key}", "unknown key")
+
+
 def _parse_algebra(name: str, raw, path: str, tokens: dict) -> Algebra:
     if not isinstance(raw, dict):
         raise DocumentError(path, "algebra must be an object")
+    _known_keys(raw, path, "dimension", "signature", "basis", "operations")
     dim = raw.get("dimension")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise DocumentError(f"{path}.dimension", "dimension must be a non-negative integer")
@@ -183,6 +191,7 @@ def _resolve_dim(ref, algebras: Mapping[str, Algebra], path: str) -> int:
 def _parse_map(raw, algebras, path: str, tokens: dict) -> LinearMap:
     if not isinstance(raw, dict):
         raise DocumentError(path, "map must be an object")
+    _known_keys(raw, path, "source", "target", "matrix")
     source = _resolve_dim(raw.get("source"), algebras, f"{path}.source")
     target = _resolve_dim(raw.get("target"), algebras, f"{path}.target")
     matrix = raw.get("matrix")
@@ -211,6 +220,7 @@ def _parse_module(section: str, raw, path: str, algebras, tokens: dict):
     cls, key = _MODULES[section]
     if not isinstance(raw, dict):
         raise DocumentError(path, f"{section[:-1]} must be an object")
+    _known_keys(raw, path, "base", key, "actions")
     base = _require_algebra(raw.get("base"), algebras, f"{path}.base")
     if key == "target":
         module = _require_algebra(raw.get(key), algebras, f"{path}.{key}")

@@ -393,6 +393,11 @@ def fits(obj, catalog_name: str) -> bool:
     return isinstance(obj, module) if module else isinstance(obj, Algebra) and obj.signature == catalog_name
 
 
+def catalog_of(obj) -> str:
+    """The catalog of obj's own type: an action's, a representation's, an algebra's signature."""
+    return next((name for name, module in _MODULE_TYPES.items() if type(obj) is module), None) or obj.signature
+
+
 def needs(*catalog_names: str) -> str:
     """That type as a noun: "an action", "a quadri or six algebra"."""
     modules = [_MODULE_TYPES[name].__name__.lower() for name in catalog_names if name in _MODULE_TYPES]

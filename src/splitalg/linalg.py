@@ -40,18 +40,6 @@ def basis_vector(dim: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Reduced row-echelon form with exact arithmetic.
 

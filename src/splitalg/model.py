@@ -50,6 +50,11 @@ SIGNATURE_OPS.update(
     raw=(),
 )
 
+
+def signature_of(names) -> str:
+    """The signature whose operations are exactly names, in any order, else raw."""
+    return next((signature for signature, ops in SIGNATURE_OPS.items() if set(ops) == set(names)), "raw")
+
 # The four action tensors of a representation or action and the sorts of
 # (left argument, right argument, output): A the base algebra, V the module.
 ACTION_SORTS: dict[str, tuple[str, str, str]] = {
@@ -256,7 +261,7 @@ class Algebra:
         self.dimension = dimension
         self.signature = signature
         self.operations = dict(operations)
-        self.basis_labels = tuple(basis_labels) if basis_labels else None
+        self.basis_labels = None if basis_labels is None else tuple(basis_labels)
         required = SIGNATURE_OPS[signature]
         for name in required:
             if name not in self.operations:

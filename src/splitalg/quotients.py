@@ -32,11 +32,11 @@ from .model import (
     Algebra,
     LinearMap,
     Representation,
-    SIGNATURE_OPS,
     SpecError,
     half,
     perp_dendriform_part,
     reduction,
+    signature_of,
 )
 
 
@@ -190,8 +190,7 @@ def quotient_algebra(
             (first, other, i, j),
         )
     ops = tabulate(ctx, ("Q", "Q"), {dst: apply_map("Pi", app(src, _Lx, _Ly)) for dst, src in firsts.items()})
-    signature = next((sig for sig, names in SIGNATURE_OPS.items() if set(names) == set(ops)), "raw")
-    return Algebra(ctx.dims["Q"], signature, ops), ctx.maps["Pi"][0]
+    return Algebra(ctx.dims["Q"], signature_of(ops), ops), ctx.maps["Pi"][0]
 
 
 def dendriform_quotient(a: Algebra) -> tuple[Algebra, LinearMap]:

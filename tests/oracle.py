@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from splitalg.identities import Expr, IdentitySchema, OpContext, Term, app
-from splitalg.linalg import Subspace, Vector, rref, vec_add
+from splitalg.linalg import Subspace, Vector, rref
 from splitalg.model import SpecError, evaluate
 
 
@@ -39,7 +39,7 @@ def eval_expr(e: Expr, schema: IdentitySchema, ctx: OpContext, values):
     for coef, term in e:
         v, sort = eval_term(term, schema, ctx, values)
         scaled = tuple(coef * a for a in v)
-        total = scaled if total is None else vec_add(total, scaled)
+        total = scaled if total is None else tuple(a + b for a, b in zip(total, scaled, strict=True))
     return total, sort
 
 

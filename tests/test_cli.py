@@ -206,7 +206,7 @@ def test_construct_quadri_to_relative_refuses_non_quadri(capsys, tmp_path):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: input is not a quadri-dendriform algebra\nchecked ")
+    assert err.startswith("error: input is not a quadri algebra\nchecked ")
     assert "violation(s)" in err and "quadri." in err
     assert not (tmp_path / "x.json").exists()
 
@@ -825,7 +825,7 @@ def test_construct_refuses_a_long_non_quadri_input(capsys, tmp_path):
     assert (code, out) == (2, "")
     q = parse_document(p.read_text()).algebras["q"]
     with unbounded_digits():
-        assert err == f"error: input is not a quadri-dendriform algebra\n{check(q, 'quadri').render()}\n"
+        assert err == f"error: input is not a quadri algebra\n{check(q, 'quadri').render()}\n"
     assert "quadri.1b at (0, 0, 0)" in err
     assert not out_path.exists()
     assert _digits_limit() == limit

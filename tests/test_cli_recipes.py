@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from splitalg.cli import _SECTIONS, RECIPES, _outputs, main
+from splitalg.cli import _SECTIONS, RECIPES, _outputs, _verifications, main
 from splitalg.constructions import PreconditionFailure, induced_six
 from splitalg.documents import Document, parse_document, serialize_document
 from splitalg.identities import check
@@ -75,6 +75,32 @@ EXPECTED = {
 }
 
 
+# recipe -> the verifications its run makes (label, catalog or operator
+# kind, output checked, output map or None), written out here because a
+# RECIPES row leaves each object's catalog to the type of the output
+VERIFICATIONS = {
+    "semidirect": [("semidirect:dendriform", "dendriform", "semidirect", None)],
+    "hemisemidirect": [("hemisemidirect:quadri", "quadri", "hemisemidirect", None)],
+    "action-semidirect": [("action_semidirect:dendriform", "dendriform", "action_semidirect", None)],
+    "aguiar-dendriform": [("dendriform", "dendriform", "dendriform", None)],
+    "aguiar-diass": [("diassociative", "diassociative", "diassociative", None)],
+    "induced-quadri": [("induced_quadri:quadri", "quadri", "induced_quadri", None)],
+    "induced-six": [("induced_six:six", "six", "induced_six", None)],
+    "differential-quadri": [("differential_quadri:quadri", "quadri", "differential_quadri", None)],
+    "dual-extension": [("dual_extension:dend-action", "dend-action", "dual_extension", None),
+                       ("projection:homomorphic_relative", "homomorphic_relative", "dual_extension", "projection")],
+    "sum-diass": [("sum_diass:diassociative", "diassociative", "sum_diass", None)],
+    "sum-triass": [("sum_triass:triassociative", "triassociative", "sum_triass", None)],
+    "quotient-dend": [("quotient:dendriform", "dendriform", "quotient", None)],
+    "embed-averaging": [("ambient:dendriform", "dendriform", "ambient", None),
+                        ("averaging:dend_averaging", "dend_averaging", "ambient", "averaging")],
+    "quadri-to-relative": [("representation:dend-representation", "dend-representation", "representation", None),
+                           ("quotient_map:relative_averaging", "relative_averaging", "representation", "quotient_map")],
+    "six-to-homomorphic": [("action:dend-action", "dend-action", "action", None),
+                           ("quotient_map:homomorphic_relative", "homomorphic_relative", "action", "quotient_map")],
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -111,7 +137,7 @@ def test_written_document_checks(recipe, flags, recipe_doc_path, tmp_path, monke
     monkeypatch.chdir(tmp_path)
     assert main(["construct", recipe_doc_path, "--recipe", recipe, *flags, "--out", "out.json"]) == 0
     doc = parse_document((tmp_path / "out.json").read_text(encoding="utf-8"))
-    checked = [(subject, what) for _, what, subject, map_name in RECIPES[recipe][3] if map_name is None]
+    checked = [(subject, what) for _, what, subject, map_name in VERIFICATIONS[recipe] if map_name is None]
     assert checked
     for subject, what in checked:
         assert check(doc.lookup_object(subject), what).ok
@@ -164,6 +190,18 @@ def _type_axioms(obj):
             yield obj, "dend-action"
 
 
+def _run(recipe: str, objects: list) -> dict:
+    """The recipe's construction on the objects: its outputs by name."""
+    _, construction, names, _ = RECIPES[recipe]
+    module, function = construction.split(".")
+    result = getattr(import_module(f"splitalg.{module}"), function)(*objects)
+    return dict(zip(names, _outputs(result), strict=True))
+
+
+def _inputs(recipe_doc, flags: list) -> list:
+    return [getattr(recipe_doc, _SECTIONS[flag[2:]])[name] for flag, name in zip(flags[::2], flags[1::2])]
+
+
 @pytest.fixture(scope="module")
 def recipe_doc(recipe_doc_path):
     with open(recipe_doc_path, encoding="utf-8") as fh:
@@ -177,7 +215,7 @@ def test_perturbed_input_is_refused_or_its_output_holds(recipe, flags, recipe_do
     """One structure constant of one part of an accepted input changed:
     the construction refuses it with the failing verdict, or its output
     passes every axiom of its type and every operator check of the recipe."""
-    objects = [getattr(recipe_doc, _SECTIONS[flag[2:]])[name] for flag, name in zip(flags[::2], flags[1::2])]
+    objects = _inputs(recipe_doc, flags)
     which = data.draw(st.integers(0, len(objects) - 1))
     tensors = _tensors(objects[which])
     name = data.draw(st.sampled_from(sorted(tensors)))
@@ -194,22 +232,32 @@ def test_perturbed_input_is_refused_or_its_output_holds(recipe, flags, recipe_do
         coeffs[i][j][k] += delta
         changed = BilinearOp(tensor.left_dim, tensor.right_dim, tensor.out_dim, coeffs)
     objects[which] = _replace(objects[which], name, changed)
-    _, construction, names, verifications = RECIPES[recipe]
-    module, function = construction.split(".")
     try:
-        result = getattr(import_module(f"splitalg.{module}"), function)(*objects)
+        outputs = _run(recipe, objects)
     except PreconditionFailure as e:
         event("refused")
         assert not e.verdict.ok
         return
     event("accepted")
-    outputs = dict(zip(names, _outputs(result), strict=True))
     for obj in outputs.values():
         for part, catalog_name in _type_axioms(obj):
             assert check(part, catalog_name).ok, catalog_name
-    for _, kind, subject, map_name in verifications:
+    for _, kind, subject, map_name in VERIFICATIONS[recipe]:
         if map_name is not None:
             assert check_operator(outputs[subject], kind, outputs[map_name]).ok, kind
+
+
+@pytest.mark.parametrize("recipe,flags", ACCEPTED, ids=[f"{r}-{f[-1]}" for r, f in ACCEPTED])
+def test_verifications_pinned(recipe, flags, recipe_doc):
+    """Each recipe's run makes the pinned verifications, each object output
+    checked against the catalog of its type, under the same labels and in
+    the same order."""
+    outputs = _run(recipe, _inputs(recipe_doc, flags))
+    assert list(_verifications(RECIPES[recipe][3], outputs)) == VERIFICATIONS[recipe]
+
+
+def test_every_recipe_is_pinned():
+    assert list(VERIFICATIONS) == list(RECIPES) == list(dict.fromkeys(recipe for recipe, _ in ACCEPTED))
 
 
 def test_six_converse_quotient_map_is_homomorphic(recipe_doc, tmp_path, monkeypatch, capsys):

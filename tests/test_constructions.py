@@ -29,7 +29,7 @@ from splitalg.constructions import (
 from splitalg.identities import (
     IdentitySchema, _scan, app, apply_map, catalog, check, context_for, expr, fits, needs, tabulate, var,
 )
-from splitalg.linalg import basis_vector, vec_add
+from splitalg.linalg import basis_vector
 from splitalg.model import (
     ACTION_SORTS,
     Action,
@@ -333,6 +333,11 @@ def assert_formula(op, formula):
             assert op.coeffs[p][q] == formula(basis_vector(op.left_dim, p), basis_vector(op.right_dim, q))
 
 
+def _add(*vectors):
+    """The sum of vectors of one length."""
+    return tuple(map(sum, zip(*vectors, strict=True)))
+
+
 def _empty_block(base: Algebra, target: Algebra, module: type = Representation):
     """base acting on the module of target's dimension with zero actions:
     each action is empty when the base or the module has dimension 0."""
@@ -358,7 +363,7 @@ def test_module_products_match_block_formulas(rep):
     for op in ("prec", "succ"):
         base, left, right = rep.base.op(op), rep.actions[f"{op}_l"], rep.actions[f"{op}_r"]
         assert_formula(sd.op(op), lambda a, b: evaluate(base, a[:n], b[:n])
-                       + vec_add(evaluate(left, a[:n], b[n:]), evaluate(right, a[n:], b[:n])))
+                       + _add(evaluate(left, a[:n], b[n:]), evaluate(right, a[n:], b[:n])))
         assert_formula(hemi.op(f"{op}_vdash"),
                        lambda a, b: evaluate(base, a[:n], b[:n]) + evaluate(left, a[:n], b[n:]))
         assert_formula(hemi.op(f"{op}_dashv"),
@@ -378,8 +383,8 @@ def test_action_semidirect_matches_block_formula(act):
     for op in ("prec", "succ"):
         base, left, right = act.base.op(op), act.actions[f"{op}_l"], act.actions[f"{op}_r"]
         own = act.target.op(op)
-        assert_formula(asd.op(op), lambda a, b: evaluate(base, a[:n], b[:n]) + vec_add(
-            vec_add(evaluate(left, a[:n], b[n:]), evaluate(right, a[n:], b[:n])), evaluate(own, a[n:], b[n:])))
+        assert_formula(asd.op(op), lambda a, b: evaluate(base, a[:n], b[:n]) + _add(
+            evaluate(left, a[:n], b[n:]), evaluate(right, a[n:], b[:n]), evaluate(own, a[n:], b[n:])))
 
 
 def _action_product(act: Action) -> Algebra:
@@ -457,7 +462,7 @@ def test_dual_extension_matches_block_formulas(d):
     for op in ("prec", "succ"):
         mu = d.op(op)
         assert_formula(act.target.op(op), lambda a, b: evaluate(mu, a[:n], b[:n])
-                       + vec_add(evaluate(mu, a[:n], b[n:]), evaluate(mu, a[n:], b[:n])))
+                       + _add(evaluate(mu, a[:n], b[n:]), evaluate(mu, a[n:], b[:n])))
         assert_formula(act.actions[f"{op}_l"], lambda a, b: evaluate(mu, a, b[:n]) + evaluate(mu, a, b[n:]))
         assert_formula(act.actions[f"{op}_r"], lambda a, b: evaluate(mu, a[:n], b) + evaluate(mu, a[n:], b))
     for p in range(2 * n):

@@ -164,6 +164,41 @@ def test_module_algebras_must_be_dendriform(section, ref, message):
     assert str(exc.value) == f"{message} at $.{section}.m"
 
 
+_ZERO_DEND = {"dimension": 1, "signature": "dendriform", "operations": {"prec": [[[0]]], "succ": [[[0]]]}}
+_ZERO_ACTIONS = {name: [[[0]]] for name in ("prec_l", "succ_l", "prec_r", "succ_r")}
+
+
+@pytest.mark.parametrize("section, obj, key", [
+    ("algebras", _ZERO_DEND, "basis_labels"),
+    ("maps", {"source": 1, "target": 1, "matrix": [[1]]}, "kind"),
+    ("representations", {"base": "d", "module_dim": 1, "actions": _ZERO_ACTIONS}, "target"),
+    ("actions", {"base": "d", "target": "d", "actions": _ZERO_ACTIONS}, "module_dim"),
+], ids=["algebra", "map", "representation", "action"])
+def test_unknown_key_is_refused(section, obj, key):
+    """A key an object does not read is refused with its path, as an unknown
+    section is: a misspelt one would otherwise drop what it holds."""
+    raw = {"algebras": {"d": _ZERO_DEND}, section: {"x": {**obj, key: 1}}}
+    with pytest.raises(DocumentError) as exc:
+        parse_document(json.dumps(raw))
+    assert str(exc.value) == f"unknown key at $.{section}.x.{key}"
+    del raw[section]["x"][key]
+    assert parse_document(json.dumps(raw))
+
+
+def test_empty_basis_is_a_basis():
+    """Only an absent "basis" means no labels: an empty one on a
+    dimension-1 algebra is refused as a wrong count, and on a dimension-0
+    algebra it is kept and written back."""
+    one = {"dimension": 1, "signature": "associative", "operations": {"mul": [[[0]]]}, "basis": []}
+    with pytest.raises(DocumentError) as exc:
+        parse_document(json.dumps({"algebras": {"a": one}}))
+    assert str(exc.value) == "basis label count does not match dimension at $.algebras.a"
+    zero = {"dimension": 0, "signature": "associative", "operations": {"mul": []}, "basis": []}
+    text = json.dumps({"algebras": {"a": zero}}, sort_keys=True, indent=1) + "\n"
+    assert parse_document(text).algebras["a"].basis_labels == ()
+    assert serialize_document(parse_document(text)) == text
+
+
 def test_lookup_object(sample_doc_path):
     doc = parse_document(Path(sample_doc_path).read_text())
     assert doc.lookup_object("poly").signature == "associative"

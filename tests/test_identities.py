@@ -10,12 +10,14 @@ from splitalg.identities import (
     UnknownCatalog,
     _scan,
     catalog,
+    catalog_of,
     check,
     check_morphism,
     check_schemas,
     context_for,
+    fits,
 )
-from splitalg.constructions import PreconditionFailure, _require_axioms
+from splitalg.constructions import PreconditionFailure, _require_axioms, sum_collapse_quadri, sum_collapse_six
 from splitalg.linalg import basis_vector, vector
 from splitalg.model import (
     SIGNATURE_OPS,
@@ -257,6 +259,18 @@ def test_algebra_catalog_refuses_a_module(dend, name, module, kind):
     with pytest.raises(SpecError) as refused:
         check(module(dend), name)
     assert str(refused.value) == f"catalog {name!r} needs {ALGEBRA_NEEDS[name]}"
+
+
+def test_catalog_of_is_the_catalog_of_each_objects_type(poly, dend, adjoint, quadri, six):
+    """catalog_of inverts fits: an algebra of each signature but raw, a
+    representation and an action each fit the catalog of their own type, and
+    these cover every catalog.  An action is a representation too."""
+    objects = [poly, dend, sum_collapse_quadri(quadri), sum_collapse_six(six), quadri, six, adjoint, self_action(dend)]
+    names = [catalog_of(obj) for obj in objects]
+    assert sorted(names) == sorted(CATALOG_NAMES)
+    for obj, name in zip(objects, names):
+        also = ["dend-representation"] if name == "dend-action" else []
+        assert [other for other in CATALOG_NAMES if fits(obj, other) and other != name] == also
 
 
 # e0 prec_vdash e0 = e0 prec_vdash e1 = e1, every other product 0: it

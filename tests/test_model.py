@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from splitalg.linalg import basis_vector, span, vec_add, vector
+from splitalg.linalg import basis_vector, span, vector
 from splitalg.model import (
     Action,
     Algebra,
@@ -19,6 +20,7 @@ from splitalg.model import (
     perp_dendriform_part,
     quadri_part,
     self_action,
+    signature_of,
 )
 
 
@@ -33,15 +35,30 @@ def test_bilinear_evaluation_is_bilinear(dend):
     def scale(c, v):
         return tuple(c * a for a in v)
 
+    def add(u, v):
+        return tuple(a + b for a, b in zip(u, v, strict=True))
+
     for _ in range(20):
         x, y, z = rand_vec(), rand_vec(), rand_vec()
         c = Fraction(rng.randint(-2, 2))
-        lhs = evaluate(op, vec_add(x, scale(c, y)), z)
-        rhs = vec_add(evaluate(op, x, z), scale(c, evaluate(op, y, z)))
+        lhs = evaluate(op, add(x, scale(c, y)), z)
+        rhs = add(evaluate(op, x, z), scale(c, evaluate(op, y, z)))
         assert lhs == rhs
-        lhs = evaluate(op, z, vec_add(x, scale(c, y)))
-        rhs = vec_add(evaluate(op, z, x), scale(c, evaluate(op, z, y)))
+        lhs = evaluate(op, z, add(x, scale(c, y)))
+        rhs = add(evaluate(op, z, x), scale(c, evaluate(op, z, y)))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("signature", sorted(SIGNATURE_OPS))
+def test_signature_of_reads_the_operations_in_any_order(signature):
+    for names in itertools.permutations(SIGNATURE_OPS[signature]):
+        assert signature_of(names) == signature_of(dict.fromkeys(names)) == signature
+
+
+@pytest.mark.parametrize("names", [("mul", "prec"), ("prec",), ("prec", "succ", "perp"), ("dashv", "vdash", "mul"),
+                                   SIGNATURE_OPS["six"][1:], ("var",)])
+def test_signature_of_gives_raw_when_none_fits(names):
+    assert signature_of(names) == "raw"
 
 
 def test_floats_are_refused():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from splitalg.constructions import PreconditionFailure, induced_quadri, induced_six
 from splitalg.identities import QUADRI_TO_DENDRIFORM_COLLAPSE, check
-from splitalg.linalg import basis_vector, span, vec_sub
+from splitalg.linalg import basis_vector, span
 from splitalg.model import (
     SIGNATURE_OPS,
     Algebra,
@@ -291,7 +291,7 @@ def test_six_setup_rejects_non_six():
     the six chain prec_vdash(prec_perp) = prec_vdash(prec_vdash)."""
     s = _six(1, prec_vdash={(0, 0): 0})
     assert check(perp_dendriform_part(s), "dendriform").ok
-    with pytest.raises(PreconditionFailure, match="not a six-dendriform") as exc:
+    with pytest.raises(PreconditionFailure, match="not a six algebra") as exc:
         six_to_homomorphic_setup(s)
     assert not exc.value.verdict.ok
 
@@ -363,7 +363,7 @@ def reference_quotient(a, sub, collapse, signature):
             other = a.op(other_name)
             for i in range(n):
                 for j in range(n):
-                    if any(sub.reduce(vec_sub(first.coeffs[i][j], other.coeffs[i][j]))):
+                    if any(sub.reduce(tuple(f - o for f, o in zip(first.coeffs[i][j], other.coeffs[i][j])))):
                         raise QuotientError(
                             f"ill-defined collapse: {srcs[0]!r} and {other_name!r} "
                             f"disagree modulo the ideal at basis pair ({i}, {j})",
@@ -440,7 +440,7 @@ def reference_splitting_generators(q):
     """The differences op(e_i, e_j) - first(e_i, e_j), cell by cell, for each
     operation op and the first operation first of its half."""
     firsts = _firsts(q)
-    return [vec_sub(cell, first_cell)
+    return [tuple(c - f for c, f in zip(cell, first_cell))
             for name, op in q.operations.items()
             for row, first_row in zip(op.coeffs, firsts[half(name)].coeffs)
             for cell, first_cell in zip(row, first_row) if cell != first_cell]
