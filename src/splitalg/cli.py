@@ -114,9 +114,7 @@ def _kind(raw: str) -> str:
     try:
         return KIND_ALIASES[raw]
     except KeyError:
-        raise UsageError(
-            f"unknown kind {raw!r}; known: {', '.join(sorted(KIND_ALIASES))}"
-        ) from None
+        raise UsageError(f"unknown kind {raw!r}; known: {', '.join(sorted(KIND_ALIASES))}") from None
 
 
 def cmd_check_operator(args) -> int:
@@ -257,18 +255,9 @@ def cmd_search(args) -> int:
     cap = DEFAULT_SEARCH_CAP if args.cap is None else args.cap
     maps = search_operators(subject, kind, grid, cap=cap)
     source_dim, target_dim = operator_map_shape(subject, kind)
-    rendered = [
-        [[scalar_to_json(e) for e in row] for row in m.matrix] for m in maps
-    ]
-    payload = {
-        "kind": kind,
-        "count": len(maps),
-        "shape": [target_dim, source_dim],
-        "matrices": rendered,
-    }
-    lines = [f"{len(maps)} passing map(s) of shape {target_dim}x{source_dim}"]
-    for m in rendered:
-        lines.append(json.dumps(m))
+    rendered = [[[scalar_to_json(e) for e in row] for row in m.matrix] for m in maps]
+    payload = {"kind": kind, "count": len(maps), "shape": [target_dim, source_dim], "matrices": rendered}
+    lines = [f"{len(maps)} passing map(s) of shape {target_dim}x{source_dim}", *map(json.dumps, rendered)]
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 

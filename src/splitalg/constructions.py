@@ -13,15 +13,16 @@ The tests and the CLI re-check the outputs."""
 from __future__ import annotations
 
 from .identities import (
-    CATALOG_NAMES,
     OpContext,
     ViolationReport,
     app,
     apply_map,
-    check,
+    catalog_of,
+    check_schemas,
     context_for,
     expr,
     fits,
+    hypothesis,
     needs,
     tabulate,
     var,
@@ -36,8 +37,6 @@ from .model import (
     SpecError,
     adjoint_representation,
     half,
-    perp_dendriform_part,
-    quadri_part,
     signature_of,
     split,
 )
@@ -63,20 +62,13 @@ def _require(report: ViolationReport, message: str) -> None:
 
 def _require_axioms(obj, *catalogs: str) -> None:
     """Refuse an input no catalog reads (`identities.fits`) with one line, then
-    one that fails the axioms of its type with the first failing verdict: a
-    module's dendriform base and an action's target, then each catalog the
-    input fits (an action's before a representation's), as not what that
-    catalog `needs`; a six algebra's perp pair first and quadri part last."""
+    one that fails the whole hypothesis of its own type (`identities.hypothesis`:
+    a module's base and an action's target, a six algebra's perp pair and
+    quadri part included) with its verdict, as not what its catalog `needs`."""
     if not any(fits(obj, name) for name in catalogs):
         raise SpecError(f"expected {needs(*catalogs)}")
-    parts = [(getattr(obj, side), "dendriform", f"{side} algebra is not dendriform")
-             for side in ("base", "target") if hasattr(obj, side)]
-    parts += [(obj, name, f"input is not {needs(name)}") for name in CATALOG_NAMES if fits(obj, name)]
-    if fits(obj, "six"):
-        perp = (perp_dendriform_part(obj), "dendriform", "target not dendriform: the perp pair fails the dendriform axioms")
-        parts = [perp, *parts, (quadri_part(obj), "quadri", "the quadri part is not a quadri-dendriform algebra")]
-    for part, catalog_name, message in parts:
-        _require(check(part, catalog_name), message)
+    own = catalog_of(obj)
+    _require(check_schemas(obj, hypothesis(own)), f"input is not {needs(own)}")
 
 
 def _product(obj, signature: str, patterns) -> Algebra:

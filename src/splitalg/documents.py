@@ -141,9 +141,26 @@ def _tensor_to_json(op: BilinearOp):
     return [[[scalar_to_json(e) if e else 0 for e in vec] for vec in row] for row in op.coeffs]
 
 
+class _Repeats(dict):
+    """A JSON object that repeats its key `repeated`, of which json keeps the last value."""
+
+
+def _object(pairs: list) -> dict:
+    """json's object hook: the object, a _Repeats if it repeats a key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj = _Repeats(obj)
+        obj.repeated = next(key for n, key in enumerate(keys) if key in keys[:n])
+    return obj
+
+
 def _known_keys(raw: dict, path: str, *keys: str) -> None:
-    """Refuse a key of the object raw, found at path, that is not one of keys."""
-    for key in raw:
+    """Refuse a key of the object raw, found at path, that it repeats, or,
+    when keys are given, that is not one of them."""
+    if type(raw) is _Repeats:
+        raise DocumentError(f"{path}.{raw.repeated}", "repeated key")
+    for key in raw if keys else ():
         if key not in keys:
             raise DocumentError(f"{path}.{key}", "unknown key")
 
@@ -166,6 +183,7 @@ def _parse_algebra(name: str, raw, path: str, tokens: dict) -> Algebra:
     raw_ops = raw.get("operations", {})
     if not isinstance(raw_ops, dict):
         raise DocumentError(f"{path}.operations", "operations must be an object")
+    _known_keys(raw_ops, f"{path}.operations")
     ops = {
         opname: _parse_tensor(t, dim, dim, dim, f"{path}.operations.{opname}", tokens)
         for opname, t in raw_ops.items()
@@ -232,6 +250,7 @@ def _parse_module(section: str, raw, path: str, algebras, tokens: dict):
     tensors = raw.get("actions")
     if not isinstance(tensors, dict) or set(tensors) != set(ACTION_SORTS):
         raise DocumentError(f"{path}.actions", f"expected exactly the action tensors {', '.join(ACTION_SORTS)}")
+    _known_keys(tensors, f"{path}.actions")
     dims = {"A": base.dimension, "V": m}
     tensors = {name: _parse_tensor(tensors[name], *(dims[s] for s in sorts), f"{path}.actions.{name}", tokens)
                for name, sorts in ACTION_SORTS.items()}
@@ -245,17 +264,19 @@ def parse_document(text: str) -> Document:
     """Parse and fully validate a document; raises DocumentError with a
     path into the JSON on any malformed content."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as e:  # also too many digits, too deep
         raise DocumentError("$", f"invalid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise DocumentError("$", "top level must be an object")
+    _known_keys(raw, "$")
     known = {"algebras", "maps", "representations", "actions"}
     for key, section in raw.items():
         if key not in known:
             raise DocumentError(f"$.{key}", "unknown top-level section")
         if not isinstance(section, dict):
             raise DocumentError(f"$.{key}", "section must be an object")
+        _known_keys(section, f"$.{key}")
     tokens: dict = {}  # scalar token -> Fraction, shared by the whole document
     algebras = {
         name: _parse_algebra(name, a, f"$.algebras.{name}", tokens)

@@ -201,29 +201,14 @@ def _dend_shape(ids, pair12, pair23, pair_out, pair_out2):
     (1,2)-product with slot 3; pair_out2 joins slot 1 with the
     (2,3)-product.  For the plain dendriform axioms all four coincide.
     """
-    p12, s12 = pair12
-    p23, s23 = pair23
-    po, so = pair_out
-    po2, so2 = pair_out2
-    e1 = equation(
-        ids[0],
-        _A3,
-        app(po, app(p12, _x, _y), _z),
-        expr(app(po2, _x, app(p23, _y, _z)), app(po2, _x, app(s23, _y, _z))),
-    )
-    e2 = equation(
-        ids[1],
-        _A3,
-        app(po, app(s12, _x, _y), _z),
-        app(so2, _x, app(p23, _y, _z)),
-    )
-    e3 = equation(
-        ids[2],
-        _A3,
-        app(so2, _x, app(s23, _y, _z)),
-        expr(app(so, app(p12, _x, _y), _z), app(so, app(s12, _x, _y), _z)),
-    )
-    return [e1, e2, e3]
+    (p12, s12), (p23, s23), (po, so), (po2, so2) = pair12, pair23, pair_out, pair_out2
+    return [
+        equation(ids[0], _A3, app(po, app(p12, _x, _y), _z),
+                 expr(app(po2, _x, app(p23, _y, _z)), app(po2, _x, app(s23, _y, _z)))),
+        equation(ids[1], _A3, app(po, app(s12, _x, _y), _z), app(so2, _x, app(p23, _y, _z))),
+        equation(ids[2], _A3, app(so2, _x, app(s23, _y, _z)),
+                 expr(app(so, app(p12, _x, _y), _z), app(so, app(s12, _x, _y), _z))),
+    ]
 
 
 def _catalog_associative():
@@ -339,8 +324,7 @@ def _catalog_quadri():
 def _catalog_six():
     """The 9 + 8 + 8 compatibility axioms between the perp pair and the
     quadri quadruple.  The embedded dendriform and quadri axioms are not
-    repeated here: constructions._require_axioms checks every six input's
-    perp_dendriform_part and quadri_part."""
+    repeated here: `hypothesis("six")` appends them."""
     pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
     pp, sp = "prec_perp", "succ_perp"
     eqs = _dend_shape(("six.1.1", "six.1.2", "six.1.3"), (pv, sv), (pp, sp), (pp, sp), (pv, sv))
@@ -421,6 +405,22 @@ def catalog(name: str) -> list[IdentitySchema]:
             ) from None
         schemas = _BUILT[name] = tuple(builder())
     return list(schemas)
+
+
+# The axioms of the parts a catalog leaves out, ids after its own: a six
+# algebra's perp pair is dendriform and its quadri quadruple quadri; a
+# module's base (AAA), and an action's target (VVV), dendriform.
+_PARTS = {
+    "six": lambda: [*_dend_shape(("dend.1", "dend.2", "dend.3"), *[("prec_perp", "succ_perp")] * 4), *catalog("quadri")],
+    "dend-representation": lambda: _dendriform_on("rep", ("AAV", "AVA", "VAA", "AAA"))[9:],
+    "dend-action": lambda: [*_dendriform_on("act", ("AVV", "VAV", "VVA", "VVV"))[9:], *hypothesis("dend-representation")],
+}
+
+
+@cache
+def hypothesis(name: str) -> tuple[IdentitySchema, ...]:
+    """Every axiom of the catalog's type, built once: the catalog, then its parts'."""
+    return (*catalog(name), *_PARTS.get(name, tuple)())
 
 
 # ----------------------------------------------------------------------

@@ -98,15 +98,11 @@ class BilinearOp:
         self.out_dim = out_dim
         coeffs = tuple(tuple(vector(v) for v in row) for row in coeffs)
         if len(coeffs) != left_dim or any(len(row) != right_dim for row in coeffs):
-            raise SpecError(
-                f"coefficient tensor shape does not match {left_dim}x{right_dim}"
-            )
+            raise SpecError(f"coefficient tensor shape does not match {left_dim}x{right_dim}")
         for row in coeffs:
             for v in row:
                 if len(v) != out_dim:
-                    raise SpecError(
-                        f"coefficient vector length {len(v)} vs out_dim {out_dim}"
-                    )
+                    raise SpecError(f"coefficient vector length {len(v)} vs out_dim {out_dim}")
         self.coeffs = coeffs
 
     @classmethod
@@ -194,9 +190,7 @@ class LinearMap:
         if len(self.matrix) != target_dim or any(
             len(row) != source_dim for row in self.matrix
         ):
-            raise SpecError(
-                f"matrix shape does not match {target_dim}x{source_dim}"
-            )
+            raise SpecError(f"matrix shape does not match {target_dim}x{source_dim}")
 
     @classmethod
     def zero(cls, source_dim: int, target_dim: int) -> "LinearMap":

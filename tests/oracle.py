@@ -2,17 +2,19 @@
 `Fraction` arithmetic, one term at a time.  The tests hold the library's
 sparse evaluator (`identities._Program`) and `tabulate` to it.  Also the
 coset coordinates of a vector modulo a subspace, which the reference
-quotient reads, and the splitting rule with a degree-3 span comparison,
-which the catalogs are held to."""
+quotient reads, the splitting rule with a degree-3 span comparison,
+which the catalogs are held to, and the input rule of the theorems part by
+part, which the one scan of each type's hypothesis is held to."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-from splitalg.identities import Expr, IdentitySchema, OpContext, Term, app
+from splitalg.constructions import PreconditionFailure
+from splitalg.identities import CATALOG_NAMES, Expr, IdentitySchema, OpContext, Term, app, check, fits, needs
 from splitalg.linalg import Subspace, Vector, rref
-from splitalg.model import SpecError, evaluate
+from splitalg.model import SpecError, evaluate, perp_dendriform_part, quadri_part
 
 
 def eval_term(term: Term, schema: IdentitySchema, ctx: OpContext, values) -> tuple[Vector, str]:
@@ -123,3 +125,36 @@ def degree3_vector(schema: IdentitySchema, ops: Sequence[str]) -> Vector:
 def rank(schemas: Sequence[IdentitySchema], ops: Sequence[str]) -> int:
     """The dimension of the span of the schemas' degree-3 vectors."""
     return len(rref([degree3_vector(s, ops) for s in schemas])[1]) if schemas else 0
+
+
+# ----------------------------------------------------------------------
+# The input rule of the theorems part by part: each part of an input is
+# checked against its own catalog, and the first part that fails refuses the
+# input with its verdict.  `constructions._require_axioms` runs the same
+# rule as one scan of the input type's `identities.hypothesis`.
+
+
+def reference_parts(obj) -> list:
+    """(part, catalog, refusal message) of each part of the input's
+    hypothesis, in the order they are checked: a module's base and an
+    action's target as dendriform algebras, then each catalog the input fits
+    (an action's before a representation's); a six algebra's perp pair
+    first and its quadri part last."""
+    parts = [(getattr(obj, side), "dendriform", f"{side} algebra is not dendriform")
+             for side in ("base", "target") if hasattr(obj, side)]
+    parts += [(obj, name, f"input is not {needs(name)}") for name in CATALOG_NAMES if fits(obj, name)]
+    if fits(obj, "six"):
+        perp = (perp_dendriform_part(obj), "dendriform", "target not dendriform: the perp pair fails the dendriform axioms")
+        parts = [perp, *parts, (quadri_part(obj), "quadri", "the quadri part is not a quadri-dendriform algebra")]
+    return parts
+
+
+def reference_require_axioms(obj, *catalogs: str) -> None:
+    """Refuse an input no catalog reads with one line, then one with a part
+    that fails its catalog with the first failing part's verdict."""
+    if not any(fits(obj, name) for name in catalogs):
+        raise SpecError(f"expected {needs(*catalogs)}")
+    for part, catalog_name, message in reference_parts(obj):
+        report = check(part, catalog_name)
+        if not report.ok:
+            raise PreconditionFailure(message, report)

@@ -10,7 +10,7 @@ relations they add are named by schema id below."""
 
 import pytest
 
-from splitalg.identities import IdentitySchema, catalog
+from splitalg.identities import IdentitySchema, catalog, hypothesis
 from splitalg.model import SIGNATURE_OPS
 
 from oracle import degree3_vector, rank, rename, split_expr, successor
@@ -55,10 +55,12 @@ def test_quadri_strictly_contains_the_successor_of_diassociative():
 
 def test_six_strictly_contains_the_successor_of_triassociative():
     """six with its quadri quadruple and the dendriform axioms of its perp
-    pair, against the successor of the tri-associative axioms."""
+    pair, the whole six hypothesis, against the successor of the
+    tri-associative axioms."""
     ops = SIGNATURE_OPS["six"]
     split = successor(catalog("triassociative"))
     six = catalog("six") + catalog("quadri") + rename(catalog("dendriform"), PERP)
+    assert set(six) == set(hypothesis("six"))
     assert (len(six), len(split)) == (47, 33)
     assert (rank(six, ops), rank(split, ops), rank(six + split, ops)) == (37, 33, 37)
     chains = ("six.2.3", "six.2.4", "six.3.1", "six.3.3")

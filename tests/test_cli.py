@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from splitalg.cli import _SECTIONS, KIND_ALIASES, RECIPES, _resolve_subject, main
 from splitalg.documents import Document, parse_document, serialize_document, unbounded_digits
 from splitalg import identities
-from splitalg.identities import CATALOG_NAMES, check, fits
+from splitalg.identities import CATALOG_NAMES, check, check_schemas, fits, hypothesis
 from splitalg.model import (
     SIGNATURE_OPS, Action, Algebra, BilinearOp, LinearMap, Representation, SpecError, adjoint_representation,
-    perp_dendriform_part, self_action,
+    self_action,
 )
 from splitalg.operators import (
     OPERATOR_KINDS, _KINDS, check_operator, check_rota_baxter, operator_map_shape, search_operators,
@@ -213,7 +213,7 @@ def test_construct_quadri_to_relative_refuses_non_quadri(capsys, tmp_path):
 
 def test_construct_six_to_homomorphic_refuses_bad_perp(capsys, tmp_path):
     """The six converse refuses a perp pair that is not dendriform with the
-    failing dendriform verdict, like every other refused hypothesis."""
+    verdict of the whole six hypothesis, like every other refused input."""
     one, zero = BilinearOp(1, 1, 1, [[[1]]]), BilinearOp.zero(1, 1, 1)
     ops = {name: zero for name in ("prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv")}
     six = Algebra(1, "six", {**ops, "prec_perp": one, "succ_perp": one})
@@ -225,12 +225,9 @@ def test_construct_six_to_homomorphic_refuses_bad_perp(capsys, tmp_path):
     )
     assert code == 2
     assert out == ""
-    verdict = check(perp_dendriform_part(six), "dendriform")
-    assert not verdict.ok
-    assert err == (
-        "error: target not dendriform: the perp pair fails the dendriform axioms\n"
-        f"{verdict.render()}\n"
-    )
+    verdict = check_schemas(six, hypothesis("six"))
+    assert [v.identity for v in verdict.violations] == ["dend.1", "dend.3"]
+    assert err == f"error: input is not a six algebra\n{verdict.render()}\n"
     assert not (tmp_path / "x.json").exists()
 
 
@@ -251,7 +248,7 @@ def test_construct_refuses_inputs_failing_their_axioms(capsys, tmp_path, recipe)
     p = tmp_path / "doc.json"
     p.write_text(serialize_document(Document(**doc)))
     code, out, err = run(capsys, "construct", str(p), "--recipe", recipe, *argv, "--out", str(tmp_path / "x.json"))
-    verdict = check(part, catalog_name)
+    verdict = check_schemas(part, hypothesis(catalog_name))
     assert not verdict.ok
     assert (code, out, err) == (2, "", f"error: {message}\n{verdict.render()}\n")
     assert not (tmp_path / "x.json").exists()

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splitalg import constructions
+from splitalg import constructions, identities
 from splitalg.constructions import (
     PreconditionFailure,
     _hemisemidirect,
+    _require_axioms,
     _semidirect,
     action_semidirect,
     aguiar_dendriform,
@@ -27,11 +28,13 @@ from splitalg.constructions import (
     sum_collapse_six,
 )
 from splitalg.identities import (
-    IdentitySchema, _scan, app, apply_map, catalog, check, context_for, expr, fits, needs, tabulate, var,
+    IdentitySchema, _scan, app, apply_map, catalog, catalog_of, check, check_schemas, context_for, expr, fits,
+    hypothesis, needs, tabulate, var,
 )
 from splitalg.linalg import basis_vector
 from splitalg.model import (
     ACTION_SORTS,
+    SIGNATURE_OPS,
     Action,
     Algebra,
     BilinearOp,
@@ -39,6 +42,7 @@ from splitalg.model import (
     Representation,
     SpecError,
     adjoint_representation,
+    dendriform_to_quadri,
     dendriform_to_six,
     evaluate,
     self_action,
@@ -52,9 +56,9 @@ from splitalg.operators import (
     search_operators,
 )
 from splitalg.quotients import dendriform_quotient, embed_averaging, quadri_to_relative_setup, six_to_homomorphic_setup
-from splitalg.samples import one_dim_dendriform, truncated_polynomial_dendriform, zero_algebra
+from splitalg.samples import one_dim_dendriform, truncated_polynomial_algebra, truncated_polynomial_dendriform, zero_algebra
 from conftest import shift_map
-from oracle import eval_expr
+from oracle import eval_expr, reference_parts, reference_require_axioms
 from test_cli_recipes import _replace, _tensors
 from test_engine import _DUAL_PREC, actions, algebras, linear_maps, representations
 
@@ -288,19 +292,19 @@ _BAD_MODULE = Representation(_Z, 2, {
     "prec_r": _op(2, 1, 2, {(1, 0): (-1, 0)}),
     "succ_r": _op(2, 1, 2, {(0, 0): (1, 0), (1, 0): (-1, 0)}),
 })
-# id -> (construction, its arguments, refusal message, the input's failing check)
+# id -> (construction, its arguments, refusal message, the refused input and
+# the catalog of its type, whose whole hypothesis it fails)
 COUNTEREXAMPLES = {
     "aguiar-dendriform": (aguiar_dendriform, (_NON_ASSOCIATIVE, LinearMap(2, 2, [[-1, 0], [0, 0]])),
                           "input is not an associative algebra", (_NON_ASSOCIATIVE, "associative")),
-    "semidirect": (semidirect, (_ZERO_REP,), "base algebra is not dendriform", (_ZERO_REP.base, "dendriform")),
-    "hemisemidirect": (hemisemidirect, (_ZERO_REP,), "base algebra is not dendriform",
-                       (_ZERO_REP.base, "dendriform")),
+    "semidirect": (semidirect, (_ZERO_REP,), "input is not a representation", (_ZERO_REP, "dend-representation")),
+    "hemisemidirect": (hemisemidirect, (_ZERO_REP,), "input is not a representation",
+                       (_ZERO_REP, "dend-representation")),
     "dual-extension": (dual_extension, (_ZERO_REP.base,), "input is not a dendriform algebra",
                        (_ZERO_REP.base, "dendriform")),
-    "action-semidirect": (action_semidirect, (_NOT_A_REP,), "input is not a representation",
-                          (_NOT_A_REP, "dend-representation")),
-    "induced-six": (induced_six, (_NOT_A_REP, LinearMap.zero(1, 1)), "input is not a representation",
-                    (_NOT_A_REP, "dend-representation")),
+    "action-semidirect": (action_semidirect, (_NOT_A_REP,), "input is not an action", (_NOT_A_REP, "dend-action")),
+    "induced-six": (induced_six, (_NOT_A_REP, LinearMap.zero(1, 1)), "input is not an action",
+                    (_NOT_A_REP, "dend-action")),
     "induced-quadri": (induced_quadri, (_BAD_MODULE, LinearMap(2, 1, [[0, 1]])), "input is not a representation",
                        (_BAD_MODULE, "dend-representation")),
 }
@@ -322,7 +326,7 @@ def test_input_failing_its_axioms_is_refused(case):
     with pytest.raises(PreconditionFailure) as exc:
         build(*args)
     assert str(exc.value) == message
-    assert exc.value.verdict == check(part, catalog_name)
+    assert exc.value.verdict == check_schemas(part, hypothesis(catalog_name))
     assert not exc.value.verdict.ok
 
 
@@ -408,12 +412,11 @@ def _one_entry_perturbations(obj):
             yield _replace(obj, name, _raised(op, i, j, k))
 
 
-def _in_product(obj, catalog_name: str, n: int, m: int, moved: bool = False) -> list:
-    """The violations of the catalog on obj as violations of the dendriform
+def _in_product(obj, schemas, n: int, m: int, moved: bool = False) -> list:
+    """The violations of the schemas on obj as violations of the dendriform
     axioms on base + module, each (dend id, witness, residual): a slot or
     output of sort V, or every one if moved, is placed after the n base
     coordinates, and rep.q or act.q is dend.t for t = q mod 3."""
-    schemas = catalog(catalog_name)
     sorts = {schema.id: schema.slot_sorts for schema in schemas}
     placed = []
     for v in _scan(context_for(obj), [(schema,) for schema in schemas], math.inf).violations:
@@ -433,21 +436,84 @@ def test_module_axioms_are_the_dendriform_axioms_of_the_product(fixture):
     its product (the target on the module block) also those of dend-action
     and of the target.  So a base passes dendriform and a representation
     dend-representation exactly when the semidirect product is dendriform,
-    and an action passes all four catalogs exactly when its product is."""
+    and an action passes all four catalogs exactly when its product is; the
+    hypothesis of each module type is those catalogs in one scan."""
     d = _DUAL_PREC
     subject = {"adjoint": adjoint_representation(d), "self action": self_action(d),
                "dual extension": dual_extension(d)[0]}[fixture]
     verdicts = set()
     for obj in _one_entry_perturbations(subject):
         n, m = obj.base.dimension, obj.module_dim
-        module = _in_product(obj.base, "dendriform", n, m) + _in_product(obj, "dend-representation", n, m)
-        assert sorted(module) == _in_product(_semidirect(obj), "dendriform", n + m, 0)
+        dend = catalog("dendriform")
+        module = _in_product(obj.base, dend, n, m) + _in_product(obj, catalog("dend-representation"), n, m)
+        assert sorted(module) == _in_product(_semidirect(obj), dend, n + m, 0)
+        assert _in_product(obj, hypothesis("dend-representation"), n, m) == sorted(module)
         verdicts.add(not module)
         if isinstance(obj, Action):
-            action = module + _in_product(obj, "dend-action", n, m) + _in_product(obj.target, "dendriform", n, m, True)
-            assert sorted(action) == _in_product(_action_product(obj), "dendriform", n + m, 0)
+            action = module + _in_product(obj, catalog("dend-action"), n, m) + _in_product(obj.target, dend, n, m, True)
+            assert sorted(action) == _in_product(_action_product(obj), dend, n + m, 0)
+            assert _in_product(obj, hypothesis("dend-action"), n, m) == sorted(action)
             verdicts.add(not action)
     assert verdicts == {True, False}
+
+
+def _refusal(require, obj):
+    """The verdict with which require refuses obj as an input of its own
+    type, or None if it takes obj."""
+    try:
+        require(obj, catalog_of(obj))
+    except PreconditionFailure as e:
+        return e.verdict
+    return None
+
+
+# e succ_dashv e = e succ_vdash e = e, every other product 0: its perp pair
+# (zero) is dendriform and its quadri part quadri, but six.2.4a and six.3.4a fail
+_SIX_FAILING_ITS_OWN_AXIOMS = Algebra(1, "six", {
+    name: BilinearOp(1, 1, 1, [[[int(name in ("succ_dashv", "succ_vdash"))]]]) for name in SIGNATURE_OPS["six"]})
+# the zero action on a target that is not dendriform
+_ZERO_ACTION_ON_A_BAD_TARGET = Action(_Z, one_dim_dendriform(1, 1), {name: BilinearOp.zero(1, 1, 1)
+                                                                    for name in ACTION_SORTS})
+
+
+def _hypothesis_inputs():
+    """Each one-entry perturbation of a passing algebra of each signature
+    and of three passing modules, then each counterexample's refused input
+    and two inputs that fail one part alone: a six algebra its compatibility
+    axioms, an action its target."""
+    d = truncated_polynomial_dendriform(2)
+    subjects = [truncated_polynomial_algebra(2), d, sum_collapse_quadri(dendriform_to_quadri(d)),
+                sum_collapse_six(dendriform_to_six(d)), dendriform_to_quadri(d), dendriform_to_six(d),
+                adjoint_representation(_DUAL_PREC), self_action(_DUAL_PREC), dual_extension(_DUAL_PREC)[0]]
+    for subject in subjects:
+        yield from _one_entry_perturbations(subject)
+    yield from (args[0] for _, args, _, _ in COUNTEREXAMPLES.values())
+    yield from (_SIX_FAILING_ITS_OWN_AXIOMS, _ZERO_ACTION_ON_A_BAD_TARGET)
+
+
+# the dendriform axioms of a module's base and of an action's target in its
+# hypothesis: dend.k is rep.(9 + k) and act.(9 + k)
+_SIDE_IDS = {"base algebra is not dendriform": "rep", "target algebra is not dendriform": "act"}
+
+
+def test_one_scan_refuses_what_the_parts_refuse():
+    """The one scan of an input's hypothesis refuses exactly the inputs the
+    part-by-part rule refuses (tests/oracle.py); where exactly one part
+    fails, both verdicts list the same violations, the base's and target's
+    ids renamed, and every part is seen failing alone."""
+    alone = set()
+    for obj in _hypothesis_inputs():
+        verdict, reference = _refusal(_require_axioms, obj), _refusal(reference_require_axioms, obj)
+        assert (verdict is None) == (reference is None)
+        failing = [message for part, name, message in reference_parts(obj) if not check(part, name).ok]
+        if len(failing) == 1:
+            prefix = _SIDE_IDS.get(failing[0])
+            rename = (lambda i: f"{prefix}.{9 + int(i.split('.')[1])}") if prefix else (lambda i: i)
+            assert [(v.identity, v.witness, v.residual) for v in verdict.violations] == [
+                (rename(v.identity), v.witness, v.residual) for v in reference.violations]
+            assert verdict.truncated == reference.truncated
+            alone.add(failing[0])
+    assert alone == {message for obj in _hypothesis_inputs() for _, _, message in reference_parts(obj)}
 
 
 @settings(max_examples=30, deadline=None)
@@ -601,7 +667,7 @@ def test_module_theorem_refuses_an_algebra(theorem, signature, poly, dend):
 def test_action_semidirect_refuses_a_representation_before_any_scan(dend):
     """A representation is not an action: one line, no verdict, and no
     catalog scan of its axioms first."""
-    with mock.patch.object(constructions, "check", side_effect=AssertionError("a catalog was scanned")):
+    with mock.patch.object(identities, "_Program", side_effect=AssertionError("a catalog was scanned")):
         with pytest.raises(SpecError) as exc:
             action_semidirect(adjoint_representation(dend))
     assert not isinstance(exc.value, PreconditionFailure)

@@ -185,6 +185,59 @@ def test_unknown_key_is_refused(section, obj, key):
     assert parse_document(json.dumps(raw))
 
 
+class _Text(str):
+    """A JSON text, written as it is inside an _object."""
+
+
+def _object(*items) -> _Text:
+    """The text of a JSON object of the (key, value) items in their order,
+    a repeated key kept; a value is a _Text or a value json.dumps writes."""
+    return _Text("{" + ", ".join(f"{json.dumps(k)}: {v if type(v) is _Text else json.dumps(v)}"
+                                 for k, v in items) + "}")
+
+
+_OPS = _ZERO_DEND["operations"]
+_DEND = _object(*_ZERO_DEND.items())
+_WITH_D = ("algebras", {"d": _ZERO_DEND})
+
+
+def _one(section: str, name: str, obj: str) -> str:
+    """A document of the algebra d and one object in a section."""
+    return _object(*([_WITH_D] if section != "algebras" else []), (section, _object((name, obj))))
+
+
+@pytest.mark.parametrize("text, path", [
+    (_object(("algebras", {}), _WITH_D), "$.algebras"),
+    (_object(("algebras", _object(("d", _DEND), ("d", _DEND)))), "$.algebras.d"),
+    (_one("algebras", "a", _object(("dimension", 1), *_ZERO_DEND.items())), "$.algebras.a.dimension"),
+    (_one("maps", "m", _object(("source", 1), ("target", 1), ("matrix", [[1]]), ("target", 1))), "$.maps.m.target"),
+    (_one("algebras", "a", _object(("dimension", 1), ("signature", "dendriform"),
+                                   ("operations", _object(("prec", [[[1]]]), *_OPS.items())))),
+     "$.algebras.a.operations.prec"),
+    (_one("representations", "r", _object(("base", "d"), ("module_dim", 1),
+                                          ("actions", _object(*_ZERO_ACTIONS.items(), ("succ_r", [[[1]]]))))),
+     "$.representations.r.actions.succ_r"),
+], ids=["section", "object name", "object key", "map key", "operation", "action"])
+def test_repeated_key_is_refused(text, path):
+    """json keeps the last of two equal keys of an object; a document refuses
+    the repeat at any level, with the path of the key, so that no object,
+    key or tensor is dropped unseen."""
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text)
+    assert str(exc.value) == f"repeated key at {path}"
+
+
+def test_cli_refuses_a_repeated_key_in_one_line(tmp_path, capsys):
+    """Two algebras named d, of dimensions 1 and 2: exit 2, one error line."""
+    two = {"dimension": 2, "signature": "dendriform", "operations": {name: [[[0, 0]] * 2] * 2 for name in _OPS}}
+    p = tmp_path / "doc.json"
+    p.write_text(_object(("algebras", _object(("d", _DEND), ("d", two)))))
+    from splitalg.cli import main
+
+    assert main(["check", str(p), "--object", "d", "--catalog", "dendriform"]) == 2
+    assert capsys.readouterr() == ("", "error: repeated key at $.algebras.d\n")
+
+
 def test_empty_basis_is_a_basis():
     """Only an absent "basis" means no labels: an empty one on a
     dimension-1 algebra is refused as a wrong count, and on a dimension-0

@@ -256,7 +256,7 @@ def test_six_setup_rejects_bad_perp():
     ops["prec_perp"] = one
     ops["succ_perp"] = one
     fake = Algebra(1, "six", ops)
-    with pytest.raises(PreconditionFailure, match="perp pair fails the dendriform axioms") as exc:
+    with pytest.raises(PreconditionFailure, match="input is not a six algebra") as exc:
         six_to_homomorphic_setup(fake)
     identities = [v.identity for v in exc.value.verdict.violations]
     assert identities and all(i.startswith("dend.") for i in identities)
@@ -301,7 +301,7 @@ def test_six_setup_rejects_non_quadri_part():
     quadri part fails quadri.1b at (e0, e0, e1)."""
     s = _six(2, prec_vdash={(0, 1): 1})
     assert check(s, "six").ok
-    with pytest.raises(PreconditionFailure, match="quadri part") as exc:
+    with pytest.raises(PreconditionFailure, match="input is not a six algebra") as exc:
         six_to_homomorphic_setup(s)
     assert [v.identity for v in exc.value.verdict.violations] == ["quadri.1b"]
     assert exc.value.verdict.violations[0].witness == (0, 0, 1)
