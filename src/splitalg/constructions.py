@@ -24,13 +24,13 @@ from .identities import (
     fits,
     hypothesis,
     needs,
+    on_sort,
     tabulate,
     var,
 )
 from .model import (
     Action,
     Algebra,
-    BilinearOp,
     LinearMap,
     Representation,
     SIGNATURE_OPS,
@@ -71,19 +71,25 @@ def _require_axioms(obj, *catalogs: str) -> None:
     _require(check_schemas(obj, hypothesis(own)), f"input is not {needs(own)}")
 
 
-def _product(obj, signature: str, patterns) -> Algebra:
-    """The algebra of the signature on S = A + V, V after A: each operation
-    sums in_out(h(pr_left x, pr_right y)) over the patterns (left, right) of
-    patterns(name), h the object's operation of its half on those sorts, out
-    its output sort: the splitting rule on a product (Bai-Bellier-Guo-Ni)."""
-    ctx = context_for(obj)
+def _sum_context(obj, maps=None) -> OpContext:
+    """`context_for(obj, maps)` plus the sort S = A + V, V after A, with its
+    projections prA, prV and inclusions inA, inV: the one layout of a product."""
+    ctx = context_for(obj, maps)
     a, total = ctx.dims["A"], ctx.dims["A"] + ctx.dims["V"]
     rows = LinearMap.identity(total).matrix
-    maps = {}
+    maps = dict(ctx.maps)
     for sort, cut in (("A", slice(0, a)), ("V", slice(a, total))):
         maps["pr" + sort] = (LinearMap(total, ctx.dims[sort], rows[cut]), "S", sort)
         maps["in" + sort] = (LinearMap(ctx.dims[sort], total, [row[cut] for row in rows]), sort, "S")
-    ctx = OpContext(ctx.ops, {**ctx.dims, "S": total}, maps)
+    return OpContext(ctx.ops, {**ctx.dims, "S": total}, maps)
+
+
+def _product(obj, signature: str, patterns) -> Algebra:
+    """The algebra of the signature on S (`_sum_context`): each operation
+    sums in_out(h(pr_left x, pr_right y)) over the patterns (left, right) of
+    patterns(name), h the object's operation of its half on those sorts, out
+    its output sort: the splitting rule on a product (Bai-Bellier-Guo-Ni)."""
+    ctx = _sum_context(obj)
 
     def block(h: str, left: str, right: str):
         product = app(h, apply_map("pr" + left, _x), apply_map("pr" + right, _y))
@@ -91,7 +97,7 @@ def _product(obj, signature: str, patterns) -> Algebra:
 
     table = {name: expr(*(block(half(name), left, right) for left, right in patterns(name)))
              for name in SIGNATURE_OPS[signature]}
-    return Algebra(total, signature, tabulate(ctx, ("S", "S"), table))
+    return Algebra(ctx.dims["S"], signature, tabulate(ctx, ("S", "S"), table))
 
 
 def _semidirect(rep: Representation) -> Algebra:
@@ -226,14 +232,11 @@ def dual_extension(d: Algebra) -> tuple[Action, LinearMap]:
     degree-0 projection T: F -> D, which is a homomorphic relative
     averaging operator."""
     _require_axioms(d, "dendriform")
-    n = d.dimension
-    # (x + x't)(y + y't) = xy + (xy' + x'y)t, as t^2 = 0: the semidirect
-    # product of the adjoint representation, whose first n rows are the
-    # left actions of D on F and whose first n columns the right actions
-    target = _semidirect(adjoint_representation(d))
-    actions = {}
-    for op in ("prec", "succ"):
-        coeffs = target.op(op).coeffs
-        actions[f"{op}_l"] = BilinearOp(n, 2 * n, 2 * n, coeffs[:n])
-        actions[f"{op}_r"] = BilinearOp(2 * n, n, 2 * n, [row[:n] for row in coeffs])
-    return Action(d, target, actions), LinearMap(2 * n, n, LinearMap.identity(2 * n).matrix[:n])
+    # (x + x't)(y + y't) = xy + (xy' + x'y)t, as t^2 = 0: the semidirect product
+    # of the adjoint representation on S = D + Dt, where D acts through inA
+    adjoint = adjoint_representation(d)
+    target, ctx = _semidirect(adjoint), _sum_context(adjoint)
+    ctx = OpContext({**ctx.ops, **on_sort(target.operations, "S")}, ctx.dims, ctx.maps)
+    actions = {**tabulate(ctx, ("A", "S"), {f"{op}_l": app(op, apply_map("inA", _x), _y) for op in ("prec", "succ")}),
+               **tabulate(ctx, ("S", "A"), {f"{op}_r": app(op, _x, apply_map("inA", _y)) for op in ("prec", "succ")})}
+    return Action(d, target, actions), ctx.maps["prA"][0]

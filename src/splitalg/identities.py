@@ -389,22 +389,19 @@ def needs(*catalog_names: str) -> str:
     return ("an " if noun[0] in "aeiou" else "a ") + noun
 
 
-_BUILT: dict[str, tuple[IdentitySchema, ...]] = {}  # each catalog, built once
+@cache  # each catalog, built once
+def _built(name: str) -> tuple[IdentitySchema, ...]:
+    try:
+        builder = _CATALOGS[name]
+    except KeyError:
+        raise UnknownCatalog(f"unknown catalog {name!r}; known: {', '.join(CATALOG_NAMES)}") from None
+    return tuple(builder())
 
 
 def catalog(name: str) -> list[IdentitySchema]:
     """The catalog's schemas, built on the first call: each call returns a
     list of its own, so a caller that changes it leaves the next call's alone."""
-    schemas = _BUILT.get(name)
-    if schemas is None:
-        try:
-            builder = _CATALOGS[name]
-        except KeyError:
-            raise UnknownCatalog(
-                f"unknown catalog {name!r}; known: {', '.join(CATALOG_NAMES)}"
-            ) from None
-        schemas = _BUILT[name] = tuple(builder())
-    return list(schemas)
+    return list(_built(name))
 
 
 # The axioms of the parts a catalog leaves out, ids after its own: a six
@@ -597,6 +594,19 @@ def _basis(n: int) -> dict:
     return {i: tuple(int(i == j) for j in range(n)) for i in range(n)}
 
 
+@cache
+def _ranks(slots, onto, dims) -> tuple[int, ...]:
+    """Per rank over the slots: its rank over the slots `onto`, which hold
+    them, with the entries of the other slots 0; computed once per process."""
+    strides, step = {}, 1
+    for s in reversed(onto):
+        strides[s], step = step, step * dims[s]
+    ranks = [0]
+    for s in slots:
+        ranks = [r + i * strides[s] for r in ranks for i in range(dims[s])]
+    return tuple(ranks)
+
+
 def _unrank(rank: int, reversed_dims) -> tuple[int, ...]:
     """The basis tuple of a rank in the lexicographic order, for the slot
     dimensions in reverse."""
@@ -618,7 +628,6 @@ class _Program:
         self.binders: list = []
         self.reads: list = []
         self._memo: dict = {}
-        self._ranked: dict = {}  # _ranks, computed once
         # (slot sorts, nodes evaluated before the group runs,
         # [(equation id, [(coefficient, node)])])
         self.groups = [self._group(group) for group in groups]
@@ -712,7 +721,7 @@ class _Program:
         # the arguments may read their slots out of order, as op(y, x) does
         slots = tuple(sorted(lslots + rslots))
         dims = tuple(ctx.dims[s] for s in sorts)
-        lplace, rplace = self._ranks(lslots, slots, dims), self._ranks(rslots, slots, dims)
+        lplace, rplace = _ranks(lslots, slots, dims), _ranks(rslots, slots, dims)
         out_dim = ctx.dims[out_sort]
 
         def bind(tables, scales):
@@ -721,20 +730,6 @@ class _Program:
             return table, d * scales[left] * scales[right]
 
         return bind, (left, right), out_sort, slots
-
-    def _ranks(self, slots, onto, dims):
-        """Per rank over the slots: its rank over the slots `onto`, which
-        hold them, with the entries of the other slots 0."""
-        key = (slots, onto, dims)
-        if key not in self._ranked:
-            strides, step = {}, 1
-            for s in reversed(onto):
-                strides[s], step = step, step * dims[s]
-            ranks = [0]
-            for s in slots:
-                ranks = [r + i * strides[s] for r in ranks for i in range(dims[s])]
-            self._ranked[key] = ranks
-        return self._ranked[key]
 
     def violations(self):
         """(equation id, basis tuple, residual ints, scale) of each non-zero
@@ -756,22 +751,23 @@ class _Program:
                 tables[n] = None
 
 
-def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term | Expr]) -> dict[str, BilinearOp]:
+def tabulate(ctx: OpContext, sorts: Sequence[str], table: Mapping[str, Term | Expr]) -> dict:
     """Each entry of the table, a term or a non-empty expression whose terms
-    read both of two slots of these sorts once, as the bilinear operation of
-    its values on the basis pairs: the residuals of entry = 0, one group per
-    entry in one program, evaluated as a check evaluates them.  A pair with
-    no residual holds the zero of the entry's output sort.  Each operation
-    keeps the residuals' ints as its integer form (BilinearOp.from_integers)."""
+    read each of one or two slots of these sorts once, as the linear map or
+    the bilinear operation of its values on the basis tuples: the residuals
+    of entry = 0, one group per entry in one program, evaluated as a check
+    evaluates them.  A tuple with no residual holds the zero of the entry's
+    output sort.  Each is built from the residuals' ints (from_integers)."""
     schemas = {name: equation(name, sorts, entry, ()) for name, entry in table.items()}
     program = _Program(ctx, [(schema,) for schema in schemas.values()])
     dims = tuple(ctx.dims[s] for s in sorts)
     # compile returns the node the program already holds for an entry's first term
     out_dims = {name: ctx.dims[program.compile(s.lhs[0][1], s.slot_sorts)[1]] for name, s in schemas.items()}
     cells: dict = {name: {} for name in schemas}
-    for name, pair, residual, scale in program.violations():
-        cells[name][pair] = residual, scale
-    return {name: BilinearOp.from_integers(*dims, d, cells[name]) for name, d in out_dims.items()}
+    for name, idx, residual, scale in program.violations():
+        cells[name][idx] = residual, scale
+    build = LinearMap.from_integers if len(sorts) == 1 else BilinearOp.from_integers
+    return {name: build(*dims, d, cells[name]) for name, d in out_dims.items()}
 
 
 # ----------------------------------------------------------------------

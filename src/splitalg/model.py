@@ -224,6 +224,14 @@ class LinearMap:
             )
         return tuple(sum((r * a for r, a in zip(row, v)), Fraction(0)) for row in self.matrix)
 
+    @classmethod
+    def from_integers(cls, source_dim: int, target_dim: int, cells) -> "LinearMap":
+        """The map whose column j is v / s for each (j,): (v, s) of cells, else zero."""
+        columns = [zero_vector(target_dim)] * source_dim
+        for (j,), (v, s) in cells.items():
+            columns[j] = [Fraction(a, s) for a in v]
+        return cls(source_dim, target_dim, [[c[k] for c in columns] for k in range(target_dim)])
+
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.matrix)
 

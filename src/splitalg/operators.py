@@ -26,6 +26,7 @@ from .identities import (
     needs,
     on_sort,
     residual_polynomials,
+    tabulate,
     var,
 )
 from .documents import short_repr
@@ -154,7 +155,7 @@ def check_homomorphic_relative(act: Action, t: LinearMap) -> ViolationReport:
 
 
 # P(op(Gx, Gy)) = 0 for each hemisemidirect operation: G sends e_a to the
-# graph generator (T e_a, e_a) and P reduces modulo the graph span.
+# graph generator inA(T e_a) + inV(e_a) and P reduces modulo the graph span.
 _GRAPH_CLOSURE = tuple(
     (equation(f"graph-closure:{op}", _VV, apply_map("P", app(op, apply_map("G", _x), apply_map("G", _y))), ()),)
     for op in sorted(SIGNATURE_OPS["quadri"])
@@ -168,18 +169,13 @@ def graph_subalgebra_check(rep: Representation, t: LinearMap) -> ViolationReport
     bilinearity of the operations this already implies closure of the span.
     Equivalent to check_relative_averaging by the graph theorem.
     """
-    from .constructions import _hemisemidirect
+    from .constructions import _hemisemidirect, _sum_context
 
-    ctx = _context(rep, "relative_averaging", t)
-    n, m = ctx.dims["A"], ctx.dims["V"]
-    hemi = _hemisemidirect(rep)
-    g = LinearMap(m, n + m, [*t.matrix, *LinearMap.identity(m).matrix])
-    p = reduction(span([g.column(a) for a in range(m)], n + m))
-    ctx = OpContext(
-        on_sort(hemi.operations, "H"),
-        {"V": m, "H": n + m},
-        {"G": (g, "V", "H"), "P": (p, "H", "H")},
-    )
+    _context(rep, "relative_averaging", t)  # refuses a subject or a t the kind does not take
+    ctx = _sum_context(rep, {"T": (t, "V", "A")})
+    g = tabulate(ctx, ("V",), {"G": expr(apply_map("inA", _Tx), apply_map("inV", _x))})["G"]
+    p = reduction(span([g.column(a) for a in range(g.source_dim)], g.target_dim))
+    ctx = OpContext(on_sort(_hemisemidirect(rep).operations, "S"), ctx.dims, {"G": (g, "V", "S"), "P": (p, "S", "S")})
     return _scan(ctx, _GRAPH_CLOSURE, kind="relative_averaging")
 
 

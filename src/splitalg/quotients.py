@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .constructions import _require_axioms, _semidirect
+from .constructions import _require_axioms, _semidirect, _sum_context
 from .identities import (
     QUADRI_TO_DENDRIFORM_COLLAPSE,
     OpContext,
@@ -228,12 +228,9 @@ def embed_averaging(q: Algebra) -> tuple[Algebra, LinearMap, LinearMap]:
     algebra: ambient = semidirect(quotient, original space), the averaging
     operator (xbar, y) -> (ybar, 0), and the inclusion x -> (0, x)."""
     rep, projection = quadri_to_relative_setup(q)
-    ambient = _semidirect(rep)
-    r, n = rep.base.dimension, q.dimension
-    total = r + n
-    averaging = LinearMap(total, total, [*([0] * r + list(row) for row in projection.matrix), *[[0] * total] * n])
-    inclusion = LinearMap(n, total, [*[[0] * n] * r, *LinearMap.identity(n).matrix])
-    return ambient, averaging, inclusion
+    ctx = _sum_context(rep, {"Pi": (projection, "V", "A")})
+    averaging = tabulate(ctx, ("S",), {"T": apply_map("inA", apply_map("Pi", apply_map("prV", _x)))})["T"]
+    return _semidirect(rep), averaging, ctx.maps["inV"][0]
 
 
 def six_to_homomorphic_setup(s: Algebra) -> tuple[Action, LinearMap]:

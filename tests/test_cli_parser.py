@@ -232,3 +232,9 @@ def test_help_names_every_flag_and_choice(command, flag):
         for option, action in REFERENCE_FLAGS[name].items():
             assert option in out
             assert all(choice in out for choice in action.choices or ())
+
+
+def test_a_last_flag_without_its_value_is_one_error_line():
+    """A flag at the end of the line, with no value after it: exit 2 and
+    argparse's error line, before any file is read."""
+    assert run_main(["check", "f.json", "--object"]) == (2, "", "error: argument --object: expected one argument\n")

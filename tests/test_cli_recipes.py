@@ -256,6 +256,19 @@ def test_verifications_pinned(recipe, flags, recipe_doc):
     assert list(_verifications(RECIPES[recipe][3], outputs)) == VERIFICATIONS[recipe]
 
 
+@pytest.mark.parametrize("recipe,flags", ACCEPTED, ids=[f"{r}-{f[-1]}" for r, f in ACCEPTED])
+def test_built_tensors_carry_their_integer_form(recipe, flags, recipe_doc):
+    """Every tensor a theorem builds, as against an input tensor it passes
+    through, holds its integer form from the moment it is made: each is
+    tabulated, so nothing clears it through Fraction again."""
+    objects = _inputs(recipe_doc, flags)
+    given = {id(t) for obj in objects for t in _tensors(obj).values()}
+    built = [(name, part, t) for name, obj in _run(recipe, objects).items() for part, t in _tensors(obj).items()
+             if isinstance(t, BilinearOp) and id(t) not in given]
+    assert built
+    assert [(name, part) for name, part, t in built if "integer_form" not in t.__dict__] == []
+
+
 def test_every_recipe_is_pinned():
     assert list(VERIFICATIONS) == list(RECIPES) == list(dict.fromkeys(recipe for recipe, _ in ACCEPTED))
 

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -698,3 +700,42 @@ def test_averaging_quadri_refuses_with_the_dend_averaging_verdict(dend):
     verdict = exc.value.verdict
     assert verdict == check_operator(dend, "dend_averaging", bad) and not verdict.ok
     assert all(v.identity.startswith(("Tprec:", "Tsucc:")) for v in verdict.violations)
+
+
+# ----------------------------------------------------------------------
+# One owner for the basis of a product: S = A + V is laid out only by
+# constructions._sum_context, and everything else names its maps in that
+# context and has tabulate build them.
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "splitalg"
+
+
+def _layout_breaches() -> list[str]:
+    """Where the package reads a tensor's coefficients outside model and
+    documents, calls LinearMap.identity outside model and _sum_context,
+    builds a matrix by hand in the graph check or the averaging embedding,
+    or imports BilinearOp into constructions."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = (module, getattr(top, "name", None))
+            for node in ast.walk(top):
+                call = node.func if isinstance(node, ast.Call) else None
+                if (isinstance(node, ast.Attribute) and node.attr == "coeffs" and isinstance(node.ctx, ast.Load)
+                        and module not in ("model", "documents")):
+                    found.append(f"{module}.{owner[1]} reads .coeffs")
+                if (isinstance(call, ast.Attribute) and call.attr == "identity" and getattr(call.value, "id", None)
+                        == "LinearMap" and module != "model" and owner != ("constructions", "_sum_context")):
+                    found.append(f"{module}.{owner[1]} calls LinearMap.identity")
+                if (isinstance(call, ast.Name) and call.id == "LinearMap"
+                        and owner in {("operators", "graph_subalgebra_check"), ("quotients", "embed_averaging")}):
+                    found.append(f"{module}.{owner[1]} builds a LinearMap by hand")
+                if (isinstance(node, ast.ImportFrom) and module == "constructions"
+                        and any(alias.name == "BilinearOp" for alias in node.names)):
+                    found.append("constructions imports BilinearOp")
+    return found
+
+
+def test_a_product_basis_has_one_owner():
+    assert _layout_breaches() == []

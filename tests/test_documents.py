@@ -368,3 +368,44 @@ def test_writer_refuses_a_scalar_past_the_digit_bound(value):
             serialize_document(doc)
     with pytest.raises(ValueError):
         dumps([[0, 10 ** 5000]])
+
+
+# (message, document): each refusal of the reader that no other test
+# reaches, with its path
+_REFUSED = {
+    "expected 1 columns at $.algebras.a.operations.prec[0]":
+        {"algebras": {"a": {"dimension": 1, "operations": {"prec": [[]]}}}},
+    "basis labels must be strings at $.algebras.a.basis": {"algebras": {"a": {"dimension": 1, "basis": [1]}}},
+    "operations must be an object at $.algebras.a.operations":
+        {"algebras": {"a": {"dimension": 1, "operations": []}}},
+    "dimension must be non-negative at $.maps.m.source": {"maps": {"m": {"source": -1, "target": 1, "matrix": [[]]}}},
+    "unknown algebra 'nope' at $.maps.m.source": {"maps": {"m": {"source": "nope", "target": 1, "matrix": [[]]}}},
+    "expected 2 rows at $.maps.m.matrix": {"maps": {"m": {"source": 1, "target": 2, "matrix": [[0]]}}},
+    "module_dim must be a non-negative integer at $.representations.r.module_dim":
+        {"algebras": {"d": _ZERO_DEND}, "representations": {"r": {"base": "d", "module_dim": -1, "actions": {}}}},
+    "top level must be an object at $": [],
+}
+
+
+@pytest.mark.parametrize("message, raw", _REFUSED.items(), ids=list(_REFUSED))
+def test_reader_refusals_name_their_path(message, raw, tmp_path, capsys):
+    """parse_document refuses each with its path; the CLI prints that as
+    one error line and exits 2, with no traceback."""
+    with pytest.raises(DocumentError) as exc:
+        parse_document(json.dumps(raw))
+    assert str(exc.value) == message
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(raw))
+    from splitalg.cli import main
+
+    assert main(["check", str(p), "--object", "a", "--catalog", "dendriform"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_writer_refuses_a_module_whose_algebra_it_does_not_hold(dend, adjoint):
+    """A document holds the algebras its modules name: without its base, a
+    representation cannot be written."""
+    with pytest.raises(SpecError) as exc:
+        serialize_document(Document(representations={"r": adjoint}))
+    assert str(exc.value) == "representation 'r' references an algebra not in the document"
+    assert serialize_document(Document(algebras={"d": dend}, representations={"r": adjoint}))

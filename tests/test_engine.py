@@ -455,6 +455,43 @@ def test_non_multilinear_terms_are_refused(case):
     assert rule in str(refused.value) and "\n" not in str(refused.value)
 
 
+_REP = adjoint_representation(truncated_polynomial_dendriform(2))
+_T_ON_V = context_for(_REP, {"T": (LinearMap.identity(2), "V", "A")})
+_TX = apply_map("T", _x)
+
+# message -> the call: each refusal of a schema's sorts, maps or group, and
+# of an object the engine reads no context of
+REFUSED_SHAPES = {
+    "schema 'e' equates terms of different sorts": lambda: _scan(_T_ON_V, [(equation("e", ("V",), _TX, _x),)]),
+    "map 'T' applied to an argument of the wrong sort": lambda: _scan(_T_ON_V, [(equation("e", ("A",), _TX, ()),)]),
+    "no linear map 'T' to apply": lambda: _scan(context_for(_REP), [(equation("e", ("V",), _TX, ()),)]),
+    "the schemas of a group must share their slot sorts": lambda: _scan(context_for(_REP.base), [(
+        catalog("dendriform")[0], equation("e", ("A", "A"), app("prec", _x, _y), ()))]),
+    "cannot check identities on LinearMap": lambda: check_schemas(LinearMap.identity(1), []),
+}
+
+
+@pytest.mark.parametrize("message", sorted(REFUSED_SHAPES))
+def test_ill_formed_schemas_are_refused(message):
+    with pytest.raises(SpecError) as refused:
+        REFUSED_SHAPES[message]()
+    assert str(refused.value) == message
+
+
+def test_tabulate_on_one_slot_builds_linear_maps():
+    """On one slot, a table's entries are linear maps: column j is the
+    entry's value at e_j.  A map term gives back the map, and a slot or an
+    output sort of dimension 0 keeps its shape."""
+    t = LinearMap(2, 3, [[1, Fraction(1, 2)], [0, 0], [-3, Fraction(2, 3)]])
+    ctx = OpContext({}, {"A": 3, "V": 2, "Z": 0, "E": 0}, {
+        "T": (t, "V", "A"), "Z": (LinearMap.zero(2, 0), "V", "Z"), "E": (LinearMap.zero(0, 3), "E", "A")})
+    assert tabulate(ctx, ("V",), {"T": _TX, "twice": expr(_TX, _TX), "Z": apply_map("Z", _x),
+                                  "leaf": _x}) == {
+        "T": t, "twice": LinearMap(2, 3, [[2 * e for e in row] for row in t.matrix]), "Z": LinearMap.zero(2, 0),
+        "leaf": LinearMap.identity(2)}
+    assert tabulate(ctx, ("E",), {"E": apply_map("E", _x)}) == {"E": LinearMap.zero(0, 3)}
+
+
 def test_refused_square_is_not_zero():
     """A pass of x * x on the basis of _UNSOUND would be wrong: it vanishes
     at e0 and e1, and is e0 at e0 + e1."""

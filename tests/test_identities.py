@@ -81,16 +81,19 @@ def test_each_catalog_is_built_once_and_each_call_gets_its_own_list(monkeypatch,
 
     built = []
     builder = identities._CATALOGS[name]
-    monkeypatch.setattr(identities, "_BUILT", {})
     monkeypatch.setitem(identities._CATALOGS, name, lambda: built.append(name) or builder())
-    first = catalog(name)
-    expected = list(first)
-    first.append(first[0])
-    first.reverse()
-    second = catalog(name)
-    assert second == expected and second is not first
-    assert all(a is b for a, b in zip(second, catalog(name)))
-    assert built == [name]
+    identities._built.cache_clear()
+    try:
+        first = catalog(name)
+        expected = list(first)
+        first.append(first[0])
+        first.reverse()
+        second = catalog(name)
+        assert second == expected and second is not first
+        assert all(a is b for a, b in zip(second, catalog(name)))
+        assert built == [name]
+    finally:
+        identities._built.cache_clear()  # the next call builds from the restored builder
 
 
 def test_schema_ids_unique():

@@ -163,3 +163,21 @@ def test_dendriform_promotions_share_tensors(dend):
     assert perp_dendriform_part(s).op("succ").coeffs == dend.op("succ").coeffs
 
 
+def test_model_refusals(poly, dend, adjoint):
+    """Each model refusal no other test reaches, with its one line."""
+    actions, n = adjoint.actions, dend.dimension
+    refusals = [
+        (lambda: adjoint_representation(poly), "adjoint representation needs a dendriform algebra"),
+        (lambda: Representation(dend, n, {k: v for k, v in actions.items() if k != "succ_r"}),
+         "representation requires action 'succ_r'"),
+        (lambda: Representation(dend, n, {**actions, "extra": dend.op("prec")}),
+         "representation carries exactly the four action tensors"),
+        (lambda: BilinearOp(1, 1, 1, []), "coefficient tensor shape does not match 1x1"),
+        (lambda: BilinearOp(1, 1, 2, [[[0]]]), "coefficient vector length 1 vs out_dim 2"),
+        (lambda: LinearMap(1, 2, [[0]]), "matrix shape does not match 2x1"),
+        (lambda: dend.op("mul"), "algebra has no operation 'mul'"),
+    ]
+    for build, message in refusals:
+        with pytest.raises(SpecError) as exc:
+            build()
+        assert str(exc.value) == message

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitalg.constructions import PreconditionFailure, induced_quadri, induced_six
+from splitalg.constructions import PreconditionFailure, dual_extension, induced_quadri, induced_six
+from splitalg.documents import parse_document
 from splitalg.identities import QUADRI_TO_DENDRIFORM_COLLAPSE, check
 from splitalg.linalg import basis_vector, span
 from splitalg.model import (
@@ -19,6 +21,7 @@ from splitalg.model import (
     evaluate,
     half,
     perp_dendriform_part,
+    quadri_part,
 )
 from splitalg.operators import (
     check_dend_averaging,
@@ -236,6 +239,39 @@ def test_embed_averaging(quadri):
                 assert got == expected, (opname, i, j)
 
 
+def _block_embedding(q):
+    """embed_averaging's maps written as blocks on quotient + original
+    space, quotient first: the averaging operator (xbar, y) -> (ybar, 0)
+    and the inclusion x -> (0, x)."""
+    rep, projection = quadri_to_relative_setup(q)
+    r, n = rep.base.dimension, q.dimension
+    total = r + n
+    averaging = LinearMap(total, total, [*([0] * r + list(row) for row in projection.matrix), *[[0] * total] * n])
+    inclusion = LinearMap(n, total, [*[[0] * n] * r, *LinearMap.identity(n).matrix])
+    return averaging, inclusion
+
+
+# name -> the quadri algebra, from the session fixtures
+QUADRI_INPUTS = {
+    "quadri fixture": lambda get: get("quadri"),
+    "recipe document": lambda get: parse_document(Path(get("recipe_doc_path")).read_text()).algebras["quadri"],
+    "promoted dendriform": lambda get: dendriform_to_quadri(get("dend")),
+    "induced by the dual extension": lambda get: induced_quadri(*dual_extension(get("dend"))),
+    "quadri part of the six fixture": lambda get: quadri_part(get("six")),
+}
+
+
+@pytest.mark.parametrize("name", QUADRI_INPUTS)
+def test_embed_averaging_maps_are_the_block_maps(name, request):
+    """The embedding's maps, tabulated in the product's context, are the
+    block matrices that place the quotient before the original space."""
+    q = QUADRI_INPUTS[name](request.getfixturevalue)
+    assert check(q, "quadri").ok
+    ambient, averaging, inclusion = embed_averaging(q)
+    assert (averaging, inclusion) == _block_embedding(q)
+    assert ambient.dimension == averaging.source_dim
+
+
 def test_six_round_trip(six):
     act, proj = six_to_homomorphic_setup(six)
     assert check(act, "dend-action").ok
@@ -287,13 +323,18 @@ def _six(n: int, **entries) -> Algebra:
 
 
 def test_six_setup_rejects_non_six():
-    """The perp pair is zero (so dendriform), but e prec_vdash e = e breaks
-    the six chain prec_vdash(prec_perp) = prec_vdash(prec_vdash)."""
-    s = _six(1, prec_vdash={(0, 0): 0})
+    """The perp pair is zero (so dendriform) and the quadri part, whose only
+    non-zero products are e succ_dashv e = e succ_vdash e = e, is quadri; but
+    the six chains succ_vdash(succ_perp) = succ_vdash(succ_vdash) and
+    succ_dashv(succ_perp) = succ_dashv(succ_vdash) fail, so the compatibility
+    axioms alone refuse it."""
+    s = _six(1, succ_dashv={(0, 0): 0}, succ_vdash={(0, 0): 0})
     assert check(perp_dendriform_part(s), "dendriform").ok
+    assert check(quadri_part(s), "quadri").ok
     with pytest.raises(PreconditionFailure, match="not a six algebra") as exc:
         six_to_homomorphic_setup(s)
-    assert not exc.value.verdict.ok
+    assert [(v.identity, v.witness) for v in exc.value.verdict.violations] == [
+        ("six.2.4a", (0, 0, 0)), ("six.3.4a", (0, 0, 0))]
 
 
 def test_six_setup_rejects_non_quadri_part():
