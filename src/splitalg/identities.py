@@ -55,6 +55,7 @@ Term = Union[tuple[str, int], tuple[str, "Term", "Term"], tuple[str, str, "Expr"
 Expr = tuple[tuple[Fraction, Term], ...]
 
 DEFAULT_VIOLATION_CAP = 100
+_ONE = Fraction(1)  # every unit coefficient: Fraction's constructor runs in Python
 
 
 def var(slot: int) -> Term:
@@ -66,7 +67,7 @@ def app(op: str, left: Term, right: Term) -> Term:
 
 
 def expr(*terms: Term) -> Expr:
-    return tuple((Fraction(1), t) for t in terms)
+    return tuple((_ONE, t) for t in terms)
 
 
 def apply_map(name: str, argument) -> Term:
@@ -176,8 +177,7 @@ class UnknownCatalog(SpecError):
 # ----------------------------------------------------------------------
 # Catalog construction
 
-_x, _y, _z = var(0), var(1), var(2)
-_A3 = ("A", "A", "A")
+_A3 = "AAA"
 
 
 def equation(eqid, sorts, lhs, rhs) -> IdentitySchema:
@@ -185,164 +185,86 @@ def equation(eqid, sorts, lhs, rhs) -> IdentitySchema:
     return IdentitySchema(eqid, tuple(sorts), _as_expr(lhs), _as_expr(rhs))
 
 
-def _chain(eqid: str, sorts, exprs: Sequence) -> list[IdentitySchema]:
-    """Encode E1 = E2 = ... = Ek as its k-1 consecutive pairs."""
-    return [
-        equation(f"{eqid}{'abcdefgh'[n]}", sorts, exprs[n], exprs[n + 1])
-        for n in range(len(exprs) - 1)
-    ]
+_ENDS = {"+", "=", ")", None}  # what may follow an operand or a product; None: the end
+_MARKS = {"(", ")", "+", "=", "0", "x", "y", "z", None}  # never an operation's or a map's name
 
 
-def _dend_shape(ids, pair12, pair23, pair_out, pair_out2):
-    """Three axioms of dendriform shape on the sorts A, A, A.
+def axioms(sorts, *formulas: str) -> list[IdentitySchema]:
+    """The schemas of formulas "id: E1 = E2 = ... = Ek" on slots of these
+    sorts, written as the paper writes them: the slots x, y, z; an operation
+    named between its two arguments, as in (x prec y) succ z; a map applied
+    as T(...); + between terms, and 0 for an empty side.  A brace of k > 2
+    expressions is its k-1 consecutive pairs, with ids suffixed a, b, ...
+    Every coefficient is 1.  A token the notation does not allow where it
+    stands is refused with a SpecError naming the formula's id."""
+    sorts, schemas = tuple(sorts), []
+    slots = {name: var(n) for n, name in enumerate("xyz"[:len(sorts)])}
 
-    Each pair is a (prec-like, succ-like) operation name tuple: pair12
-    combines slots 1,2; pair23 combines slots 2,3; pair_out joins the
-    (1,2)-product with slot 3; pair_out2 joins slot 1 with the
-    (2,3)-product.  For the plain dendriform axioms all four coincide.
-    """
-    (p12, s12), (p23, s23), (po, so), (po2, so2) = pair12, pair23, pair_out, pair_out2
-    return [
-        equation(ids[0], _A3, app(po, app(p12, _x, _y), _z),
-                 expr(app(po2, _x, app(p23, _y, _z)), app(po2, _x, app(s23, _y, _z)))),
-        equation(ids[1], _A3, app(po, app(s12, _x, _y), _z), app(so2, _x, app(p23, _y, _z))),
-        equation(ids[2], _A3, app(so2, _x, app(s23, _y, _z)),
-                 expr(app(so, app(p12, _x, _y), _z), app(so, app(s12, _x, _y), _z))),
-    ]
+    def refuse(expected):
+        found = "the end" if tokens[-1] is None else repr(tokens[-1])
+        raise SpecError(f"formula {eqid!r}: expected {expected}, found {found}")
 
+    def operand() -> Term:
+        token = tokens[-1]
+        if token in slots:
+            tokens.pop()
+            return slots[token]
+        if token != "(" and (token in _MARKS or tokens[-2] != "("):
+            refuse(f"a slot ({', '.join(slots)}), '(' or a map")
+        del tokens[-1 if token == "(" else -2:]  # the parenthesis, or the map's name and its parenthesis
+        inner = product() if token == "(" else apply_map(token, terms())
+        if tokens[-1] != ")":
+            refuse("')'")
+        tokens.pop()
+        return inner
 
-def _catalog_associative():
-    return [
-        equation(
-            "assoc",
-            _A3,
-            app("mul", app("mul", _x, _y), _z),
-            app("mul", _x, app("mul", _y, _z)),
-        )
-    ]
+    def product() -> Term:
+        term = operand()
+        if tokens[-1] not in _ENDS:
+            if tokens[-1] in _MARKS:
+                refuse("an operation, '+', '=' or ')'")
+            term = app(tokens.pop(), term, operand())
+            if tokens[-1] not in _ENDS:
+                refuse("'+', '=', ')' or the end")
+        return term
 
+    def terms() -> Expr:
+        found = [product()]
+        while tokens[-1] == "+":
+            tokens.pop()
+            found.append(product())
+        return expr(*found)
 
-def _catalog_dendriform():
-    pair = ("prec", "succ")
-    return _dend_shape(("dend.1", "dend.2", "dend.3"), pair, pair, pair, pair)
-
-
-def _diass_equations(dashv: str, vdash: str, ids):
-    return [
-        equation(ids[0], _A3, app(dashv, app(dashv, _x, _y), _z), app(dashv, _x, app(vdash, _y, _z))),
-        equation(ids[1], _A3, app(dashv, app(dashv, _x, _y), _z), app(dashv, _x, app(dashv, _y, _z))),
-        equation(ids[2], _A3, app(dashv, app(vdash, _x, _y), _z), app(vdash, _x, app(dashv, _y, _z))),
-        equation(ids[3], _A3, app(vdash, app(dashv, _x, _y), _z), app(vdash, _x, app(vdash, _y, _z))),
-        equation(ids[4], _A3, app(vdash, app(vdash, _x, _y), _z), app(vdash, _x, app(vdash, _y, _z))),
-    ]
-
-
-def _catalog_diassociative():
-    return _diass_equations("dashv", "vdash", ["di.1", "di.2", "di.3", "di.4", "di.5"])
-
-
-def _catalog_triassociative():
-    eqs = _diass_equations("dashv", "vdash", ["tri.1", "tri.2", "tri.3", "tri.4", "tri.5"])
-    eqs.append(
-        equation("tri.6", _A3, app("perp", app("perp", _x, _y), _z), app("perp", _x, app("perp", _y, _z)))
-    )
-    eqs += [
-        equation("tri.7", _A3, app("dashv", app("dashv", _x, _y), _z), app("dashv", _x, app("perp", _y, _z))),
-        equation("tri.8", _A3, app("dashv", app("perp", _x, _y), _z), app("perp", _x, app("dashv", _y, _z))),
-        equation("tri.9", _A3, app("perp", app("dashv", _x, _y), _z), app("perp", _x, app("vdash", _y, _z))),
-        equation("tri.10", _A3, app("perp", app("vdash", _x, _y), _z), app("vdash", _x, app("perp", _y, _z))),
-        equation("tri.11", _A3, app("vdash", app("perp", _x, _y), _z), app("vdash", _x, app("vdash", _y, _z))),
-    ]
-    return eqs
+    for formula in formulas:
+        eqid, colon, body = formula.partition(": ")
+        if not (colon and eqid.strip()):
+            raise SpecError(f"formula {formula!r} has no id")
+        tokens = [None, *body.replace("(", " ( ").replace(")", " ) ").split()[::-1]]  # the next token last
+        sides = []
+        while not sides or tokens[-1] == "=" and tokens.pop():  # a side, then one after each '='
+            sides.append(() if tokens[-1] == "0" and tokens.pop() else terms())  # 0: the empty side
+        if tokens[-1] is not None or len(sides) < 2:
+            refuse("'='")
+        ids = [eqid] if len(sides) == 2 else [eqid + chr(ord("a") + n) for n in range(len(sides) - 1)]
+        schemas += [IdentitySchema(i, sorts, lhs, rhs) for i, lhs, rhs in zip(ids, sides, sides[1:])]
+    return schemas
 
 
-def _catalog_quadri():
-    pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
-    eqs: list[IdentitySchema] = []
-    eqs += _chain(
-        "quadri.1",
-        _A3,
-        [
-            app(pv, app(pv, _x, _y), _z),
-            app(pv, app(pd, _x, _y), _z),
-            expr(app(pv, _x, app(pv, _y, _z)), app(pv, _x, app(sv, _y, _z))),
-        ],
-    )
-    eqs += _chain(
-        "quadri.2",
-        _A3,
-        [
-            app(pv, app(sv, _x, _y), _z),
-            app(pv, app(sd, _x, _y), _z),
-            app(sv, _x, app(pv, _y, _z)),
-        ],
-    )
-    eqs += _chain(
-        "quadri.3",
-        _A3,
-        [
-            app(sv, _x, app(sv, _y, _z)),
-            expr(app(sv, app(pv, _x, _y), _z), app(sv, app(sv, _x, _y), _z)),
-            expr(app(sv, app(pd, _x, _y), _z), app(sv, app(sd, _x, _y), _z)),
-            expr(app(sv, app(pv, _x, _y), _z), app(sv, app(sd, _x, _y), _z)),
-            expr(app(sv, app(pd, _x, _y), _z), app(sv, app(sv, _x, _y), _z)),
-        ],
-    )
-    eqs += _dend_shape(("quadri.4", "quadri.5", "quadri.6"), (pv, sv), (pd, sd), (pd, sd), (pv, sv))
-    eqs += _chain(
-        "quadri.7",
-        _A3,
-        [
-            app(pd, app(pd, _x, _y), _z),
-            expr(app(pd, _x, app(pv, _y, _z)), app(pd, _x, app(sv, _y, _z))),
-            expr(app(pd, _x, app(pd, _y, _z)), app(pd, _x, app(sd, _y, _z))),
-            expr(app(pd, _x, app(pv, _y, _z)), app(pd, _x, app(sd, _y, _z))),
-            expr(app(pd, _x, app(pd, _y, _z)), app(pd, _x, app(sv, _y, _z))),
-        ],
-    )
-    eqs += _chain(
-        "quadri.8",
-        _A3,
-        [
-            app(pd, app(sd, _x, _y), _z),
-            app(sd, _x, app(pv, _y, _z)),
-            app(sd, _x, app(pd, _y, _z)),
-        ],
-    )
-    eqs += _chain(
-        "quadri.9",
-        _A3,
-        [
-            app(sd, _x, app(sv, _y, _z)),
-            app(sd, _x, app(sd, _y, _z)),
-            expr(app(sd, app(pd, _x, _y), _z), app(sd, app(sd, _x, _y), _z)),
-        ],
-    )
-    return eqs
+def _dendriform(sorts=_A3, prefix="dend", first=1, p="prec", s="succ") -> list[IdentitySchema]:
+    """Loday's dendriform axioms of the pair (p, s), numbered prefix.first on."""
+    return axioms(sorts, f"{prefix}.{first}: (x {p} y) {p} z = x {p} (y {p} z) + x {p} (y {s} z)",
+                  f"{prefix}.{first + 1}: (x {s} y) {p} z = x {s} (y {p} z)",
+                  f"{prefix}.{first + 2}: x {s} (y {s} z) = (x {p} y) {s} z + (x {s} y) {s} z")
 
 
-def _catalog_six():
-    """The 9 + 8 + 8 compatibility axioms between the perp pair and the
-    quadri quadruple.  The embedded dendriform and quadri axioms are not
-    repeated here: `hypothesis("six")` appends them."""
-    pv, pd, sv, sd = "prec_vdash", "prec_dashv", "succ_vdash", "succ_dashv"
-    pp, sp = "prec_perp", "succ_perp"
-    eqs = _dend_shape(("six.1.1", "six.1.2", "six.1.3"), (pv, sv), (pp, sp), (pp, sp), (pv, sv))
-    eqs += _dend_shape(("six.1.4", "six.1.5", "six.1.6"), (pd, sd), (pv, sv), (pp, sp), (pp, sp))
-    eqs += _dend_shape(("six.1.7", "six.1.8", "six.1.9"), (pp, sp), (pd, sd), (pd, sd), (pp, sp))
-    # four chains of three, outer op applied to three inner variants
-    for n, (outer, position) in enumerate(
-        [(pv, "p"), (pv, "s"), (sv, "p"), (sv, "s")], start=1
-    ):
-        inner = {"p": (pp, pv, pd), "s": (sp, sv, sd)}[position]
-        eqs += _chain(f"six.2.{n}", _A3, [app(outer, app(i, _x, _y), _z) for i in inner])
-    # four chains of three, inner variants on the right argument
-    for n, (outer, position) in enumerate(
-        [(pd, "p"), (sd, "p"), (pd, "s"), (sd, "s")], start=1
-    ):
-        inner = {"p": (pp, pv, pd), "s": (sp, sv, sd)}[position]
-        eqs += _chain(f"six.3.{n}", _A3, [app(outer, _x, app(i, _y, _z)) for i in inner])
-    return eqs
+# Loday's di-associative axioms, numbered from 1 under a prefix
+_DIASSOCIATIVE = (
+    "{}.1: (x dashv y) dashv z = x dashv (y vdash z)",
+    "{}.2: (x dashv y) dashv z = x dashv (y dashv z)",
+    "{}.3: (x vdash y) dashv z = x vdash (y dashv z)",
+    "{}.4: (x dashv y) vdash z = x vdash (y vdash z)",
+    "{}.5: (x vdash y) vdash z = x vdash (y vdash z)",
+)
 
 
 def _dendriform_on(prefix: str, patterns) -> list[IdentitySchema]:
@@ -350,17 +272,62 @@ def _dendriform_on(prefix: str, patterns) -> list[IdentitySchema]:
     prefix.1: an operation on a mixed pair of sorts is an action of its
     half, so these are the dendriform axioms of the semidirect product
     that read those sorts (Bai-Bellier-Guo-Ni)."""
-    return [IdentitySchema(f"{prefix}.{3 * p + k}", tuple(sorts), s.lhs, s.rhs)
-            for p, sorts in enumerate(patterns) for k, s in enumerate(_catalog_dendriform(), 1)]
+    return [s for p, sorts in enumerate(patterns) for s in _dendriform(sorts, prefix, 3 * p + 1)]
 
 
 _CATALOGS = {
-    "associative": _catalog_associative,
-    "dendriform": _catalog_dendriform,
-    "diassociative": _catalog_diassociative,
-    "triassociative": _catalog_triassociative,
-    "quadri": _catalog_quadri,
-    "six": _catalog_six,
+    "associative": lambda: axioms(_A3, "assoc: (x mul y) mul z = x mul (y mul z)"),
+    "dendriform": _dendriform,
+    "diassociative": lambda: axioms(_A3, *(f.format("di") for f in _DIASSOCIATIVE)),
+    # Loday-Ronco: the di-associative axioms, then those of perp
+    "triassociative": lambda: axioms(
+        _A3, *(f.format("tri") for f in _DIASSOCIATIVE),
+        "tri.6: (x perp y) perp z = x perp (y perp z)",
+        "tri.7: (x dashv y) dashv z = x dashv (y perp z)",
+        "tri.8: (x perp y) dashv z = x perp (y dashv z)",
+        "tri.9: (x dashv y) perp z = x perp (y vdash z)",
+        "tri.10: (x vdash y) perp z = x vdash (y perp z)",
+        "tri.11: (x perp y) vdash z = x vdash (y vdash z)"),
+    "quadri": lambda: axioms(
+        _A3,
+        "quadri.1: (x prec_vdash y) prec_vdash z = (x prec_dashv y) prec_vdash z"
+        " = x prec_vdash (y prec_vdash z) + x prec_vdash (y succ_vdash z)",
+        "quadri.2: (x succ_vdash y) prec_vdash z = (x succ_dashv y) prec_vdash z = x succ_vdash (y prec_vdash z)",
+        "quadri.3: x succ_vdash (y succ_vdash z) = (x prec_vdash y) succ_vdash z + (x succ_vdash y) succ_vdash z"
+        " = (x prec_dashv y) succ_vdash z + (x succ_dashv y) succ_vdash z"
+        " = (x prec_vdash y) succ_vdash z + (x succ_dashv y) succ_vdash z"
+        " = (x prec_dashv y) succ_vdash z + (x succ_vdash y) succ_vdash z",
+        "quadri.4: (x prec_vdash y) prec_dashv z = x prec_vdash (y prec_dashv z) + x prec_vdash (y succ_dashv z)",
+        "quadri.5: (x succ_vdash y) prec_dashv z = x succ_vdash (y prec_dashv z)",
+        "quadri.6: x succ_vdash (y succ_dashv z) = (x prec_vdash y) succ_dashv z + (x succ_vdash y) succ_dashv z",
+        "quadri.7: (x prec_dashv y) prec_dashv z = x prec_dashv (y prec_vdash z) + x prec_dashv (y succ_vdash z)"
+        " = x prec_dashv (y prec_dashv z) + x prec_dashv (y succ_dashv z)"
+        " = x prec_dashv (y prec_vdash z) + x prec_dashv (y succ_dashv z)"
+        " = x prec_dashv (y prec_dashv z) + x prec_dashv (y succ_vdash z)",
+        "quadri.8: (x succ_dashv y) prec_dashv z = x succ_dashv (y prec_vdash z) = x succ_dashv (y prec_dashv z)",
+        "quadri.9: x succ_dashv (y succ_vdash z) = x succ_dashv (y succ_dashv z)"
+        " = (x prec_dashv y) succ_dashv z + (x succ_dashv y) succ_dashv z"),
+    # the 9 + 8 + 8 compatibility axioms of the perp pair and the quadri quadruple;
+    # `hypothesis("six")` appends the dendriform and quadri axioms they embed
+    "six": lambda: axioms(
+        _A3,
+        "six.1.1: (x prec_vdash y) prec_perp z = x prec_vdash (y prec_perp z) + x prec_vdash (y succ_perp z)",
+        "six.1.2: (x succ_vdash y) prec_perp z = x succ_vdash (y prec_perp z)",
+        "six.1.3: x succ_vdash (y succ_perp z) = (x prec_vdash y) succ_perp z + (x succ_vdash y) succ_perp z",
+        "six.1.4: (x prec_dashv y) prec_perp z = x prec_perp (y prec_vdash z) + x prec_perp (y succ_vdash z)",
+        "six.1.5: (x succ_dashv y) prec_perp z = x succ_perp (y prec_vdash z)",
+        "six.1.6: x succ_perp (y succ_vdash z) = (x prec_dashv y) succ_perp z + (x succ_dashv y) succ_perp z",
+        "six.1.7: (x prec_perp y) prec_dashv z = x prec_perp (y prec_dashv z) + x prec_perp (y succ_dashv z)",
+        "six.1.8: (x succ_perp y) prec_dashv z = x succ_perp (y prec_dashv z)",
+        "six.1.9: x succ_perp (y succ_dashv z) = (x prec_perp y) succ_dashv z + (x succ_perp y) succ_dashv z",
+        "six.2.1: (x prec_perp y) prec_vdash z = (x prec_vdash y) prec_vdash z = (x prec_dashv y) prec_vdash z",
+        "six.2.2: (x succ_perp y) prec_vdash z = (x succ_vdash y) prec_vdash z = (x succ_dashv y) prec_vdash z",
+        "six.2.3: (x prec_perp y) succ_vdash z = (x prec_vdash y) succ_vdash z = (x prec_dashv y) succ_vdash z",
+        "six.2.4: (x succ_perp y) succ_vdash z = (x succ_vdash y) succ_vdash z = (x succ_dashv y) succ_vdash z",
+        "six.3.1: x prec_dashv (y prec_perp z) = x prec_dashv (y prec_vdash z) = x prec_dashv (y prec_dashv z)",
+        "six.3.2: x succ_dashv (y prec_perp z) = x succ_dashv (y prec_vdash z) = x succ_dashv (y prec_dashv z)",
+        "six.3.3: x prec_dashv (y succ_perp z) = x prec_dashv (y succ_vdash z) = x prec_dashv (y succ_dashv z)",
+        "six.3.4: x succ_dashv (y succ_perp z) = x succ_dashv (y succ_vdash z) = x succ_dashv (y succ_dashv z)"),
     "dend-representation": lambda: _dendriform_on("rep", ("AAV", "AVA", "VAA")),
     "dend-action": lambda: _dendriform_on("act", ("AVV", "VAV", "VVA")),
 }
@@ -408,9 +375,9 @@ def catalog(name: str) -> list[IdentitySchema]:
 # algebra's perp pair is dendriform and its quadri quadruple quadri; a
 # module's base (AAA), and an action's target (VVV), dendriform.
 _PARTS = {
-    "six": lambda: [*_dend_shape(("dend.1", "dend.2", "dend.3"), *[("prec_perp", "succ_perp")] * 4), *catalog("quadri")],
-    "dend-representation": lambda: _dendriform_on("rep", ("AAV", "AVA", "VAA", "AAA"))[9:],
-    "dend-action": lambda: [*_dendriform_on("act", ("AVV", "VAV", "VVA", "VVV"))[9:], *hypothesis("dend-representation")],
+    "six": lambda: [*_dendriform(p="prec_perp", s="succ_perp"), *catalog("quadri")],
+    "dend-representation": lambda: _dendriform(_A3, "rep", 10),
+    "dend-action": lambda: [*_dendriform("VVV", "act", 10), *hypothesis("dend-representation")],
 }
 
 

@@ -76,6 +76,11 @@ def _clear(vectors) -> tuple[int, list[list[tuple[int, int]]]]:
     return d, [[(k, c.numerator * (d // c.denominator)) for k, c in enumerate(v) if c] for v in vectors]
 
 
+def _scale(cells) -> int:
+    """D as _clear gives it of the Fractions v / s of cells' (v, s), from their ints."""
+    return math.lcm(*(s // math.gcd(s, *v) for v, s in cells.values()))
+
+
 def _lines(left_dim: int, right_dim: int, d: int, cells) -> tuple[int, list, list]:
     """(D, rows, columns) from the ((i, j), the non-zero (k, c) of the pair)
     of the pairs in sorted order: rows[i] lists (j, its (k, c)) for each j
@@ -137,9 +142,7 @@ class BilinearOp:
         cells, v a vector of ints and s > 0, and zero on every other pair.
         Its integer form is made from those ints, equal to the one its
         Fractions would give, so it never passes over them."""
-        # the lcm of the denominators of the entries in lowest terms
-        d = math.lcm(*(s // math.gcd(s, *v) for v, s in cells.values()))
-        zero = Fraction(0)  # shared by every zero component
+        d, zero = _scale(cells), Fraction(0)  # zero: shared by every zero component
         coeffs = [[(zero,) * out_dim] * right_dim for _ in range(left_dim)]
         for (i, j), (v, s) in cells.items():
             coeffs[i][j] = tuple(Fraction(a, s) if a else zero for a in v)
@@ -226,11 +229,15 @@ class LinearMap:
 
     @classmethod
     def from_integers(cls, source_dim: int, target_dim: int, cells) -> "LinearMap":
-        """The map whose column j is v / s for each (j,): (v, s) of cells, else zero."""
-        columns = [zero_vector(target_dim)] * source_dim
+        """The map whose column j is v / s for each (j,): (v, s) of cells, else
+        zero, with its integer form made from those ints, as BilinearOp's."""
+        d, columns, ints = _scale(cells), [zero_vector(target_dim)] * source_dim, [[] for _ in range(source_dim)]
         for (j,), (v, s) in cells.items():
             columns[j] = [Fraction(a, s) for a in v]
-        return cls(source_dim, target_dim, [[c[k] for c in columns] for k in range(target_dim)])
+            ints[j] = [(k, a * d // s) for k, a in enumerate(v) if a]
+        m = cls(source_dim, target_dim, [[c[k] for c in columns] for k in range(target_dim)])
+        m.__dict__["integer_form"] = d, ints
+        return m
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.matrix)

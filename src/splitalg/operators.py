@@ -17,10 +17,9 @@ from .identities import (
     ViolationReport,
     _Record,
     _scan,
-    app,
     apply_map,
+    axioms,
     context_for,
-    equation,
     expr,
     fits,
     needs,
@@ -46,49 +45,28 @@ class SearchCapExceeded(SpecError):
     """Candidate count above the cap; shrink the grid or the dimensions."""
 
 
-_x, _y = var(0), var(1)
-_Tx, _Ty = apply_map("T", _x), apply_map("T", _y)
-_AA, _VV = ("A", "A"), ("V", "V")
+_AA, _VV, _DEND_OPS = ("A", "A"), ("V", "V"), ("prec", "succ")
 
-_ROTA_BAXTER = (
-    (equation("rota-baxter", _AA, app("mul", _Tx, _Ty),
-              apply_map("T", expr(app("mul", _x, _Ty), app("mul", _Tx, _y)))),),
-)
 
-_ASSOC_AVERAGING = (
-    (
-        equation("HaHb=H(aHb)", _AA, app("mul", _Tx, _Ty), apply_map("T", app("mul", _x, _Ty))),
-        equation("HaHb=H(Hab)", _AA, app("mul", _Tx, _Ty), apply_map("T", app("mul", _Tx, _y))),
-    ),
-)
+def _group(sorts, *formulas: str) -> tuple:
+    """The formulas' schemas as the one group of a tuple of groups."""
+    return (tuple(axioms(sorts, *formulas)),)
+
+
+def _for_each(ops, sorts, *templates: str) -> tuple:
+    """One group per operation: the formulas, each with {op} its name."""
+    return sum((_group(sorts, *(t.format(op=op) for t in templates)) for op in ops), ())
 
 
 def _averaging(sorts, ids: tuple[str, str]):
-    """Tx * Ty = T(Tx * y) = T(x * Ty) for * in {prec, succ}, one group per
-    operation; ids are formatted with its name.  On a module (sorts V, V)
-    the products with one argument in V are the actions."""
-    return tuple(
-        (
-            equation(ids[0].format(op), sorts, app(op, _Tx, _Ty), apply_map("T", app(op, _Tx, _y))),
-            equation(ids[1].format(op), sorts, app(op, _Tx, _Ty), apply_map("T", app(op, _x, _Ty))),
-        )
-        for op in ("prec", "succ")
-    )
+    """T(x) op T(y) = T(T(x) op y) = T(x op T(y)) for op in {prec, succ},
+    one group per operation; ids are formatted with its name.  On a module
+    (sorts V, V) the products with one argument in V are the actions."""
+    return _for_each(_DEND_OPS, sorts, ids[0] + ": T(x) {op} T(y) = T(T(x) {op} y)",
+                     ids[1] + ": T(x) {op} T(y) = T(x {op} T(y))")
 
 
-_DEND_AVERAGING = _averaging(_AA, ("T{}:TxTy=T(Txy)", "T{}:TxTy=T(xTy)"))
-_RELATIVE_AVERAGING = _averaging(_VV, ("{}:TuTv=T(Tu.v)", "{}:TuTv=T(u.Tv)"))
-_HOMOMORPHIC_RELATIVE = _RELATIVE_AVERAGING + tuple(
-    (equation(f"hom:{op}", _VV, apply_map("T", app(op, _x, _y)), app(op, _Tx, _Ty)),)
-    for op in ("prec", "succ")
-)
-
-# T(T(x)) = 0, and the Leibniz rule T(x * y) = Tx * y + x * Ty for both
-# operations.
-_DIFFERENTIAL = ((equation("d2=0", ("A",), apply_map("T", _Tx), ()),),) + tuple(
-    (equation(f"leibniz:{op}", _AA, apply_map("T", app(op, _x, _y)), expr(app(op, _Tx, _y), app(op, _x, _Ty))),)
-    for op in ("prec", "succ")
-)
+_RELATIVE_AVERAGING = _averaging(_VV, ("{op}:TuTv=T(Tu.v)", "{op}:TuTv=T(u.Tv)"))
 
 
 class _Kind(_Record):
@@ -99,12 +77,15 @@ class _Kind(_Record):
 
 
 _KINDS = {
-    "rota_baxter": _Kind("associative", _AA, _ROTA_BAXTER),
-    "assoc_averaging": _Kind("associative", _AA, _ASSOC_AVERAGING),
-    "dend_averaging": _Kind("dendriform", _AA, _DEND_AVERAGING),
+    "rota_baxter": _Kind("associative", _AA, _group(_AA, "rota-baxter: T(x) mul T(y) = T(x mul T(y) + T(x) mul y)")),
+    "assoc_averaging": _Kind("associative", _AA, _group(
+        _AA, "HaHb=H(aHb): T(x) mul T(y) = T(x mul T(y))", "HaHb=H(Hab): T(x) mul T(y) = T(T(x) mul y)")),
+    "dend_averaging": _Kind("dendriform", _AA, _averaging(_AA, ("T{op}:TxTy=T(Txy)", "T{op}:TxTy=T(xTy)"))),
     "relative_averaging": _Kind("dend-representation", ("V", "A"), _RELATIVE_AVERAGING),
-    "homomorphic_relative": _Kind("dend-action", ("V", "A"), _HOMOMORPHIC_RELATIVE),
-    "differential": _Kind("dendriform", _AA, _DIFFERENTIAL),
+    "homomorphic_relative": _Kind("dend-action", ("V", "A"), _RELATIVE_AVERAGING + _for_each(
+        _DEND_OPS, _VV, "hom:{op}: T(x {op} y) = T(x) {op} T(y)")),
+    "differential": _Kind("dendriform", _AA, _group("A", "d2=0: T(T(x)) = 0") + _for_each(
+        _DEND_OPS, _AA, "leibniz:{op}: T(x {op} y) = T(x) {op} y + x {op} T(y)")),
 }
 
 OPERATOR_KINDS = tuple(_KINDS)
@@ -154,12 +135,9 @@ def check_homomorphic_relative(act: Action, t: LinearMap) -> ViolationReport:
     return check_operator(act, "homomorphic_relative", t)
 
 
-# P(op(Gx, Gy)) = 0 for each hemisemidirect operation: G sends e_a to the
-# graph generator inA(T e_a) + inV(e_a) and P reduces modulo the graph span.
-_GRAPH_CLOSURE = tuple(
-    (equation(f"graph-closure:{op}", _VV, apply_map("P", app(op, apply_map("G", _x), apply_map("G", _y))), ()),)
-    for op in sorted(SIGNATURE_OPS["quadri"])
-)
+# One group per hemisemidirect operation: G sends e_a to the graph
+# generator inA(T e_a) + inV(e_a) and P reduces modulo the graph span.
+_GRAPH_CLOSURE = _for_each(sorted(SIGNATURE_OPS["quadri"]), _VV, "graph-closure:{op}: P(G(x) {op} G(y)) = 0")
 
 
 def graph_subalgebra_check(rep: Representation, t: LinearMap) -> ViolationReport:
@@ -173,7 +151,7 @@ def graph_subalgebra_check(rep: Representation, t: LinearMap) -> ViolationReport
 
     _context(rep, "relative_averaging", t)  # refuses a subject or a t the kind does not take
     ctx = _sum_context(rep, {"T": (t, "V", "A")})
-    g = tabulate(ctx, ("V",), {"G": expr(apply_map("inA", _Tx), apply_map("inV", _x))})["G"]
+    g = tabulate(ctx, ("V",), {"G": expr(apply_map("inA", apply_map("T", var(0))), apply_map("inV", var(0)))})["G"]
     p = reduction(span([g.column(a) for a in range(g.source_dim)], g.target_dim))
     ctx = OpContext(on_sort(_hemisemidirect(rep).operations, "S"), ctx.dims, {"G": (g, "V", "S"), "P": (p, "S", "S")})
     return _scan(ctx, _GRAPH_CLOSURE, kind="relative_averaging")

@@ -1,6 +1,8 @@
 """The reference evaluator: interprets a schema at arbitrary slot values in
 `Fraction` arithmetic, one term at a time.  The tests hold the library's
-sparse evaluator (`identities._Program`) and `tabulate` to it.  Also the
+sparse evaluator (`identities._Program`) and `tabulate` to it.  Also a
+printer of a schema in the notation `identities.axioms` reads, which the
+reader and README's catalog listing are held to, the
 coset coordinates of a vector modulo a subspace, which the reference
 quotient reads, the splitting rule with a degree-3 span comparison,
 which the catalogs are held to, and the input rule of the theorems part by
@@ -50,6 +52,26 @@ def evaluate_schema(schema: IdentitySchema, ctx: OpContext, values: Sequence[Vec
     empty tuple for 0 = 0, where no term fixes a sort."""
     difference = schema.lhs + tuple((-c, term) for c, term in schema.rhs)
     return eval_expr(difference, schema, ctx, values)[0] or ()
+
+
+def formula(schema: IdentitySchema) -> str:
+    """The schema as `identities.axioms` reads it, written from its term
+    tuples: slots x, y, z, an operation between its two arguments, a map as
+    name(...), + between terms and 0 for an empty side.  Every coefficient
+    is 1, as in every axiom the library writes."""
+    def term(t: Term, nested: bool) -> str:
+        if len(t) == 2:
+            return "xyz"[t[1]]
+        if isinstance(t[1], str):
+            return f"{t[1]}({side(t[2])})"
+        text = f"{term(t[1], True)} {t[0]} {term(t[2], True)}"
+        return f"({text})" if nested else text
+
+    def side(e: Expr) -> str:
+        assert all(c == 1 for c, _ in e), e
+        return " + ".join(term(t, False) for _, t in e) or "0"
+
+    return f"{side(schema.lhs)} = {side(schema.rhs)}"
 
 
 def project(sub: Subspace, v: Vector) -> Vector:

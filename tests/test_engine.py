@@ -810,8 +810,9 @@ def test_each_tensor_is_cleared_once(monkeypatch):
 def test_tabulated_tensors_carry_their_integer_form(data):
     """Every tensor tabulate builds carries, made from its residuals, the
     integer form that _clear gives of its Fractions: products, sum
-    collapses, twists and quotient tables, on generated inputs whose
-    tensors and maps have different denominators."""
+    collapses, twists and quotient tables, and the maps of one-slot tables
+    (the averaging embedding's T, the graph check's G), on generated inputs
+    whose tensors and maps have different denominators."""
     rep, act = data.draw(wide_representations()), data.draw(wide_actions())
     q, s = data.draw(wide_algebras("quadri")), data.draw(wide_algebras("six"))
     t = data.draw(wide_maps(rep.module_dim, rep.base.dimension))
@@ -830,6 +831,21 @@ def test_tabulated_tensors_carry_their_integer_form(data):
         carried = op.__dict__["integer_form"]  # set when built, not computed on reading
         assert carried == BilinearOp.integer_form.func(op)
         assert carried[0] == model._clear([v for row in op.coeffs for v in row])[0]
+
+    def recorded(*args):
+        tables = tabulate(*args)
+        maps.extend(tables.values())
+        return tables
+
+    with mock.patch.object(quotients, "_require_axioms"):
+        maps = [quotients.embed_averaging(q)[1]]
+    with mock.patch.object(operators, "tabulate", recorded):
+        operators.graph_subalgebra_check(rep, t)
+    assert [type(m) for m in maps] == [LinearMap, LinearMap]
+    for m in maps:
+        carried = m.__dict__["integer_form"]
+        assert carried == LinearMap.integer_form.func(m)
+        assert carried[0] == model._clear([m.column(j) for j in range(m.source_dim)])[0]
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from splitalg.identities import (
     CATALOG_NAMES,
     UnknownCatalog,
     _scan,
+    axioms,
     catalog,
     catalog_of,
     check,
@@ -16,6 +17,7 @@ from splitalg.identities import (
     check_schemas,
     context_for,
     fits,
+    hypothesis,
 )
 from splitalg.constructions import PreconditionFailure, _require_axioms, sum_collapse_quadri, sum_collapse_six
 from splitalg.linalg import basis_vector, vector
@@ -32,10 +34,11 @@ from splitalg.model import (
     quadri_part,
     self_action,
 )
+from splitalg.operators import _GRAPH_CLOSURE, _KINDS, OPERATOR_KINDS
 from splitalg.samples import one_dim_dendriform, zero_algebra
 
 from conftest import random_quadri
-from oracle import evaluate_schema
+from oracle import evaluate_schema, formula
 
 
 EXPECTED_SIZES = {
@@ -66,6 +69,76 @@ def test_catalog_content_pinned():
     for name in CATALOG_NAMES:
         h.update(repr((name, catalog(name))).encode())
     assert h.hexdigest() == CATALOG_DIGEST
+
+
+# SHA-256 of repr((name, list(hypothesis(name)))) over CATALOG_NAMES: the
+# axioms of the parts each catalog leaves out, which CATALOG_DIGEST does not see.
+HYPOTHESIS_DIGEST = "656071959f37394b2723b4881e7d414225a8e85f98e249d6116a43e1433e1c3d"
+# SHA-256 of repr((kind, [list(g) for g in groups])) over OPERATOR_KINDS, then
+# of repr(("graph-closure", [list(g) for g in _GRAPH_CLOSURE])).
+OPERATOR_DIGEST = "4dcd4b538e73e56a0a1e813186eaccbe0b4db71e6d47d1fa46051c3316a99142"
+
+
+def test_hypotheses_pinned():
+    h = hashlib.sha256()
+    for name in CATALOG_NAMES:
+        h.update(repr((name, list(hypothesis(name)))).encode())
+    assert h.hexdigest() == HYPOTHESIS_DIGEST
+
+
+def test_operator_kinds_pinned():
+    h = hashlib.sha256()
+    for kind in OPERATOR_KINDS:
+        h.update(repr((kind, [list(g) for g in _KINDS[kind].groups])).encode())
+    h.update(repr(("graph-closure", [list(g) for g in _GRAPH_CLOSURE])).encode())
+    assert h.hexdigest() == OPERATOR_DIGEST
+
+
+# Every schema the library writes as a formula, each time it is listed: 122
+# in the hypotheses, 20 in the operator kinds and 4 in the graph closure.
+WRITTEN = [*(s for name in CATALOG_NAMES for s in hypothesis(name)),
+           *(s for kind in OPERATOR_KINDS for group in _KINDS[kind].groups for s in group),
+           *(s for group in _GRAPH_CLOSURE for s in group)]
+
+
+def test_the_reader_reads_back_what_the_printer_writes():
+    """axioms() gives back each schema from the oracle's printing of its
+    term tuples, repr included (coefficients Fraction(1), sorts a tuple)."""
+    assert len(WRITTEN) == 146
+    for s in WRITTEN:
+        read = axioms(s.slot_sorts, f"{s.id}: {formula(s)}")
+        assert read == [s] and repr(read) == repr([s]), s.id
+
+
+def test_a_brace_is_its_consecutive_pairs():
+    e1, e2, e3, e4 = "(x mul y) mul z", "x mul (y mul z)", "0", "x mul y + T(z)"
+    pairs = [(e1, e2), (e2, e3), (e3, e4)]
+    assert axioms("AAA", f"b.1: {e1} = {e2} = {e3} = {e4}") == [
+        axioms("AAA", f"b.1{n}: {lhs} = {rhs}")[0] for n, (lhs, rhs) in zip("abc", pairs)]
+    assert [s.id for s in axioms("AAA", f"b.1: {e1} = {e2}")] == ["b.1"]
+
+
+@pytest.mark.parametrize("sorts, text, message", [
+    ("AAA", "slot: x prec w = 0", "formula 'slot': expected a slot (x, y, z), '(' or a map, found 'w'"),
+    ("AA", "slot: x prec z = 0", "formula 'slot': expected a slot (x, y), '(' or a map, found 'z'"),
+    ("AAA", "open: (x prec y = z", "formula 'open': expected ')', found '='"),
+    ("AAA", "close: x prec y) = z", "formula 'close': expected '=', found ')'"),
+    ("AAA", "map: T(x prec y = z", "formula 'map': expected ')', found '='"),
+    ("AAA", "apart: x y = z", "formula 'apart': expected an operation, '+', '=' or ')', found 'y'"),
+    ("AAA", "apart: (x prec y) (y prec z) = 0", "formula 'apart': expected an operation, '+', '=' or ')', found '('"),
+    # read loosely, this would be a map called prec: refused, not misread
+    ("AAA", "chain: x prec y prec z = 0", "formula 'chain': expected '+', '=', ')' or the end, found 'prec'"),
+    ("AAA", "(x prec y) prec z = 0", "formula '(x prec y) prec z = 0' has no id"),
+    ("AAA", " : (x prec y) prec z = 0", "formula ' : (x prec y) prec z = 0' has no id"),
+    ("AAA", "lone: (x prec y) prec z", "formula 'lone': expected '=', found the end"),
+    ("AAA", "sum: x prec y + 0 = z", "formula 'sum': expected a slot (x, y, z), '(' or a map, found '0'"),
+    ("AAA", "empty: T() = x", "formula 'empty': expected a slot (x, y, z), '(' or a map, found ')'"),
+    ("AAA", "end: x prec y = x prec", "formula 'end': expected a slot (x, y, z), '(' or a map, found the end"),
+])
+def test_the_reader_refuses_a_token_out_of_place(sorts, text, message):
+    with pytest.raises(SpecError) as refused:
+        axioms(sorts, text)
+    assert str(refused.value) == message
 
 
 def test_unknown_catalog():
